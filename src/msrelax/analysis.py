@@ -13,7 +13,7 @@ import numpy as np
 
 from . import geometry, potential, sobolev
 from .errors import (EnergyBalanceFail, HypothesisFail, MonotoneViolation,
-                     NoAlgebraicWindow, NoExponentialWindow)
+                     NoExponentialWindow)
 
 N_MODE_AMPS = 16
 

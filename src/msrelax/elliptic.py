@@ -160,31 +160,17 @@ def lambda_tail(kernel, z, k_cap=2000):
 def lambda_series_small(kernel, z, k_max=None):
     """Series form of Lambda for |z| < 0.9 * 2L; agrees with lam to ~1e-11.
 
-    ``k_max`` truncates the power tail (rounded down to a multiple of 4);
-    None picks the machine-precision depth automatically.
+    ``k_max`` caps the power tail (None: at 2000); below the cap the depth
+    stops where the terms fall under machine precision.
     """
     z = np.asarray(z, dtype=complex)
     w = np.abs(z) / (2.0 * kernel.L)
     if np.max(w) >= 0.9:
         raise OutOfRadius("lambda_series_small requires |z| < 0.9 * 2L")
     _check_pole(kernel, z)
-    if k_max is None:
-        out = np.log(np.abs(z)) + lambda_tail(kernel, z)
-    else:
-        out = np.log(np.abs(z)) + _tail_fixed(kernel, z, k_max)
+    out = np.log(np.abs(z)) + lambda_tail(
+        kernel, z, k_cap=2000 if k_max is None else k_max)
     return out if np.ndim(out) else float(out)
-
-
-def _tail_fixed(kernel, z, k_max):
-    u = z / (2.0 * kernel.L)
-    out = -kernel.beta_bg * np.abs(z) ** 2
-    k = 4
-    uk = u**4
-    while k <= k_max:
-        out = out - (1.0 / k) * (kernel.eisenstein(k) * uk).real
-        uk = uk * u**4
-        k += 4
-    return out
 
 
 def legendre_residual(kernel):

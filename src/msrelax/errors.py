@@ -77,9 +77,5 @@ class MonotoneViolation(MsrelaxError):
     """E^2 D (or E) increased beyond slack along a trajectory."""
 
 
-class NoAlgebraicWindow(MsrelaxError):
-    """Regime fit: no window with d log E / d log t near -1."""
-
-
 class NoExponentialWindow(MsrelaxError):
     """Regime fit: no late window with log-linear E decay."""

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NonPositiveRadius, OptimFail, Unresolved
 
@@ -137,11 +136,12 @@ def coeffs_from_nodes(values):
     return rho_hat
 
 
-def eval_rho(curve, phi, derivative=0):
-    """Evaluate rho (or a derivative) at arbitrary angles by direct synthesis."""
+def eval_series(coef, phi, derivative=0):
+    """Evaluate the (N, 2) cos/sin series sum_k a_k cos(k phi) + b_k sin(k phi)
+    (or a phi-derivative) at arbitrary angles by direct synthesis."""
     phi = np.asarray(phi, dtype=float)
-    N = curve.N
-    c = curve.rho_hat[:, 0] - 1j * curve.rho_hat[:, 1]
+    N = coef.shape[0]
+    c = coef[:, 0] - 1j * coef[:, 1]
     if derivative:
         k = np.arange(N)
         c = c * (1j * k) ** derivative
@@ -151,6 +151,11 @@ def eval_rho(curve, phi, derivative=0):
     for k in range(N - 2, -1, -1):
         acc = acc * w + c[k]
     return acc.real
+
+
+def eval_rho(curve, phi, derivative=0):
+    """Evaluate rho (or a derivative) at arbitrary angles."""
+    return eval_series(curve.rho_hat, phi, derivative)
 
 
 def curve_points(curve, phi):
@@ -166,14 +171,14 @@ def curve_points(curve, phi):
 def build_cache(curve, unresolved_tol=TOP_MODE_ABORT):
     """Fill all node-wise geometric quantities for a curve.
 
-    Raises NonPositiveRadius if rho <= 0 anywhere, Unresolved if the top
+    Raises NonPositiveRadius unless rho > 0 everywhere, Unresolved if the top
     Fourier mode carries more than ``unresolved_tol`` of the maximum
     coefficient amplitude (set unresolved_tol=None to skip).
     """
     M = curve.M
     phi = 2.0 * np.pi * np.arange(M) / M
     rho = synth_nodes(curve, 0)
-    if np.any(rho <= 0.0):
+    if not np.all(rho > 0.0):
         raise NonPositiveRadius(f"min rho = {rho.min():.3e}")
 
     amp = np.hypot(curve.rho_hat[:, 0], curve.rho_hat[:, 1])
@@ -312,6 +317,8 @@ def bonnesen_monitor(cache, dense=4096):
         r = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
         return r.max() - r.min()
 
+    from scipy.optimize import minimize  # only caller; keeps import cheap
+
     c0 = barycenter_bulk(cache)
     res = minimize(width, c0, method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
@@ -409,20 +416,23 @@ def single_mode_curve(R, k, eps, N=32, phase=0.0, domain="plane", L=None,
     rho_hat[k, 0] = eps * np.cos(phase)
     rho_hat[k, 1] = eps * np.sin(phase)
     if project_area:
-        # exact zero-mode adjustment: area = pi (a0^2 + sum amp^2 / 2)
-        rho_hat[0, 0] = np.sqrt(R**2 - 0.5 * np.sum(rho_hat[1:] ** 2))
+        _set_area_zero_mode(rho_hat, R)
     return RadialCurve(R, rho_hat, np.zeros(2), domain, L)
 
 
 def project_area(curve):
     """Adjust the zero mode so enclosed area equals pi R^2 exactly."""
     rho_hat = curve.rho_hat.copy()
-    rest = 0.5 * np.sum(rho_hat[1:] ** 2)
-    a0sq = curve.R**2 - rest
-    if a0sq <= 0.0:
+    _set_area_zero_mode(rho_hat, curve.R)
+    return replace(curve, rho_hat=rho_hat)
+
+
+def _set_area_zero_mode(rho_hat, R):
+    # exact zero-mode adjustment: area = pi (a0^2 + sum amp^2 / 2)
+    a0sq = R**2 - 0.5 * np.sum(rho_hat[1:] ** 2)
+    if not a0sq > 0.0:
         raise NonPositiveRadius("area projection impossible: perturbation too large")
     rho_hat[0, 0] = np.sqrt(a0sq)
-    return replace(curve, rho_hat=rho_hat)
 
 
 def shifted_disk_curve(R, a, N=64, domain="plane", L=None):
@@ -454,17 +464,15 @@ def write_curve(curve, path):
 def read_curve(path):
     with open(path) as fh:
         parts = fh.readline().split()
-        if len(parts) < 7 or parts[0] != "msrc" or parts[1] != "v1":
-            raise ValueError(f"{path}: not an msrc v1 file")
+        domain = parts[4] if len(parts) > 4 else None
+        # plane: msrc v1 N R plane px py; torus adds L before the pole
+        if parts[:2] != ["msrc", "v1"] or \
+                len(parts) != (8 if domain == "torus" else 7):
+            raise ValueError(f"{path}: not an msrc v1 header")
         N = int(parts[2])
         R = float(parts[3])
-        domain = parts[4]
-        if domain == "torus":
-            L = float(parts[5])
-            pole = np.array([float(parts[6]), float(parts[7])])
-        else:
-            L = None
-            pole = np.array([float(parts[5]), float(parts[6])])
+        L = float(parts[5]) if domain == "torus" else None
+        pole = np.array([float(parts[-2]), float(parts[-1])])
         rho_hat = np.array([[float(x) for x in fh.readline().split()]
                             for _ in range(N)])
     return RadialCurve(R, rho_hat, pole, domain, L)

@@ -56,29 +56,21 @@ def log_quadrature_row(M):
 
 
 @dataclass
-class LayerDensity:
-    values: np.ndarray
+class BieSolve:
+    """Density V (= the normal velocity) and constant c of u = S[V] + c, with
+    the bordered system's relative residual and |int V ds|."""
+
+    V: np.ndarray
+    additive_constant: float
+    residual_norm: float
     mean_constraint_residual: float
 
 
-@dataclass
-class BieSolve:
-    density: LayerDensity
-    additive_constant: float
-    residual_norm: float
-
-    @property
-    def V(self):
-        return self.density.values
-
-
-def assemble(cache, kernel=None, with_cond=False):
+def assemble(cache, kernel=None):
     """Dense collocation matrix of the single-layer operator at the nodes.
 
     ``kernel`` None means the free-space plane kernel; a LatticeKernel
-    substitutes Lambda/2pi with the identical singular split.  Returns a
-    dict with the matrix, quadrature weights, and optionally the condition
-    number of the bordered system.
+    substitutes Lambda/2pi with the identical singular split.
     """
     M = cache.M
     z = cache.points[:, 0] + 1j * cache.points[:, 1]
@@ -94,13 +86,7 @@ def assemble(cache, kernel=None, with_cond=False):
         smooth = smooth + elliptic.lambda_tail(kernel, dz)
     row = log_quadrature_row(M)
     idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
-    a_sing = row[idx]
-    mat = (a_sing + (1.0 / M) * smooth) * cache.ell[None, :]
-    weights = cache.ell * (2.0 * np.pi / M)
-    out = {"matrix": mat, "weights": weights, "kernel": kernel}
-    if with_cond:
-        out["cond"] = float(np.linalg.cond(_bordered(mat, weights)))
-    return out
+    return (row[idx] + (1.0 / M) * smooth) * cache.ell[None, :]
 
 
 def _bordered(mat, weights):
@@ -112,19 +98,17 @@ def _bordered(mat, weights):
     return big
 
 
-def solve_ms(cache, kernel=None, data=None, system=None):
+def solve_ms(cache, kernel=None, data=None):
     """Solve S[phi] + c = data (default: curvature), int phi ds = 0.
 
-    Returns a BieSolve whose density IS the normal velocity V (jump of
+    Returns a BieSolve whose density V IS the normal velocity (jump of
     normal derivatives of the two-sided harmonic extension).
     """
-    if system is None:
-        system = assemble(cache, kernel)
-    mat, weights = system["matrix"], system["weights"]
     M = cache.M
+    weights = cache.ell * cache.dphi
     if data is None:
         data = cache.kappa
-    big = _bordered(mat, weights)
+    big = _bordered(assemble(cache, kernel), weights)
     rhs = np.concatenate([data, [0.0]])
     try:
         sol = np.linalg.solve(big, rhs)
@@ -135,7 +119,7 @@ def solve_ms(cache, kernel=None, data=None, system=None):
     if not np.isfinite(resid) or resid > 1e-8:
         raise SolverSingular(f"relative residual {resid:.3e}")
     mean_resid = abs(float(np.dot(weights, phi)))
-    return BieSolve(LayerDensity(phi, mean_resid), c, float(resid))
+    return BieSolve(phi, c, float(resid), mean_resid)
 
 
 def dissipation(cache, solve, tol=1e-10):
@@ -231,10 +215,14 @@ def rasterize_difference(curve, center, R=None, grid=512, embed_factor=8.0,
                          sub=4, other=None):
     """Cell-averaged samples of chi_Omega_in - chi_B_R(center) on the torus
     grid, with sub x sub subcell area-fraction anti-aliasing.  ``other``
-    replaces the reference ball with a second curve's region.  Returns
+    replaces the reference ball with a second curve's region; otherwise
+    ``center`` None means the bulk barycenter of ``curve``.  Returns
     (f, L, h) with f zero-mean."""
     if R is None:
         R = curve.R
+    if other is None and center is None:
+        center = geometry.barycenter_bulk(geometry.build_cache(
+            curve, unresolved_tol=None))
     L = _embedding_L(curve, embed_factor)
     G = grid
     h = 2.0 * L / G
@@ -263,9 +251,6 @@ def squared_distance(curve, center=None, R=None, grid=512, embed_factor=8.0,
     H^{-1} norm of the compactly supported zero-mean difference converges as
     the embedding grows.
     """
-    if center is None:
-        center = geometry.barycenter_bulk(geometry.build_cache(
-            curve, unresolved_tol=None))
     f, L, _ = rasterize_difference(curve, center, R, grid, embed_factor, sub)
     return _h_from_field(f, L)
 
@@ -330,9 +315,6 @@ def squared_distance_oracle(curve, center=None, R=None, grid=64,
     it below the 1% comparison budget.  The singular cell uses the
     cell-averaged log.  Brute force O(G'^4) by construction -- this is the
     independent check for squared_distance."""
-    if center is None:
-        center = geometry.barycenter_bulk(geometry.build_cache(
-            curve, unresolved_tol=None))
     f, L, h = rasterize_difference(curve, center, R, grid, embed_factor, sub)
     return _h_oracle_from_field(f, L, h, refine)
 

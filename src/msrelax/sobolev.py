@@ -9,8 +9,8 @@ so Parseval reads ||f||_L2^2 = sum_k |f_hat(k)|^2, and
     ||f||_{H^sigma}^2 = sum_{k != 0} |(pi/P) k|^{2 sigma} |f_hat(k)|^2.
 
 Curve norms ||f||_{H^sigma(Gamma)} resample f to uniform arc length (spectral
-interpolation of the cumulative length, Newton-inverted) and apply the same
-machinery with 2P = L(Gamma).
+antiderivative of ell, Newton-inverted, evaluated by ``geometry.eval_series``)
+and apply the same machinery with 2P = L(Gamma).
 """
 
 from dataclasses import dataclass
@@ -62,22 +62,15 @@ def from_samples(values, P):
     M = values.size
     a = np.fft.fft(values) / M            # a_k, f = sum a_k e^{i pi k x / P}
     K = M // 2 - 1 if M % 2 == 0 else M // 2
-    coeffs = np.zeros(2 * K + 1, dtype=complex)
-    coeffs[K] = a[0]
-    for k in range(1, K + 1):
-        coeffs[K + k] = a[k]
-        coeffs[K - k] = a[-k]
+    coeffs = np.concatenate([a[M - K:], a[:K + 1]])
     return PeriodicSignal(P, np.sqrt(2.0 * P) * coeffs)
 
 
 def to_samples(signal, M):
-    """Evaluate the signal at M uniform points on [0, 2P)."""
-    K = signal.K
+    """Evaluate the signal at M uniform points on [0, 2P); wavenumbers
+    beyond the grid alias onto k mod M."""
     a = np.zeros(M, dtype=complex)
-    a[0] = signal.coeffs[K]
-    for k in range(1, K + 1):
-        a[k % M] += signal.coeffs[K + k]
-        a[-k % M] += signal.coeffs[K - k]
+    np.add.at(a, signal.wavenumbers() % M, signal.coeffs)
     return (np.fft.ifft(a) * M).real / np.sqrt(2.0 * signal.P)
 
 
@@ -140,43 +133,30 @@ def poincare_check(signal, sigma):
 # norms on curves
 # ---------------------------------------------------------------------------
 
-def arclength_angles(cache, n_points=None, tol=1e-13):
+def arclength_angles(cache, tol=1e-13):
     """Angles phi_j with s(phi_j) = j * L / M: uniform arc-length nodes.
 
     The cumulative length s(phi) is integrated spectrally and inverted by
     Newton iteration (s' = ell > 0, so the map is strictly monotone).
     """
-    M = cache.M if n_points is None else n_points
     length = geometry.perimeter(cache)
     mean_ell = length / (2.0 * np.pi)
 
-    # spectral antiderivative of ell - mean
-    X = np.fft.rfft(cache.ell)
-    kk = np.arange(X.size)
-    Xi = np.zeros_like(X)
-    Xi[1:] = X[1:] / (1j * kk[1:])
-    periodic = np.fft.irfft(Xi, cache.M)
-    periodic -= periodic[0]
-    coeff = np.fft.rfft(periodic)  # reuse for off-node evaluation
+    # antiderivative of ell - mean, normalized to s(0) = 0:
+    # a cos(k phi) + b sin(k phi) -> (-b/k) cos(k phi) + (a/k) sin(k phi)
+    fh = geometry.coeffs_from_nodes(cache.ell)
+    k = np.arange(1, fh.shape[0])
+    anti = np.zeros_like(fh)
+    anti[1:, 0] = -fh[1:, 1] / k
+    anti[1:, 1] = fh[1:, 0] / k
+    anti[0, 0] = -np.sum(anti[1:, 0])
 
-    def s_of(phi):
-        # evaluate the periodic part by direct trig synthesis
-        acc = np.full_like(phi, coeff[0].real / cache.M)
-        for k in range(1, coeff.size):
-            scale = 1.0 if k == cache.M // 2 else 2.0
-            acc += scale * (coeff[k].real * np.cos(k * phi)
-                            - coeff[k].imag * np.sin(k * phi)) / cache.M
-        return mean_ell * phi + acc
-
-    def ell_of(phi):
-        return np.hypot(geometry.eval_rho(cache.curve, phi),
-                        geometry.eval_rho(cache.curve, phi, 1))
-
-    s_targets = length * np.arange(M) / M
+    s_targets = length * np.arange(cache.M) / cache.M
     phi = s_targets / mean_ell  # uniform initial guess
     for _ in range(60):
-        res = s_of(phi) - s_targets
-        phi -= res / ell_of(phi)
+        res = mean_ell * phi + geometry.eval_series(anti, phi) - s_targets
+        phi -= res / np.hypot(geometry.eval_rho(cache.curve, phi),
+                              geometry.eval_rho(cache.curve, phi, 1))
         if np.max(np.abs(res)) < tol * length:
             break
     else:
@@ -184,25 +164,13 @@ def arclength_angles(cache, n_points=None, tol=1e-13):
     return phi
 
 
-def curve_signal(cache, f_nodes, sigma_hint=None, n_points=None):
-    """Resample node values of f to uniform arc length as a PeriodicSignal
-    with half-period P = L(Gamma)/2."""
-    phi = arclength_angles(cache, n_points)
-    # spectral interpolation of f from the phi-nodes
+def curve_signal(cache, f_nodes):
+    """Resample node values of f to uniform arc length (spectral
+    interpolation from the phi-nodes) as a PeriodicSignal with half-period
+    P = L(Gamma)/2."""
     fh = geometry.coeffs_from_nodes(np.asarray(f_nodes, dtype=float))
-    interp = geometry.RadialCurve(cache.curve.R, _safe_hat(fh),
-                                  np.zeros(2), "plane")
-    f_arc = geometry.eval_rho(interp, phi)
+    f_arc = geometry.eval_series(fh, arclength_angles(cache))
     return from_samples(f_arc, geometry.perimeter(cache) / 2.0)
-
-
-def _safe_hat(fh):
-    """RadialCurve is reused as a cheap trig evaluator; pad tiny series."""
-    N = max(fh.shape[0], 16)
-    out = np.zeros((N, 2))
-    out[: fh.shape[0]] = fh
-    out[0, 1] = 0.0
-    return out
 
 
 def curve_norm(cache, f_nodes, sigma):

@@ -202,7 +202,7 @@ def test_barycenter_monitor_symmetric_run():
 
 
 def fake_solve(values):
-    return potential.BieSolve(potential.LayerDensity(values, 0.0), 0.0, 0.0)
+    return potential.BieSolve(values, 0.0, 0.0, 0.0)
 
 
 def test_improved_embedding_equality_case():

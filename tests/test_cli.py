@@ -208,3 +208,9 @@ def test_norms(capsys, tmp_path):
 def test_missing_file_exits_2(capsys):
     assert cli.main(["norms", "/nonexistent/file.msrc"]) == 2
     assert cli.main(["simulate", "--config", "/nonexistent.cfg"]) == 2
+
+
+def test_truncated_torus_header_exits_2(capsys, tmp_path):
+    path = tmp_path / "short.msrc"
+    path.write_text("msrc v1 16 1.0 torus 8.0 0.0\n" + "0 0\n" * 16)
+    assert cli.main(["norms", str(path)]) == 2

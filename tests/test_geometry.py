@@ -1,5 +1,7 @@
 """Geometry: spectral curves, caches, integral quantities, admissibility."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +61,19 @@ def test_eval_rho_matches_nodes():
     for d in (0, 1, 2):
         assert np.max(np.abs(geometry.eval_rho(curve, phi, d)
                              - geometry.synth_nodes(curve, d))) < 1e-12
+
+
+@given(st.integers(1, 40), st.integers(0, 2), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_eval_series_matches_synth_nodes(N, d, seed):
+    # any (N, 2) array, N not restricted to powers of two; synth_nodes only
+    # reads rho_hat and M from its curve argument
+    coef = np.random.default_rng(seed).normal(size=(N, 2))
+    series = SimpleNamespace(rho_hat=coef, M=2 * N)
+    phi = 2.0 * np.pi * np.arange(2 * N) / (2 * N)
+    scale = np.sum(np.abs(coef)) * max(N - 1, 1) ** d
+    assert np.max(np.abs(geometry.eval_series(coef, phi, d)
+                         - geometry.synth_nodes(series, d))) < 1e-13 * scale
 
 
 def test_curve_points_offset_pole():
@@ -182,6 +197,12 @@ def test_project_area_impossible():
         geometry.project_area(geometry.RadialCurve(1.0, rho_hat, np.zeros(2)))
 
 
+def test_single_mode_curve_impossible_area():
+    # a0^2 = R^2 - eps^2 / 2 < 0: no zero mode gives area pi R^2
+    with pytest.raises(NonPositiveRadius):
+        geometry.single_mode_curve(1.0, 2, 1.5)
+
+
 # ---------------------------------------------------------------------------
 # validation and error paths
 # ---------------------------------------------------------------------------
@@ -205,6 +226,13 @@ def test_build_cache_nonpositive_radius():
     rho_hat = np.zeros((32, 2))
     rho_hat[0, 0] = 1.0
     rho_hat[2, 0] = 1.2
+    with pytest.raises(NonPositiveRadius):
+        geometry.build_cache(geometry.RadialCurve(1.0, rho_hat, np.zeros(2)))
+
+
+def test_build_cache_rejects_nan_radius():
+    rho_hat = np.zeros((32, 2))
+    rho_hat[0, 0] = np.nan
     with pytest.raises(NonPositiveRadius):
         geometry.build_cache(geometry.RadialCurve(1.0, rho_hat, np.zeros(2)))
 
@@ -247,5 +275,12 @@ def test_curve_roundtrip_torus(tmp_path):
 def test_read_curve_rejects_garbage(tmp_path):
     path = tmp_path / "bad.msrc"
     path.write_text("not a curve\n")
+    with pytest.raises(ValueError):
+        geometry.read_curve(path)
+
+
+def test_read_curve_rejects_truncated_torus_header(tmp_path):
+    path = tmp_path / "short.msrc"
+    path.write_text("msrc v1 16 1.0 torus 8.0 0.0\n" + "0 0\n" * 16)
     with pytest.raises(ValueError):
         geometry.read_curve(path)

@@ -49,6 +49,25 @@ def test_samples_roundtrip():
     assert np.max(np.abs(sobolev.to_samples(sig, 63) - vals)) < 1e-12
 
 
+@given(st.integers(1, 24), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_to_samples_aliasing_matches_direct_sum(K, seed):
+    # fewer samples than wavenumbers: modes beyond the grid alias onto it
+    rng = np.random.default_rng([41, seed])
+    M = int(rng.integers(1, 2 * K + 1))
+    P = rng.uniform(0.5, 3.0)
+    coeffs = rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1)
+    coeffs[:K] = np.conj(coeffs[:K:-1])
+    coeffs[K] = coeffs[K].real
+    sig = sobolev.PeriodicSignal(P, coeffs)
+    x = 2.0 * P * np.arange(M) / M
+    k = sig.wavenumbers()
+    direct = (np.exp(1j * np.pi * np.outer(x, k) / P) @ coeffs).real
+    direct /= np.sqrt(2.0 * P)
+    scale = np.sum(np.abs(coeffs)) / np.sqrt(2.0 * P)
+    assert np.max(np.abs(sobolev.to_samples(sig, M) - direct)) < 1e-13 * scale
+
+
 def test_mean():
     sig = sobolev.from_samples(3.5 + np.cos(np.linspace(0, 2 * np.pi, 64,
                                                         endpoint=False)), np.pi)
@@ -157,9 +176,7 @@ def test_arclength_angles_circle_identity():
     assert np.max(np.abs(phi - cache.phi_nodes)) < 1e-12
 
 
-def test_arclength_angles_equispaced():
-    cache = geometry.build_cache(geometry.single_mode_curve(1.0, 3, 0.03))
-    phi = sobolev.arclength_angles(cache)
+def assert_arclength_equispaced(cache, phi):
     # verify s(phi_j) = j L / M with a dense independent quadrature
     dense = 1 << 14
     t = 2.0 * np.pi * np.arange(dense) / dense
@@ -172,6 +189,20 @@ def test_arclength_angles_equispaced():
     s_at = np.interp(phi, np.concatenate([t, [2.0 * np.pi]]), s_dense)
     target = length * np.arange(cache.M) / cache.M
     assert np.max(np.abs(s_at - target)) < 1e-6 * length
+
+
+def test_arclength_angles_equispaced():
+    cache = geometry.build_cache(geometry.single_mode_curve(1.0, 3, 0.03))
+    assert_arclength_equispaced(cache, sobolev.arclength_angles(cache))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=10, deadline=None)
+def test_arclength_angles_equispaced_random_torus(seed):
+    rng = np.random.default_rng([43, seed])
+    curve = geometry.random_admissible(rng, N=32, domain="torus", L=8.0)
+    cache = geometry.build_cache(curve, unresolved_tol=None)
+    assert_arclength_equispaced(cache, sobolev.arclength_angles(cache))
 
 
 @pytest.mark.parametrize("k,sigma", [(2, 1.0), (5, 0.5), (3, -0.5)])
