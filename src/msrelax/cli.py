@@ -66,22 +66,35 @@ def cmd_simulate(args):
         key, val = item.split("=", 1)
         cfg[key.strip()] = val.strip()
     chash = config_hash(cfg)
-    traj = evolution.run(cfg)
     out = args.out
-    os.makedirs(out, exist_ok=True)
-    meta = f"# msrelax trajectory v1 config_hash={chash} R={traj.R:.17g}"
-    traj.write_csv(os.path.join(out, "trajectory.csv"), meta=meta)
-    traj.events.insert(0, {"event": "config", "hash": chash, **traj.config})
-    traj.write_events(os.path.join(out, "run.jsonl"))
-    last = traj.records[-1]
+    try:
+        traj = evolution.run(cfg)
+    except MsrelaxError as exc:
+        # a run that fails mid-way leaves its partial trajectory, ending in
+        # a fail event
+        if getattr(exc, "trajectory", None) is not None:
+            _write_run(exc.trajectory, out, chash)
+        raise
+    _write_run(traj, out, chash)
+    last, finish = traj.records[-1], traj.events[-1]
     print(json.dumps({
         "config_hash": chash,
         "records": len(traj.records),
         "t_final": last.t,
         "E_final": last.E,
+        "steps": finish["steps"],
+        "rejects": finish["rejects"],
         "out": out,
     }, sort_keys=True))
     return 0
+
+
+def _write_run(traj, out, chash):
+    os.makedirs(out, exist_ok=True)
+    meta = f"# msrelax trajectory v1 config_hash={chash} R={traj.R:.17g}"
+    traj.write_csv(os.path.join(out, "trajectory.csv"), meta=meta)
+    traj.events.insert(0, {"event": "config", "hash": chash, **traj.config})
+    traj.write_events(os.path.join(out, "run.jsonl"))
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,13 @@ class GridTooCoarse(UserWarning):
 # -- evolution --------------------------------------------------------------
 
 class StepRejected(MsrelaxError):
-    """A stage produced rho <= 0 or excessive pre-projection area drift."""
+    """A step failed: a stage produced rho <= 0 ("positivity"), the area
+    drift or projection failed ("area"), or the step size collapsed under
+    error control ("error").  ``reason`` holds that category."""
+
+    def __init__(self, message, reason="area"):
+        super().__init__(message)
+        self.reason = reason
 
 
 class RecenterFail(MsrelaxError):

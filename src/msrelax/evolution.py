@@ -7,19 +7,46 @@ With a frozen pole, the radial function obeys
 (the graph moves along the normal with speed V; projecting the normal motion
 onto the ray through the pole costs the factor ell / rho = 1 / cos omega).
 
-Stepping is classical RK4 on the Fourier coefficients.  The linearized decay
-rate of mode k on a circle of radius R is 2 k (k^2 - 1) / R^3, so the default
-step obeys the real-axis RK4 stability limit for the fastest representable
-mode:
+Stepping is exponential time differencing, ETDRK4 (Cox & Matthews, J. Comput.
+Phys. 176, 2002), on the Fourier coefficients y = rho_hat.  The right-hand
+side is split as
 
-    dt_max = c_cfl * 2.785 * R^3 / (2 N (N^2 - 1)).
+    dy/dt = Lambda y + N(y),   Lambda = diag(lambda_k),
+    lambda_k = -2 k (k^2 - 1) / R^3,
 
-The flow conserves enclosed area exactly; the integrator's O(dt^5) drift per
-step is removed after each accepted step by an exact adjustment of the zero
-mode (area is a quadratic polynomial in the coefficients).  Steps are
-rejected (StepRejected) when rho turns non-positive mid-stage or the
-pre-projection area drift exceeds a hard bound; rejections halve dt,
-acceptance streaks let it recover toward dt_max.
+the linearization about the circle of radius R (modes 0 and 1 have
+lambda = 0).  The plane symbol serves both domains: on the torus it differs
+from the true one by O((R/L)^4), and the remainder N absorbs the difference.
+Lambda is integrated exactly, so the step is limited by accuracy rather than
+by the stiffest mode.  The phi-functions of Lambda h are contour means over
+32 points (Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005), which avoids
+the cancellation of their closed forms at small |lambda h|; ETDRK4 reduces
+to classical RK4 where lambda = 0.
+
+Records lie on a fixed time grid t_j = j * k_out * dt_max, where
+
+    dt_max = c_cfl * 2.785 * R^3 / (2 N (N^2 - 1))
+
+is the real-axis RK4 stability limit of the fastest representable mode.  It
+serves only as the unit of that grid, so record times do not depend on the
+step-size history and the three-point stencil of check_differential stays
+well posed; steps are cut to land on every t_j and on t_end.
+
+run() chooses dt by step doubling: one step of h and two of h/2 from the
+same state (sharing N(y0)) give the local error estimate
+
+    err = max |y_half - y_full| / max(max |y_half|, 1e-9 R)
+
+over coefficients 1..N-1; the floor keeps rounding noise on an unperturbed
+circle from rejecting forever.  A step is accepted when err <= ERR_TOL, and
+then continues from the two-half-step result; either way the next trial is
+dt * clip(0.9 (ERR_TOL / err)^(1/5), 0.2, 4), capped at the record interval.
+
+The flow conserves enclosed area exactly; the integrator's drift per step is
+removed after each accepted step by an exact adjustment of the zero mode
+(area is a quadratic polynomial in the coefficients).  Steps are rejected
+(StepRejected) when rho turns non-positive mid-stage or the pre-projection
+area drift exceeds a hard bound; such rejections halve dt.
 
 The polar gauge degrades as the barycenter drifts off the pole, so the curve
 is periodically re-centered: the pole is moved to the bulk barycenter and the
@@ -34,10 +61,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import analysis, elliptic, geometry, potential
-from .errors import NonPositiveRadius, RecenterFail, StepRejected
+from .errors import (MsrelaxError, NonPositiveRadius, RecenterFail,
+                     StepRejected)
 
 RK4_STABILITY = 2.785
 AREA_DRIFT_REJECT = 1e-5
+ERR_TOL = 1e-8
+CONTOUR_POINTS = 32
 
 DEFAULTS = {
     "R": 1.0,
@@ -73,6 +103,36 @@ class FlowState:
 
 
 @dataclass
+class StepStats:
+    """What one run's stepping did; ``step`` counts its ``rhs`` calls here."""
+    rhs_calls: int = 0
+    min_dt: float = math.inf
+    max_dt: float = 0.0
+    max_err: float = 0.0
+    max_drift: float = 0.0
+    max_top_mode_ratio: float = 0.0
+    rejects: dict = field(default_factory=lambda: dict.fromkeys(
+        ("error", "positivity", "area"), 0))
+
+    def summary(self):
+        return {"rhs_calls": self.rhs_calls,
+                "dt_accepted_min": self.min_dt if self.max_dt > 0 else 0.0,
+                "dt_accepted_max": self.max_dt,
+                "max_err_estimate": self.max_err,
+                "max_area_drift": self.max_drift,
+                "max_top_mode_ratio": self.max_top_mode_ratio,
+                "rejects_by_reason": dict(self.rejects)}
+
+    def accept(self, dt, err, drift, rho_hat):
+        self.min_dt = min(self.min_dt, dt)
+        self.max_dt = max(self.max_dt, dt)
+        self.max_err = max(self.max_err, err)
+        self.max_drift = max(self.max_drift, drift)
+        self.max_top_mode_ratio = max(self.max_top_mode_ratio,
+                                      geometry.top_mode_ratio(rho_hat))
+
+
+@dataclass
 class TrajectoryLog:
     R: float
     records: list = field(default_factory=list)
@@ -94,9 +154,49 @@ class TrajectoryLog:
 
 
 def dt_max(N, R, c_cfl=0.5):
-    """Largest stable step for the stiffest representable mode (k = N - 1,
-    rate 2k(k^2-1)/R^3 ~ 2N(N^2-1)/R^3)."""
+    """Real-axis RK4 stability limit of the stiffest representable mode
+    (k = N - 1, rate 2k(k^2-1)/R^3 ~ 2N(N^2-1)/R^3); the unit of the
+    record grid."""
     return c_cfl * RK4_STABILITY * R**3 / (2.0 * N * (N**2 - 1.0))
+
+
+def linear_symbol(N, R):
+    """Diagonal of Lambda, the linearization of ``rhs`` about the circle of
+    radius R, as an (N, 1) column: lambda_k = -2 k (k^2 - 1) / R^3."""
+    k = np.arange(N, dtype=float)[:, None]
+    return -2.0 * k * (k**2 - 1.0) / R**3
+
+
+_etd_last = None   # (h, lam, coefficients) of the last step size only
+
+
+def _etd_coeffs(lam, h):
+    """e^{Lambda h}, e^{Lambda h/2} and the ETDRK4 weights Q, f1, f2, f3.
+
+    Each weight is h times a phi-function of z = lambda h, evaluated as the
+    mean over CONTOUR_POINTS points of the upper unit half circle about z
+    (real part, by conjugate symmetry).  Only the last h is kept: adaptive
+    step sizes are all distinct.
+    """
+    global _etd_last
+    last = _etd_last
+    if last is not None and last[0] == h and np.array_equal(last[1], lam):
+        return last[2]
+    r = np.exp(1j * np.pi * (np.arange(CONTOUR_POINTS) + 0.5)
+               / CONTOUR_POINTS)
+    z = h * lam + r
+    z2, z3, ez = z * z, z * z * z, np.exp(z)
+
+    def mean(f):
+        return h * np.real(np.mean(f, axis=1, keepdims=True))
+
+    coeffs = (np.exp(h * lam), np.exp(0.5 * h * lam),
+              mean((np.exp(0.5 * z) - 1.0) / z),
+              mean((-4.0 - z + ez * (4.0 - 3.0 * z + z2)) / z3),
+              mean((2.0 + z + ez * (z - 2.0)) / z3),
+              mean((-4.0 - 3.0 * z - z2 + ez * (4.0 - z)) / z3))
+    _etd_last = (h, lam.copy(), coeffs)
+    return coeffs
 
 
 def _kernel_for(curve):
@@ -120,43 +220,55 @@ def _filter_mask(N, strength, order=16):
     return np.exp(-strength * k**order)[:, None]
 
 
-def step(state, dt, kernel=None, unresolved_tol=1e-6, filter_strength=0.0):
-    """One RK4 step; returns the new state and the pre-projection area drift.
+def _nonlinear(curve, y, lam, kernel, unresolved_tol, stats):
+    """N(y) = rhs(y) - Lambda y for the coefficients y of ``curve``."""
+    if stats is not None:
+        stats.rhs_calls += 1
+    try:
+        k, _, _ = rhs(replace(curve, rho_hat=y), kernel, unresolved_tol)
+    except NonPositiveRadius as exc:
+        raise StepRejected("rho <= 0 mid-stage", "positivity") from exc
+    return k - lam * y
 
-    Raises StepRejected if any stage curve loses positivity of rho or the
-    area drift before re-projection exceeds AREA_DRIFT_REJECT relative.
+
+def step(state, dt, kernel=None, unresolved_tol=1e-6, filter_strength=0.0,
+         n0=None, stats=None):
+    """One ETDRK4 step; returns the new state and the pre-projection area drift.
+
+    ``n0`` is N(y0) when the caller already has it; ``stats`` (a StepStats)
+    counts the ``rhs`` calls.  Raises StepRejected if any stage curve loses
+    positivity of rho, the area drift before re-projection exceeds
+    AREA_DRIFT_REJECT relative, or the area projection fails.
     """
     curve = state.curve
     y0 = curve.rho_hat
+    lam = linear_symbol(curve.N, curve.R)
+    E, E2, Q, f1, f2, f3 = _etd_coeffs(lam, dt)
 
-    def f(y):
-        try:
-            k, _, _ = rhs(replace(curve, rho_hat=y), kernel, unresolved_tol)
-        except NonPositiveRadius as exc:
-            raise StepRejected(f"rho <= 0 mid-stage at dt = {dt:.3e}") from exc
-        return k
+    def nl(y):
+        return _nonlinear(curve, y, lam, kernel, unresolved_tol, stats)
 
-    k1 = f(y0)
-    k2 = f(y0 + 0.5 * dt * k1)
-    k3 = f(y0 + 0.5 * dt * k2)
-    k4 = f(y0 + dt * k3)
-    y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    nv = nl(y0) if n0 is None else n0
+    a = E2 * y0 + Q * nv
+    na = nl(a)
+    b = E2 * y0 + Q * na
+    nb = nl(b)
+    c = E2 * a + Q * (2.0 * nb - nv)
+    nc = nl(c)
+    y1 = E * y0 + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
 
     area_target = np.pi * curve.R**2
     area_raw = np.pi * (y1[0, 0] ** 2 + 0.5 * np.sum(y1[1:] ** 2))
     drift = abs(area_raw - area_target) / area_target
     if drift > AREA_DRIFT_REJECT:
-        raise StepRejected(f"area drift {drift:.3e} at dt = {dt:.3e}")
+        raise StepRejected(f"area drift {drift:.3e} at dt = {dt:.3e}", "area")
     if filter_strength > 0.0:
-        damp = _filter_mask(curve.N, filter_strength)
-        y1 = y1 * damp
-        y1[0, 0] /= damp[0, 0]
-    a0sq = curve.R**2 - 0.5 * np.sum(y1[1:] ** 2)
-    if a0sq <= 0.0 or y1[0, 0] <= 0.0:
-        raise StepRejected(f"area projection failed at dt = {dt:.3e}")
-    y1[0, 0] = np.sqrt(a0sq)
-
-    new = replace(curve, rho_hat=y1)
+        y1[1:] *= _filter_mask(curve.N, filter_strength)[1:]
+    try:
+        new = geometry.project_area(replace(curve, rho_hat=y1))
+    except NonPositiveRadius as exc:
+        raise StepRejected(f"area projection failed at dt = {dt:.3e}",
+                           "area") from exc
     return (FlowState(new, state.t + dt, state.step_count + 1, dt,
                       state.n_rejects), drift)
 
@@ -231,36 +343,67 @@ def initial_curve(cfg):
     return geometry.project_area(curve)
 
 
+def _step_factor(err):
+    """dt multiplier after a step with relative error estimate ``err``."""
+    if not err < math.inf:
+        return 0.2
+    return min(4.0, max(0.2, 0.9 * (ERR_TOL / max(err, 1e-300)) ** 0.2))
+
+
+def _doubled_step(state, h, kernel, unresolved_tol, filter_strength, stats):
+    """One step of h and two of h/2 from ``state``, sharing N(y0).
+
+    Returns the two-half-step state, its worst pre-projection area drift and
+    the relative local error estimate of the module docstring.  The filter
+    acts once on each path, so it does not enter the estimate.
+    """
+    curve = state.curve
+    n0 = _nonlinear(curve, curve.rho_hat, linear_symbol(curve.N, curve.R),
+                    kernel, unresolved_tol, stats)
+    full, _ = step(state, h, kernel, unresolved_tol, filter_strength, n0,
+                   stats)
+    half, d1 = step(state, 0.5 * h, kernel, unresolved_tol, 0.0, n0, stats)
+    half, d2 = step(half, 0.5 * h, kernel, unresolved_tol, filter_strength,
+                    None, stats)
+    y = half.curve.rho_hat[1:]
+    scale = max(np.max(np.abs(y)), 1e-9 * curve.R)
+    err = np.max(np.abs(y - full.curve.rho_hat[1:])) / scale
+    return half, max(d1, d2), float(err)
+
+
 def run(config=None, curve=None, progress=None):
     """Drive the flow from a config dict (unknown keys rejected).
 
-    Records diagnostics every ``k_out`` accepted steps (H on the ``k_H``
-    record cadence), re-centers every ``k_rec`` steps, halves dt on
-    rejection and doubles it back toward dt_max after 20 clean steps.
-    Stops at t_end, E <= E_stop, or max_steps.
+    Records diagnostics at t_j = j * k_out * dt_max and at the end (H on the
+    ``k_H`` record cadence), re-centers every ``k_rec`` accepted steps and
+    controls dt by step doubling (see the module docstring).  Stops at
+    t_end, E <= E_stop, or max_steps.  A MsrelaxError raised on the way
+    carries the partial TrajectoryLog, ending in a ``fail`` event, as its
+    ``trajectory`` attribute.
     """
     cfg = dict(DEFAULTS)
     for key, val in (config or {}).items():
         if key not in DEFAULTS:
             raise KeyError(f"unknown config key {key!r}")
         cfg[key] = type(DEFAULTS[key])(val)
+    if int(cfg["k_out"]) < 1:
+        raise ValueError("k_out must be at least 1")
     if curve is None:
         curve = initial_curve(cfg)
     R = curve.R
     kernel = _kernel_for(curve)
     utol = cfg["unresolved_tol"]
+    t_end = cfg["t_end"]
 
     state = FlowState(curve)
     traj = TrajectoryLog(R=R, config=dict(cfg))
-    dt_cap = dt_max(curve.N, R, cfg["c_cfl"])
-    dt = cfg["dt0"] if cfg["dt0"] > 0 else dt_cap
-    dt = min(dt, dt_cap)
+    unit = dt_max(curve.N, R, cfg["c_cfl"])
+    interval = int(cfg["k_out"]) * unit
+    dt = min(cfg["dt0"] if cfg["dt0"] > 0 else unit, interval)
     traj.events.append({"event": "start", "t": 0.0, "dt": dt,
                         "N": curve.N, "domain": curve.domain})
-
+    stats = StepStats()
     n_rec_total = 0
-    clean_streak = 0
-    max_drift = 0.0
 
     def emit(st):
         nonlocal n_rec_total
@@ -274,36 +417,63 @@ def run(config=None, curve=None, progress=None):
         traj.records.append(analysis.record(cache, solve, st.t, H))
         n_rec_total += 1
 
-    emit(state)
-    while (state.t < cfg["t_end"] and state.step_count < cfg["max_steps"]
-           and (cfg["E_stop"] <= 0.0 or traj.records[-1].E > cfg["E_stop"])):
-        dt_eff = min(dt, cfg["t_end"] - state.t)
-        try:
-            state, drift = step(state, dt_eff, kernel, utol, cfg["filter"])
-        except StepRejected as exc:
-            state.n_rejects += 1
-            clean_streak = 0
-            dt *= 0.5
-            traj.events.append({"event": "reject", "t": state.t,
-                                "dt": dt, "reason": str(exc)})
-            if dt < 1e-12 * dt_cap:
-                raise
-            continue
-        max_drift = max(max_drift, drift)
-        clean_streak += 1
-        if clean_streak >= 20 and dt < dt_cap:
-            dt = min(2.0 * dt, dt_cap)
-            clean_streak = 0
-        if cfg["k_rec"] > 0 and state.step_count % int(cfg["k_rec"]) == 0:
-            state = recenter(state)
-        if state.step_count % int(cfg["k_out"]) == 0:
-            emit(state)
-            if progress:
-                progress(state, traj.records[-1])
-    if state.step_count % int(cfg["k_out"]) != 0:
+    stats.max_top_mode_ratio = geometry.top_mode_ratio(curve.rho_hat)
+    try:
         emit(state)
+        recorded, j = True, 1
+        while (state.t < t_end and state.step_count < cfg["max_steps"]
+               and (cfg["E_stop"] <= 0.0
+                    or traj.records[-1].E > cfg["E_stop"])):
+            target = j * interval
+            if t_end - target <= 1e-9 * interval:
+                target = t_end
+            remaining = target - state.t
+            n_sub = max(1, math.ceil(remaining / dt - 1e-9))
+            h = remaining / n_sub
+            err = None
+            try:
+                new, drift, err = _doubled_step(state, h, kernel, utol,
+                                                cfg["filter"], stats)
+                if not err <= ERR_TOL:
+                    raise StepRejected(f"local error estimate {err:.3e} at "
+                                       f"dt = {h:.3e}", "error")
+            except StepRejected as exc:
+                dt = 0.5 * h if err is None else h * _step_factor(err)
+                state.n_rejects += 1
+                stats.rejects[exc.reason] += 1
+                traj.events.append({"event": "reject", "t": state.t,
+                                    "dt": dt, "reason": exc.reason,
+                                    "err": err, "detail": str(exc)})
+                if dt < 1e-12 * unit:
+                    raise StepRejected(f"step size collapsed to {dt:.3e} "
+                                       f"({exc})", exc.reason) from exc
+                continue
+            fac = _step_factor(err)
+            dt = min(h * fac if fac < 1.0 else max(dt, h * fac), interval)
+            state = FlowState(new.curve, target if n_sub == 1 else state.t + h,
+                              state.step_count + 1, h, state.n_rejects)
+            stats.accept(h, err, drift, new.curve.rho_hat)
+            recorded = False
+            if cfg["k_rec"] > 0 and state.step_count % int(cfg["k_rec"]) == 0:
+                state = recenter(state)
+            if n_sub == 1:
+                emit(state)
+                recorded, j = True, j + 1
+                if progress:
+                    progress(state, traj.records[-1])
+        if not recorded:
+            emit(state)
+    except MsrelaxError as exc:
+        traj.events.append({"event": "fail", "t": state.t,
+                            "steps": state.step_count,
+                            "rejects": state.n_rejects, "dt": dt,
+                            "error": type(exc).__name__, "message": str(exc),
+                            "pole": state.curve.pole.tolist(),
+                            "rho_hat": state.curve.rho_hat.tolist(),
+                            **stats.summary()})
+        exc.trajectory = traj
+        raise
     traj.events.append({"event": "finish", "t": state.t,
                         "steps": state.step_count, "rejects": state.n_rejects,
-                        "max_area_drift": max_drift,
-                        "E_final": traj.records[-1].E})
+                        "E_final": traj.records[-1].E, **stats.summary()})
     return traj

@@ -168,6 +168,13 @@ def curve_points(curve, phi):
 # cache construction
 # ---------------------------------------------------------------------------
 
+def top_mode_ratio(rho_hat):
+    """Amplitude of the top Fourier mode relative to the largest one: the
+    resolution headroom that build_cache checks."""
+    amp = np.hypot(rho_hat[:, 0], rho_hat[:, 1])
+    return float(amp[-1] / max(amp.max(), 1e-300))
+
+
 def build_cache(curve, unresolved_tol=TOP_MODE_ABORT):
     """Fill all node-wise geometric quantities for a curve.
 
@@ -181,13 +188,13 @@ def build_cache(curve, unresolved_tol=TOP_MODE_ABORT):
     if not np.all(rho > 0.0):
         raise NonPositiveRadius(f"min rho = {rho.min():.3e}")
 
-    amp = np.hypot(curve.rho_hat[:, 0], curve.rho_hat[:, 1])
-    top = amp[-1] / max(amp.max(), 1e-300)
+    top = top_mode_ratio(curve.rho_hat)
     if unresolved_tol is not None and top > unresolved_tol:
         raise Unresolved(f"top-mode relative amplitude {top:.3e}")
     if top > TOP_MODE_WARN:
-        warnings.warn(f"top-mode relative amplitude {top:.3e}", RuntimeWarning,
-                      stacklevel=2)
+        # constant text, so the once-per-location filter de-duplicates it
+        warnings.warn(f"top-mode relative amplitude above {TOP_MODE_WARN:g}",
+                      RuntimeWarning, stacklevel=2)
 
     rho_phi = synth_nodes(curve, 1)
     rho_phiphi = synth_nodes(curve, 2)

@@ -96,6 +96,42 @@ def test_simulate_unknown_key_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_simulate_summary_counts_steps(capsys, cfg_file, tmp_path):
+    out = tmp_path / "o"
+    code, msg = run_cli(capsys, "simulate", "--config", cfg_file,
+                        "--out", str(out))
+    assert code == 0
+    summary = json.loads(msg)
+    finish = json.loads((out / "run.jsonl").read_text().splitlines()[-1])
+    assert summary["steps"] == finish["steps"] > 0
+    assert summary["rejects"] == finish["rejects"] == sum(
+        finish["rejects_by_reason"].values())
+    assert finish["rhs_calls"] >= 11 * finish["steps"]
+    assert 0.0 < finish["dt_accepted_min"] <= finish["dt_accepted_max"]
+    assert finish["max_err_estimate"] <= 1e-8
+    assert 0.0 <= finish["max_top_mode_ratio"] < 1e-6
+
+
+def test_simulate_failure_leaves_partial_run(capsys, cfg_file, tmp_path):
+    # at unresolved_tol = 1e-30 rounding in the first stage already puts
+    # enough into the top mode to raise Unresolved
+    out = tmp_path / "o"
+    code = cli.main(["simulate", "--config", cfg_file, "--out", str(out),
+                     "--set", "unresolved_tol=1e-30"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Unresolved" in err
+    records, meta = cli.read_trajectory(out / "trajectory.csv")
+    assert len(records) >= 1 and records[0].t == 0.0
+    events = [json.loads(l)
+              for l in (out / "run.jsonl").read_text().splitlines()]
+    assert events[0]["event"] == "config"
+    assert events[-1]["event"] == "fail"
+    assert events[-1]["error"] == "Unresolved"
+    assert "top-mode" in events[-1]["message"]
+    assert len(events[-1]["rho_hat"]) == 32
+
+
 def test_read_trajectory_roundtrip(capsys, cfg_file, tmp_path):
     out = tmp_path / "o"
     run_cli(capsys, "simulate", "--config", cfg_file, "--out", str(out))

@@ -1,4 +1,7 @@
-"""Time stepping: stability cap, RK4 order, conservation, recentering, runs."""
+"""Time stepping: ETDRK4 split and order, conservation, recentering, the
+record grid and error control, runs."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,6 +62,40 @@ def test_rk4_fourth_order():
     e1 = np.max(np.abs(integrate(base, 8) - ref))
     e2 = np.max(np.abs(integrate(base / 2, 16) - ref))
     assert 12.0 < e1 / e2 < 24.0   # ~16 for a 4th-order scheme
+
+
+def test_linear_symbol_is_rhs_jacobian_on_circle():
+    eps = 1e-6
+    for R in (1.0, 1.5):
+        lam = evolution.linear_symbol(32, R)
+        for k in range(2, 9):
+            plus = evolution.rhs(geometry.single_mode_curve(R, k, eps, N=32))
+            minus = evolution.rhs(geometry.single_mode_curve(R, k, -eps, N=32))
+            jac = (plus[0][k, 0] - minus[0][k, 0]) / (2.0 * eps)
+            assert abs(jac / lam[k, 0] - 1.0) < 1e-6, (R, k, jac)
+    assert np.all(evolution.linear_symbol(32, 1.0)[:2] == 0.0)
+
+
+def test_step_is_classical_rk4_without_linear_part(monkeypatch):
+    # ETDRK4 reduces to classical RK4 at Lambda = 0
+    monkeypatch.setattr(evolution, "linear_symbol",
+                        lambda N, R: np.zeros((N, 1)))
+    st = state_for(5, 0.01)
+    curve = st.curve
+    dt = 2.0 * evolution.dt_max(32, 1.0)
+
+    def f(y):
+        return evolution.rhs(replace(curve, rho_hat=y))[0]
+
+    y0 = curve.rho_hat
+    k1 = f(y0)
+    k2 = f(y0 + 0.5 * dt * k1)
+    k3 = f(y0 + 0.5 * dt * k2)
+    k4 = f(y0 + dt * k3)
+    y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ref = geometry.project_area(replace(curve, rho_hat=y1)).rho_hat
+    new, _ = evolution.step(st, dt)
+    assert np.max(np.abs(new.curve.rho_hat - ref)) < 1e-12
 
 
 def test_step_rejects_large_dt():
@@ -213,3 +250,45 @@ def test_torus_run_smoke():
                           "k_out": 2, "k_H": 0})
     fit = analysis.fit_mode_rate(traj, 3)
     assert abs(fit["rate"] / 48.0 - 1.0) < 0.05
+
+
+def test_run_records_on_time_grid():
+    # a small first trial step must not move the records off the grid
+    cfg = {"N": 32, "modes": "2,3", "amps": "0.01,0.005", "seed": 7,
+           "t_end": 4e-4, "k_out": 5, "k_H": 0, "dt0": 3e-6}
+    traj = evolution.run(cfg)
+    interval = 5 * evolution.dt_max(32, 1.0)
+    times = [r.t for r in traj.records]
+    assert len(times) == int(4e-4 / interval) + 2
+    for j, t in enumerate(times[:-1]):
+        assert abs(t - j * interval) <= 1e-12 * j * interval
+    assert times[-1] == 4e-4
+
+
+def test_run_large_cadence_matches_small_steps():
+    base = {"N": 64, "modes": ",".join(str(k) for k in range(8, 17)),
+            "amps": "6.9e-4", "seed": 11, "t_end": 6e-3, "k_H": 0}
+    big = evolution.run({**base, "k_out": 400})
+    ref = evolution.run({**base, "k_out": 16})   # 25 records per big one
+    fin = big.events[-1]
+    assert fin["steps"] > 2 * len(big.records)   # intervals are split
+    assert fin["dt_accepted_max"] < 400 * evolution.dt_max(64, 1.0)
+    ref_E = [r.E for r in ref.records[::25]] + [ref.records[-1].E]
+    for rec, E in zip(big.records, ref_E):
+        assert abs(rec.E / E - 1.0) < 1e-6, (rec.t, rec.E, E)
+
+
+def test_run_dt_collapse_raises_with_partial_trajectory(monkeypatch):
+    monkeypatch.setattr(evolution, "ERR_TOL", 1e-300)   # never met
+    with pytest.raises(StepRejected) as info:
+        evolution.run({"N": 32, "modes": "2", "amps": "0.01",
+                       "t_end": 1e-4, "k_out": 2, "k_H": 0})
+    traj = info.value.trajectory
+    assert len(traj.records) == 1
+    fail = traj.events[-1]
+    assert fail["event"] == "fail" and fail["error"] == "StepRejected"
+    assert "collapsed" in fail["message"]
+    rejects = [e for e in traj.events if e["event"] == "reject"]
+    assert len(rejects) == fail["rejects_by_reason"]["error"] > 10
+    assert all(e["reason"] == "error" and e["err"] > 0 for e in rejects)
+    assert fail["rhs_calls"] == 11 * len(rejects)
