@@ -276,11 +276,11 @@ def cmd_hminus(args):
     b = geometry.read_curve(args.curve_b)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        H = potential.squared_distance_pair(a, b, grid=args.grid)
+        H = potential.squared_distance(a, grid=args.grid, other=b)
         out = {"H": H, "grid": args.grid}
         if not args.no_oracle:
-            Ho = potential.squared_distance_pair_oracle(
-                a, b, grid=min(args.grid, 64))
+            Ho = potential.squared_distance_oracle(
+                a, grid=min(args.grid, 64), other=b)
             out["H_oracle"] = Ho
             out["oracle_grid"] = min(args.grid, 64)
             if args.grid <= 64:

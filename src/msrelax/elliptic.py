@@ -30,6 +30,7 @@ import numpy as np
 from .errors import NearPole, OutOfRadius
 
 POLE_TOL = 1e-8
+TAIL_RADIUS = 0.995   # lambda_tail needs |z| / (2L) below this
 
 
 def _eisenstein_e4_i():
@@ -141,7 +142,7 @@ def lambda_tail(kernel, z, k_cap=2000):
     z = np.asarray(z, dtype=complex)
     w = z / (2.0 * kernel.L)
     r = float(np.max(np.abs(w)))
-    if r >= 0.995:
+    if r >= TAIL_RADIUS:
         raise OutOfRadius(f"|z|/(2L) = {r:.3f} too close to 1")
     out = -kernel.beta_bg * np.abs(z) ** 2
     if r > 0.0:

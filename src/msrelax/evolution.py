@@ -25,12 +25,12 @@ to classical RK4 where lambda = 0.
 
 Records lie on a fixed time grid t_j = j * k_out * dt_max, where
 
-    dt_max = c_cfl * 2.785 * R^3 / (2 N (N^2 - 1))
+    dt_max = 1.3925 / |lambda_N| = 1.3925 R^3 / (2 N (N^2 - 1))
 
-is the real-axis RK4 stability limit of the fastest representable mode.  It
-serves only as the unit of that grid, so record times do not depend on the
-step-size history and the three-point stencil of check_differential stays
-well posed; steps are cut to land on every t_j and on t_end.
+is a fixed unit that shrinks like R^3 / N^3.  Record times therefore do not
+depend on the step-size history, and the three-point stencil of
+check_differential stays well posed; steps are cut to land on every t_j and
+on t_end.  The first trial step is dt_max.
 
 run() chooses dt by step doubling: one step of h and two of h/2 from the
 same state (sharing N(y0)) give the local error estimate
@@ -64,7 +64,6 @@ from . import analysis, elliptic, geometry, potential
 from .errors import (MsrelaxError, NonPositiveRadius, RecenterFail,
                      StepRejected)
 
-RK4_STABILITY = 2.785
 AREA_DRIFT_REJECT = 1e-5
 ERR_TOL = 1e-8
 CONTOUR_POINTS = 32
@@ -78,17 +77,12 @@ DEFAULTS = {
     "amps": "0.02",
     "phases": "",
     "seed": 0,
-    "c_cfl": 0.5,
-    "dt0": 0.0,             # 0 means dt_max
     "t_end": 0.01,
     "max_steps": 2000000,
     "k_out": 10,
     "k_rec": 10,
     "k_H": 5,               # H every k_H-th record; 0 disables H
     "grid": 256,
-    "embed_factor": 8.0,
-    "filter": 0.0,          # exponential-filter strength (0 = off)
-    "E_stop": 0.0,
     "unresolved_tol": 1e-6,
 }
 
@@ -98,8 +92,6 @@ class FlowState:
     curve: geometry.RadialCurve
     t: float = 0.0
     step_count: int = 0
-    last_dt: float = 0.0
-    n_rejects: int = 0
 
 
 @dataclass
@@ -153,11 +145,10 @@ class TrajectoryLog:
                 fh.write(json.dumps(ev, sort_keys=True) + "\n")
 
 
-def dt_max(N, R, c_cfl=0.5):
-    """Real-axis RK4 stability limit of the stiffest representable mode
-    (k = N - 1, rate 2k(k^2-1)/R^3 ~ 2N(N^2-1)/R^3); the unit of the
-    record grid."""
-    return c_cfl * RK4_STABILITY * R**3 / (2.0 * N * (N**2 - 1.0))
+def dt_max(N, R):
+    """The unit of the record grid, 1.3925 / |lambda_N| (lambda_k of
+    ``linear_symbol`` continued one past the top mode k = N - 1)."""
+    return 1.3925 * R**3 / (2.0 * N * (N**2 - 1.0))
 
 
 def linear_symbol(N, R):
@@ -167,7 +158,7 @@ def linear_symbol(N, R):
     return -2.0 * k * (k**2 - 1.0) / R**3
 
 
-_etd_last = None   # (h, lam, coefficients) of the last step size only
+_etd_cache = []   # (h, lam, coefficients) of the last two step sizes
 
 
 def _etd_coeffs(lam, h):
@@ -175,13 +166,13 @@ def _etd_coeffs(lam, h):
 
     Each weight is h times a phi-function of z = lambda h, evaluated as the
     mean over CONTOUR_POINTS points of the upper unit half circle about z
-    (real part, by conjugate symmetry).  Only the last h is kept: adaptive
-    step sizes are all distinct.
+    (real part, by conjugate symmetry).  The last two step sizes are kept,
+    the h and h/2 of a doubled step; adaptive step sizes are otherwise all
+    distinct.
     """
-    global _etd_last
-    last = _etd_last
-    if last is not None and last[0] == h and np.array_equal(last[1], lam):
-        return last[2]
+    for h_c, lam_c, coeffs in _etd_cache:
+        if h_c == h and np.array_equal(lam_c, lam):
+            return coeffs
     r = np.exp(1j * np.pi * (np.arange(CONTOUR_POINTS) + 0.5)
                / CONTOUR_POINTS)
     z = h * lam + r
@@ -195,7 +186,8 @@ def _etd_coeffs(lam, h):
               mean((-4.0 - z + ez * (4.0 - 3.0 * z + z2)) / z3),
               mean((2.0 + z + ez * (z - 2.0)) / z3),
               mean((-4.0 - 3.0 * z - z2 + ez * (4.0 - z)) / z3))
-    _etd_last = (h, lam.copy(), coeffs)
+    _etd_cache.append((h, lam.copy(), coeffs))
+    del _etd_cache[:-2]
     return coeffs
 
 
@@ -215,11 +207,6 @@ def rhs(curve, kernel=None, unresolved_tol=1e-6):
     return geometry.coeffs_from_nodes(drho), cache, solve
 
 
-def _filter_mask(N, strength, order=16):
-    k = np.arange(N) / (N - 1.0)
-    return np.exp(-strength * k**order)[:, None]
-
-
 def _nonlinear(curve, y, lam, kernel, unresolved_tol, stats):
     """N(y) = rhs(y) - Lambda y for the coefficients y of ``curve``."""
     if stats is not None:
@@ -231,8 +218,7 @@ def _nonlinear(curve, y, lam, kernel, unresolved_tol, stats):
     return k - lam * y
 
 
-def step(state, dt, kernel=None, unresolved_tol=1e-6, filter_strength=0.0,
-         n0=None, stats=None):
+def step(state, dt, kernel=None, unresolved_tol=1e-6, n0=None, stats=None):
     """One ETDRK4 step; returns the new state and the pre-projection area drift.
 
     ``n0`` is N(y0) when the caller already has it; ``stats`` (a StepStats)
@@ -262,15 +248,12 @@ def step(state, dt, kernel=None, unresolved_tol=1e-6, filter_strength=0.0,
     drift = abs(area_raw - area_target) / area_target
     if drift > AREA_DRIFT_REJECT:
         raise StepRejected(f"area drift {drift:.3e} at dt = {dt:.3e}", "area")
-    if filter_strength > 0.0:
-        y1[1:] *= _filter_mask(curve.N, filter_strength)[1:]
     try:
         new = geometry.project_area(replace(curve, rho_hat=y1))
     except NonPositiveRadius as exc:
         raise StepRejected(f"area projection failed at dt = {dt:.3e}",
                            "area") from exc
-    return (FlowState(new, state.t + dt, state.step_count + 1, dt,
-                      state.n_rejects), drift)
+    return FlowState(new, state.t + dt, state.step_count + 1), drift
 
 
 def recenter(state, tol=1e-13, max_iter=60):
@@ -331,8 +314,17 @@ def initial_curve(cfg):
     modes = [int(s) for s in str(cfg["modes"]).split(",") if s.strip()]
     amps = [float(s) for s in str(cfg["amps"]).split(",") if s.strip()]
     phs = [float(s) for s in str(cfg["phases"]).split(",") if s.strip()]
-    if len(amps) == 1 and len(modes) > 1:
+    bad = [k for k in modes if not 1 <= k <= N - 1]
+    if bad:
+        raise ValueError(f"modes {bad} outside 1..{N - 1} at N = {N}")
+    if len(amps) == 1:
         amps = amps * len(modes)
+    if len(amps) != len(modes):
+        raise ValueError(f"{len(amps)} amps for {len(modes)} modes "
+                         "(give one, or one per mode)")
+    if phs and len(phs) != len(modes):
+        raise ValueError(f"{len(phs)} phases for {len(modes)} modes "
+                         "(give none, or one per mode)")
     if not phs:
         rng = np.random.default_rng(int(cfg["seed"]))
         phs = list(rng.uniform(0.0, 2.0 * np.pi, len(modes)))
@@ -350,21 +342,18 @@ def _step_factor(err):
     return min(4.0, max(0.2, 0.9 * (ERR_TOL / max(err, 1e-300)) ** 0.2))
 
 
-def _doubled_step(state, h, kernel, unresolved_tol, filter_strength, stats):
+def _doubled_step(state, h, kernel, unresolved_tol, stats):
     """One step of h and two of h/2 from ``state``, sharing N(y0).
 
     Returns the two-half-step state, its worst pre-projection area drift and
-    the relative local error estimate of the module docstring.  The filter
-    acts once on each path, so it does not enter the estimate.
+    the relative local error estimate of the module docstring.
     """
     curve = state.curve
     n0 = _nonlinear(curve, curve.rho_hat, linear_symbol(curve.N, curve.R),
                     kernel, unresolved_tol, stats)
-    full, _ = step(state, h, kernel, unresolved_tol, filter_strength, n0,
-                   stats)
-    half, d1 = step(state, 0.5 * h, kernel, unresolved_tol, 0.0, n0, stats)
-    half, d2 = step(half, 0.5 * h, kernel, unresolved_tol, filter_strength,
-                    None, stats)
+    full, _ = step(state, h, kernel, unresolved_tol, n0, stats)
+    half, d1 = step(state, 0.5 * h, kernel, unresolved_tol, n0, stats)
+    half, d2 = step(half, 0.5 * h, kernel, unresolved_tol, None, stats)
     y = half.curve.rho_hat[1:]
     scale = max(np.max(np.abs(y)), 1e-9 * curve.R)
     err = np.max(np.abs(y - full.curve.rho_hat[1:])) / scale
@@ -377,9 +366,11 @@ def run(config=None, curve=None, progress=None):
     Records diagnostics at t_j = j * k_out * dt_max and at the end (H on the
     ``k_H`` record cadence), re-centers every ``k_rec`` accepted steps and
     controls dt by step doubling (see the module docstring).  Stops at
-    t_end, E <= E_stop, or max_steps.  A MsrelaxError raised on the way
-    carries the partial TrajectoryLog, ending in a ``fail`` event, as its
-    ``trajectory`` attribute.
+    t_end or max_steps.  A MsrelaxError raised on the way carries the
+    partial TrajectoryLog, ending in a ``fail`` event, as its ``trajectory``
+    attribute.  On the torus, 2 max rho (a bound on the curve's diameter)
+    must stay below elliptic.TAIL_RADIUS * 2L, the reach of the lattice-tail
+    series, else ValueError.
     """
     cfg = dict(DEFAULTS)
     for key, val in (config or {}).items():
@@ -390,6 +381,14 @@ def run(config=None, curve=None, progress=None):
         raise ValueError("k_out must be at least 1")
     if curve is None:
         curve = initial_curve(cfg)
+    if curve.domain == "torus":
+        reach = 2.0 * float(np.max(geometry.synth_nodes(curve)))
+        bound = elliptic.TAIL_RADIUS * 2.0 * curve.L
+        if reach >= bound:
+            raise ValueError(
+                f"curve too large for the torus cell: 2 max rho = {reach:.4g}"
+                f" reaches {elliptic.TAIL_RADIUS} * 2L = {bound:.4g} at "
+                f"L = {curve.L:g}")
     R = curve.R
     kernel = _kernel_for(curve)
     utol = cfg["unresolved_tol"]
@@ -397,9 +396,8 @@ def run(config=None, curve=None, progress=None):
 
     state = FlowState(curve)
     traj = TrajectoryLog(R=R, config=dict(cfg))
-    unit = dt_max(curve.N, R, cfg["c_cfl"])
+    dt = unit = dt_max(curve.N, R)
     interval = int(cfg["k_out"]) * unit
-    dt = min(cfg["dt0"] if cfg["dt0"] > 0 else unit, interval)
     traj.events.append({"event": "start", "t": 0.0, "dt": dt,
                         "N": curve.N, "domain": curve.domain})
     stats = StepStats()
@@ -411,9 +409,7 @@ def run(config=None, curve=None, progress=None):
         solve = potential.solve_ms(cache, kernel)
         H = float("nan")
         if cfg["k_H"] > 0 and n_rec_total % int(cfg["k_H"]) == 0:
-            H = potential.squared_distance(
-                st.curve, grid=int(cfg["grid"]),
-                embed_factor=cfg["embed_factor"])
+            H = potential.squared_distance(st.curve, grid=int(cfg["grid"]))
         traj.records.append(analysis.record(cache, solve, st.t, H))
         n_rec_total += 1
 
@@ -421,9 +417,7 @@ def run(config=None, curve=None, progress=None):
     try:
         emit(state)
         recorded, j = True, 1
-        while (state.t < t_end and state.step_count < cfg["max_steps"]
-               and (cfg["E_stop"] <= 0.0
-                    or traj.records[-1].E > cfg["E_stop"])):
+        while state.t < t_end and state.step_count < cfg["max_steps"]:
             target = j * interval
             if t_end - target <= 1e-9 * interval:
                 target = t_end
@@ -432,14 +426,12 @@ def run(config=None, curve=None, progress=None):
             h = remaining / n_sub
             err = None
             try:
-                new, drift, err = _doubled_step(state, h, kernel, utol,
-                                                cfg["filter"], stats)
+                new, drift, err = _doubled_step(state, h, kernel, utol, stats)
                 if not err <= ERR_TOL:
                     raise StepRejected(f"local error estimate {err:.3e} at "
                                        f"dt = {h:.3e}", "error")
             except StepRejected as exc:
                 dt = 0.5 * h if err is None else h * _step_factor(err)
-                state.n_rejects += 1
                 stats.rejects[exc.reason] += 1
                 traj.events.append({"event": "reject", "t": state.t,
                                     "dt": dt, "reason": exc.reason,
@@ -451,7 +443,7 @@ def run(config=None, curve=None, progress=None):
             fac = _step_factor(err)
             dt = min(h * fac if fac < 1.0 else max(dt, h * fac), interval)
             state = FlowState(new.curve, target if n_sub == 1 else state.t + h,
-                              state.step_count + 1, h, state.n_rejects)
+                              state.step_count + 1)
             stats.accept(h, err, drift, new.curve.rho_hat)
             recorded = False
             if cfg["k_rec"] > 0 and state.step_count % int(cfg["k_rec"]) == 0:
@@ -466,7 +458,7 @@ def run(config=None, curve=None, progress=None):
     except MsrelaxError as exc:
         traj.events.append({"event": "fail", "t": state.t,
                             "steps": state.step_count,
-                            "rejects": state.n_rejects, "dt": dt,
+                            "rejects": sum(stats.rejects.values()), "dt": dt,
                             "error": type(exc).__name__, "message": str(exc),
                             "pole": state.curve.pole.tolist(),
                             "rho_hat": state.curve.rho_hat.tolist(),
@@ -474,6 +466,7 @@ def run(config=None, curve=None, progress=None):
         exc.trajectory = traj
         raise
     traj.events.append({"event": "finish", "t": state.t,
-                        "steps": state.step_count, "rejects": state.n_rejects,
+                        "steps": state.step_count,
+                        "rejects": sum(stats.rejects.values()),
                         "E_final": traj.records[-1].E, **stats.summary()})
     return traj

@@ -24,7 +24,8 @@ reduction; normals cancel between the two sides).
 Squared distance H: the indicator difference chi_Omega - chi_B_R(c) is
 rasterized with subcell area-fraction anti-aliasing and H = ||f||_{H^-1}^2
 is summed in Fourier space; plane curves embed into a torus of half edge
-length embed_factor * R.
+length EMBED_FACTOR * R.  A second curve's region may replace the ball
+(``other=``), giving the squared distance between two curves.
 """
 
 import warnings
@@ -35,6 +36,7 @@ import numpy as np
 from . import elliptic, geometry, sobolev
 from .errors import GridTooCoarse, NegativeDissipation, SolverSingular
 
+EMBED_FACTOR = 8.0
 _SING_CACHE = {}
 
 
@@ -177,12 +179,6 @@ def trace_equality_disk(g_amps, n_quad=200):
 # squared H^{-1} distance
 # ---------------------------------------------------------------------------
 
-def _embedding_L(curve, embed_factor):
-    if curve.domain == "torus":
-        return curve.L
-    return embed_factor * curve.R
-
-
 def _subcell_grid(L, grid, sub):
     n = grid * sub
     hs = 2.0 * L / n
@@ -211,8 +207,7 @@ def _coverage_disk(center, R, X, Y, L, hs):
     return np.clip(0.5 + (R - np.hypot(dx, dy)) / hs, 0.0, 1.0)
 
 
-def rasterize_difference(curve, center, R=None, grid=512, embed_factor=8.0,
-                         sub=4, other=None):
+def rasterize_difference(curve, center, R=None, grid=512, sub=4, other=None):
     """Cell-averaged samples of chi_Omega_in - chi_B_R(center) on the torus
     grid, with sub x sub subcell area-fraction anti-aliasing.  ``other``
     replaces the reference ball with a second curve's region; otherwise
@@ -223,7 +218,7 @@ def rasterize_difference(curve, center, R=None, grid=512, embed_factor=8.0,
     if other is None and center is None:
         center = geometry.barycenter_bulk(geometry.build_cache(
             curve, unresolved_tol=None))
-    L = _embedding_L(curve, embed_factor)
+    L = curve.L if curve.domain == "torus" else EMBED_FACTOR * curve.R
     G = grid
     h = 2.0 * L / G
     dev = float(np.max(np.abs(geometry.synth_nodes(curve, 0) - R)))
@@ -243,19 +238,17 @@ def rasterize_difference(curve, center, R=None, grid=512, embed_factor=8.0,
     return f, L, h
 
 
-def squared_distance(curve, center=None, R=None, grid=512, embed_factor=8.0,
-                     sub=4):
-    """H = squared H^{-1}(torus) norm of chi_Omega_in - chi_B_R(center).
+def squared_distance(curve, center=None, R=None, grid=512, sub=4,
+                     other=None):
+    """H = squared H^{-1}(torus) norm of chi_Omega_in - chi_B_R(center), or
+    of chi_Omega_in - chi_Omega_other when a second curve ``other`` (sharing
+    the domain) is given.
 
-    Plane curves are embedded into a torus with L = embed_factor * R; the
+    Plane curves are embedded into a torus with L = EMBED_FACTOR * R; the
     H^{-1} norm of the compactly supported zero-mean difference converges as
     the embedding grows.
     """
-    f, L, _ = rasterize_difference(curve, center, R, grid, embed_factor, sub)
-    return _h_from_field(f, L)
-
-
-def _h_from_field(f, L):
+    f, L, _ = rasterize_difference(curve, center, R, grid, sub, other)
     G = f.shape[0]
     F = np.fft.fft2(f) / G**2
     m = np.fft.fftfreq(G, d=1.0 / G)
@@ -264,15 +257,6 @@ def _h_from_field(f, L):
     terms = np.abs(F) ** 2 / K2
     terms[0, 0] = 0.0
     return float((2.0 * L) ** 2 * np.sum(terms))
-
-
-def squared_distance_pair(curve_a, curve_b, grid=512, embed_factor=8.0,
-                          sub=4):
-    """Squared H^{-1} distance between the regions enclosed by two curves
-    (sharing a domain), via the same rasterized-difference path."""
-    f, L, _ = rasterize_difference(curve_a, None, curve_a.R, grid,
-                                   embed_factor, sub, other=curve_b)
-    return _h_from_field(f, L)
 
 
 def _cell_log_mean(n=256):
@@ -304,8 +288,8 @@ def _trig_upsample(f, factor):
     return (E @ F @ E.T).real
 
 
-def squared_distance_oracle(curve, center=None, R=None, grid=64,
-                            embed_factor=8.0, sub=4, refine=4):
+def squared_distance_oracle(curve, center=None, R=None, grid=64, sub=4,
+                            refine=4, other=None):
     """Direct real-space double sum H = h'^4 sum_ij f_i N(x_i - x_j) f_j with
     N = -Lambda/(2 pi) tabulated from lattice sums (no fast Poisson solve).
 
@@ -314,20 +298,9 @@ def squared_distance_oracle(curve, center=None, R=None, grid=64,
     carries an O((k h)^2) near-singularity quadrature error; refining shrinks
     it below the 1% comparison budget.  The singular cell uses the
     cell-averaged log.  Brute force O(G'^4) by construction -- this is the
-    independent check for squared_distance."""
-    f, L, h = rasterize_difference(curve, center, R, grid, embed_factor, sub)
-    return _h_oracle_from_field(f, L, h, refine)
-
-
-def squared_distance_pair_oracle(curve_a, curve_b, grid=64, embed_factor=8.0,
-                                 sub=4, refine=4):
-    f, L, h = rasterize_difference(curve_a, None, curve_a.R, grid,
-                                   embed_factor, sub, other=curve_b)
-    return _h_oracle_from_field(f, L, h, refine)
-
-
-def _h_oracle_from_field(f, L, h, refine):
+    independent check for squared_distance, with the same ``other``."""
     global _CELL_LOG_MEAN
+    f, L, h = rasterize_difference(curve, center, R, grid, sub, other)
     fp = _trig_upsample(f, refine)
     Gp = fp.shape[0]
     hp = h / refine

@@ -105,6 +105,16 @@ def test_criterion_01_linearized_decay_rates(rate_runs):
     print("criterion 1 PASS: " + "; ".join(lines))
 
 
+def test_criterion_01_rate_regression(rate_runs):
+    # tighter than the criterion itself: the achieved errors are ~6e-6
+    # (plane) and ~1.4e-4 (torus, k = 2), so a numerical regression shows
+    # here long before it reaches the 2% / 5% gate
+    for (domain, k), (traj, _) in sorted(rate_runs.items()):
+        expected = 2.0 * k * (k**2 - 1)
+        err = abs(analysis.fit_mode_rate(traj, k)["rate"] / expected - 1.0)
+        assert err < (1e-4 if domain == "plane" else 1e-3), (domain, k, err)
+
+
 def test_criterion_02_energy_balance(mixed23, regime32, refine_pair,
                                      rate_runs):
     worst = raw = 0.0

@@ -96,6 +96,22 @@ def test_simulate_unknown_key_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    ["c_cfl=0.5"],                 # a removed config key
+    ["modes=40"],                  # beyond the top mode N - 1 = 31
+    ["amps=0.01,0.02,0.03"],       # three amps for two modes
+    ["domain=torus", "L=1"],       # no room for R = 1 in the cell
+])
+def test_simulate_bad_config_exits_2(capsys, cfg_file, tmp_path, overrides):
+    argv = ["simulate", "--config", cfg_file, "--out", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--set", item]
+    code = cli.main(argv)
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_summary_counts_steps(capsys, cfg_file, tmp_path):
     out = tmp_path / "o"
     code, msg = run_cli(capsys, "simulate", "--config", cfg_file,

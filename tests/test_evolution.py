@@ -2,6 +2,7 @@
 record grid and error control, runs."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ def state_for(k, eps, N=32, R=1.0):
 # ---------------------------------------------------------------------------
 
 def test_dt_max_formula():
-    assert abs(evolution.dt_max(64, 1.0, 1.0)
-               - 2.785 / (2 * 64 * (64**2 - 1))) < 1e-18
+    assert abs(evolution.dt_max(64, 1.0)
+               - 1.3925 / (2 * 64 * (64**2 - 1))) < 1e-18
     assert evolution.dt_max(64, 2.0) == 8.0 * evolution.dt_max(64, 1.0)
 
 
@@ -104,11 +105,15 @@ def test_step_rejects_large_dt():
         evolution.step(st, 0.05)
 
 
-def test_filter_damps_top_modes_only():
-    mask = evolution._filter_mask(64, 36.0)
-    assert mask[1, 0] > 1.0 - 1e-12
-    assert mask[32, 0] > 0.99
-    assert mask[63, 0] < 1e-10
+def test_etd_weights_cached_for_h_and_half_h():
+    # a doubled step uses h and h/2; both weight sets stay cached
+    h = 4.0 * evolution.dt_max(32, 1.0)
+    evolution._doubled_step(state_for(5, 0.01), h, None, 1e-6,
+                            evolution.StepStats())
+    lam = evolution.linear_symbol(32, 1.0)
+    cached = [c for _, _, c in evolution._etd_cache]
+    for dt in (h, 0.5 * h, h, 0.5 * h):
+        assert any(evolution._etd_coeffs(lam, dt) is c for c in cached)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +182,44 @@ def test_initial_curve_seeded_phases_deterministic():
     assert not np.array_equal(a.rho_hat, c.rho_hat)
 
 
+@pytest.mark.parametrize("modes, amps, phases", [
+    ("2,3,5", "0.01,0.02", ""),     # amps neither one nor one per mode
+    ("2,3", "0.01", "0"),           # phases given but not one per mode
+    ("2,3", "", ""),                # no amplitude at all
+    ("40", "0.01", ""),             # beyond the top mode N - 1 = 31
+    ("0", "0.01", ""),              # the area mode is not a perturbation
+])
+def test_initial_curve_rejects_malformed_modes(modes, amps, phases):
+    cfg = {**evolution.DEFAULTS, "N": 32, "modes": modes, "amps": amps,
+           "phases": phases}
+    with pytest.raises(ValueError):
+        evolution.initial_curve(cfg)
+
+
+def test_run_rejects_curve_too_large_for_torus_cell():
+    with pytest.raises(ValueError, match="L = 1"):
+        evolution.run({"N": 32, "domain": "torus", "L": 1.0, "t_end": 1e-5})
+    # well inside the cell the same curve runs
+    traj = evolution.run({"N": 32, "domain": "torus", "L": 1.5,
+                          "t_end": 1e-5, "k_H": 0})
+    assert traj.events[-1]["event"] == "finish"
+
+
+def test_readme_config_table_matches_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    rows = [ln for ln in section.splitlines() if ln.startswith("| `")]
+    keys = {ln.split("`")[1] for ln in rows}
+    assert len(rows) == len(keys) == len(evolution.DEFAULTS)
+    assert keys == set(evolution.DEFAULTS)
+
+
 def test_run_rejects_unknown_key():
-    with pytest.raises(KeyError):
-        evolution.run({"not_a_key": 1})
+    # includes keys that existed once and were removed
+    for key in ("not_a_key", "filter", "dt0", "E_stop", "c_cfl",
+                "embed_factor"):
+        with pytest.raises(KeyError):
+            evolution.run({key: 1})
 
 
 def test_run_deterministic():
@@ -223,11 +263,6 @@ def test_run_stop_conditions():
                           "t_end": 1.0, "max_steps": 12, "k_out": 4,
                           "k_H": 0})
     assert traj.events[-1]["steps"] == 12
-    traj = evolution.run({"N": 32, "modes": "2", "amps": "0.01",
-                          "phases": "0", "t_end": 1.0, "E_stop": 1e-5,
-                          "k_out": 5, "k_H": 0})
-    assert traj.records[-1].E <= 1e-5
-    assert traj.records[-2].E > 1e-5
 
 
 def test_run_final_partial_step_lands_on_t_end():
@@ -253,9 +288,10 @@ def test_torus_run_smoke():
 
 
 def test_run_records_on_time_grid():
-    # a small first trial step must not move the records off the grid
+    # a first trial step (dt_max) of 1/5 of the record interval must not
+    # move the records off the grid
     cfg = {"N": 32, "modes": "2,3", "amps": "0.01,0.005", "seed": 7,
-           "t_end": 4e-4, "k_out": 5, "k_H": 0, "dt0": 3e-6}
+           "t_end": 4e-4, "k_out": 5, "k_H": 0}
     traj = evolution.run(cfg)
     interval = 5 * evolution.dt_max(32, 1.0)
     times = [r.t for r in traj.records]

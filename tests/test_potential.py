@@ -164,8 +164,8 @@ def test_h_pair_symmetric_and_matches_ball():
     b = shifted(1.0, 0.05)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridTooCoarse)
-        Hab = potential.squared_distance_pair(a, b, grid=128)
-        Hba = potential.squared_distance_pair(b, a, grid=128)
+        Hab = potential.squared_distance(a, grid=128, other=b)
+        Hba = potential.squared_distance(b, grid=128, other=a)
         Hb = potential.squared_distance(b, center=np.zeros(2), grid=128)
     assert abs(Hab - Hba) < 1e-12 * Hab
     # circle-curve coverage equals disk coverage: same rasterized field
