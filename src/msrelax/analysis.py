@@ -23,6 +23,15 @@ FUGLEDE_UPPER = 0.6
 FUGLEDE_SUP_U = 3.0 / 40.0
 FUGLEDE_SUP_DU = 0.5
 
+FIT_WINDOW = 12
+FIT_MIN_SPAN = 0.7
+FIT_MAX_CURVATURE = 0.5
+FIT_R2_MIN = 0.999
+FIT_SLOPE_STABLE = 0.05
+
+CONFINEMENT_CAP = 5.0   # calibrated cap on max |c(t)| / sqrt(E(0) R)
+EMBEDDING_C = 2.0       # calibrated constant C of check_improved_embedding
+
 
 @dataclass
 class DiagnosticsRecord:
@@ -51,10 +60,10 @@ class DiagnosticsRecord:
         return ",".join(list(cls.CSV_FIELDS) + amps)
 
 
-def mode_amplitudes(curve, n=N_MODE_AMPS):
+def mode_amplitudes(curve):
     amp = np.hypot(curve.rho_hat[:, 0], curve.rho_hat[:, 1])
-    out = np.zeros(n)
-    upto = min(n + 1, amp.size)
+    out = np.zeros(N_MODE_AMPS)
+    upto = min(N_MODE_AMPS + 1, amp.size)
     out[: upto - 1] = amp[1:upto]
     return out
 
@@ -124,7 +133,7 @@ def _rows(traj):
     return traj.records if hasattr(traj, "records") else list(traj)
 
 
-def check_eed(traj, R=None, slack_factor=1e-9):
+def check_eed(traj, R=None):
     """E/(R^3 D) and E/sqrt(HD) per row; E^2 D non-increasing (hard)."""
     rows = _rows(traj)
     if R is None:
@@ -139,7 +148,7 @@ def check_eed(traj, R=None, slack_factor=1e-9):
     eed = np.array([r.EED for r in rows])
     # floor: E^2 D carries ~ eps_mach^3 / R of pure rounding noise (E ~ eps R,
     # D ~ eps / R^3 on an exact circle), far below any real violation
-    slack = slack_factor * eed[0] + 1e-40 / R
+    slack = 1e-9 * eed[0] + 1e-40 / R
     worst = float(np.max(np.diff(eed))) if eed.size > 1 else 0.0
     if worst > slack:
         raise MonotoneViolation(f"E^2 D increased by {worst:.3e} > {slack:.3e}")
@@ -260,21 +269,21 @@ def _fit_quad_coeff(x, y):
     return float(coef[0])
 
 
-def regime_fit(traj, window=12, slope_band=(-1.3, -0.7), r2_min=0.999,
-               max_curvature=0.5, slope_stable=0.05, min_span=0.7):
+def regime_fit(traj, slope_band=(-1.3, -0.7)):
     """Detect the algebraic (log E vs log t slope near -1) and exponential
     (log E vs t linear) windows and the crossover time T1 between them.
 
     Two traps make naive window detection misfire.  Any pure exponential
     transits log-log slope -1 (its slope there is -rate * t), so the
-    algebraic window must span a real range of log t (``min_span``) and be
-    straight in log-log coordinates (for an exponential the local log-log
-    curvature equals its slope, order one).  And a cascade of fast modes
-    dying in sequence produces locally-linear stretches of log E vs t long
-    before the terminal rate is established, so the exponential window is
-    taken as the earliest start whose entire tail fits one rate: R^2 at
-    least ``r2_min`` and first-half / second-half slopes within
-    ``slope_stable``.
+    algebraic window of FIT_WINDOW samples must span at least FIT_MIN_SPAN
+    in log t, have its log-log slope in ``slope_band`` and be straight in
+    log-log coordinates (quadratic coefficient at most FIT_MAX_CURVATURE;
+    for an exponential the local log-log curvature equals its slope, order
+    one).  And a cascade of fast modes dying in sequence produces
+    locally-linear stretches of log E vs t long before the terminal rate is
+    established, so the exponential window is taken as the earliest start
+    whose entire tail fits one rate: R^2 at least FIT_R2_MIN and
+    first-half / second-half slopes within FIT_SLOPE_STABLE relative.
 
     A missing algebraic window is legitimate (pure low-mode data never has
     one) and is reported as alg_slope = nan; a missing exponential window
@@ -286,31 +295,31 @@ def regime_fit(traj, window=12, slope_band=(-1.3, -0.7), r2_min=0.999,
     t = np.array([r.t for r in rows])
     E = np.array([r.E for r in rows])
     n = t.size
-    if n < 2 * window:
+    if n < 2 * FIT_WINDOW:
         raise NoExponentialWindow(f"only {n} usable samples")
     logt, logE = np.log(t), np.log(E)
 
     alg_win, alg_slope = None, float("nan")
-    for i in range(n - window, -1, -1):
-        xs, ys = logt[i:i + window], logE[i:i + window]
-        if xs[-1] - xs[0] < min_span:
+    for i in range(n - FIT_WINDOW, -1, -1):
+        xs, ys = logt[i:i + FIT_WINDOW], logE[i:i + FIT_WINDOW]
+        if xs[-1] - xs[0] < FIT_MIN_SPAN:
             continue  # too narrow in log t to distinguish a power law
         sl, _, _ = _fit_line(xs, ys)
         if slope_band[0] <= sl <= slope_band[1] and \
-                abs(_fit_quad_coeff(xs, ys)) <= max_curvature:
+                abs(_fit_quad_coeff(xs, ys)) <= FIT_MAX_CURVATURE:
             alg_slope = sl
-            alg_win = (i, i + window)
+            alg_win = (i, i + FIT_WINDOW)
             break
 
     exp_win = None
     start = alg_win[1] if alg_win else 0
-    for i in range(start, n - 2 * window + 1):
+    for i in range(start, n - 2 * FIT_WINDOW + 1):
         sl, _, r2 = _fit_line(t[i:], logE[i:])
-        if not (r2 >= r2_min and sl < 0):
+        if not (r2 >= FIT_R2_MIN and sl < 0):
             continue
         mid = i + (n - i) // 2
         sl2, _, _ = _fit_line(t[mid:], logE[mid:])
-        if abs(sl2 - sl) <= slope_stable * abs(sl):
+        if abs(sl2 - sl) <= FIT_SLOPE_STABLE * abs(sl):
             exp_win = (i, n)
             break
     if exp_win is None:
@@ -330,8 +339,8 @@ def fit_mode_rate(traj, k):
     return {"rate": -sl, "r2": r2}
 
 
-def fit_exp_rate_E(traj, skip=0):
-    rows = _rows(traj)[skip:]
+def fit_exp_rate_E(traj):
+    rows = _rows(traj)
     t = np.array([r.t for r in rows])
     E = np.array([r.E for r in rows])
     good = E > 0
@@ -343,8 +352,8 @@ def fit_exp_rate_E(traj, skip=0):
 # barycenter and embedding monitors
 # ---------------------------------------------------------------------------
 
-def barycenter_monitor(traj, R=None, cap=5.0):
-    """max |c(t)| / sqrt(E(0) R) against the calibrated cap, and the
+def barycenter_monitor(traj, R=None):
+    """max |c(t)| / sqrt(E(0) R) against CONFINEMENT_CAP, and the
     observed constant in |c'|^2 |Omega_in| <= C D (both monitors)."""
     rows = _rows(traj)
     if R is None:
@@ -354,7 +363,8 @@ def barycenter_monitor(traj, R=None, cap=5.0):
     D = np.array([r.D for r in rows])
     E0 = rows[0].E
     conf = float(np.max(c)) / np.sqrt(E0 * R) if E0 > 0 else 0.0
-    out = {"confinement_ratio": conf, "cap": cap, "pass": conf <= cap}
+    out = {"confinement_ratio": conf, "cap": CONFINEMENT_CAP,
+           "pass": conf <= CONFINEMENT_CAP}
     if t.size >= 3:
         cdot = _deriv3(t, c)
         Dmid = D[1:-1]
@@ -365,11 +375,11 @@ def barycenter_monitor(traj, R=None, cap=5.0):
     return out
 
 
-def check_improved_embedding(cache, solve, C_cal=2.0):
+def check_improved_embedding(cache, solve):
     """||V||^2 <= ||V_s||^2 / (4 kbar^2 (1 - C(||kappa - kbar||_L1 + (R/L)^2))).
 
     Requires the curvature-oscillation hypothesis ||kappa - kbar||_L1 <= 1/5.
-    C is not supplied by the theory; C_cal is a calibrated monitor constant.
+    C is not given by the theory; EMBEDDING_C is a calibrated monitor constant.
     """
     length = geometry.perimeter(cache)
     kbar = 2.0 * np.pi / length
@@ -381,7 +391,7 @@ def check_improved_embedding(cache, solve, C_cal=2.0):
     v2 = cache.quad(solve.V**2 * cache.ell)
     vs2 = sobolev.curve_norm(cache, solve.V, 1.0) ** 2
     observed = 4.0 * kbar**2 * v2 / vs2 if vs2 > 0 else 0.0
-    margin = C_cal * (l1 + rl2)
+    margin = EMBEDDING_C * (l1 + rl2)
     bound = 1.0 / (1.0 - margin) if margin < 1 else float("inf")
     return {
         "observed": float(observed),

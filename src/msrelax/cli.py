@@ -331,7 +331,8 @@ def cmd_norms(args):
 
 
 def read_trajectory(path):
-    """Load a trajectory.csv back into records + metadata."""
+    """Load a trajectory.csv back into records + metadata; ValueError if it
+    holds no header or no record."""
     meta = {}
     with open(path) as fh:
         lines = fh.readlines()
@@ -344,6 +345,8 @@ def read_trajectory(path):
                     meta[k] = v
         elif line.strip():
             body.append(line.strip())
+    if len(body) < 2:
+        raise ValueError(f"{path}: no {'records' if body else 'header'}")
     header = body[0].split(",")
     records = []
     for row in body[1:]:
@@ -382,6 +385,13 @@ def cmd_report(args):
 
 # ---------------------------------------------------------------------------
 
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="msrelax")
     sub = p.add_subparsers(dest="command", required=True)
@@ -394,7 +404,7 @@ def build_parser():
 
     s = sub.add_parser("checks", help="run verification suites")
     s.add_argument("--suite", action="append", choices=sorted(SUITES))
-    s.add_argument("--n", type=int, default=1000)
+    s.add_argument("--n", type=_positive_int, default=1000)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_checks)
 

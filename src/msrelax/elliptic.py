@@ -20,7 +20,7 @@ powers k = 0 mod 4 survive) to -sum_{4|k} z^k T_k / k with T_k the tail of
 the Eisenstein sum sum' z_mn^{-k}.  The k = 4 and k = 8 tails decay only
 algebraically in the shell count, so they are corrected exactly using the
 rapidly convergent q-series for E4(i) (q = e^{-2 pi}); beyond k = 12 the
-shell truncation at the default trunc = 64 is already below 1e-17.
+truncation at SHELLS = 64 shells is already below 1e-17.
 """
 
 from dataclasses import dataclass, field
@@ -31,6 +31,7 @@ from .errors import NearPole, OutOfRadius
 
 POLE_TOL = 1e-8
 TAIL_RADIUS = 0.995   # lambda_tail needs |z| / (2L) below this
+SHELLS = 64           # square lattice shells summed directly by log_sigma
 
 
 def _eisenstein_e4_i():
@@ -50,10 +51,9 @@ G8_EXACT = (np.pi**8 / 4725.0) * _E4I**2
 
 @dataclass
 class LatticeKernel:
-    """Square lattice of half edge length L, truncated at ``trunc`` shells."""
+    """Square lattice of half edge length L, truncated at SHELLS shells."""
 
     L: float
-    trunc: int = 64
     eta1: complex = field(init=False)
     eta3: complex = field(init=False)
 
@@ -72,7 +72,7 @@ class LatticeKernel:
 
         # lattice points in units of 2L, grouped by square shell
         self._shells = []
-        for s in range(1, self.trunc + 1):
+        for s in range(1, SHELLS + 1):
             m = np.arange(-s, s + 1)
             top = m + 1j * s
             bot = m - 1j * s
@@ -82,10 +82,10 @@ class LatticeKernel:
             self._shells.append(np.concatenate([top, bot, left, right]))
         pts = np.concatenate(self._shells)
         # partial normalized Eisenstein sums over the kept shells
-        self._g4_partial = complex(np.sum(pts**-4.0))
-        self._g8_partial = complex(np.sum(pts**-8.0))
-        self._g4_tail = G4_EXACT - self._g4_partial.real
-        self._g8_tail = G8_EXACT - self._g8_partial.real
+        g4_partial = complex(np.sum(pts**-4.0))
+        g8_partial = complex(np.sum(pts**-8.0))
+        self._g4_tail = G4_EXACT - g4_partial.real
+        self._g8_tail = G8_EXACT - g8_partial.real
         self._eis_cache = {4: G4_EXACT, 8: G8_EXACT}
         self._pts = pts
 

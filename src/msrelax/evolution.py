@@ -5,7 +5,8 @@ With a frozen pole, the radial function obeys
     d rho / d t = V * ell / rho
 
 (the graph moves along the normal with speed V; projecting the normal motion
-onto the ray through the pole costs the factor ell / rho = 1 / cos omega).
+onto the ray through the pole costs the factor ell / rho = 1 / cos omega,
+tan omega = rho_phi / rho).
 
 Stepping is exponential time differencing, ETDRK4 (Cox & Matthews, J. Comput.
 Phys. 176, 2002), on the Fourier coefficients y = rho_hat.  The right-hand
@@ -83,7 +84,7 @@ DEFAULTS = {
     "k_rec": 10,
     "k_H": 5,               # H every k_H-th record; 0 disables H
     "grid": 256,
-    "unresolved_tol": 1e-6,
+    "unresolved_tol": geometry.TOP_MODE_ABORT,
 }
 
 
@@ -197,10 +198,8 @@ def _kernel_for(curve):
     return None
 
 
-def rhs(curve, kernel=None, unresolved_tol=1e-6):
+def rhs(curve, kernel=None, unresolved_tol=geometry.TOP_MODE_ABORT):
     """Coefficient-space time derivative, plus the cache and solve used."""
-    if isinstance(curve, FlowState):
-        curve = curve.curve
     cache = geometry.build_cache(curve, unresolved_tol=unresolved_tol)
     solve = potential.solve_ms(cache, kernel)
     drho = solve.V * cache.ell / cache.rho
@@ -218,7 +217,8 @@ def _nonlinear(curve, y, lam, kernel, unresolved_tol, stats):
     return k - lam * y
 
 
-def step(state, dt, kernel=None, unresolved_tol=1e-6, n0=None, stats=None):
+def step(state, dt, kernel=None, unresolved_tol=geometry.TOP_MODE_ABORT,
+         n0=None, stats=None):
     """One ETDRK4 step; returns the new state and the pre-projection area drift.
 
     ``n0`` is N(y0) when the caller already has it; ``stats`` (a StepStats)
@@ -256,7 +256,7 @@ def step(state, dt, kernel=None, unresolved_tol=1e-6, n0=None, stats=None):
     return FlowState(new, state.t + dt, state.step_count + 1), drift
 
 
-def recenter(state, tol=1e-13, max_iter=60):
+def recenter(state):
     """Move the pole to the bulk barycenter, keeping the curve fixed.
 
     For each node direction e(phi_i) from the new pole c, the intersection
@@ -279,7 +279,7 @@ def recenter(state, tol=1e-13, max_iter=60):
     phi = 2.0 * np.pi * np.arange(M) / M
     cphi, sphi = np.cos(phi), np.sin(phi)
     psi = phi.copy()
-    for _ in range(max_iter):
+    for _ in range(60):
         rho = geometry.eval_rho(curve, psi)
         rho_p = geometry.eval_rho(curve, psi, 1)
         gx = rho * np.cos(psi) - shift[0]
@@ -291,7 +291,7 @@ def recenter(state, tol=1e-13, max_iter=60):
         dg = dgx * sphi - dgy * cphi
         delta = g / dg
         psi -= delta
-        if np.max(np.abs(delta)) < tol:
+        if np.max(np.abs(delta)) < 1e-13:
             break
     else:
         raise RecenterFail("ray Newton did not converge")
@@ -360,7 +360,7 @@ def _doubled_step(state, h, kernel, unresolved_tol, stats):
     return half, max(d1, d2), float(err)
 
 
-def run(config=None, curve=None, progress=None):
+def run(config=None):
     """Drive the flow from a config dict (unknown keys rejected).
 
     Records diagnostics at t_j = j * k_out * dt_max and at the end (H on the
@@ -379,8 +379,7 @@ def run(config=None, curve=None, progress=None):
         cfg[key] = type(DEFAULTS[key])(val)
     if int(cfg["k_out"]) < 1:
         raise ValueError("k_out must be at least 1")
-    if curve is None:
-        curve = initial_curve(cfg)
+    curve = initial_curve(cfg)
     if curve.domain == "torus":
         reach = 2.0 * float(np.max(geometry.synth_nodes(curve)))
         bound = elliptic.TAIL_RADIUS * 2.0 * curve.L
@@ -451,8 +450,6 @@ def run(config=None, curve=None, progress=None):
             if n_sub == 1:
                 emit(state)
                 recorded, j = True, j + 1
-                if progress:
-                    progress(state, traj.records[-1])
         if not recorded:
             emit(state)
     except MsrelaxError as exc:

@@ -9,13 +9,12 @@ Curvature of the polar graph:
     kappa = (rho_phi^2 - rho * rho_phiphi) / ell^3 + 1/ell,
     ell   = sqrt(rho^2 + rho_phi^2),
 
-with ell the length element ds = ell dphi.  The localized angle between the
-curve tangent and the reference-circle tangent satisfies tan(omega) =
-rho_phi / rho exactly.
+with ell the length element ds = ell dphi.  The cache keeps rho, rho_phi,
+ell, kappa and the node points; rho_phiphi enters only kappa.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,13 +77,9 @@ class GeometryCache:
     phi_nodes: np.ndarray
     rho: np.ndarray
     rho_phi: np.ndarray
-    rho_phiphi: np.ndarray
     ell: np.ndarray
     kappa: np.ndarray
-    tangent: np.ndarray     # (M, 2) unit vectors
-    normal: np.ndarray      # (M, 2) outward unit vectors
-    omega: np.ndarray       # localized angle, tan(omega) = rho_phi / rho
-    points: np.ndarray = field(default=None)  # (M, 2) curve points
+    points: np.ndarray      # (M, 2) curve points
 
     @property
     def M(self):
@@ -116,10 +111,9 @@ def _half_spectrum(rho_hat, M, derivative=0):
     return X
 
 
-def synth_nodes(curve, derivative=0, M=None):
-    """Evaluate rho (or a phi-derivative) at M uniform nodes."""
-    if M is None:
-        M = curve.M
+def synth_nodes(curve, derivative=0):
+    """Evaluate rho (or a phi-derivative) at the M = 2N uniform nodes."""
+    M = curve.M
     X = _half_spectrum(curve.rho_hat, M, derivative)
     return np.fft.irfft(X, M)
 
@@ -201,16 +195,9 @@ def build_cache(curve, unresolved_tol=TOP_MODE_ABORT):
     ell = np.hypot(rho, rho_phi)
     kappa = (rho_phi**2 - rho * rho_phiphi) / ell**3 + 1.0 / ell
 
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    # gamma'(phi) = rho_phi e + rho e_phi, |gamma'| = ell
-    tx = (rho_phi * cphi - rho * sphi) / ell
-    ty = (rho_phi * sphi + rho * cphi) / ell
-    tangent = np.stack([tx, ty], axis=1)
-    normal = np.stack([ty, -tx], axis=1)   # outward for counterclockwise phi
-    omega = np.arctan2(rho_phi, rho)
-    points = curve.pole + np.stack([rho * cphi, rho * sphi], axis=1)
-    return GeometryCache(curve, phi, rho, rho_phi, rho_phiphi, ell, kappa,
-                         tangent, normal, omega, points)
+    points = curve.pole + np.stack([rho * np.cos(phi), rho * np.sin(phi)],
+                                   axis=1)
+    return GeometryCache(curve, phi, rho, rho_phi, ell, kappa, points)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +296,7 @@ def admissibility_report(curve, delta=0.05):
     return report
 
 
-def bonnesen_monitor(cache, dense=4096):
+def bonnesen_monitor(cache):
     """Containing-annulus width vs the isoperimetric gap.
 
     Optimizes the annulus center by Nelder-Mead from the barycenter and
@@ -317,7 +304,7 @@ def bonnesen_monitor(cache, dense=4096):
     optimized annulus only upper-bounds the minimal one, so lhs/rhs is a
     monitored ratio, not an assertion.
     """
-    phi = 2.0 * np.pi * np.arange(dense) / dense
+    phi = 2.0 * np.pi * np.arange(4096) / 4096
     pts = curve_points(cache.curve, phi)
 
     def width(c):
@@ -347,7 +334,7 @@ def bonnesen_monitor(cache, dense=4096):
 # construction helpers
 # ---------------------------------------------------------------------------
 
-def make_admissible(curve, tol=1e-14, max_iter=50):
+def make_admissible(curve):
     """Project (a0, a1, b1) so area = pi R^2 and the barycenter sits at the pole.
 
     Newton iteration with the analytic Jacobian of the three constraint
@@ -360,7 +347,7 @@ def make_admissible(curve, tol=1e-14, max_iter=50):
     dphi = 2.0 * np.pi / M
     cphi, sphi = np.cos(phi), np.sin(phi)
     target = np.array([np.pi * R**2, 0.0, 0.0])
-    for _ in range(max_iter):
+    for _ in range(50):
         work = replace(curve, rho_hat=rho_hat)
         rho = synth_nodes(work, 0)
         g = np.array([
@@ -368,7 +355,7 @@ def make_admissible(curve, tol=1e-14, max_iter=50):
             np.sum(rho**3 * cphi) * dphi,
             np.sum(rho**3 * sphi) * dphi,
         ]) - target
-        if np.max(np.abs(g)) < tol * R**2:
+        if np.max(np.abs(g)) < 1e-14 * R**2:
             return work
         # d/d(a0, a1, b1) of the three integrals
         basis = [np.ones(M), cphi, sphi]
@@ -384,27 +371,27 @@ def make_admissible(curve, tol=1e-14, max_iter=50):
     raise OptimFail("admissibility projection did not converge")
 
 
-def random_admissible(rng, N=32, R=1.0, delta=0.05, k_max=8, domain="plane",
-                      L=None, fill=0.5):
-    """Random nearly circular curve satisfying all admissibility conditions.
+def random_admissible(rng, N=32, delta=0.05, k_max=8, domain="plane", L=None):
+    """Random nearly circular curve of unit equal-area radius satisfying all
+    admissibility conditions.
 
     Draws modes 2..k_max with random phases, scales the perturbation so both
-    sup bounds sit at ``fill * delta * R``, then Newton-projects the area and
+    sup bounds sit at ``delta / 2``, then Newton-projects the area and
     barycenter conditions.
     """
     rho_hat = np.zeros((N, 2))
-    rho_hat[0, 0] = R
+    rho_hat[0, 0] = 1.0
     ks = np.arange(2, k_max + 1)
     amps = rng.uniform(0.2, 1.0, ks.size) / ks  # mild spectral decay
     phases = rng.uniform(0.0, 2.0 * np.pi, ks.size)
     rho_hat[ks, 0] = amps * np.cos(phases)
     rho_hat[ks, 1] = amps * np.sin(phases)
-    curve = RadialCurve(R, rho_hat, np.zeros(2), domain, L)
-    dev = synth_nodes(curve, 0) - R
+    curve = RadialCurve(1.0, rho_hat, np.zeros(2), domain, L)
+    dev = synth_nodes(curve, 0) - 1.0
     slope = synth_nodes(curve, 1)
-    scale = fill * delta * R / max(np.max(np.abs(dev)), np.max(np.abs(slope)))
+    scale = 0.5 * delta / max(np.max(np.abs(dev)), np.max(np.abs(slope)))
     rho_hat[1:] *= scale
-    curve = make_admissible(RadialCurve(R, rho_hat, np.zeros(2), domain, L))
+    curve = make_admissible(RadialCurve(1.0, rho_hat, np.zeros(2), domain, L))
     for _ in range(8):
         if admissibility_report(curve, delta)["pass"]:
             return curve
@@ -442,13 +429,13 @@ def _set_area_zero_mode(rho_hat, R):
     rho_hat[0, 0] = np.sqrt(a0sq)
 
 
-def shifted_disk_curve(R, a, N=64, domain="plane", L=None):
-    """Radial function of the disk of radius R whose center sits at (a, 0)
-    while the pole stays at the origin: rho = a cos phi + sqrt(R^2 - a^2 sin^2 phi)."""
-    M = 2 * N
-    phi = 2.0 * np.pi * np.arange(M) / M
+def shifted_disk_curve(R, a):
+    """Radial function (N = 64, plane) of the disk of radius R whose center
+    sits at (a, 0) while the pole stays at the origin:
+    rho = a cos phi + sqrt(R^2 - a^2 sin^2 phi)."""
+    phi = 2.0 * np.pi * np.arange(128) / 128
     rho = a * np.cos(phi) + np.sqrt(R**2 - (a * np.sin(phi)) ** 2)
-    return RadialCurve(R, coeffs_from_nodes(rho), np.zeros(2), domain, L)
+    return RadialCurve(R, coeffs_from_nodes(rho), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ length EMBED_FACTOR * R.  A second curve's region may replace the ball
 (``other=``), giving the squared distance between two curves.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ from . import elliptic, geometry, sobolev
 from .errors import GridTooCoarse, NegativeDissipation, SolverSingular
 
 EMBED_FACTOR = 8.0
+ORACLE_REFINE = 4   # squared_distance_oracle interpolates to this x finer grid
 _SING_CACHE = {}
 
 
@@ -124,11 +126,11 @@ def solve_ms(cache, kernel=None, data=None):
     return BieSolve(phi, c, float(resid), mean_resid)
 
 
-def dissipation(cache, solve, tol=1e-10):
+def dissipation(cache, solve):
     """D = -int_Gamma kappa V ds >= 0."""
     d = -cache.quad(cache.kappa * solve.V * cache.ell)
     scale = cache.quad(np.abs(cache.kappa * solve.V) * cache.ell) + 1e-300
-    if d < -tol * scale:
+    if d < -1e-10 * scale:
         raise NegativeDissipation(f"D = {d:.3e} with scale {scale:.3e}")
     return max(d, 0.0)
 
@@ -146,7 +148,7 @@ def normal_velocity_sobolev(cache, solve):
 # trace equality on the disk
 # ---------------------------------------------------------------------------
 
-def trace_equality_disk(g_amps, n_quad=200):
+def trace_equality_disk(g_amps):
     """Per-mode Dirichlet energies of the harmonic extensions of
     g = sum_k A_k cos(k theta) on the unit circle vs the H^{1/2}(S^1) norm.
 
@@ -155,7 +157,7 @@ def trace_equality_disk(g_amps, n_quad=200):
     2 pi A^2 k^2 int_0^1 s^{2k-1} ds = pi k A^2); the H^{1/2} side goes
     through the Fourier toolkit.  Returns one row per mode plus totals.
     """
-    nodes, wts = np.polynomial.legendre.leggauss(n_quad)
+    nodes, wts = np.polynomial.legendre.leggauss(200)
     s = 0.5 * (nodes + 1.0)
     w = 0.5 * wts
     rows = []
@@ -207,14 +209,13 @@ def _coverage_disk(center, R, X, Y, L, hs):
     return np.clip(0.5 + (R - np.hypot(dx, dy)) / hs, 0.0, 1.0)
 
 
-def rasterize_difference(curve, center, R=None, grid=512, sub=4, other=None):
-    """Cell-averaged samples of chi_Omega_in - chi_B_R(center) on the torus
-    grid, with sub x sub subcell area-fraction anti-aliasing.  ``other``
-    replaces the reference ball with a second curve's region; otherwise
-    ``center`` None means the bulk barycenter of ``curve``.  Returns
-    (f, L, h) with f zero-mean."""
-    if R is None:
-        R = curve.R
+def rasterize_difference(curve, center, grid=512, sub=4, other=None):
+    """Cell-averaged samples of chi_Omega_in - chi_B_R(center) (R = curve.R)
+    on the torus grid, with sub x sub subcell area-fraction anti-aliasing.
+    ``other`` replaces the reference ball with a second curve's region;
+    otherwise ``center`` None means the bulk barycenter of ``curve``.
+    Returns (f, L, h) with f zero-mean."""
+    R = curve.R
     if other is None and center is None:
         center = geometry.barycenter_bulk(geometry.build_cache(
             curve, unresolved_tol=None))
@@ -238,17 +239,16 @@ def rasterize_difference(curve, center, R=None, grid=512, sub=4, other=None):
     return f, L, h
 
 
-def squared_distance(curve, center=None, R=None, grid=512, sub=4,
-                     other=None):
-    """H = squared H^{-1}(torus) norm of chi_Omega_in - chi_B_R(center), or
-    of chi_Omega_in - chi_Omega_other when a second curve ``other`` (sharing
-    the domain) is given.
+def squared_distance(curve, center=None, grid=512, sub=4, other=None):
+    """H = squared H^{-1}(torus) norm of chi_Omega_in - chi_B_R(center)
+    (R = curve.R), or of chi_Omega_in - chi_Omega_other when a second curve
+    ``other`` (sharing the domain) is given.
 
     Plane curves are embedded into a torus with L = EMBED_FACTOR * R; the
     H^{-1} norm of the compactly supported zero-mean difference converges as
     the embedding grows.
     """
-    f, L, _ = rasterize_difference(curve, center, R, grid, sub, other)
+    f, L, _ = rasterize_difference(curve, center, grid, sub, other)
     G = f.shape[0]
     F = np.fft.fft2(f) / G**2
     m = np.fft.fftfreq(G, d=1.0 / G)
@@ -259,14 +259,12 @@ def squared_distance(curve, center=None, R=None, grid=512, sub=4,
     return float((2.0 * L) ** 2 * np.sum(terms))
 
 
-def _cell_log_mean(n=256):
+@functools.cache
+def _cell_log_mean():
     """Mean of log|w| over the unit square [-1/2, 1/2]^2 (midpoint rule)."""
-    t = (np.arange(n) + 0.5) / n - 0.5
+    t = (np.arange(256) + 0.5) / 256 - 0.5
     WX, WY = np.meshgrid(t, t, indexing="ij")
     return float(np.mean(np.log(np.hypot(WX, WY))))
-
-
-_CELL_LOG_MEAN = None
 
 
 def _signed_modes(G):
@@ -288,22 +286,21 @@ def _trig_upsample(f, factor):
     return (E @ F @ E.T).real
 
 
-def squared_distance_oracle(curve, center=None, R=None, grid=64, sub=4,
-                            refine=4, other=None):
+def squared_distance_oracle(curve, center=None, grid=64, other=None):
     """Direct real-space double sum H = h'^4 sum_ij f_i N(x_i - x_j) f_j with
     N = -Lambda/(2 pi) tabulated from lattice sums (no fast Poisson solve).
 
-    The rasterized field is first interpolated to a ``refine`` x finer grid
-    (direct trigonometric interpolation) because the point-sampled log kernel
-    carries an O((k h)^2) near-singularity quadrature error; refining shrinks
-    it below the 1% comparison budget.  The singular cell uses the
-    cell-averaged log.  Brute force O(G'^4) by construction -- this is the
-    independent check for squared_distance, with the same ``other``."""
-    global _CELL_LOG_MEAN
-    f, L, h = rasterize_difference(curve, center, R, grid, sub, other)
-    fp = _trig_upsample(f, refine)
+    The field, rasterized with 4 x 4 subcells, is first interpolated to an
+    ORACLE_REFINE x finer grid (direct trigonometric interpolation) because
+    the point-sampled log kernel carries an O((k h)^2) near-singularity
+    quadrature error; refining shrinks it below the 1% comparison budget.
+    The singular cell uses the cell-averaged log.  Brute force O(G'^4) by
+    construction -- this is the independent check for squared_distance,
+    with the same ``other``."""
+    f, L, h = rasterize_difference(curve, center, grid, 4, other)
+    fp = _trig_upsample(f, ORACLE_REFINE)
     Gp = fp.shape[0]
-    hp = h / refine
+    hp = h / ORACLE_REFINE
     kern = elliptic.LatticeKernel(L)
     off = _signed_modes(Gp) * hp
     ZX, ZY = np.meshgrid(off, off, indexing="ij")
@@ -312,9 +309,7 @@ def squared_distance_oracle(curve, center=None, R=None, grid=64, sub=4,
     absZ = np.abs(Z)
     absZ[0, 0] = 1.0
     Nk = -(np.log(absZ) + tail) / (2.0 * np.pi)
-    if _CELL_LOG_MEAN is None:
-        _CELL_LOG_MEAN = _cell_log_mean()
-    Nk[0, 0] = -(np.log(hp) + _CELL_LOG_MEAN + tail[0, 0]) / (2.0 * np.pi)
+    Nk[0, 0] = -(np.log(hp) + _cell_log_mean() + tail[0, 0]) / (2.0 * np.pi)
     # circular autocorrelation, one axis-0 shift at a time
     jj = np.arange(Gp)
     gather = (jj[None, :] + jj[:, None]) % Gp

@@ -133,7 +133,7 @@ def poincare_check(signal, sigma):
 # norms on curves
 # ---------------------------------------------------------------------------
 
-def arclength_angles(cache, tol=1e-13):
+def arclength_angles(cache):
     """Angles phi_j with s(phi_j) = j * L / M: uniform arc-length nodes.
 
     The cumulative length s(phi) is integrated spectrally and inverted by
@@ -157,7 +157,7 @@ def arclength_angles(cache, tol=1e-13):
         res = mean_ell * phi + geometry.eval_series(anti, phi) - s_targets
         phi -= res / np.hypot(geometry.eval_rho(cache.curve, phi),
                               geometry.eval_rho(cache.curve, phi, 1))
-        if np.max(np.abs(res)) < tol * length:
+        if np.max(np.abs(res)) < 1e-13 * length:
             break
     else:
         raise RuntimeError("arc-length inversion did not converge")

@@ -2,11 +2,12 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from msrelax import cli, elliptic, geometry
+from msrelax import analysis, cli, elliptic, geometry
 
 BASE_CFG = """\
 # short mixed-mode run
@@ -158,6 +159,35 @@ def test_read_trajectory_roundtrip(capsys, cfg_file, tmp_path):
     assert records[0].mode_amps.size == 16
 
 
+@pytest.mark.parametrize("text, missing", [
+    ("", "header"),
+    # a run that fails at its first record leaves a header-only CSV
+    ("# msrelax trajectory v1 config_hash=0 R=1\n"
+     + analysis.DiagnosticsRecord.csv_header() + "\n", "records"),
+], ids=["empty", "header-only"])
+def test_report_empty_trajectory_exits_2(capsys, tmp_path, text, missing):
+    path = tmp_path / "trajectory.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"no {missing}"):
+        cli.read_trajectory(path)
+    assert cli.main(["report", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_readme_trajectory_columns_match_csv_header():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### trajectory.csv", 1)[1].split("\n##", 1)[0]
+    cols = []
+    for ln in section.splitlines():
+        if ln.startswith("| `"):
+            names = ln.split("|")[1].split("`")[1::2]
+            if len(names) == 2:   # a range `amp01` … `amp16`
+                lo, hi = (int(name[3:]) for name in names)
+                names = [f"amp{k:02d}" for k in range(lo, hi + 1)]
+            cols += names
+    assert ",".join(cols) == analysis.DiagnosticsRecord.csv_header()
+
+
 def test_report_ok_and_hard_failure(capsys, cfg_file, tmp_path):
     out = tmp_path / "o"
     run_cli(capsys, "simulate", "--config", cfg_file, "--out", str(out))
@@ -211,6 +241,14 @@ def test_checks_fuglede_deterministic_across_thread_counts(capsys, monkeypatch):
 
 def test_checks_unknown_suite_exits_2(capsys):
     assert cli.main(["checks", "--suite", "nope"]) == 2
+
+
+@pytest.mark.parametrize("suite, n", [("fuglede", "-3"), ("fuglede", "0"),
+                                      ("sobolev", "0")])
+def test_checks_rejects_nonpositive_n(capsys, suite, n):
+    assert cli.main(["checks", "--suite", suite, "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert "--n" in captured.err and captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ def test_circle_cache_exact():
     cache = geometry.build_cache(circle(2.0))
     assert np.allclose(cache.kappa, 0.5, atol=1e-14)
     assert np.allclose(cache.ell, 2.0, atol=1e-14)
-    assert np.allclose(cache.omega, 0.0, atol=1e-14)
     assert abs(geometry.perimeter(cache) - 4.0 * np.pi) < 1e-13
     assert abs(geometry.enclosed_area(cache) - 4.0 * np.pi) < 1e-13
     assert abs(geometry.isoperimetric_gap(cache)) < 1e-14
