@@ -339,15 +339,6 @@ def fit_mode_rate(traj, k):
     return {"rate": -sl, "r2": r2}
 
 
-def fit_exp_rate_E(traj):
-    rows = _rows(traj)
-    t = np.array([r.t for r in rows])
-    E = np.array([r.E for r in rows])
-    good = E > 0
-    sl, _, r2 = _fit_line(t[good], np.log(E[good]))
-    return {"rate_E": -sl, "rate_amp": -sl / 2.0, "r2": r2}
-
-
 # ---------------------------------------------------------------------------
 # barycenter and embedding monitors
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import analysis, elliptic, evolution, geometry, potential, sobolev
-from .errors import HypothesisFail, MsrelaxError
+from .errors import HypothesisFail, MsrelaxError, OptimFail
 
 
 def parse_config(path):
@@ -101,6 +101,19 @@ def _write_run(traj, out, chash):
 # checks suites
 # ---------------------------------------------------------------------------
 
+# Named flow configs shared by the suites below and the tests; each caller
+# adds a seed.
+RUNS = {
+    "mixed23": {"N": 32, "modes": "2,3", "amps": "0.01,0.008",
+                "t_end": 0.004, "k_out": 5, "k_H": 0},
+    "mixed235": {"N": 32, "modes": "2,3,5", "amps": "0.01,0.008,0.005",
+                 "t_end": 0.003, "k_out": 4, "k_H": 5, "grid": 256},
+    "regime32": {"N": 32, "modes": ",".join(str(k) for k in range(8, 17)),
+                 "amps": "6.9e-4", "t_end": 0.15, "k_out": 2, "k_H": 0},
+}
+RUNS["regime64"] = {**RUNS["regime32"], "N": 64, "k_out": 16}
+
+
 def _suite_fuglede(n, seed):
     def one(i):
         rng = np.random.default_rng([seed, i])
@@ -127,8 +140,7 @@ def _suite_eed(n, seed):
                          "limit": 1.0 / (4.0 * k * (k**2 - 1))})
     worst = max(abs(r["ratio"] / r["limit"] - 1.0)
                 for r in rows if r["eps"] <= 1e-3)
-    traj = evolution.run({"N": 32, "modes": "2,3", "amps": "0.01,0.008",
-                          "seed": seed, "t_end": 0.004, "k_out": 5, "k_H": 0})
+    traj = evolution.run({**RUNS["mixed23"], "seed": seed})
     mono = analysis.check_eed(traj, R=1.0)
     return {"family": rows, "worst_small_eps_err": worst,
             "eed_monotone": mono["eed_monotone"],
@@ -137,17 +149,13 @@ def _suite_eed(n, seed):
 
 
 def _suite_diff(n, seed):
-    traj = evolution.run({"N": 32, "modes": "2,3,5", "amps": "0.01,0.008,0.005",
-                          "seed": seed, "t_end": 0.003, "k_out": 4,
-                          "k_H": 5, "grid": 256})
+    traj = evolution.run({**RUNS["mixed235"], "seed": seed})
     rep = analysis.check_differential(traj)
     return {**rep, "pass": rep["max_energy_balance_err"] <= 1e-3}
 
 
 def _suite_regime(n, seed):
-    modes = ",".join(str(k) for k in range(8, 17))
-    traj = evolution.run({"N": 32, "modes": modes, "amps": "6.9e-4",
-                          "seed": seed, "t_end": 0.15, "k_out": 2, "k_H": 0})
+    traj = evolution.run({**RUNS["regime32"], "seed": seed})
     fit = analysis.regime_fit(traj, slope_band=(-1.15, -0.85))
     ok = (abs(fit.alg_slope + 1.0) <= 0.15
           and abs(fit.exp_rate - 12.0) <= 1.2)
@@ -156,8 +164,7 @@ def _suite_regime(n, seed):
 
 
 def _suite_bary(n, seed):
-    traj = evolution.run({"N": 32, "modes": "2,3", "amps": "0.01,0.008",
-                          "seed": seed, "t_end": 0.01, "k_out": 5, "k_H": 0})
+    traj = evolution.run({**RUNS["mixed23"], "seed": seed, "t_end": 0.01})
     rep = analysis.barycenter_monitor(traj, R=1.0)
     return {**{k: v for k, v in rep.items()}, "pass": bool(rep["pass"])}
 
@@ -248,10 +255,6 @@ SUITES = {
 
 def cmd_checks(args):
     names = args.suite or list(SUITES)
-    for name in names:
-        if name not in SUITES:
-            print(f"unknown suite {name!r}", file=sys.stderr)
-            return 2
     summary, ok = {}, True
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -274,17 +277,16 @@ def cmd_checks(args):
 def cmd_hminus(args):
     a = geometry.read_curve(args.curve_a)
     b = geometry.read_curve(args.curve_b)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        H = potential.squared_distance(a, grid=args.grid, other=b)
-        out = {"H": H, "grid": args.grid}
-        if not args.no_oracle:
-            Ho = potential.squared_distance_oracle(
-                a, grid=min(args.grid, 64), other=b)
-            out["H_oracle"] = Ho
-            out["oracle_grid"] = min(args.grid, 64)
-            if args.grid <= 64:
-                out["oracle_rel_delta"] = abs(H - Ho) / max(Ho, 1e-300)
+    # a GridTooCoarse warning reaches stderr: it flags an unreliable H
+    H = potential.squared_distance(a, grid=args.grid, other=b)
+    out = {"H": H, "grid": args.grid}
+    if not args.no_oracle:
+        Ho = potential.squared_distance_oracle(
+            a, grid=min(args.grid, 64), other=b)
+        out["H_oracle"] = Ho
+        out["oracle_grid"] = min(args.grid, 64)
+        if args.grid <= 64:
+            out["oracle_rel_delta"] = abs(H - Ho) / max(Ho, 1e-300)
     print(json.dumps(out, sort_keys=True))
     return 0
 
@@ -326,6 +328,13 @@ def cmd_norms(args):
     for sigma in (0.5, 1.0):
         out[f"rho_dev_h{sigma:g}"] = sobolev.curve_norm(
             cache, cache.rho - curve.R, sigma)
+    out["curvature_oscillation_ratio"] = \
+        analysis.curvature_oscillation_monitor(cache)["ratio"]
+    try:
+        rep = geometry.bonnesen_monitor(cache)
+        out["bonnesen"] = {k: rep[k] for k in ("lhs", "rhs", "R_in", "R_out")}
+    except OptimFail as exc:
+        out["bonnesen"] = {"error": f"{type(exc).__name__}: {exc}"}
     print(json.dumps(out, sort_keys=True, default=float))
     return 0
 
@@ -411,14 +420,14 @@ def build_parser():
     s = sub.add_parser("hminus", help="squared H^-1 distance of two curves")
     s.add_argument("curve_a")
     s.add_argument("curve_b")
-    s.add_argument("--grid", type=int, default=256)
+    s.add_argument("--grid", type=_positive_int, default=256)
     s.add_argument("--no-oracle", action="store_true")
     s.set_defaults(func=cmd_hminus)
 
     s = sub.add_parser("potential-table",
                        help="dump the periodic kernel on a grid")
     s.add_argument("--L", type=float, default=1.0)
-    s.add_argument("--n", type=int, default=64)
+    s.add_argument("--n", type=_positive_int, default=64)
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_potential_table)
 

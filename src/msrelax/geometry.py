@@ -250,14 +250,6 @@ def barycenter_bulk(cache):
     return cache.curve.pole + np.array([cx, cy])
 
 
-def barycenter_boundary(cache):
-    """Arc-length-weighted mean of the boundary points."""
-    length = perimeter(cache)
-    bx = cache.quad(cache.ell * cache.points[:, 0]) / length
-    by = cache.quad(cache.ell * cache.points[:, 1]) / length
-    return np.array([bx, by])
-
-
 def gauss_bonnet_residual(cache):
     """| int kappa ds - 2 pi |; zero for every embedded closed curve."""
     return abs(cache.quad(cache.kappa * cache.ell) - 2.0 * np.pi)

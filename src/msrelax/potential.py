@@ -135,15 +135,6 @@ def dissipation(cache, solve):
     return max(d, 0.0)
 
 
-def normal_velocity_sobolev(cache, solve):
-    """L2, first-derivative, and H^{-1/2} arc-length norms of V on Gamma."""
-    V = solve.V
-    l2 = np.sqrt(cache.quad(V**2 * cache.ell))
-    vs = sobolev.curve_norm(cache, V, 1.0)
-    vmh = sobolev.curve_norm(cache, V, -0.5)
-    return {"V_l2": float(l2), "Vs_l2": float(vs), "V_hm_half": float(vmh)}
-
-
 # ---------------------------------------------------------------------------
 # trace equality on the disk
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ so Parseval reads ||f||_L2^2 = sum_k |f_hat(k)|^2, and
 
 Curve norms ||f||_{H^sigma(Gamma)} resample f to uniform arc length (spectral
 antiderivative of ell, Newton-inverted, evaluated by ``geometry.eval_series``)
-and apply the same machinery with 2P = L(Gamma).
+and apply the same machinery with 2P = L(Gamma); the order sigma = 1 is
+integrated on the phi-nodes directly, since ds = ell dphi.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,17 +96,6 @@ def l2_norm(signal):
     return float(np.sqrt(np.sum(np.abs(signal.coeffs) ** 2)))
 
 
-def fractional_derivative(signal, sigma):
-    """|d|^sigma: multiply coefficients by |(pi/P) k|^sigma, zero the mean."""
-    K = signal.K
-    k = signal.wavenumbers().astype(float)
-    w = np.abs(np.pi * k / signal.P)
-    w[K] = 1.0
-    c = signal.coeffs * w**sigma
-    c[K] = 0.0
-    return PeriodicSignal(signal.P, c)
-
-
 def interpolation_check(signal, alpha, sigma, beta):
     """||f||_sigma <= ||f||_alpha^{1/p} ||f||_beta^{1/q},
     p = (beta-alpha)/(beta-sigma), q = (beta-alpha)/(sigma-alpha)."""
@@ -117,16 +107,6 @@ def interpolation_check(signal, alpha, sigma, beta):
     rhs = h_norm(signal, alpha) ** (1.0 / p) * h_norm(signal, beta) ** (1.0 / q)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
     return {"lhs": lhs, "rhs": rhs, "ratio": ratio}
-
-
-def poincare_check(signal, sigma):
-    """||f - mean||_L2^2 <= (P/pi)^{2 sigma} ||f||_{H^sigma}^2."""
-    K = signal.K
-    c = signal.coeffs.copy()
-    c[K] = 0.0
-    lhs = float(np.sum(np.abs(c) ** 2))
-    rhs = (signal.P / np.pi) ** (2.0 * sigma) * h_norm(signal, sigma) ** 2
-    return {"lhs": lhs, "rhs": rhs}
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +154,15 @@ def curve_signal(cache, f_nodes):
 
 
 def curve_norm(cache, f_nodes, sigma):
-    """Homogeneous H^sigma(Gamma) norm of node values f via arc-length
-    resampling.  For sigma < 0, f must have zero mean along Gamma."""
+    """Homogeneous H^sigma(Gamma) norm of node values f.
+
+    sigma = 1 is ||f_s||_L2 = sqrt(int f_phi^2 / ell dphi), with a spectral
+    f_phi on the phi-nodes; other orders resample f to uniform arc length.
+    For sigma < 0, f must have zero mean along Gamma."""
+    if sigma == 1.0:
+        fh = geometry.coeffs_from_nodes(np.asarray(f_nodes, dtype=float))
+        f_phi = geometry.synth_nodes(replace(cache.curve, rho_hat=fh), 1)
+        return float(np.sqrt(cache.quad(f_phi**2 / cache.ell)))
     sig = curve_signal(cache, f_nodes)
     if sigma < 0:
         K = sig.K

@@ -34,28 +34,21 @@ def timed_run(cfg):
 
 @pytest.fixture(scope="module")
 def mixed23():
-    traj, _ = timed_run({"N": 32, "modes": "2,3", "amps": "0.01,0.008",
-                         "seed": 7, "t_end": 0.004, "k_out": 5, "k_H": 5,
+    traj, _ = timed_run({**cli.RUNS["mixed23"], "seed": 7, "k_H": 5,
                          "grid": 256})
     return traj
 
 
 @pytest.fixture(scope="module")
 def regime32():
-    modes = ",".join(str(k) for k in range(8, 17))
-    traj, elapsed = timed_run({"N": 32, "modes": modes, "amps": "6.9e-4",
-                               "seed": 11, "t_end": 0.15, "k_out": 2,
-                               "k_H": 0})
+    traj, elapsed = timed_run({**cli.RUNS["regime32"], "seed": 11})
     traj.elapsed = elapsed
     return traj
 
 
 @pytest.fixture(scope="module")
 def regime64():
-    modes = ",".join(str(k) for k in range(8, 17))
-    traj, elapsed = timed_run({"N": 64, "modes": modes, "amps": "6.9e-4",
-                               "seed": 11, "t_end": 0.15, "k_out": 16,
-                               "k_H": 0})
+    traj, elapsed = timed_run({**cli.RUNS["regime64"], "seed": 11})
     traj.elapsed = elapsed
     return traj
 

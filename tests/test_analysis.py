@@ -173,12 +173,6 @@ def test_regime_fit_too_short_raises():
         analysis.regime_fit(exact_exp_rows(n=10))
 
 
-def test_fit_exp_rate_E_exact():
-    rep = analysis.fit_exp_rate_E(exact_exp_rows(rate=24.0))
-    assert abs(rep["rate_E"] - 24.0) < 1e-9
-    assert abs(rep["rate_amp"] - 12.0) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # barycenter and embedding
 # ---------------------------------------------------------------------------

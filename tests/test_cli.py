@@ -2,12 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from msrelax import analysis, cli, elliptic, geometry
+from msrelax.errors import OptimFail
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE_CFG = """\
 # short mixed-mode run
@@ -27,11 +32,34 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def run_python(*args):
+    """Run the interpreter on this msrelax in a fresh process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def readme_table_keys(title):
+    """First-column names of the table under a README heading."""
+    section = README.read_text().split(title, 1)[1].split("\n#", 1)[0]
+    return [ln.split("`")[1] for ln in section.splitlines()
+            if ln.startswith("| `")]
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(BASE_CFG)
     return str(path)
+
+
+@pytest.fixture
+def curve_pair(tmp_path):
+    a, b = tmp_path / "a.msrc", tmp_path / "b.msrc"
+    geometry.write_curve(geometry.shifted_disk_curve(1.0, 0.05), a)
+    geometry.write_curve(geometry.single_mode_curve(1.0, 2, 0.05), b)
+    return str(a), str(b)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +271,10 @@ def test_checks_unknown_suite_exits_2(capsys):
     assert cli.main(["checks", "--suite", "nope"]) == 2
 
 
+def test_readme_checks_table_matches_suites():
+    assert readme_table_keys("### msrelax checks") == list(cli.SUITES)
+
+
 @pytest.mark.parametrize("suite, n", [("fuglede", "-3"), ("fuglede", "0"),
                                       ("sobolev", "0")])
 def test_checks_rejects_nonpositive_n(capsys, suite, n):
@@ -269,6 +301,35 @@ def test_hminus(capsys, tmp_path):
     assert code == 0 and "H_oracle" not in json.loads(msg)
 
 
+@pytest.mark.parametrize("command, flag", [("hminus", "--grid"),
+                                           ("potential-table", "--n")])
+def test_zero_grid_sizes_exit_2(capsys, curve_pair, command, flag):
+    curves = list(curve_pair) if command == "hminus" else []
+    assert cli.main([command, *curves, flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert f"{flag}: must be at least 1" in captured.err
+    assert captured.out == ""
+
+
+def test_hminus_coarse_grid_warns_on_stderr(curve_pair):
+    # H from a 3 x 3 raster is meaningless; the GridTooCoarse warning says so
+    proc = run_python("-c", "import sys; from msrelax import cli; "
+                      "sys.exit(cli.main(sys.argv[1:]))",
+                      "hminus", *curve_pair, "--grid", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert "GridTooCoarse" in proc.stderr
+    assert json.loads(proc.stdout)["grid"] == 3
+
+
+def test_import_leaves_scipy_unloaded():
+    # only geometry.bonnesen_monitor needs scipy, which would more than
+    # triple the import time of every command
+    proc = run_python("-c", "import sys, msrelax.cli; "
+                      "print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_potential_table_matches_kernel(capsys, tmp_path):
     out = tmp_path / "tab.csv"
     # even n: the midpoint grid never hits the lattice-point pole at 0
@@ -293,6 +354,44 @@ def test_norms(capsys, tmp_path):
     assert rep["admissibility"]["pass"]
     assert rep["E"] > 0
     assert rep["rho_dev_h1"] > 0
+
+
+def test_norms_monitors(capsys, tmp_path):
+    # mode k at small amplitude: ||rho_phi||^2 / (R^4 ||kappa - kbar||^2)
+    # -> k^2 / (k^2 - 1)^2, and the Bonnesen annulus brackets R = 1
+    k, path = 3, tmp_path / "c.msrc"
+    geometry.write_curve(geometry.single_mode_curve(1.0, k, 1e-4), path)
+    code, msg = run_cli(capsys, "norms", str(path))
+    assert code == 0
+    rep = json.loads(msg)
+    ratio = rep["curvature_oscillation_ratio"]
+    assert abs(ratio - k**2 / (k**2 - 1) ** 2) < 1e-4
+    bon = rep["bonnesen"]
+    assert sorted(bon) == ["R_in", "R_out", "lhs", "rhs"]
+    assert bon["lhs"] <= bon["rhs"]
+    assert bon["R_in"] <= 1.0 <= bon["R_out"]
+
+
+def test_norms_reports_bonnesen_failure(capsys, tmp_path, monkeypatch):
+    def diverge(cache):
+        raise OptimFail("annulus center search diverged")
+
+    monkeypatch.setattr(geometry, "bonnesen_monitor", diverge)
+    path = tmp_path / "c.msrc"
+    geometry.write_curve(geometry.single_mode_curve(1.0, 3, 0.01), path)
+    code, msg = run_cli(capsys, "norms", str(path))
+    assert code == 0
+    assert json.loads(msg)["bonnesen"] == {
+        "error": "OptimFail: annulus center search diverged"}
+
+
+def test_readme_norms_keys_match_output(capsys, tmp_path):
+    path = tmp_path / "c.msrc"
+    geometry.write_curve(geometry.single_mode_curve(1.0, 3, 0.01), path)
+    code, msg = run_cli(capsys, "norms", str(path))
+    assert code == 0
+    assert sorted(readme_table_keys("### msrelax norms")) == \
+        sorted(json.loads(msg))
 
 
 def test_missing_file_exits_2(capsys):

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from msrelax import analysis, evolution, geometry
+from msrelax import analysis, cli, evolution, geometry
 from msrelax.errors import RecenterFail, StepRejected
 
 
@@ -258,6 +259,33 @@ def test_run_gauge_invariance():
     assert abs(a.records[-1].E / b.records[-1].E - 1.0) < 1e-8
 
 
+@given(st.sampled_from(["plane", "torus"]), st.integers(0, 10**6))
+@settings(max_examples=10, deadline=None)
+def test_run_properties_random_small_curves(domain, seed):
+    # a short run from random modes 2..6: exact area, E >= 0, monotone
+    # E^2 D, and E, D unchanged when the pole is re-centered every step
+    rng = np.random.default_rng([53, seed])
+    modes = rng.choice(np.arange(2, 7), size=int(rng.integers(1, 4)),
+                       replace=False)
+    cfg = {"N": 32, "domain": domain,
+           "modes": ",".join(str(k) for k in modes),
+           "amps": ",".join(f"{a:.17g}"
+                            for a in rng.uniform(1e-3, 1e-2, modes.size)),
+           "phases": ",".join(f"{p:.17g}"
+                              for p in rng.uniform(0, 2 * np.pi, modes.size)),
+           "t_end": 12 * evolution.dt_max(32, 1.0), "k_out": 4, "k_H": 0}
+    moved = evolution.run({**cfg, "k_rec": 1})
+    fixed = evolution.run({**cfg, "k_rec": 0})
+    assert len(moved.records) == len(fixed.records) == 4
+    for traj in (moved, fixed):
+        assert traj.events[-1]["max_area_drift"] < 1e-9
+        assert min(r.E for r in traj.records) >= 0.0
+        assert analysis.check_eed(traj)["eed_monotone"]
+    for a, b in zip(moved.records, fixed.records):
+        assert abs(a.E / b.E - 1.0) < 1e-10, (a.t, a.E, b.E)
+        assert abs(a.D / b.D - 1.0) < 1e-10, (a.t, a.D, b.D)
+
+
 def test_run_stop_conditions():
     traj = evolution.run({"N": 32, "modes": "2", "amps": "0.01",
                           "t_end": 1.0, "max_steps": 12, "k_out": 4,
@@ -302,8 +330,7 @@ def test_run_records_on_time_grid():
 
 
 def test_run_large_cadence_matches_small_steps():
-    base = {"N": 64, "modes": ",".join(str(k) for k in range(8, 17)),
-            "amps": "6.9e-4", "seed": 11, "t_end": 6e-3, "k_H": 0}
+    base = {**cli.RUNS["regime64"], "seed": 11, "t_end": 6e-3}
     big = evolution.run({**base, "k_out": 400})
     ref = evolution.run({**base, "k_out": 16})   # 25 records per big one
     fin = big.events[-1]

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from msrelax import elliptic, geometry, potential
+from msrelax import elliptic, geometry, potential, sobolev
 from msrelax.errors import GridTooCoarse
 
 
@@ -109,10 +109,12 @@ def test_velocity_norm_ratios():
     # ||V||_{H^-1/2} / ||V|| = sqrt(R/k)
     k, R, eps = 3, 1.0, 1e-5
     cache = geometry.build_cache(geometry.single_mode_curve(R, k, eps))
-    solve = potential.solve_ms(cache)
-    rep = potential.normal_velocity_sobolev(cache, solve)
-    assert abs(rep["Vs_l2"] / rep["V_l2"] - k / R) < 1e-3
-    assert abs(rep["V_hm_half"] / rep["V_l2"] - np.sqrt(R / k)) < 1e-3
+    V = potential.solve_ms(cache).V
+    V_l2 = np.sqrt(cache.quad(V**2 * cache.ell))
+    Vs_l2 = sobolev.curve_norm(cache, V, 1.0)
+    V_hm_half = sobolev.curve_norm(cache, V, -0.5)
+    assert abs(Vs_l2 / V_l2 - k / R) < 1e-3
+    assert abs(V_hm_half / V_l2 - np.sqrt(R / k)) < 1e-3
 
 
 # ---------------------------------------------------------------------------

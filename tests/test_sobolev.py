@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msrelax import geometry, sobolev
+from msrelax import cli, evolution, geometry, potential, sobolev
 from msrelax.errors import NonZeroMean
 
 
@@ -20,6 +20,28 @@ def random_signal(rng, K, zero_mean=False):
     if zero_mean:
         coeffs[K] = 0.0
     return sobolev.PeriodicSignal(np.pi, coeffs)
+
+
+def fractional_derivative(signal, sigma):
+    """|d|^sigma: multiply coefficients by |(pi/P) k|^sigma, zero the mean."""
+    K = signal.K
+    k = signal.wavenumbers().astype(float)
+    w = np.abs(np.pi * k / signal.P)
+    w[K] = 1.0
+    c = signal.coeffs * w**sigma
+    c[K] = 0.0
+    return sobolev.PeriodicSignal(signal.P, c)
+
+
+def poincare_check(signal, sigma):
+    """||f - mean||_L2^2 <= (P/pi)^{2 sigma} ||f||_{H^sigma}^2."""
+    K = signal.K
+    c = signal.coeffs.copy()
+    c[K] = 0.0
+    lhs = float(np.sum(np.abs(c) ** 2))
+    rhs = ((signal.P / np.pi) ** (2.0 * sigma)
+           * sobolev.h_norm(signal, sigma) ** 2)
+    return {"lhs": lhs, "rhs": rhs}
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +115,7 @@ def test_dilation_homogeneity():
 
 def test_fractional_derivative_single_mode():
     sig = cos_signal(4)
-    d = sobolev.fractional_derivative(sig, 1.0)
+    d = fractional_derivative(sig, 1.0)
     vals = sobolev.to_samples(d, 128)
     x = 2.0 * np.pi * np.arange(128) / 128
     assert np.max(np.abs(vals - 4.0 * np.cos(4 * x))) < 1e-10
@@ -102,9 +124,9 @@ def test_fractional_derivative_single_mode():
 def test_fractional_derivative_composes():
     rng = np.random.default_rng(4)
     sig = random_signal(rng, 10, zero_mean=True)
-    one = sobolev.fractional_derivative(sig, 0.7)
-    two = sobolev.fractional_derivative(one, 0.3)
-    direct = sobolev.fractional_derivative(sig, 1.0)
+    one = fractional_derivative(sig, 0.7)
+    two = fractional_derivative(one, 0.3)
+    direct = fractional_derivative(sig, 1.0)
     assert np.max(np.abs(two.coeffs - direct.coeffs)) < 1e-10
 
 
@@ -113,7 +135,7 @@ def test_h_norm_via_derivative():
     sig = random_signal(rng, 10, zero_mean=True)
     for sigma in (-0.5, 0.5, 1.5):
         lhs = sobolev.h_norm(sig, sigma)
-        rhs = sobolev.l2_norm(sobolev.fractional_derivative(sig, sigma))
+        rhs = sobolev.l2_norm(fractional_derivative(sig, sigma))
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -147,12 +169,12 @@ def test_interpolation_inequality(seed):
 
 
 def test_poincare_equality_lowest_mode():
-    rep = sobolev.poincare_check(cos_signal(1), 1.0)
+    rep = poincare_check(cos_signal(1), 1.0)
     assert abs(rep["lhs"] - rep["rhs"]) < 1e-12
 
 
 def test_poincare_strict_higher_mode():
-    rep = sobolev.poincare_check(cos_signal(3), 1.0)
+    rep = poincare_check(cos_signal(3), 1.0)
     assert abs(rep["lhs"] / rep["rhs"] - 1.0 / 9.0) < 1e-12
 
 
@@ -162,7 +184,7 @@ def test_poincare_inequality(seed):
     rng = np.random.default_rng([37, seed])
     sig = random_signal(rng, int(rng.integers(2, 20)))
     sigma = rng.uniform(0.1, 1.5)
-    rep = sobolev.poincare_check(sig, sigma)
+    rep = poincare_check(sig, sigma)
     assert rep["lhs"] <= rep["rhs"] * (1.0 + 1e-12)
 
 
@@ -214,6 +236,23 @@ def test_curve_norm_circle_closed_form(k, sigma):
     f = np.cos(k * cache.phi_nodes)
     val = sobolev.curve_norm(cache, f, sigma)
     assert abs(val - np.sqrt(np.pi * R) * (k / R) ** sigma) < 1e-10
+
+
+def test_curve_norm_order_one_converges_to_resampled_norm():
+    # sigma = 1 is integrated on the phi-nodes; on the regime32 initial
+    # curve with its own V it converges under N-doubling and, once resolved,
+    # matches the arc-length-resampled norm it replaced
+    vals = {}
+    for N in (32, 64, 128):
+        cfg = {**evolution.DEFAULTS, **cli.RUNS["regime32"], "N": N,
+               "seed": 11}
+        cache = geometry.build_cache(evolution.initial_curve(cfg))
+        V = potential.solve_ms(cache).V
+        vals[N] = sobolev.curve_norm(cache, V, 1.0)
+    assert abs(vals[32] / vals[128] - 1.0) < 1e-6
+    assert abs(vals[64] / vals[128] - 1.0) < 1e-9
+    resampled = sobolev.h_norm(sobolev.curve_signal(cache, V), 1.0)
+    assert abs(vals[128] / resampled - 1.0) < 1e-12
 
 
 def test_curve_norm_negative_order_mean_guard():
