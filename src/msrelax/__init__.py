@@ -5,8 +5,9 @@ dissipation D along trajectories."""
 
 __version__ = "1.0.0"
 
-from . import (analysis, cli, elliptic, errors, evolution, geometry,
-               potential, sobolev)
+# not cli: importing it here makes `python -m msrelax.cli` warn
+from . import (analysis, elliptic, errors, evolution, geometry, potential,
+               sobolev)
 
 __all__ = ["analysis", "cli", "elliptic", "errors", "evolution", "geometry",
            "potential", "sobolev", "__version__"]

@@ -100,7 +100,7 @@ def check_fuglede(curve):
     averaged over the circle (measure dphi/2pi).  Hypotheses sup|u| <= 3/40
     and sup|u_phi| <= 1/2 are verified first.
     """
-    cache = geometry.build_cache(curve, unresolved_tol=None)
+    cache = geometry.build_cache(curve)
     R = curve.R
     u = cache.rho / R - 1.0
     up = cache.rho_phi / R

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import analysis, elliptic, evolution, geometry, potential, sobolev
-from .errors import HypothesisFail, MsrelaxError, OptimFail
+from .errors import GridTooCoarse, HypothesisFail, MsrelaxError, OptimFail
 
 
 def parse_config(path):
@@ -277,16 +277,22 @@ def cmd_checks(args):
 def cmd_hminus(args):
     a = geometry.read_curve(args.curve_a)
     b = geometry.read_curve(args.curve_b)
-    # a GridTooCoarse warning reaches stderr: it flags an unreliable H
-    H = potential.squared_distance(a, grid=args.grid, other=b)
-    out = {"H": H, "grid": args.grid}
-    if not args.no_oracle:
-        Ho = potential.squared_distance_oracle(
-            a, grid=min(args.grid, 64), other=b)
-        out["H_oracle"] = Ho
-        out["oracle_grid"] = min(args.grid, 64)
-        if args.grid <= 64:
-            out["oracle_rel_delta"] = abs(H - Ho) / max(Ho, 1e-300)
+    # GridTooCoarse flags an unreliable H: marked here, and shown on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        H = potential.squared_distance(a, grid=args.grid, other=b)
+        out = {"H": H, "grid": args.grid}
+        if not args.no_oracle:
+            Ho = potential.squared_distance_oracle(
+                a, grid=min(args.grid, 64), other=b)
+            out["H_oracle"] = Ho
+            out["oracle_grid"] = min(args.grid, 64)
+            if args.grid <= 64:
+                out["oracle_rel_delta"] = abs(H - Ho) / max(Ho, 1e-300)
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    out["grid_too_coarse"] = any(issubclass(w.category, GridTooCoarse)
+                                 for w in caught)
     print(json.dumps(out, sort_keys=True))
     return 0
 
@@ -310,7 +316,7 @@ def cmd_potential_table(args):
 
 def cmd_norms(args):
     curve = geometry.read_curve(args.curve)
-    cache = geometry.build_cache(curve, unresolved_tol=None)
+    cache = geometry.build_cache(curve)
     kbar = 2.0 * np.pi / geometry.perimeter(cache)
     out = {
         "N": curve.N,

@@ -33,8 +33,12 @@ depend on the step-size history, and the three-point stencil of
 check_differential stays well posed; steps are cut to land on every t_j and
 on t_end.  The first trial step is dt_max.
 
-run() chooses dt by step doubling: one step of h and two of h/2 from the
-same state (sharing N(y0)) give the local error estimate
+run() evaluates each state -- the initial one, and each accepted one after
+any re-centering -- once: that rhs call checks it (a state with rho <= 0 or,
+like any stage, a top-mode ratio above unresolved_tol ends the run before it
+is recorded) and gives its record and the N(y0) of every step tried from it.
+dt is chosen by step doubling: one step of h and two of h/2 from the state
+give the local error estimate
 
     err = max |y_half - y_full| / max(max |y_half|, 1e-9 R)
 
@@ -63,9 +67,10 @@ import numpy as np
 
 from . import analysis, elliptic, geometry, potential
 from .errors import (MsrelaxError, NonPositiveRadius, RecenterFail,
-                     StepRejected)
+                     StepRejected, Unresolved)
 
 AREA_DRIFT_REJECT = 1e-5
+TOP_MODE_ABORT = 1.0e-6   # top-mode ratio above which rhs raises Unresolved
 ERR_TOL = 1e-8
 CONTOUR_POINTS = 32
 
@@ -84,20 +89,13 @@ DEFAULTS = {
     "k_rec": 10,
     "k_H": 5,               # H every k_H-th record; 0 disables H
     "grid": 256,
-    "unresolved_tol": geometry.TOP_MODE_ABORT,
+    "unresolved_tol": TOP_MODE_ABORT,
 }
 
 
 @dataclass
-class FlowState:
-    curve: geometry.RadialCurve
-    t: float = 0.0
-    step_count: int = 0
-
-
-@dataclass
 class StepStats:
-    """What one run's stepping did; ``step`` counts its ``rhs`` calls here."""
+    """What one run's stepping did, its ``rhs`` calls included."""
     rhs_calls: int = 0
     min_dt: float = math.inf
     max_dt: float = 0.0
@@ -192,47 +190,47 @@ def _etd_coeffs(lam, h):
     return coeffs
 
 
-def _kernel_for(curve):
-    if curve.domain == "torus":
-        return elliptic.LatticeKernel(curve.L)
-    return None
-
-
-def rhs(curve, kernel=None, unresolved_tol=geometry.TOP_MODE_ABORT):
-    """Coefficient-space time derivative, plus the cache and solve used."""
-    cache = geometry.build_cache(curve, unresolved_tol=unresolved_tol)
+def rhs(curve, kernel=None, unresolved_tol=TOP_MODE_ABORT):
+    """Coefficient-space time derivative, plus the cache and solve used.
+    Raises NonPositiveRadius unless rho > 0, then Unresolved if the curve's
+    top_mode_ratio exceeds ``unresolved_tol``."""
+    cache = geometry.build_cache(curve)
+    top = geometry.top_mode_ratio(curve.rho_hat)
+    if top > unresolved_tol:
+        raise Unresolved(f"top-mode relative amplitude {top:.3e}")
     solve = potential.solve_ms(cache, kernel)
     drho = solve.V * cache.ell / cache.rho
     return geometry.coeffs_from_nodes(drho), cache, solve
 
 
-def _nonlinear(curve, y, lam, kernel, unresolved_tol, stats):
-    """N(y) = rhs(y) - Lambda y for the coefficients y of ``curve``."""
+def _nonlinear(curve, lam, kernel, unresolved_tol, stats):
+    """N(y) = rhs(y) - Lambda y at y = ``curve``'s coefficients, the cache
+    and the solve."""
     if stats is not None:
         stats.rhs_calls += 1
-    try:
-        k, _, _ = rhs(replace(curve, rho_hat=y), kernel, unresolved_tol)
-    except NonPositiveRadius as exc:
-        raise StepRejected("rho <= 0 mid-stage", "positivity") from exc
-    return k - lam * y
+    k, cache, solve = rhs(curve, kernel, unresolved_tol)
+    return k - lam * curve.rho_hat, cache, solve
 
 
-def step(state, dt, kernel=None, unresolved_tol=geometry.TOP_MODE_ABORT,
-         n0=None, stats=None):
-    """One ETDRK4 step; returns the new state and the pre-projection area drift.
+def step(curve, dt, kernel=None, unresolved_tol=TOP_MODE_ABORT, n0=None,
+         stats=None):
+    """One ETDRK4 step: the new curve and the pre-projection area drift.
 
     ``n0`` is N(y0) when the caller already has it; ``stats`` (a StepStats)
     counts the ``rhs`` calls.  Raises StepRejected if any stage curve loses
     positivity of rho, the area drift before re-projection exceeds
     AREA_DRIFT_REJECT relative, or the area projection fails.
     """
-    curve = state.curve
     y0 = curve.rho_hat
     lam = linear_symbol(curve.N, curve.R)
     E, E2, Q, f1, f2, f3 = _etd_coeffs(lam, dt)
 
     def nl(y):
-        return _nonlinear(curve, y, lam, kernel, unresolved_tol, stats)
+        try:
+            return _nonlinear(replace(curve, rho_hat=y), lam, kernel,
+                              unresolved_tol, stats)[0]
+        except NonPositiveRadius as exc:
+            raise StepRejected("rho <= 0 mid-stage", "positivity") from exc
 
     nv = nl(y0) if n0 is None else n0
     a = E2 * y0 + Q * nv
@@ -253,10 +251,10 @@ def step(state, dt, kernel=None, unresolved_tol=geometry.TOP_MODE_ABORT,
     except NonPositiveRadius as exc:
         raise StepRejected(f"area projection failed at dt = {dt:.3e}",
                            "area") from exc
-    return FlowState(new, state.t + dt, state.step_count + 1), drift
+    return new, drift
 
 
-def recenter(state):
+def recenter(curve):
     """Move the pole to the bulk barycenter, keeping the curve fixed.
 
     For each node direction e(phi_i) from the new pole c, the intersection
@@ -266,12 +264,10 @@ def recenter(state):
     solve stalls, an intersection radius is non-positive, or |c - pole| is
     not small compared to R.
     """
-    curve = state.curve
-    cache = geometry.build_cache(curve, unresolved_tol=None)
-    c = geometry.barycenter_bulk(cache)
+    c = geometry.barycenter_bulk(geometry.build_cache(curve))
     shift = c - curve.pole
     if np.hypot(*shift) < 1e-15 * curve.R:
-        return state
+        return curve
     if np.hypot(*shift) > 0.2 * curve.R:
         raise RecenterFail(f"barycenter offset {np.hypot(*shift):.3e} > 0.2 R")
 
@@ -301,12 +297,14 @@ def recenter(state):
     if np.any(r <= 0.0):
         raise RecenterFail("non-positive radius about the new pole")
     new = replace(curve, rho_hat=geometry.coeffs_from_nodes(r), pole=c)
-    return replace(state, curve=geometry.project_area(new))
+    return geometry.project_area(new)
 
 
 def initial_curve(cfg):
     """Build the initial interface from a flat config dict."""
     R, N = cfg["R"], int(cfg["N"])
+    if not (0.0 < R < math.inf and 0.0 <= cfg["L"] < math.inf):
+        raise ValueError(f"need finite R > 0 and L >= 0, got {R}, {cfg['L']}")
     domain = cfg["domain"]
     L = cfg["L"] if cfg["L"] > 0 else (8.0 * R if domain == "torus" else None)
     rho_hat = np.zeros((N, 2))
@@ -314,6 +312,8 @@ def initial_curve(cfg):
     modes = [int(s) for s in str(cfg["modes"]).split(",") if s.strip()]
     amps = [float(s) for s in str(cfg["amps"]).split(",") if s.strip()]
     phs = [float(s) for s in str(cfg["phases"]).split(",") if s.strip()]
+    if not all(map(math.isfinite, amps + phs)):
+        raise ValueError(f"amps {amps} and phases {phs} must be finite")
     bad = [k for k in modes if not 1 <= k <= N - 1]
     if bad:
         raise ValueError(f"modes {bad} outside 1..{N - 1} at N = {N}")
@@ -342,21 +342,18 @@ def _step_factor(err):
     return min(4.0, max(0.2, 0.9 * (ERR_TOL / max(err, 1e-300)) ** 0.2))
 
 
-def _doubled_step(state, h, kernel, unresolved_tol, stats):
-    """One step of h and two of h/2 from ``state``, sharing N(y0).
+def _doubled_step(curve, h, n0, kernel, unresolved_tol, stats):
+    """One step of h and two of h/2 from ``curve``, sharing N(y0) = ``n0``.
 
-    Returns the two-half-step state, its worst pre-projection area drift and
+    Returns the two-half-step curve, its worst pre-projection area drift and
     the relative local error estimate of the module docstring.
     """
-    curve = state.curve
-    n0 = _nonlinear(curve, curve.rho_hat, linear_symbol(curve.N, curve.R),
-                    kernel, unresolved_tol, stats)
-    full, _ = step(state, h, kernel, unresolved_tol, n0, stats)
-    half, d1 = step(state, 0.5 * h, kernel, unresolved_tol, n0, stats)
+    full, _ = step(curve, h, kernel, unresolved_tol, n0, stats)
+    half, d1 = step(curve, 0.5 * h, kernel, unresolved_tol, n0, stats)
     half, d2 = step(half, 0.5 * h, kernel, unresolved_tol, None, stats)
-    y = half.curve.rho_hat[1:]
+    y = half.rho_hat[1:]
     scale = max(np.max(np.abs(y)), 1e-9 * curve.R)
-    err = np.max(np.abs(y - full.curve.rho_hat[1:])) / scale
+    err = np.max(np.abs(y - full.rho_hat[1:])) / scale
     return half, max(d1, d2), float(err)
 
 
@@ -377,8 +374,8 @@ def run(config=None):
         if key not in DEFAULTS:
             raise KeyError(f"unknown config key {key!r}")
         cfg[key] = type(DEFAULTS[key])(val)
-    if int(cfg["k_out"]) < 1:
-        raise ValueError("k_out must be at least 1")
+    if int(cfg["k_out"]) < 1 or int(cfg["grid"]) < 1:
+        raise ValueError("k_out and grid must be at least 1")
     curve = initial_curve(cfg)
     if curve.domain == "torus":
         reach = 2.0 * float(np.max(geometry.synth_nodes(curve)))
@@ -389,50 +386,49 @@ def run(config=None):
                 f" reaches {elliptic.TAIL_RADIUS} * 2L = {bound:.4g} at "
                 f"L = {curve.L:g}")
     R = curve.R
-    kernel = _kernel_for(curve)
+    kernel = (elliptic.LatticeKernel(curve.L)
+              if curve.domain == "torus" else None)
+    lam = linear_symbol(curve.N, R)
     utol = cfg["unresolved_tol"]
     t_end = cfg["t_end"]
 
-    state = FlowState(curve)
     traj = TrajectoryLog(R=R, config=dict(cfg))
     dt = unit = dt_max(curve.N, R)
     interval = int(cfg["k_out"]) * unit
     traj.events.append({"event": "start", "t": 0.0, "dt": dt,
                         "N": curve.N, "domain": curve.domain})
     stats = StepStats()
-    n_rec_total = 0
+    t, steps = 0.0, 0
 
-    def emit(st):
-        nonlocal n_rec_total
-        cache = geometry.build_cache(st.curve, unresolved_tol=None)
-        solve = potential.solve_ms(cache, kernel)
+    def emit():   # the current state, from its one evaluation
         H = float("nan")
-        if cfg["k_H"] > 0 and n_rec_total % int(cfg["k_H"]) == 0:
-            H = potential.squared_distance(st.curve, grid=int(cfg["grid"]))
-        traj.records.append(analysis.record(cache, solve, st.t, H))
-        n_rec_total += 1
+        if cfg["k_H"] > 0 and len(traj.records) % int(cfg["k_H"]) == 0:
+            H = potential.squared_distance(cache.curve, grid=int(cfg["grid"]))
+        traj.records.append(analysis.record(cache, solve, t, H))
 
     stats.max_top_mode_ratio = geometry.top_mode_ratio(curve.rho_hat)
     try:
-        emit(state)
+        n0, cache, solve = _nonlinear(curve, lam, kernel, utol, stats)
+        emit()
         recorded, j = True, 1
-        while state.t < t_end and state.step_count < cfg["max_steps"]:
+        while t < t_end and steps < cfg["max_steps"]:
             target = j * interval
             if t_end - target <= 1e-9 * interval:
                 target = t_end
-            remaining = target - state.t
+            remaining = target - t
             n_sub = max(1, math.ceil(remaining / dt - 1e-9))
             h = remaining / n_sub
             err = None
             try:
-                new, drift, err = _doubled_step(state, h, kernel, utol, stats)
+                new, drift, err = _doubled_step(curve, h, n0, kernel, utol,
+                                                stats)
                 if not err <= ERR_TOL:
                     raise StepRejected(f"local error estimate {err:.3e} at "
                                        f"dt = {h:.3e}", "error")
             except StepRejected as exc:
                 dt = 0.5 * h if err is None else h * _step_factor(err)
                 stats.rejects[exc.reason] += 1
-                traj.events.append({"event": "reject", "t": state.t,
+                traj.events.append({"event": "reject", "t": t,
                                     "dt": dt, "reason": exc.reason,
                                     "err": err, "detail": str(exc)})
                 if dt < 1e-12 * unit:
@@ -441,29 +437,27 @@ def run(config=None):
                 continue
             fac = _step_factor(err)
             dt = min(h * fac if fac < 1.0 else max(dt, h * fac), interval)
-            state = FlowState(new.curve, target if n_sub == 1 else state.t + h,
-                              state.step_count + 1)
-            stats.accept(h, err, drift, new.curve.rho_hat)
-            recorded = False
-            if cfg["k_rec"] > 0 and state.step_count % int(cfg["k_rec"]) == 0:
-                state = recenter(state)
-            if n_sub == 1:
-                emit(state)
-                recorded, j = True, j + 1
+            curve, t, steps = new, target if n_sub == 1 else t + h, steps + 1
+            stats.accept(h, err, drift, curve.rho_hat)
+            if cfg["k_rec"] > 0 and steps % int(cfg["k_rec"]) == 0:
+                curve = recenter(curve)
+            n0, cache, solve = _nonlinear(curve, lam, kernel, utol, stats)
+            recorded = n_sub == 1
+            if recorded:
+                emit()
+                j += 1
         if not recorded:
-            emit(state)
+            emit()
     except MsrelaxError as exc:
-        traj.events.append({"event": "fail", "t": state.t,
-                            "steps": state.step_count,
+        traj.events.append({"event": "fail", "t": t, "steps": steps,
                             "rejects": sum(stats.rejects.values()), "dt": dt,
                             "error": type(exc).__name__, "message": str(exc),
-                            "pole": state.curve.pole.tolist(),
-                            "rho_hat": state.curve.rho_hat.tolist(),
+                            "pole": curve.pole.tolist(),
+                            "rho_hat": curve.rho_hat.tolist(),
                             **stats.summary()})
         exc.trajectory = traj
         raise
-    traj.events.append({"event": "finish", "t": state.t,
-                        "steps": state.step_count,
+    traj.events.append({"event": "finish", "t": t, "steps": steps,
                         "rejects": sum(stats.rejects.values()),
                         "E_final": traj.records[-1].E, **stats.summary()})
     return traj

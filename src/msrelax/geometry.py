@@ -18,11 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonPositiveRadius, OptimFail, Unresolved
+from .errors import NonPositiveRadius, OptimFail
 
-# Relative top-mode amplitude above which build_cache aborts (the curve is not
-# resolved at this N) and below which it merely warns.
-TOP_MODE_ABORT = 1.0e-6
+# Relative top-mode amplitude above which build_cache warns
 TOP_MODE_WARN = 1.0e-13
 
 
@@ -164,17 +162,17 @@ def curve_points(curve, phi):
 
 def top_mode_ratio(rho_hat):
     """Amplitude of the top Fourier mode relative to the largest one: the
-    resolution headroom that build_cache checks."""
+    resolution headroom."""
     amp = np.hypot(rho_hat[:, 0], rho_hat[:, 1])
     return float(amp[-1] / max(amp.max(), 1e-300))
 
 
-def build_cache(curve, unresolved_tol=TOP_MODE_ABORT):
+def build_cache(curve):
     """Fill all node-wise geometric quantities for a curve.
 
-    Raises NonPositiveRadius unless rho > 0 everywhere, Unresolved if the top
-    Fourier mode carries more than ``unresolved_tol`` of the maximum
-    coefficient amplitude (set unresolved_tol=None to skip).
+    Raises NonPositiveRadius unless rho > 0 everywhere; warns when
+    top_mode_ratio exceeds TOP_MODE_WARN (evolution.rhs decides what is
+    unresolved).
     """
     M = curve.M
     phi = 2.0 * np.pi * np.arange(M) / M
@@ -182,10 +180,7 @@ def build_cache(curve, unresolved_tol=TOP_MODE_ABORT):
     if not np.all(rho > 0.0):
         raise NonPositiveRadius(f"min rho = {rho.min():.3e}")
 
-    top = top_mode_ratio(curve.rho_hat)
-    if unresolved_tol is not None and top > unresolved_tol:
-        raise Unresolved(f"top-mode relative amplitude {top:.3e}")
-    if top > TOP_MODE_WARN:
+    if top_mode_ratio(curve.rho_hat) > TOP_MODE_WARN:
         # constant text, so the once-per-location filter de-duplicates it
         warnings.warn(f"top-mode relative amplitude above {TOP_MODE_WARN:g}",
                       RuntimeWarning, stacklevel=2)
@@ -266,7 +261,7 @@ def admissibility_report(curve, delta=0.05):
     barycenter at the pole, enclosed area pi R^2.  Returns residuals and
     booleans; never raises.
     """
-    cache = build_cache(curve, unresolved_tol=None)
+    cache = build_cache(curve)
     R = curve.R
     sup_dev = float(np.max(np.abs(cache.rho - R)))
     sup_slope = float(np.max(np.abs(cache.rho_phi)))

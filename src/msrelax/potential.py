@@ -208,8 +208,7 @@ def rasterize_difference(curve, center, grid=512, sub=4, other=None):
     Returns (f, L, h) with f zero-mean."""
     R = curve.R
     if other is None and center is None:
-        center = geometry.barycenter_bulk(geometry.build_cache(
-            curve, unresolved_tol=None))
+        center = geometry.barycenter_bulk(geometry.build_cache(curve))
     L = curve.L if curve.domain == "torus" else EMBED_FACTOR * curve.R
     G = grid
     h = 2.0 * L / G

@@ -123,13 +123,13 @@ def test_criterion_02_energy_balance(mixed23, regime32, refine_pair,
 def test_criterion_03_area_conservation(mixed23, regime32, refine_pair,
                                         rate_runs):
     # step-level: pre-projection drift and exact post-projection area
-    state = evolution.FlowState(geometry.single_mode_curve(1.0, 2, 0.02, N=32))
+    curve = geometry.single_mode_curve(1.0, 2, 0.02, N=32)
     dt = evolution.dt_max(32, 1.0)
     worst_drift = 0.0
     for _ in range(50):
-        state, drift = evolution.step(state, dt)
+        curve, drift = evolution.step(curve, dt)
         worst_drift = max(worst_drift, drift)
-        cache = geometry.build_cache(state.curve)
+        cache = geometry.build_cache(curve)
         area_rel = abs(geometry.enclosed_area(cache) / np.pi - 1.0)
         assert area_rel < 1e-12
     assert worst_drift < 1e-9

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from msrelax import analysis, cli, elliptic, geometry
-from msrelax.errors import OptimFail
+from msrelax.errors import GridTooCoarse, OptimFail
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -130,6 +130,11 @@ def test_simulate_unknown_key_exits_2(capsys, tmp_path):
     ["modes=40"],                  # beyond the top mode N - 1 = 31
     ["amps=0.01,0.02,0.03"],       # three amps for two modes
     ["domain=torus", "L=1"],       # no room for R = 1 in the cell
+    ["R=-1"],                      # would step backwards in time
+    ["R=0"],
+    ["amps=nan"],
+    ["grid=0", "k_H=1"],           # an H raster of no cells
+    ["domain=torus", "L=-1"],      # not the 8R default
 ])
 def test_simulate_bad_config_exits_2(capsys, cfg_file, tmp_path, overrides):
     argv = ["simulate", "--config", cfg_file, "--out", str(tmp_path / "o")]
@@ -151,7 +156,8 @@ def test_simulate_summary_counts_steps(capsys, cfg_file, tmp_path):
     assert summary["steps"] == finish["steps"] > 0
     assert summary["rejects"] == finish["rejects"] == sum(
         finish["rejects_by_reason"].values())
-    assert finish["rhs_calls"] >= 11 * finish["steps"]
+    assert finish["rhs_calls"] == 11 * finish["steps"] + 1 + \
+        10 * finish["rejects"]
     assert 0.0 < finish["dt_accepted_min"] <= finish["dt_accepted_max"]
     assert finish["max_err_estimate"] <= 1e-8
     assert 0.0 <= finish["max_top_mode_ratio"] < 1e-6
@@ -287,18 +293,27 @@ def test_checks_rejects_nonpositive_n(capsys, suite, n):
 # hminus / potential-table / norms
 # ---------------------------------------------------------------------------
 
-def test_hminus(capsys, tmp_path):
-    a, b = tmp_path / "a.msrc", tmp_path / "b.msrc"
-    geometry.write_curve(geometry.shifted_disk_curve(1.0, 0.05), a)
-    geometry.write_curve(geometry.single_mode_curve(1.0, 2, 0.05), b)
-    code, msg = run_cli(capsys, "hminus", str(a), str(b), "--grid", "32")
+def test_hminus(capsys, curve_pair):
+    # grid 32 does not resolve the 5e-2 interface band: H and the oracle warn
+    with pytest.warns(GridTooCoarse):
+        code, msg = run_cli(capsys, "hminus", *curve_pair, "--grid", "32")
     assert code == 0
     rep = json.loads(msg)
-    assert rep["H"] > 0
+    assert rep["H"] > 0 and rep["grid_too_coarse"] is True
     assert rep["oracle_rel_delta"] < 0.05  # coarse-grid smoke bound
-    code, msg = run_cli(capsys, "hminus", str(a), str(b), "--grid", "32",
-                        "--no-oracle")
-    assert code == 0 and "H_oracle" not in json.loads(msg)
+    with pytest.warns(GridTooCoarse):
+        code, msg = run_cli(capsys, "hminus", *curve_pair, "--grid", "32",
+                            "--no-oracle")
+    rep = json.loads(msg)
+    assert code == 0 and "H_oracle" not in rep and rep["grid_too_coarse"]
+
+
+def test_readme_hminus_keys_match_output(capsys, curve_pair):
+    with pytest.warns(GridTooCoarse):
+        code, msg = run_cli(capsys, "hminus", *curve_pair, "--grid", "32")
+    assert code == 0
+    assert sorted(readme_table_keys("### msrelax hminus")) == \
+        sorted(json.loads(msg))
 
 
 @pytest.mark.parametrize("command, flag", [("hminus", "--grid"),
@@ -318,7 +333,15 @@ def test_hminus_coarse_grid_warns_on_stderr(curve_pair):
                       "hminus", *curve_pair, "--grid", "3")
     assert proc.returncode == 0, proc.stderr
     assert "GridTooCoarse" in proc.stderr
-    assert json.loads(proc.stdout)["grid"] == 3
+    rep = json.loads(proc.stdout)
+    assert rep["grid"] == 3 and rep["grid_too_coarse"] is True
+
+
+def test_python_m_cli_runs_without_runtime_warning():
+    proc = run_python("-m", "msrelax.cli", "checks", "--suite", "trace")
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(proc.stdout)["pass"]
 
 
 def test_import_leaves_scipy_unloaded():

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msrelax import analysis, cli, evolution, geometry
-from msrelax.errors import RecenterFail, StepRejected
+from msrelax import analysis, cli, evolution, geometry, potential
+from msrelax.errors import RecenterFail, StepRejected, Unresolved
 
 
 def state_for(k, eps, N=32, R=1.0):
-    return evolution.FlowState(geometry.single_mode_curve(R, k, eps, N=N))
+    return geometry.single_mode_curve(R, k, eps, N=N)
 
 
 # ---------------------------------------------------------------------------
@@ -40,13 +40,24 @@ def test_rhs_mean_free_flux():
     assert abs(cache.quad(cache.rho * drho)) < 1e-10
 
 
+def test_rhs_raises_unresolved_where_build_cache_warns():
+    rho_hat = np.zeros((32, 2))
+    rho_hat[0, 0] = 1.0
+    rho_hat[31, 0] = 1e-4
+    curve = geometry.RadialCurve(1.0, rho_hat, np.zeros(2))
+    with pytest.raises(Unresolved):
+        evolution.rhs(curve)
+    with pytest.warns(RuntimeWarning, match="top-mode"):
+        geometry.build_cache(curve)
+
+
 def test_step_conserves_area_exactly():
     st = state_for(2, 0.02)
     dt = evolution.dt_max(32, 1.0)
     for _ in range(5):
         st, drift = evolution.step(st, dt)
         assert drift < 1e-9   # pre-projection drift at default dt
-        cache = geometry.build_cache(st.curve)
+        cache = geometry.build_cache(st)
         assert abs(geometry.enclosed_area(cache) / np.pi - 1.0) < 1e-13
 
 
@@ -58,7 +69,7 @@ def test_rk4_fourth_order():
         st = st0
         for _ in range(nsteps):
             st, _ = evolution.step(st, dt)
-        return st.curve.rho_hat
+        return st.rho_hat
 
     ref = integrate(base / 8, 64)
     e1 = np.max(np.abs(integrate(base, 8) - ref))
@@ -82,8 +93,7 @@ def test_step_is_classical_rk4_without_linear_part(monkeypatch):
     # ETDRK4 reduces to classical RK4 at Lambda = 0
     monkeypatch.setattr(evolution, "linear_symbol",
                         lambda N, R: np.zeros((N, 1)))
-    st = state_for(5, 0.01)
-    curve = st.curve
+    curve = state_for(5, 0.01)
     dt = 2.0 * evolution.dt_max(32, 1.0)
 
     def f(y):
@@ -96,8 +106,8 @@ def test_step_is_classical_rk4_without_linear_part(monkeypatch):
     k4 = f(y0 + dt * k3)
     y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     ref = geometry.project_area(replace(curve, rho_hat=y1)).rho_hat
-    new, _ = evolution.step(st, dt)
-    assert np.max(np.abs(new.curve.rho_hat - ref)) < 1e-12
+    new, _ = evolution.step(curve, dt)
+    assert np.max(np.abs(new.rho_hat - ref)) < 1e-12
 
 
 def test_step_rejects_large_dt():
@@ -109,9 +119,10 @@ def test_step_rejects_large_dt():
 def test_etd_weights_cached_for_h_and_half_h():
     # a doubled step uses h and h/2; both weight sets stay cached
     h = 4.0 * evolution.dt_max(32, 1.0)
-    evolution._doubled_step(state_for(5, 0.01), h, None, 1e-6,
-                            evolution.StepStats())
+    curve = state_for(5, 0.01)
     lam = evolution.linear_symbol(32, 1.0)
+    n0 = evolution.rhs(curve)[0] - lam * curve.rho_hat
+    evolution._doubled_step(curve, h, n0, None, 1e-6, evolution.StepStats())
     cached = [c for _, _, c in evolution._etd_cache]
     for dt in (h, 0.5 * h, h, 0.5 * h):
         assert any(evolution._etd_coeffs(lam, dt) is c for c in cached)
@@ -122,25 +133,23 @@ def test_etd_weights_cached_for_h_and_half_h():
 # ---------------------------------------------------------------------------
 
 def test_recenter_shifted_disk():
-    st = evolution.FlowState(geometry.shifted_disk_curve(1.0, 0.1))
-    out = evolution.recenter(st)
-    assert np.allclose(out.curve.pole, [0.1, 0.0], atol=1e-10)
+    out = evolution.recenter(geometry.shifted_disk_curve(1.0, 0.1))
+    assert np.allclose(out.pole, [0.1, 0.0], atol=1e-10)
     target = np.zeros((64, 2))
     target[0, 0] = 1.0
-    assert np.max(np.abs(out.curve.rho_hat - target)) < 1e-10
+    assert np.max(np.abs(out.rho_hat - target)) < 1e-10
 
 
 def test_recenter_noop_when_centered():
     st = state_for(2, 0.02)
     out = evolution.recenter(st)
-    assert np.max(np.abs(out.curve.rho_hat - st.curve.rho_hat)) < 1e-12
+    assert np.max(np.abs(out.rho_hat - st.rho_hat)) < 1e-12
 
 
 def test_recenter_large_offset_fails():
     rho_hat = geometry.shifted_disk_curve(1.0, 0.3).rho_hat
-    st = evolution.FlowState(geometry.RadialCurve(1.0, rho_hat, np.zeros(2)))
     with pytest.raises(RecenterFail):
-        evolution.recenter(st)
+        evolution.recenter(geometry.RadialCurve(1.0, rho_hat, np.zeros(2)))
 
 
 def test_recenter_preserves_invariants():
@@ -149,12 +158,9 @@ def test_recenter_preserves_invariants():
     curve = geometry.random_admissible(rng, delta=0.05)
     shifted = geometry.RadialCurve(curve.R, curve.rho_hat,
                                    np.array([0.01, -0.02]))
-    st = evolution.FlowState(shifted)
-    E0 = geometry.isoperimetric_gap(geometry.build_cache(shifted,
-                                                         unresolved_tol=None))
-    out = evolution.recenter(st)
-    E1 = geometry.isoperimetric_gap(geometry.build_cache(out.curve,
-                                                         unresolved_tol=None))
+    E0 = geometry.isoperimetric_gap(geometry.build_cache(shifted))
+    out = evolution.recenter(shifted)
+    E1 = geometry.isoperimetric_gap(geometry.build_cache(out))
     assert abs(E1 - E0) < 1e-10 * max(E0, 1e-30)
 
 
@@ -354,4 +360,23 @@ def test_run_dt_collapse_raises_with_partial_trajectory(monkeypatch):
     rejects = [e for e in traj.events if e["event"] == "reject"]
     assert len(rejects) == fail["rejects_by_reason"]["error"] > 10
     assert all(e["reason"] == "error" and e["err"] > 0 for e in rejects)
-    assert fail["rhs_calls"] == 11 * len(rejects)
+    # the initial state's one evaluation serves every retry
+    assert fail["rhs_calls"] == 1 + 10 * len(rejects)
+
+
+def test_run_solves_each_state_once(monkeypatch):
+    # every BIE solve is an rhs call: records reuse their state's solve
+    solves, solve_ms = [], potential.solve_ms
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve_ms(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "solve_ms", counted)
+    traj = evolution.run({"N": 32, "modes": "2,3", "amps": "0.01,0.005",
+                          "seed": 7, "t_end": 2e-4, "k_out": 2, "k_rec": 3,
+                          "k_H": 0})
+    fin = traj.events[-1]
+    assert fin["event"] == "finish" and fin["rejects"] == 0
+    assert len(traj.records) > 5
+    assert len(solves) == fin["rhs_calls"] == 11 * fin["steps"] + 1

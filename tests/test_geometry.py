@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msrelax import geometry
-from msrelax.errors import NonPositiveRadius, Unresolved
+from msrelax.errors import NonPositiveRadius
 
 
 def circle(R=1.0, N=32):
@@ -33,7 +33,7 @@ def test_circle_cache_exact():
 def test_shifted_disk_is_a_circle():
     # rho = a cos phi + sqrt(R^2 - a^2 sin^2 phi) parametrizes an exact circle
     curve = geometry.shifted_disk_curve(1.0, 0.3)
-    cache = geometry.build_cache(curve, unresolved_tol=None)
+    cache = geometry.build_cache(curve)
     assert np.max(np.abs(cache.kappa - 1.0)) < 1e-11
     assert abs(geometry.enclosed_area(cache) - np.pi) < 1e-12
     assert np.allclose(geometry.barycenter_bulk(cache), [0.3, 0.0], atol=1e-11)
@@ -140,7 +140,7 @@ def barycenter_boundary(cache):
 def test_barycenters_agree_to_second_order(seed):
     rng = np.random.default_rng([17, seed])
     curve = geometry.random_admissible(rng, delta=0.05)
-    cache = geometry.build_cache(curve, unresolved_tol=None)
+    cache = geometry.build_cache(curve)
     d = np.hypot(*(geometry.barycenter_bulk(cache)
                    - barycenter_boundary(cache)))
     sup = np.max(np.abs(cache.rho - curve.R))
@@ -152,7 +152,7 @@ def test_barycenters_agree_to_second_order(seed):
 def test_gauss_bonnet_random(seed):
     rng = np.random.default_rng([23, seed])
     curve = geometry.random_admissible(rng, delta=0.05)
-    cache = geometry.build_cache(curve, unresolved_tol=None)
+    cache = geometry.build_cache(curve)
     assert geometry.gauss_bonnet_residual(cache) < 1e-10
 
 
@@ -242,19 +242,6 @@ def test_build_cache_rejects_nan_radius():
     rho_hat[0, 0] = np.nan
     with pytest.raises(NonPositiveRadius):
         geometry.build_cache(geometry.RadialCurve(1.0, rho_hat, np.zeros(2)))
-
-
-def test_build_cache_unresolved():
-    import warnings
-    rho_hat = np.zeros((32, 2))
-    rho_hat[0, 0] = 1.0
-    rho_hat[31, 0] = 1e-4
-    curve = geometry.RadialCurve(1.0, rho_hat, np.zeros(2))
-    with pytest.raises(Unresolved):
-        geometry.build_cache(curve)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        geometry.build_cache(curve, unresolved_tol=None)  # opt-out works
 
 
 def test_top_mode_warning_text_is_constant():

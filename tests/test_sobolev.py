@@ -223,7 +223,7 @@ def test_arclength_angles_equispaced():
 def test_arclength_angles_equispaced_random_torus(seed):
     rng = np.random.default_rng([43, seed])
     curve = geometry.random_admissible(rng, N=32, domain="torus", L=8.0)
-    cache = geometry.build_cache(curve, unresolved_tol=None)
+    cache = geometry.build_cache(curve)
     assert_arclength_equispaced(cache, sobolev.arclength_angles(cache))
 
 
