@@ -228,8 +228,24 @@ def _suite_elliptic(n, seed):
     leg = elliptic.legendre_residual(kern)
     ser = float(np.max(np.abs(elliptic.lambda_series_small(kern, z)
                               - elliptic.lam(kern, z))))
+    # factorized node-pair tail against the elementwise series, on the
+    # nodes of random admissible curves scaled to reach 0.1..0.9
+    tail, scale, tail_ok = 0.0, 0.0, True
+    for N in (64, 128, 64, 128):
+        cache = geometry.build_cache(geometry.random_admissible(rng, N=N))
+        nodes = cache.points[:, 0] + 1j * cache.points[:, 1]
+        span = np.max(np.abs(nodes[:, None] - nodes[None, :]))
+        nodes *= rng.uniform(0.1, 0.9) * 2.0 * kern.L / span
+        ref = elliptic.lambda_tail(kern, nodes[:, None] - nodes[None, :])
+        err = float(np.max(np.abs(elliptic.lambda_tail_nodes(kern, nodes)
+                                  - ref)))
+        top = float(np.max(np.abs(ref)))
+        tail, scale = max(tail, err), max(scale, top)
+        tail_ok &= err <= 1e-14 * max(1.0, top)
     return {"periodicity": per, "legendre": float(leg), "series": ser,
-            "pass": per <= 1e-10 and leg <= 1e-12 and ser <= 1e-11}
+            "tail_nodes": tail, "tail_scale": scale,
+            "pass": (per <= 1e-10 and leg <= 1e-12 and ser <= 1e-11
+                     and tail_ok)}
 
 
 def _suite_trace(n, seed):

@@ -21,8 +21,20 @@ the Eisenstein sum sum' z_mn^{-k}.  The k = 4 and k = 8 tails decay only
 algebraically in the shell count, so they are corrected exactly using the
 rapidly convergent q-series for E4(i) (q = e^{-2 pi}); beyond k = 12 the
 truncation at SHELLS = 64 shells is already below 1e-17.
+
+The smooth tail Lambda(z) - log|z| = -beta_bg |z|^2 - sum_{4|k} Re(g_k w^k)/k
+(w = z/2L, |w| < 1) has two evaluators.  lambda_tail sums the series
+elementwise on any array of z; it serves the H oracle's grid offsets and is
+the reference.  lambda_tail_nodes evaluates the tail over all node pairs
+z_i - z_j of a boundary: the binomial expansion of (u_i - u_j)^k turns the
+series into the product of two thin M x (K+1) power matrices through a
+(K+1)^2 coefficient matrix, and the quadratic term adds four columns.  Both
+truncate at the same degree K, set by the largest |w|, and both raise
+OutOfRadius at |w| >= TAIL_RADIUS; where the product would cost more or
+round worse, lambda_tail_nodes falls back to lambda_tail.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +99,7 @@ class LatticeKernel:
         self._g4_tail = G4_EXACT - g4_partial.real
         self._g8_tail = G8_EXACT - g8_partial.real
         self._eis_cache = {4: G4_EXACT, 8: G8_EXACT}
+        self._pair_cache = {}   # K -> _pair_coefficients
         self._pts = pts
 
     def eisenstein(self, k):
@@ -132,6 +145,16 @@ def lam(kernel, z):
     return out if out.shape else float(out)
 
 
+def _tail_degree(r, k_cap):
+    """Highest power k kept by the lattice-tail series at reach r = |w|max:
+    r^k falls below 1e-17, clipped to [8, k_cap].  Raises OutOfRadius at
+    r >= TAIL_RADIUS."""
+    if r >= TAIL_RADIUS:
+        raise OutOfRadius(f"|z|/(2L) = {r:.3f} too close to 1")
+    k_max = int(np.ceil(np.log(1e-17) / np.log(max(r, 1e-12))))
+    return min(max(k_max, 8), k_cap)
+
+
 def lambda_tail(kernel, z, k_cap=2000):
     """Lambda(z) - log|z|: the smooth part, finite at z = 0.
 
@@ -142,12 +165,9 @@ def lambda_tail(kernel, z, k_cap=2000):
     z = np.asarray(z, dtype=complex)
     w = z / (2.0 * kernel.L)
     r = float(np.max(np.abs(w)))
-    if r >= TAIL_RADIUS:
-        raise OutOfRadius(f"|z|/(2L) = {r:.3f} too close to 1")
+    k_max = _tail_degree(r, k_cap)
     out = -kernel.beta_bg * np.abs(z) ** 2
     if r > 0.0:
-        k_max = int(np.ceil(np.log(1e-17) / np.log(max(r, 1e-12))))
-        k_max = min(max(k_max, 8), k_cap)
         w4 = w**4
         wk = w4.copy()
         k = 4
@@ -156,6 +176,62 @@ def lambda_tail(kernel, z, k_cap=2000):
             wk = wk * w4
             k += 4
     return out if np.ndim(out) else float(out)
+
+
+def _pair_coefficients(kernel, K):
+    """C[a, b] = -binom(a+b, a) g_{a+b} / (a+b) for 4 | a+b in 4..K, else 0:
+    the series of lambda_tail regrouped by the powers of u_i and -u_j."""
+    if K not in kernel._pair_cache:
+        C = np.zeros((K + 1, K + 1))
+        for k in range(4, K + 1, 4):
+            g = kernel.eisenstein(k) / k
+            for a in range(k + 1):
+                C[a, k - a] = -math.comb(k, a) * g
+        kernel._pair_cache[K] = C
+    return kernel._pair_cache[K]
+
+
+def lambda_tail_nodes(kernel, z, span=None):
+    """lambda_tail over all node pairs: the (M, M) matrix of
+    Lambda(z_i - z_j) - log|z_i - z_j|, with ``span`` = max |z_i - z_j|
+    when the caller has it.
+
+    With u = (z - c)/(2L) about the centre c of the nodes' bounding box,
+    w_ij = u_i - u_j, and the binomial expansion of each w^k makes the
+    series Re(P C Q^T) with P = [u_i^a], Q = [(-u_j)^b] (M x (K+1)) and C of
+    _pair_coefficients; with b = beta_bg (2L)^2, -beta_bg |z_i - z_j|^2 =
+    -b (|u_i|^2 + |u_j|^2 - 2 Re(u_i conj u_j)) adds four real columns,
+    so the whole tail is one real product of inner size 2K + 6.  K and
+    OutOfRadius follow lambda_tail at r = span/(2L).  The expanded terms
+    are bounded by (|u_i| + |u_j|)^k, so rounding stays at machine level
+    while 2 max|u| <= 1.  Where that fails, where the product costs more
+    than the elementwise series (past about K = 3M, where forming P C
+    takes M (K+1)^2 complex products), or past K = 1000 (the binomials
+    leave the float range), the elementwise lambda_tail is evaluated
+    instead.
+    """
+    z = np.asarray(z, dtype=complex)
+    M = z.size
+    if span is None:
+        span = float(np.max(np.abs(z[:, None] - z[None, :])))
+    k_max = _tail_degree(span / (2.0 * kernel.L), 2000)
+    K = k_max - k_max % 4
+    if K > min(3 * M, 1000):
+        return lambda_tail(kernel, z[:, None] - z[None, :])
+    centre = complex(0.5 * (z.real.min() + z.real.max()),
+                     0.5 * (z.imag.min() + z.imag.max()))
+    u = (z - centre) / (2.0 * kernel.L)
+    if 2.0 * np.max(np.abs(u)) > 1.0:
+        return lambda_tail(kernel, z[:, None] - z[None, :])
+    PC = np.vander(u, K + 1, increasing=True) @ _pair_coefficients(kernel, K)
+    Q = np.vander(-u, K + 1, increasing=True)
+    u2 = u.real**2 + u.imag**2
+    one = np.ones(M)
+    b = kernel.beta_bg * (2.0 * kernel.L) ** 2
+    left = np.column_stack([PC.real, -PC.imag, u2, one, u.real, u.imag])
+    right = np.column_stack([Q.real, Q.imag, -b * one, -b * u2,
+                             2.0 * b * u.real, 2.0 * b * u.imag])
+    return left @ right.T
 
 
 def lambda_series_small(kernel, z, k_max=None):

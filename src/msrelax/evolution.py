@@ -95,13 +95,16 @@ DEFAULTS = {
 
 @dataclass
 class StepStats:
-    """What one run's stepping did, its ``rhs`` calls included."""
+    """What one run's stepping did, its ``rhs`` calls and the worst
+    residuals of their BIE solves included."""
     rhs_calls: int = 0
     min_dt: float = math.inf
     max_dt: float = 0.0
     max_err: float = 0.0
     max_drift: float = 0.0
     max_top_mode_ratio: float = 0.0
+    max_bie_residual: float = 0.0
+    max_mean_constraint_residual: float = 0.0
     rejects: dict = field(default_factory=lambda: dict.fromkeys(
         ("error", "positivity", "area"), 0))
 
@@ -112,6 +115,9 @@ class StepStats:
                 "max_err_estimate": self.max_err,
                 "max_area_drift": self.max_drift,
                 "max_top_mode_ratio": self.max_top_mode_ratio,
+                "max_bie_residual": self.max_bie_residual,
+                "max_mean_constraint_residual":
+                    self.max_mean_constraint_residual,
                 "rejects_by_reason": dict(self.rejects)}
 
     def accept(self, dt, err, drift, rho_hat):
@@ -209,6 +215,12 @@ def _nonlinear(curve, lam, kernel, unresolved_tol, stats):
     if stats is not None:
         stats.rhs_calls += 1
     k, cache, solve = rhs(curve, kernel, unresolved_tol)
+    if stats is not None:
+        stats.max_bie_residual = max(stats.max_bie_residual,
+                                     solve.residual_norm)
+        stats.max_mean_constraint_residual = max(
+            stats.max_mean_constraint_residual,
+            solve.mean_constraint_residual)
     return k - lam * curve.rho_hat, cache, solve
 
 

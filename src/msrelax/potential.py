@@ -16,7 +16,10 @@ Nystrom discretization: the log singularity is split off as
 (1/2pi) log|2 sin((t-t')/2)| and integrated exactly on the trigonometric
 interpolant (spectral log-quadrature circulant); the smooth remainder --
 including the whole-lattice tail Lambda(z) - log|z| on the torus -- goes
-through the trapezoid rule.
+through the trapezoid rule.  The circulant and the chord log depend on M
+alone and are cached per M as one matrix; each assembly computes only
+log|z_i - z_j| (log ell on the diagonal) in place and, on the torus, adds
+the tail in its factorized node-pair form (elliptic.lambda_tail_nodes).
 
 Dissipation: D = int |grad u|^2 = -int_Gamma kappa V ds (boundary
 reduction; normals cancel between the two sides).
@@ -39,7 +42,7 @@ from .errors import GridTooCoarse, NegativeDissipation, SolverSingular
 
 EMBED_FACTOR = 8.0
 ORACLE_REFINE = 4   # squared_distance_oracle interpolates to this x finer grid
-_SING_CACHE = {}
+_NODE_MATRICES = {}   # M -> _node_matrix(M)
 
 
 def log_quadrature_row(M):
@@ -49,14 +52,28 @@ def log_quadrature_row(M):
     Exact on trigonometric polynomials up to degree M/2: the Fourier
     multiplier of the kernel is -1/(2|m|) per mode.
     """
-    if M not in _SING_CACHE:
-        delta = 2.0 * np.pi * np.arange(M) / M
-        row = np.zeros(M)
-        for m in range(1, M // 2):
-            row -= np.cos(m * delta) / m
-        row -= np.cos((M // 2) * delta) / M
-        _SING_CACHE[M] = row / M
-    return _SING_CACHE[M]
+    delta = 2.0 * np.pi * np.arange(M) / M
+    row = np.zeros(M)
+    for m in range(1, M // 2):
+        row -= np.cos(m * delta) / m
+    row -= np.cos((M // 2) * delta) / M
+    return row / M
+
+
+def _node_matrix(M):
+    """The part of ``assemble`` that depends on M alone, cached read-only:
+    row[(i - j) % M] - log|2 sin((phi_i - phi_j)/2)| / M off the diagonal
+    and row[0] on it (row = log_quadrature_row(M))."""
+    if M not in _NODE_MATRICES:
+        row = log_quadrature_row(M)
+        idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
+        phi = 2.0 * np.pi * np.arange(M) / M
+        chord = np.abs(2.0 * np.sin(0.5 * (phi[:, None] - phi[None, :])))
+        chord.flat[::M + 1] = 1.0
+        base = row[idx] - (1.0 / M) * np.log(chord)
+        base.setflags(write=False)
+        _NODE_MATRICES[M] = base
+    return _NODE_MATRICES[M]
 
 
 @dataclass
@@ -78,19 +95,16 @@ def assemble(cache, kernel=None):
     """
     M = cache.M
     z = cache.points[:, 0] + 1j * cache.points[:, 1]
-    dz = z[:, None] - z[None, :]
-    delta = cache.phi_nodes[:, None] - cache.phi_nodes[None, :]
-    chord = np.abs(2.0 * np.sin(0.5 * delta))
-    np.fill_diagonal(chord, 1.0)
-    absdz = np.abs(dz)
-    np.fill_diagonal(absdz, 1.0)
-    smooth = np.log(absdz / chord)
-    np.fill_diagonal(smooth, np.log(cache.ell))
+    mat = np.abs(z[:, None] - z[None, :])
+    span = float(mat.max()) if kernel is not None else None
+    mat.flat[::M + 1] = cache.ell
+    np.log(mat, out=mat)
     if kernel is not None:
-        smooth = smooth + elliptic.lambda_tail(kernel, dz)
-    row = log_quadrature_row(M)
-    idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
-    return (row[idx] + (1.0 / M) * smooth) * cache.ell[None, :]
+        mat += elliptic.lambda_tail_nodes(kernel, z, span)
+    mat *= 1.0 / M
+    mat += _node_matrix(M)
+    mat *= cache.ell
+    return mat
 
 
 def _bordered(mat, weights):

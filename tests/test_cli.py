@@ -259,6 +259,8 @@ def test_checks_fast_suites(capsys):
     assert rep["pass"]
     assert rep["suites"]["trace"]["max_abs_err"] < 1e-10
     assert rep["suites"]["elliptic"]["legendre"] < 1e-12
+    ell = rep["suites"]["elliptic"]
+    assert 0.0 <= ell["tail_nodes"] <= 1e-14 * max(1.0, ell["tail_scale"])
 
 
 def test_checks_fuglede_deterministic_across_thread_counts(capsys, monkeypatch):

@@ -380,3 +380,32 @@ def test_run_solves_each_state_once(monkeypatch):
     assert fin["event"] == "finish" and fin["rejects"] == 0
     assert len(traj.records) > 5
     assert len(solves) == fin["rhs_calls"] == 11 * fin["steps"] + 1
+
+
+def test_run_reports_worst_solve_residuals(monkeypatch):
+    # the step summary keeps the worst residuals of every BIE solve, which
+    # solve_ms bounds at 1e-8, in the finish and the fail event alike
+    solves, solve_ms = [], potential.solve_ms
+
+    def kept(*args, **kwargs):
+        solves.append(solve_ms(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(potential, "solve_ms", kept)
+    cfg = {"N": 32, "modes": "2,3", "amps": "0.01,0.005", "seed": 7,
+           "t_end": 2e-4, "k_out": 2, "k_H": 0}
+    fin = evolution.run(cfg).events[-1]
+    assert fin["event"] == "finish" and len(solves) == fin["rhs_calls"]
+    assert fin["max_bie_residual"] == max(s.residual_norm for s in solves)
+    assert fin["max_mean_constraint_residual"] == max(
+        s.mean_constraint_residual for s in solves)
+    assert 0.0 < fin["max_bie_residual"] <= 1e-8
+    assert 0.0 <= fin["max_mean_constraint_residual"] <= 1e-8
+    solves.clear()
+    with pytest.raises(Unresolved) as info:
+        evolution.run({**cfg, "unresolved_tol": 1e-30})
+    fail = info.value.trajectory.events[-1]
+    assert fail["event"] == "fail" and solves
+    assert fail["max_bie_residual"] == max(s.residual_norm for s in solves)
+    assert fail["max_mean_constraint_residual"] == max(
+        s.mean_constraint_residual for s in solves)

@@ -1,12 +1,14 @@
 """Boundary-integral solver, dissipation, trace equality, and H distance."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from msrelax import elliptic, geometry, potential, sobolev
-from msrelax.errors import GridTooCoarse
+from msrelax import elliptic, evolution, geometry, potential, sobolev
+from msrelax.errors import GridTooCoarse, OutOfRadius
 
 
 def circle_cache(R=1.0, N=32):
@@ -87,6 +89,137 @@ def test_torus_plane_convergence_order():
         errs.append(np.max(np.abs(vt - vp)) / np.max(np.abs(vp)))
     order = np.polyfit(np.log([8.0, 16.0, 32.0]), np.log(errs), 1)[0]
     assert order < -1.8
+
+
+# ---------------------------------------------------------------------------
+# cached assembly and the factorized lattice tail
+# ---------------------------------------------------------------------------
+
+def assemble_elementwise(cache, kernel=None):
+    """The single-layer matrix with every term formed elementwise over the
+    node pairs (the tail by elliptic.lambda_tail): the oracle of assemble."""
+    M = cache.M
+    z = cache.points[:, 0] + 1j * cache.points[:, 1]
+    dz = z[:, None] - z[None, :]
+    delta = cache.phi_nodes[:, None] - cache.phi_nodes[None, :]
+    chord = np.abs(2.0 * np.sin(0.5 * delta))
+    np.fill_diagonal(chord, 1.0)
+    absdz = np.abs(dz)
+    np.fill_diagonal(absdz, 1.0)
+    smooth = np.log(absdz / chord)
+    np.fill_diagonal(smooth, np.log(cache.ell))
+    if kernel is not None:
+        smooth = smooth + elliptic.lambda_tail(kernel, dz)
+    row = potential.log_quadrature_row(M)
+    idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
+    return (row[idx] + (1.0 / M) * smooth) * cache.ell[None, :]
+
+
+def torus_nodes(seed, N, L, shift):
+    """Nodes of a random admissible unit curve on the torus of half edge L:
+    a mode-1 term of size ``shift`` moves the curve off its pole, and the
+    pole sits at a random point of the cell."""
+    rng = np.random.default_rng(seed)
+    curve = geometry.random_admissible(rng, N=N, domain="torus", L=L)
+    rho_hat = curve.rho_hat.copy()
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    rho_hat[1] = shift * np.array([np.cos(angle), np.sin(angle)])
+    pole = rng.uniform(-L, L, 2)
+    cache = geometry.build_cache(replace(curve, rho_hat=rho_hat, pole=pole))
+    return cache.points[:, 0] + 1j * cache.points[:, 1]
+
+
+def tail_error(kern, z):
+    """max |factorized - elementwise tail| over the node pairs of z, and
+    the elementwise tail's max |value|."""
+    ref = elliptic.lambda_tail(kern, z[:, None] - z[None, :])
+    err = np.max(np.abs(elliptic.lambda_tail_nodes(kern, z) - ref))
+    return err, np.max(np.abs(ref))
+
+
+@given(st.integers(0, 10**6), st.floats(1.1, 8.0),
+       st.sampled_from([32, 64, 128]), st.floats(0.0, 0.3))
+@settings(max_examples=25, deadline=None)
+def test_tail_nodes_matches_elementwise(seed, L, N, shift):
+    # unit curves in cells of L/R in [1.1, 8]: reach about 0.13 to 0.93
+    z = torus_nodes(seed, N, L, shift)
+    err, scale = tail_error(elliptic.LatticeKernel(L), z)
+    assert err <= 1e-14 * max(1.0, scale)
+
+
+def count_elementwise_tails(monkeypatch):
+    calls, tail = [], elliptic.lambda_tail
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return tail(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "lambda_tail", counted)
+    return calls
+
+
+@pytest.mark.parametrize("N, L, elementwise", [
+    (16, 8.0, False),    # M = 32: small node sets take the product too
+    (32, 1.1, True),     # K ~ 400 > 3M = 192: the series is cheaper
+    (128, 1.1, False),   # the same K below 3M = 768
+    (128, 8.0, False),   # the flow-torus-n128 regime, K = 16
+])
+def test_tail_nodes_cost_fallback(monkeypatch, N, L, elementwise):
+    z = torus_nodes(5, N, L, 0.2)
+    kern = elliptic.LatticeKernel(L)
+    calls = count_elementwise_tails(monkeypatch)
+    fast = elliptic.lambda_tail_nodes(kern, z)
+    assert bool(calls) == elementwise
+    err, scale = tail_error(kern, z)
+    assert err <= 1e-14 * max(1.0, scale)
+    assert fast.shape == (2 * N, 2 * N)
+
+
+def test_tail_nodes_rounding_fallback(monkeypatch):
+    # an equilateral triangle of reach 0.8 has 2 max|u| = 1.06 about its
+    # bounding-box centre, where the expanded terms would swamp the sum
+    kern = elliptic.LatticeKernel(1.0)
+    t = np.linspace(0.0, 1.0, 40, endpoint=False)
+    corners = 1.6 * np.exp(2j * np.pi * np.arange(3) / 3) / np.sqrt(3.0)
+    z = np.concatenate([a + t * (b - a) for a, b in
+                        zip(corners, np.roll(corners, -1))])
+    calls = count_elementwise_tails(monkeypatch)
+    err, _ = tail_error(kern, z)
+    assert len(calls) == 2 and err == 0.0
+
+
+@pytest.mark.parametrize("L", [1.0, 0.999 / elliptic.TAIL_RADIUS])
+def test_solve_ms_out_of_radius(L):
+    # a unit circle spans 2, so its reach 2 / (2L) is 1 or TAIL_RADIUS / 0.999
+    curve = geometry.single_mode_curve(1.0, 2, 0.0, domain="torus", L=L)
+    with pytest.raises(OutOfRadius):
+        potential.solve_ms(geometry.build_cache(curve),
+                           elliptic.LatticeKernel(L))
+
+
+@pytest.mark.parametrize("N, L", [(32, None), (64, None), (32, 2.0),
+                                  (64, 1.2)])
+def test_assemble_matches_elementwise(N, L):
+    curve = geometry.random_admissible(np.random.default_rng(N), N=N)
+    cache = geometry.build_cache(curve)
+    kern = None if L is None else elliptic.LatticeKernel(L)
+    fast = potential.assemble(cache, kern)
+    assert np.max(np.abs(fast - assemble_elementwise(cache, kern))) <= 1e-15
+
+
+@pytest.mark.parametrize("cfg", [
+    {"modes": "2,3", "amps": "0.01,0.008"},
+    {"modes": "2,3", "amps": "0.01,0.008", "domain": "torus", "L": 2.0},
+])
+def test_runs_match_elementwise_assembly(monkeypatch, cfg):
+    cfg = {**cfg, "N": 32, "t_end": 5e-4, "k_out": 5, "k_H": 0}
+    fast = evolution.run(cfg)
+    monkeypatch.setattr(potential, "assemble", assemble_elementwise)
+    slow = evolution.run(cfg)
+    assert len(fast.records) == len(slow.records) > 3
+    for a, b in zip(fast.records, slow.records):
+        assert abs(a.E - b.E) <= 1e-12 * abs(b.E)
+        assert abs(a.D - b.D) <= 1e-12 * abs(b.D)
 
 
 # ---------------------------------------------------------------------------
