@@ -191,27 +191,21 @@ def _suite_sobolev(n, seed):
     def one(i):
         rng = np.random.default_rng([seed, 3, i])
         K = int(rng.integers(2, 24))
-        coeffs = rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1)
-        coeffs[:K] = np.conj(coeffs[:K:-1])
-        coeffs[K] = 0.0  # zero mean: negative orders stay in range
-        sig = sobolev.PeriodicSignal(np.pi, coeffs)
+        # real and imaginary parts of 2K + 1 draws, of which the last K
+        # (the positive half of a conjugate-symmetric spectrum) give modes
+        # 1..K; zero mean, so negative orders stay in range
+        draws = rng.normal(size=(2, 2 * K + 1))
+        coef = np.zeros((K + 1, 2))
+        coef[1:] = draws[:, K + 1:].T
         alpha, beta = sorted(rng.uniform(-1.0, 1.5, 2))
         if beta - alpha < 0.1:
             beta = alpha + 0.1
         sigma = rng.uniform(alpha + 0.01, beta - 0.01)
-        try:
-            interp = sobolev.interpolation_check(sig, alpha, sigma, beta)
-        except MsrelaxError:
-            return None
-        vals = sobolev.to_samples(sig, 8 * K + 8)
-        pars = abs(np.mean(vals**2) * 2 * np.pi
-                   - sobolev.l2_norm(sig)**2 / 1.0)
-        return {"ratio": interp["ratio"], "parseval": pars}
+        return sobolev.interpolation_check(coef, np.pi, alpha, sigma,
+                                           beta)["ratio"]
 
-    results = [r for r in _parallel([lambda i=i: one(i) for i in range(n)])
-               if r is not None]
-    worst = max(r["ratio"] for r in results)
-    return {"n": len(results), "max_interpolation_ratio": worst,
+    worst = max(_parallel([lambda i=i: one(i) for i in range(n)]))
+    return {"n": n, "max_interpolation_ratio": worst,
             "pass": bool(worst <= 1.0 + 1e-10)}
 
 
@@ -226,8 +220,8 @@ def _suite_elliptic(n, seed):
         float(np.max(np.abs(elliptic.lam(kern, z + 2.0j)
                             - elliptic.lam(kern, z)))))
     leg = elliptic.legendre_residual(kern)
-    ser = float(np.max(np.abs(elliptic.lambda_series_small(kern, z)
-                              - elliptic.lam(kern, z))))
+    series = np.log(np.abs(z)) + elliptic.lambda_tail(kern, z)
+    ser = float(np.max(np.abs(series - elliptic.lam(kern, z))))
     # factorized node-pair tail against the elementwise series, on the
     # nodes of random admissible curves scaled to reach 0.1..0.9
     tail, scale, tail_ok = 0.0, 0.0, True

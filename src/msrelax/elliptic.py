@@ -70,8 +70,8 @@ class LatticeKernel:
     eta3: complex = field(init=False)
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("L must be positive")
+        if not 0.0 < self.L < math.inf:
+            raise ValueError(f"L must be finite and positive, got {self.L}")
         L = self.L
         self.omega1 = complex(L, 0.0)
         self.omega3 = complex(0.0, L)
@@ -145,17 +145,17 @@ def lam(kernel, z):
     return out if out.shape else float(out)
 
 
-def _tail_degree(r, k_cap):
+def _tail_degree(r):
     """Highest power k kept by the lattice-tail series at reach r = |w|max:
-    r^k falls below 1e-17, clipped to [8, k_cap].  Raises OutOfRadius at
+    r^k falls below 1e-17, clipped to [8, 2000].  Raises OutOfRadius at
     r >= TAIL_RADIUS."""
     if r >= TAIL_RADIUS:
         raise OutOfRadius(f"|z|/(2L) = {r:.3f} too close to 1")
     k_max = int(np.ceil(np.log(1e-17) / np.log(max(r, 1e-12))))
-    return min(max(k_max, 8), k_cap)
+    return min(max(k_max, 8), 2000)
 
 
-def lambda_tail(kernel, z, k_cap=2000):
+def lambda_tail(kernel, z):
     """Lambda(z) - log|z|: the smooth part, finite at z = 0.
 
     Valid for |z| < 2L; evaluated through the absolutely convergent
@@ -165,7 +165,7 @@ def lambda_tail(kernel, z, k_cap=2000):
     z = np.asarray(z, dtype=complex)
     w = z / (2.0 * kernel.L)
     r = float(np.max(np.abs(w)))
-    k_max = _tail_degree(r, k_cap)
+    k_max = _tail_degree(r)
     out = -kernel.beta_bg * np.abs(z) ** 2
     if r > 0.0:
         w4 = w**4
@@ -214,7 +214,7 @@ def lambda_tail_nodes(kernel, z, span=None):
     M = z.size
     if span is None:
         span = float(np.max(np.abs(z[:, None] - z[None, :])))
-    k_max = _tail_degree(span / (2.0 * kernel.L), 2000)
+    k_max = _tail_degree(span / (2.0 * kernel.L))
     K = k_max - k_max % 4
     if K > min(3 * M, 1000):
         return lambda_tail(kernel, z[:, None] - z[None, :])
@@ -232,22 +232,6 @@ def lambda_tail_nodes(kernel, z, span=None):
     right = np.column_stack([Q.real, Q.imag, -b * one, -b * u2,
                              2.0 * b * u.real, 2.0 * b * u.imag])
     return left @ right.T
-
-
-def lambda_series_small(kernel, z, k_max=None):
-    """Series form of Lambda for |z| < 0.9 * 2L; agrees with lam to ~1e-11.
-
-    ``k_max`` caps the power tail (None: at 2000); below the cap the depth
-    stops where the terms fall under machine precision.
-    """
-    z = np.asarray(z, dtype=complex)
-    w = np.abs(z) / (2.0 * kernel.L)
-    if np.max(w) >= 0.9:
-        raise OutOfRadius("lambda_series_small requires |z| < 0.9 * 2L")
-    _check_pole(kernel, z)
-    out = np.log(np.abs(z)) + lambda_tail(
-        kernel, z, k_cap=2000 if k_max is None else k_max)
-    return out if np.ndim(out) else float(out)
 
 
 def legendre_residual(kernel):

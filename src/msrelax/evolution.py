@@ -35,7 +35,7 @@ on t_end.  The first trial step is dt_max.
 
 run() evaluates each state -- the initial one, and each accepted one after
 any re-centering -- once: that rhs call checks it (a state with rho <= 0 or,
-like any stage, a top-mode ratio above unresolved_tol ends the run before it
+like any stage, a top-mode ratio above TOP_MODE_ABORT ends the run before it
 is recorded) and gives its record and the N(y0) of every step tried from it.
 dt is chosen by step doubling: one step of h and two of h/2 from the state
 give the local error estimate
@@ -89,7 +89,6 @@ DEFAULTS = {
     "k_rec": 10,
     "k_H": 5,               # H every k_H-th record; 0 disables H
     "grid": 256,
-    "unresolved_tol": TOP_MODE_ABORT,
 }
 
 
@@ -196,25 +195,25 @@ def _etd_coeffs(lam, h):
     return coeffs
 
 
-def rhs(curve, kernel=None, unresolved_tol=TOP_MODE_ABORT):
+def rhs(curve, kernel=None):
     """Coefficient-space time derivative, plus the cache and solve used.
     Raises NonPositiveRadius unless rho > 0, then Unresolved if the curve's
-    top_mode_ratio exceeds ``unresolved_tol``."""
+    top_mode_ratio exceeds TOP_MODE_ABORT."""
     cache = geometry.build_cache(curve)
     top = geometry.top_mode_ratio(curve.rho_hat)
-    if top > unresolved_tol:
+    if top > TOP_MODE_ABORT:
         raise Unresolved(f"top-mode relative amplitude {top:.3e}")
     solve = potential.solve_ms(cache, kernel)
     drho = solve.V * cache.ell / cache.rho
     return geometry.coeffs_from_nodes(drho), cache, solve
 
 
-def _nonlinear(curve, lam, kernel, unresolved_tol, stats):
+def _nonlinear(curve, lam, kernel, stats):
     """N(y) = rhs(y) - Lambda y at y = ``curve``'s coefficients, the cache
     and the solve."""
     if stats is not None:
         stats.rhs_calls += 1
-    k, cache, solve = rhs(curve, kernel, unresolved_tol)
+    k, cache, solve = rhs(curve, kernel)
     if stats is not None:
         stats.max_bie_residual = max(stats.max_bie_residual,
                                      solve.residual_norm)
@@ -224,8 +223,7 @@ def _nonlinear(curve, lam, kernel, unresolved_tol, stats):
     return k - lam * curve.rho_hat, cache, solve
 
 
-def step(curve, dt, kernel=None, unresolved_tol=TOP_MODE_ABORT, n0=None,
-         stats=None):
+def step(curve, dt, kernel=None, n0=None, stats=None):
     """One ETDRK4 step: the new curve and the pre-projection area drift.
 
     ``n0`` is N(y0) when the caller already has it; ``stats`` (a StepStats)
@@ -240,7 +238,7 @@ def step(curve, dt, kernel=None, unresolved_tol=TOP_MODE_ABORT, n0=None,
     def nl(y):
         try:
             return _nonlinear(replace(curve, rho_hat=y), lam, kernel,
-                              unresolved_tol, stats)[0]
+                              stats)[0]
         except NonPositiveRadius as exc:
             raise StepRejected("rho <= 0 mid-stage", "positivity") from exc
 
@@ -354,15 +352,15 @@ def _step_factor(err):
     return min(4.0, max(0.2, 0.9 * (ERR_TOL / max(err, 1e-300)) ** 0.2))
 
 
-def _doubled_step(curve, h, n0, kernel, unresolved_tol, stats):
+def _doubled_step(curve, h, n0, kernel, stats):
     """One step of h and two of h/2 from ``curve``, sharing N(y0) = ``n0``.
 
     Returns the two-half-step curve, its worst pre-projection area drift and
     the relative local error estimate of the module docstring.
     """
-    full, _ = step(curve, h, kernel, unresolved_tol, n0, stats)
-    half, d1 = step(curve, 0.5 * h, kernel, unresolved_tol, n0, stats)
-    half, d2 = step(half, 0.5 * h, kernel, unresolved_tol, None, stats)
+    full, _ = step(curve, h, kernel, n0, stats)
+    half, d1 = step(curve, 0.5 * h, kernel, n0, stats)
+    half, d2 = step(half, 0.5 * h, kernel, None, stats)
     y = half.rho_hat[1:]
     scale = max(np.max(np.abs(y)), 1e-9 * curve.R)
     err = np.max(np.abs(y - full.rho_hat[1:])) / scale
@@ -390,7 +388,7 @@ def run(config=None):
         raise ValueError("k_out and grid must be at least 1")
     curve = initial_curve(cfg)
     if curve.domain == "torus":
-        reach = 2.0 * float(np.max(geometry.synth_nodes(curve)))
+        reach = 2.0 * float(np.max(geometry.synth_nodes(curve.rho_hat)))
         bound = elliptic.TAIL_RADIUS * 2.0 * curve.L
         if reach >= bound:
             raise ValueError(
@@ -401,7 +399,6 @@ def run(config=None):
     kernel = (elliptic.LatticeKernel(curve.L)
               if curve.domain == "torus" else None)
     lam = linear_symbol(curve.N, R)
-    utol = cfg["unresolved_tol"]
     t_end = cfg["t_end"]
 
     traj = TrajectoryLog(R=R, config=dict(cfg))
@@ -420,7 +417,7 @@ def run(config=None):
 
     stats.max_top_mode_ratio = geometry.top_mode_ratio(curve.rho_hat)
     try:
-        n0, cache, solve = _nonlinear(curve, lam, kernel, utol, stats)
+        n0, cache, solve = _nonlinear(curve, lam, kernel, stats)
         emit()
         recorded, j = True, 1
         while t < t_end and steps < cfg["max_steps"]:
@@ -432,8 +429,7 @@ def run(config=None):
             h = remaining / n_sub
             err = None
             try:
-                new, drift, err = _doubled_step(curve, h, n0, kernel, utol,
-                                                stats)
+                new, drift, err = _doubled_step(curve, h, n0, kernel, stats)
                 if not err <= ERR_TOL:
                     raise StepRejected(f"local error estimate {err:.3e} at "
                                        f"dt = {h:.3e}", "error")
@@ -453,7 +449,7 @@ def run(config=None):
             stats.accept(h, err, drift, curve.rho_hat)
             if cfg["k_rec"] > 0 and steps % int(cfg["k_rec"]) == 0:
                 curve = recenter(curve)
-            n0, cache, solve = _nonlinear(curve, lam, kernel, utol, stats)
+            n0, cache, solve = _nonlinear(curve, lam, kernel, stats)
             recorded = n_sub == 1
             if recorded:
                 emit()

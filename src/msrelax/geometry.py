@@ -13,6 +13,7 @@ with ell the length element ds = ell dphi.  The cache keeps rho, rho_phi,
 ell, kappa and the node points; rho_phiphi enters only kappa.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -55,8 +56,8 @@ class RadialCurve:
         if self.domain not in ("plane", "torus"):
             raise ValueError(f"unknown domain {self.domain!r}")
         if self.domain == "torus":
-            if self.L is None or self.L <= 0:
-                raise ValueError("torus domain requires L > 0")
+            if self.L is None or not 0.0 < self.L < math.inf:
+                raise ValueError("torus domain requires a finite L > 0")
 
     @property
     def N(self):
@@ -96,23 +97,17 @@ class GeometryCache:
 # synthesis / analysis between coefficients and nodes
 # ---------------------------------------------------------------------------
 
-def _half_spectrum(rho_hat, M, derivative=0):
-    """Complex rfft-layout spectrum of the series (or its phi-derivative)."""
-    N = rho_hat.shape[0]
-    c = rho_hat[:, 0] - 1j * rho_hat[:, 1]
+def synth_nodes(coef, derivative=0):
+    """Evaluate the (N, 2) cos/sin series (or a phi-derivative) at the
+    M = 2N uniform nodes."""
+    N = coef.shape[0]
+    M = 2 * N
+    c = coef[:, 0] - 1j * coef[:, 1]
     if derivative:
-        k = np.arange(N)
-        c = c * (1j * k) ** derivative
-    X = np.zeros(M // 2 + 1, dtype=complex)
+        c = c * (1j * np.arange(N)) ** derivative
+    X = np.zeros(N + 1, dtype=complex)   # rfft layout
     X[0] = c[0].real * M if derivative == 0 else 0.0
-    X[1:N] = c[1:] * (M / 2.0)
-    return X
-
-
-def synth_nodes(curve, derivative=0):
-    """Evaluate rho (or a phi-derivative) at the M = 2N uniform nodes."""
-    M = curve.M
-    X = _half_spectrum(curve.rho_hat, M, derivative)
+    X[1:N] = c[1:] * N
     return np.fft.irfft(X, M)
 
 
@@ -176,7 +171,7 @@ def build_cache(curve):
     """
     M = curve.M
     phi = 2.0 * np.pi * np.arange(M) / M
-    rho = synth_nodes(curve, 0)
+    rho = synth_nodes(curve.rho_hat)
     if not np.all(rho > 0.0):
         raise NonPositiveRadius(f"min rho = {rho.min():.3e}")
 
@@ -185,8 +180,8 @@ def build_cache(curve):
         warnings.warn(f"top-mode relative amplitude above {TOP_MODE_WARN:g}",
                       RuntimeWarning, stacklevel=2)
 
-    rho_phi = synth_nodes(curve, 1)
-    rho_phiphi = synth_nodes(curve, 2)
+    rho_phi = synth_nodes(curve.rho_hat, 1)
+    rho_phiphi = synth_nodes(curve.rho_hat, 2)
     ell = np.hypot(rho, rho_phi)
     kappa = (rho_phi**2 - rho * rho_phiphi) / ell**3 + 1.0 / ell
 
@@ -227,7 +222,7 @@ def isoperimetric_gap(cache):
     R = curve.R
     dev_hat = curve.rho_hat.copy()
     dev_hat[0, 0] -= R
-    u = synth_nodes(replace(curve, rho_hat=dev_hat), 0)
+    u = synth_nodes(dev_hat)
     num = u * (2.0 * R + u) + cache.rho_phi**2
     excess = cache.quad(num / (cache.ell + R))
     # area = pi (a0^2 + sum amp^2 / 2) for the band-limited series
@@ -335,15 +330,14 @@ def make_admissible(curve):
     cphi, sphi = np.cos(phi), np.sin(phi)
     target = np.array([np.pi * R**2, 0.0, 0.0])
     for _ in range(50):
-        work = replace(curve, rho_hat=rho_hat)
-        rho = synth_nodes(work, 0)
+        rho = synth_nodes(rho_hat)
         g = np.array([
             0.5 * np.sum(rho**2) * dphi,
             np.sum(rho**3 * cphi) * dphi,
             np.sum(rho**3 * sphi) * dphi,
         ]) - target
         if np.max(np.abs(g)) < 1e-14 * R**2:
-            return work
+            return replace(curve, rho_hat=rho_hat)
         # d/d(a0, a1, b1) of the three integrals
         basis = [np.ones(M), cphi, sphi]
         jac = np.empty((3, 3))
@@ -373,9 +367,8 @@ def random_admissible(rng, N=32, delta=0.05, k_max=8, domain="plane", L=None):
     phases = rng.uniform(0.0, 2.0 * np.pi, ks.size)
     rho_hat[ks, 0] = amps * np.cos(phases)
     rho_hat[ks, 1] = amps * np.sin(phases)
-    curve = RadialCurve(1.0, rho_hat, np.zeros(2), domain, L)
-    dev = synth_nodes(curve, 0) - 1.0
-    slope = synth_nodes(curve, 1)
+    dev = synth_nodes(rho_hat) - 1.0
+    slope = synth_nodes(rho_hat, 1)
     scale = 0.5 * delta / max(np.max(np.abs(dev)), np.max(np.abs(slope)))
     rho_hat[1:] *= scale
     curve = make_admissible(RadialCurve(1.0, rho_hat, np.zeros(2), domain, L))

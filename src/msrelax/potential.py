@@ -166,14 +166,12 @@ def trace_equality_disk(g_amps):
     s = 0.5 * (nodes + 1.0)
     w = 0.5 * wts
     rows = []
-    M = 4 * max(g_amps) if g_amps else 8
-    M = max(M, 64)
-    theta = 2.0 * np.pi * np.arange(M) / M
     for k, A in sorted(g_amps.items()):
         interior = 2.0 * np.pi * A**2 * k**2 * np.sum(w * s ** (2 * k - 1))
         exterior = interior  # identical integral after r -> 1/r
-        sig = sobolev.from_samples(A * np.cos(k * theta), np.pi)
-        half = sobolev.h_norm(sig, 0.5) ** 2
+        g = np.zeros((k + 1, 2))
+        g[k, 0] = A
+        half = sobolev.h_norm(g, np.pi, 0.5) ** 2
         rows.append({"k": k, "interior": float(interior),
                      "exterior": float(exterior), "h_half_sq": float(half)})
     total = {"interior": sum(r["interior"] for r in rows),
@@ -219,14 +217,20 @@ def rasterize_difference(curve, center, grid=512, sub=4, other=None):
     on the torus grid, with sub x sub subcell area-fraction anti-aliasing.
     ``other`` replaces the reference ball with a second curve's region;
     otherwise ``center`` None means the bulk barycenter of ``curve``.
-    Returns (f, L, h) with f zero-mean."""
+    Returns (f, L, h) with f zero-mean.  Raises ValueError when ``other``
+    lies in another domain or torus cell."""
+    if other is not None and (other.domain != curve.domain or (
+            curve.domain == "torus" and other.L != curve.L)):
+        raise ValueError(f"curves in different domains: {curve.domain} "
+                         f"(L = {curve.L}) and {other.domain} "
+                         f"(L = {other.L})")
     R = curve.R
     if other is None and center is None:
         center = geometry.barycenter_bulk(geometry.build_cache(curve))
     L = curve.L if curve.domain == "torus" else EMBED_FACTOR * curve.R
     G = grid
     h = 2.0 * L / G
-    dev = float(np.max(np.abs(geometry.synth_nodes(curve, 0) - R)))
+    dev = float(np.max(np.abs(geometry.synth_nodes(curve.rho_hat) - R)))
     if dev > 0 and dev < 4.0 * h:
         warnings.warn(
             f"interface band {dev:.2e} under-resolved by grid h = {h:.2e}",

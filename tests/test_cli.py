@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msrelax import analysis, cli, elliptic, geometry
+from msrelax import analysis, cli, elliptic, evolution, geometry
 from msrelax.errors import GridTooCoarse, OptimFail
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -135,6 +135,7 @@ def test_simulate_unknown_key_exits_2(capsys, tmp_path):
     ["amps=nan"],
     ["grid=0", "k_H=1"],           # an H raster of no cells
     ["domain=torus", "L=-1"],      # not the 8R default
+    ["unresolved_tol=1e-30"],      # a removed config key
 ])
 def test_simulate_bad_config_exits_2(capsys, cfg_file, tmp_path, overrides):
     argv = ["simulate", "--config", cfg_file, "--out", str(tmp_path / "o")]
@@ -163,12 +164,13 @@ def test_simulate_summary_counts_steps(capsys, cfg_file, tmp_path):
     assert 0.0 <= finish["max_top_mode_ratio"] < 1e-6
 
 
-def test_simulate_failure_leaves_partial_run(capsys, cfg_file, tmp_path):
-    # at unresolved_tol = 1e-30 rounding in the first stage already puts
-    # enough into the top mode to raise Unresolved
+def test_simulate_failure_leaves_partial_run(capsys, cfg_file, tmp_path,
+                                             monkeypatch):
+    # at an abort threshold of 1e-30 rounding in the first stage already
+    # puts enough into the top mode to raise Unresolved
+    monkeypatch.setattr(evolution, "TOP_MODE_ABORT", 1e-30)
     out = tmp_path / "o"
-    code = cli.main(["simulate", "--config", cfg_file, "--out", str(out),
-                     "--set", "unresolved_tol=1e-30"])
+    code = cli.main(["simulate", "--config", cfg_file, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
     assert "Unresolved" in err
@@ -328,6 +330,20 @@ def test_zero_grid_sizes_exit_2(capsys, curve_pair, command, flag):
     assert captured.out == ""
 
 
+def test_hminus_rejects_curves_in_different_domains(capsys, tmp_path):
+    # a plane curve and an L = 1.5 torus curve, or two torus cells: there is
+    # no shared domain to rasterize, whichever curve comes first
+    plane, torus, wide = (tmp_path / f"{s}.msrc" for s in "ptw")
+    geometry.write_curve(geometry.single_mode_curve(1.0, 2, 0.05), plane)
+    for path, L in ((torus, 1.5), (wide, 2.0)):
+        geometry.write_curve(geometry.single_mode_curve(
+            1.0, 2, 0.05, domain="torus", L=L), path)
+    for pair in ((plane, torus), (torus, plane), (torus, wide)):
+        assert cli.main(["hminus", *map(str, pair), "--grid", "32"]) == 2
+        captured = capsys.readouterr()
+        assert "different domains" in captured.err and captured.out == ""
+
+
 def test_hminus_coarse_grid_warns_on_stderr(curve_pair):
     # H from a 3 x 3 raster is meaningless; the GridTooCoarse warning says so
     proc = run_python("-c", "import sys; from msrelax import cli; "
@@ -367,6 +383,15 @@ def test_potential_table_matches_kernel(capsys, tmp_path):
     for line in lines[2:]:
         x, y, val = (float(s) for s in line.split(","))
         assert abs(elliptic.lam(kern, complex(x, y)) - val) < 1e-14
+
+
+@pytest.mark.parametrize("L", ["nan", "inf"])
+def test_potential_table_rejects_non_finite_L(capsys, tmp_path, L):
+    out = tmp_path / "tab.csv"
+    assert cli.main(["potential-table", "--L", L, "--n", "4",
+                     "--out", str(out)]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_norms(capsys, tmp_path):

@@ -56,21 +56,6 @@ def test_lambda_tail_matches_difference(kern):
     assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
-def test_series_agrees_with_lam(kern):
-    z = random_points(19, 60)
-    err = np.abs(elliptic.lambda_series_small(kern, z)
-                 - elliptic.lam(kern, z))
-    assert np.max(err) < 1e-11
-
-
-def test_series_truncation_depth(kern):
-    # beyond k ~ 48 the power tail is converged at |z| <= 0.5 * 2L
-    z = random_points(23, 30, -0.5, 0.5)
-    a = elliptic.lambda_series_small(kern, z, k_max=48)
-    b = elliptic.lambda_series_small(kern, z)
-    assert np.max(np.abs(a - b)) < 1e-13
-
-
 def test_discrete_laplacian_background(kern):
     # away from lattice points Delta Lambda = -2 pi / (4 L^2): the background
     # charge integrates to -2 pi over the cell, cancelling the point charge.
@@ -118,13 +103,12 @@ def test_near_pole_raises(kern):
 def test_out_of_radius_raises(kern):
     with pytest.raises(OutOfRadius):
         elliptic.lambda_tail(kern, 1.999)
-    with pytest.raises(OutOfRadius):
-        elliptic.lambda_series_small(kern, 1.9)
 
 
 def test_bad_lattice():
-    with pytest.raises(ValueError):
-        elliptic.LatticeKernel(-1.0)
+    for L in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            elliptic.LatticeKernel(L)
 
 
 @given(st.integers(0, 10**6))

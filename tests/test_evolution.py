@@ -35,8 +35,7 @@ def test_rhs_mean_free_flux():
     # area conservation at the continuous level: int V ell dphi =
     # quad(rho * drho/dt) = 0 by the density mean constraint
     coeffs, cache, solve = evolution.rhs(geometry.single_mode_curve(1.0, 3, 0.02))
-    drho = geometry.synth_nodes(
-        geometry.RadialCurve(1.0, coeffs, np.zeros(2)))
+    drho = geometry.synth_nodes(coeffs)
     assert abs(cache.quad(cache.rho * drho)) < 1e-10
 
 
@@ -122,7 +121,7 @@ def test_etd_weights_cached_for_h_and_half_h():
     curve = state_for(5, 0.01)
     lam = evolution.linear_symbol(32, 1.0)
     n0 = evolution.rhs(curve)[0] - lam * curve.rho_hat
-    evolution._doubled_step(curve, h, n0, None, 1e-6, evolution.StepStats())
+    evolution._doubled_step(curve, h, n0, None, evolution.StepStats())
     cached = [c for _, _, c in evolution._etd_cache]
     for dt in (h, 0.5 * h, h, 0.5 * h):
         assert any(evolution._etd_coeffs(lam, dt) is c for c in cached)
@@ -402,8 +401,9 @@ def test_run_reports_worst_solve_residuals(monkeypatch):
     assert 0.0 < fin["max_bie_residual"] <= 1e-8
     assert 0.0 <= fin["max_mean_constraint_residual"] <= 1e-8
     solves.clear()
+    monkeypatch.setattr(evolution, "TOP_MODE_ABORT", 1e-30)
     with pytest.raises(Unresolved) as info:
-        evolution.run({**cfg, "unresolved_tol": 1e-30})
+        evolution.run(cfg)
     fail = info.value.trajectory.events[-1]
     assert fail["event"] == "fail" and solves
     assert fail["max_bie_residual"] == max(s.residual_norm for s in solves)

@@ -1,7 +1,5 @@
 """Geometry: spectral curves, caches, integral quantities, admissibility."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,8 +47,7 @@ def test_synth_coeffs_roundtrip():
     rho_hat = np.zeros((32, 2))
     rho_hat[0, 0] = 1.0
     rho_hat[1:8] = 0.01 * rng.normal(size=(7, 2))
-    curve = geometry.RadialCurve(1.0, rho_hat, np.zeros(2))
-    back = geometry.coeffs_from_nodes(geometry.synth_nodes(curve))
+    back = geometry.coeffs_from_nodes(geometry.synth_nodes(rho_hat))
     assert np.max(np.abs(back - rho_hat)) < 1e-14
 
 
@@ -59,20 +56,18 @@ def test_eval_rho_matches_nodes():
     phi = 2.0 * np.pi * np.arange(curve.M) / curve.M
     for d in (0, 1, 2):
         assert np.max(np.abs(geometry.eval_rho(curve, phi, d)
-                             - geometry.synth_nodes(curve, d))) < 1e-12
+                             - geometry.synth_nodes(curve.rho_hat, d))) < 1e-12
 
 
 @given(st.integers(1, 40), st.integers(0, 2), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_eval_series_matches_synth_nodes(N, d, seed):
-    # any (N, 2) array, N not restricted to powers of two; synth_nodes only
-    # reads rho_hat and M from its curve argument
+    # any (N, 2) array, N not restricted to powers of two
     coef = np.random.default_rng(seed).normal(size=(N, 2))
-    series = SimpleNamespace(rho_hat=coef, M=2 * N)
     phi = 2.0 * np.pi * np.arange(2 * N) / (2 * N)
     scale = np.sum(np.abs(coef)) * max(N - 1, 1) ** d
     assert np.max(np.abs(geometry.eval_series(coef, phi, d)
-                         - geometry.synth_nodes(series, d))) < 1e-13 * scale
+                         - geometry.synth_nodes(coef, d))) < 1e-13 * scale
 
 
 def test_curve_points_offset_pole():
@@ -225,8 +220,9 @@ def test_curve_validation():
         geometry.RadialCurve(1.0, bad, np.zeros(2))
     good = np.zeros((16, 2))
     good[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        geometry.RadialCurve(1.0, good, np.zeros(2), "torus")  # missing L
+    for L in (None, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            geometry.RadialCurve(1.0, good, np.zeros(2), "torus", L)
 
 
 def test_build_cache_nonpositive_radius():

@@ -8,39 +8,40 @@ from msrelax import cli, evolution, geometry, potential, sobolev
 from msrelax.errors import NonZeroMean
 
 
-def cos_signal(k, P=np.pi, amp=1.0, M=128):
-    x = 2.0 * P * np.arange(M) / M
-    return sobolev.from_samples(amp * np.cos(np.pi * k * x / P), P)
+def cos_signal(k, amp=1.0, N=64):
+    """amp cos(k phi) in the (N, 2) layout; amp cos(k x) on [0, 2 pi)."""
+    coef = np.zeros((N, 2))
+    coef[k, 0] = amp
+    return coef
 
 
 def random_signal(rng, K, zero_mean=False):
-    coeffs = rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1)
-    coeffs[:K] = np.conj(coeffs[:K:-1])
-    coeffs[K] = coeffs[K].real
+    coef = rng.normal(size=(K + 1, 2))
+    coef[0, 1] = 0.0
     if zero_mean:
-        coeffs[K] = 0.0
-    return sobolev.PeriodicSignal(np.pi, coeffs)
+        coef[0, 0] = 0.0
+    return coef
 
 
-def fractional_derivative(signal, sigma):
-    """|d|^sigma: multiply coefficients by |(pi/P) k|^sigma, zero the mean."""
-    K = signal.K
-    k = signal.wavenumbers().astype(float)
-    w = np.abs(np.pi * k / signal.P)
-    w[K] = 1.0
-    c = signal.coeffs * w**sigma
-    c[K] = 0.0
-    return sobolev.PeriodicSignal(signal.P, c)
+def l2_from_nodes(coef, P):
+    """||f||_L2 on [0, 2P) from the node values of the series."""
+    return float(np.sqrt(2.0 * P * np.mean(geometry.synth_nodes(coef) ** 2)))
 
 
-def poincare_check(signal, sigma):
+def fractional_derivative(coef, P, sigma):
+    """|d|^sigma: multiply mode k by (pi k / P)^sigma, zero the mean."""
+    out = coef.copy()
+    out[0] = 0.0
+    out[1:] *= ((np.pi * np.arange(1, coef.shape[0]) / P) ** sigma)[:, None]
+    return out
+
+
+def poincare_check(coef, P, sigma):
     """||f - mean||_L2^2 <= (P/pi)^{2 sigma} ||f||_{H^sigma}^2."""
-    K = signal.K
-    c = signal.coeffs.copy()
-    c[K] = 0.0
-    lhs = float(np.sum(np.abs(c) ** 2))
-    rhs = ((signal.P / np.pi) ** (2.0 * sigma)
-           * sobolev.h_norm(signal, sigma) ** 2)
+    dev = coef.copy()
+    dev[0] = 0.0
+    lhs = l2_from_nodes(dev, P) ** 2
+    rhs = (P / np.pi) ** (2.0 * sigma) * sobolev.h_norm(coef, P, sigma) ** 2
     return {"lhs": lhs, "rhs": rhs}
 
 
@@ -51,61 +52,31 @@ def poincare_check(signal, sigma):
 @pytest.mark.parametrize("k,sigma", [(1, 0.5), (3, 1.0), (5, -0.5), (4, 2.0)])
 def test_h_norm_single_mode(k, sigma):
     # f = cos(k x) on [0, 2 pi): ||f||_{H^sigma} = sqrt(pi) k^sigma
-    sig = cos_signal(k)
-    assert abs(sobolev.h_norm(sig, sigma) - np.sqrt(np.pi) * k**sigma) < 1e-12
+    val = sobolev.h_norm(cos_signal(k), np.pi, sigma)
+    assert abs(val - np.sqrt(np.pi) * k**sigma) < 1e-12
 
 
-def test_l2_norm_parseval():
-    rng = np.random.default_rng(1)
-    sig = random_signal(rng, 12)
-    vals = sobolev.to_samples(sig, 256)
-    # ||f||_L2^2 = int f^2 dx = mean(f^2) * 2P
-    assert abs(np.mean(vals**2) * 2.0 * np.pi
-               - sobolev.l2_norm(sig)**2) < 1e-10
-
-
-def test_samples_roundtrip():
-    rng = np.random.default_rng(2)
-    vals = rng.normal(size=63)  # odd count: no half-weight Nyquist mode
-    sig = sobolev.from_samples(vals, 1.7)
-    assert np.max(np.abs(sobolev.to_samples(sig, 63) - vals)) < 1e-12
-
-
-@given(st.integers(1, 24), st.integers(0, 10**6))
-@settings(max_examples=40, deadline=None)
-def test_to_samples_aliasing_matches_direct_sum(K, seed):
-    # fewer samples than wavenumbers: modes beyond the grid alias onto it
-    rng = np.random.default_rng([41, seed])
-    M = int(rng.integers(1, 2 * K + 1))
-    P = rng.uniform(0.5, 3.0)
-    coeffs = rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1)
-    coeffs[:K] = np.conj(coeffs[:K:-1])
-    coeffs[K] = coeffs[K].real
-    sig = sobolev.PeriodicSignal(P, coeffs)
-    x = 2.0 * P * np.arange(M) / M
-    k = sig.wavenumbers()
-    direct = (np.exp(1j * np.pi * np.outer(x, k) / P) @ coeffs).real
-    direct /= np.sqrt(2.0 * P)
-    scale = np.sum(np.abs(coeffs)) / np.sqrt(2.0 * P)
-    assert np.max(np.abs(sobolev.to_samples(sig, M) - direct)) < 1e-13 * scale
-
-
-def test_mean():
-    sig = sobolev.from_samples(3.5 + np.cos(np.linspace(0, 2 * np.pi, 64,
-                                                        endpoint=False)), np.pi)
-    assert abs(sig.mean() - 3.5) < 1e-12
+@given(st.integers(1, 64), st.floats(0.1, 10.0), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_h_norm_orders_zero_and_one_from_nodes(N, P, seed):
+    # on the 2N nodes, which resolve every mode of an (N, 2) series:
+    # ||f||_{H^0}^2 = 2P mean((f - a_0)^2) and
+    # ||f||_{H^1}^2 = ||f_x||_L2^2 = 2P mean(((pi/P) f_phi)^2)
+    coef = random_signal(np.random.default_rng([47, seed]), N - 1)
+    f, f_phi = geometry.synth_nodes(coef), geometry.synth_nodes(coef, 1)
+    h0 = 2.0 * P * np.mean((f - coef[0, 0]) ** 2)
+    h1 = 2.0 * P * np.mean((np.pi / P * f_phi) ** 2)
+    assert abs(sobolev.h_norm(coef, P, 0.0) ** 2 - h0) <= 1e-12 * h0
+    assert abs(sobolev.h_norm(coef, P, 1.0) ** 2 - h1) <= 1e-12 * h1
 
 
 def test_dilation_homogeneity():
     # stretching the domain by lambda scales ||.||_{H^sigma} by lambda^{1/2-sigma}
-    rng = np.random.default_rng(3)
-    vals = rng.normal(size=64)
-    vals -= vals.mean()
+    coef = random_signal(np.random.default_rng(3), 31, zero_mean=True)
     lam = 2.5
-    a = sobolev.from_samples(vals, 1.0)
-    b = sobolev.from_samples(vals, lam)
     for sigma in (-0.5, 0.5, 1.0):
-        ratio = sobolev.h_norm(b, sigma) / sobolev.h_norm(a, sigma)
+        ratio = (sobolev.h_norm(coef, lam, sigma)
+                 / sobolev.h_norm(coef, 1.0, sigma))
         assert abs(ratio - lam ** (0.5 - sigma)) < 1e-10
 
 
@@ -114,37 +85,51 @@ def test_dilation_homogeneity():
 # ---------------------------------------------------------------------------
 
 def test_fractional_derivative_single_mode():
-    sig = cos_signal(4)
-    d = fractional_derivative(sig, 1.0)
-    vals = sobolev.to_samples(d, 128)
+    d = fractional_derivative(cos_signal(4), np.pi, 1.0)
     x = 2.0 * np.pi * np.arange(128) / 128
-    assert np.max(np.abs(vals - 4.0 * np.cos(4 * x))) < 1e-10
+    err = geometry.synth_nodes(d) - 4.0 * np.cos(4 * x)
+    assert np.max(np.abs(err)) < 1e-10
 
 
 def test_fractional_derivative_composes():
-    rng = np.random.default_rng(4)
-    sig = random_signal(rng, 10, zero_mean=True)
-    one = fractional_derivative(sig, 0.7)
-    two = fractional_derivative(one, 0.3)
-    direct = fractional_derivative(sig, 1.0)
-    assert np.max(np.abs(two.coeffs - direct.coeffs)) < 1e-10
+    coef = random_signal(np.random.default_rng(4), 10, zero_mean=True)
+    one = fractional_derivative(coef, np.pi, 0.7)
+    two = fractional_derivative(one, np.pi, 0.3)
+    direct = fractional_derivative(coef, np.pi, 1.0)
+    assert np.max(np.abs(two - direct)) < 1e-10
 
 
 def test_h_norm_via_derivative():
-    rng = np.random.default_rng(5)
-    sig = random_signal(rng, 10, zero_mean=True)
+    coef = random_signal(np.random.default_rng(5), 10, zero_mean=True)
     for sigma in (-0.5, 0.5, 1.5):
-        lhs = sobolev.h_norm(sig, sigma)
-        rhs = sobolev.l2_norm(fractional_derivative(sig, sigma))
+        lhs = sobolev.h_norm(coef, np.pi, sigma)
+        rhs = l2_from_nodes(fractional_derivative(coef, np.pi, sigma), np.pi)
         assert abs(lhs - rhs) < 1e-10
 
 
 def test_negative_order_requires_zero_mean():
-    sig = cos_signal(2)
-    shifted = sobolev.PeriodicSignal(sig.P, sig.coeffs + np.eye(1, sig.coeffs.size,
-                                                                sig.K)[0])
+    coef = cos_signal(2)
+    coef[0, 0] = 1.0
     with pytest.raises(NonZeroMean):
-        sobolev.h_norm(shifted, -0.5)
+        sobolev.h_norm(coef, np.pi, -0.5)
+
+
+def test_mean_guard_is_relative_to_the_data():
+    # the mean a_0 is ignored at orders >= 0; at negative orders it must sit
+    # below MEAN_TOL * max(1, max |coefficient|), so pure rounding noise (the
+    # velocity of an exact circle) passes too
+    noise = 1e-15 * np.random.default_rng(6).normal(size=(8, 2))
+    assert sobolev.h_norm(noise, np.pi, -0.5) < 1e-14
+    coef = cos_signal(3, amp=1e6)
+    coef[0, 0] = 1e-6
+    assert sobolev.h_norm(coef, np.pi, -0.5) == \
+        sobolev.h_norm(cos_signal(3, amp=1e6), np.pi, -0.5)
+    coef = cos_signal(3, amp=1e-3)
+    coef[0, 0] = 1e-6
+    assert sobolev.h_norm(coef, np.pi, 0.5) == \
+        sobolev.h_norm(cos_signal(3, amp=1e-3), np.pi, 0.5)
+    with pytest.raises(NonZeroMean):
+        sobolev.h_norm(coef, np.pi, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +137,7 @@ def test_negative_order_requires_zero_mean():
 # ---------------------------------------------------------------------------
 
 def test_interpolation_equality_single_mode():
-    rep = sobolev.interpolation_check(cos_signal(3), 0.0, 0.5, 1.0)
+    rep = sobolev.interpolation_check(cos_signal(3), np.pi, 0.0, 0.5, 1.0)
     assert abs(rep["ratio"] - 1.0) < 1e-12
 
 
@@ -160,21 +145,22 @@ def test_interpolation_equality_single_mode():
 @settings(max_examples=60, deadline=None)
 def test_interpolation_inequality(seed):
     rng = np.random.default_rng([31, seed])
-    sig = random_signal(rng, int(rng.integers(2, 20)), zero_mean=True)
+    coef = random_signal(rng, int(rng.integers(2, 20)), zero_mean=True)
+    P = rng.uniform(0.5, 3.0)
     alpha, beta = sorted(rng.uniform(-1.0, 1.5, 2))
     beta = max(beta, alpha + 0.1)
     sigma = rng.uniform(alpha + 0.01, beta - 0.01)
-    rep = sobolev.interpolation_check(sig, alpha, sigma, beta)
+    rep = sobolev.interpolation_check(coef, P, alpha, sigma, beta)
     assert rep["ratio"] <= 1.0 + 1e-10
 
 
 def test_poincare_equality_lowest_mode():
-    rep = poincare_check(cos_signal(1), 1.0)
+    rep = poincare_check(cos_signal(1), np.pi, 1.0)
     assert abs(rep["lhs"] - rep["rhs"]) < 1e-12
 
 
 def test_poincare_strict_higher_mode():
-    rep = poincare_check(cos_signal(3), 1.0)
+    rep = poincare_check(cos_signal(3), np.pi, 1.0)
     assert abs(rep["lhs"] / rep["rhs"] - 1.0 / 9.0) < 1e-12
 
 
@@ -182,9 +168,9 @@ def test_poincare_strict_higher_mode():
 @settings(max_examples=40, deadline=None)
 def test_poincare_inequality(seed):
     rng = np.random.default_rng([37, seed])
-    sig = random_signal(rng, int(rng.integers(2, 20)))
+    coef = random_signal(rng, int(rng.integers(2, 20)))
     sigma = rng.uniform(0.1, 1.5)
-    rep = poincare_check(sig, sigma)
+    rep = poincare_check(coef, np.pi, sigma)
     assert rep["lhs"] <= rep["rhs"] * (1.0 + 1e-12)
 
 
@@ -251,7 +237,9 @@ def test_curve_norm_order_one_converges_to_resampled_norm():
         vals[N] = sobolev.curve_norm(cache, V, 1.0)
     assert abs(vals[32] / vals[128] - 1.0) < 1e-6
     assert abs(vals[64] / vals[128] - 1.0) < 1e-9
-    resampled = sobolev.h_norm(sobolev.curve_signal(cache, V), 1.0)
+    arc = geometry.coeffs_from_nodes(geometry.eval_series(
+        geometry.coeffs_from_nodes(V), sobolev.arclength_angles(cache)))
+    resampled = sobolev.h_norm(arc, geometry.perimeter(cache) / 2.0, 1.0)
     assert abs(vals[128] / resampled - 1.0) < 1e-12
 
 
