@@ -27,8 +27,13 @@ reduction; normals cancel between the two sides).
 Squared distance H: the indicator difference chi_Omega - chi_B_R(c) is
 rasterized with subcell area-fraction anti-aliasing and H = ||f||_{H^-1}^2
 is summed in Fourier space; plane curves embed into a torus of half edge
-length EMBED_FACTOR * R.  A second curve's region may replace the ball
-(``other=``), giving the squared distance between two curves.
+length EMBED_FACTOR * R (the larger R of a pair).  A second curve's region
+may replace the ball (``other=``), giving the squared distance between two
+curves.  Only the cells of the two regions' bounding boxes (periodic, per
+axis) are rasterized: a subcell farther than max rho + hs from a region's
+centre along either axis has radial signed distance below -hs/2, so its
+coverage clips to exactly 0 and every cell outside the boxes is exactly 0
+in the full-grid raster too.
 """
 
 import functools
@@ -184,32 +189,46 @@ def trace_equality_disk(g_amps):
 # squared H^{-1} distance
 # ---------------------------------------------------------------------------
 
-def _subcell_grid(L, grid, sub):
-    n = grid * sub
-    hs = 2.0 * L / n
-    x1 = -L + hs * (np.arange(n) + 0.5)
-    X, Y = np.meshgrid(x1, x1, indexing="ij")
-    return X, Y, hs
+_RHO_TABLE = 8192   # angles at which a curve's rho is tabulated for coverage
 
 
-def _coverage_curve(curve, X, Y, L, hs):
-    """Subcell coverage fractions of the region enclosed by ``curve``,
-    estimated from the radial signed distance, clipped to [0, 1]."""
-    table_n = 8192
-    th_t = 2.0 * np.pi * np.arange(table_n + 1) / table_n
+def _curve_region(curve):
+    """(centre, rho, reach) of the region enclosed by ``curve``: its pole, the
+    table (angles, radii) that coverage interpolates, and the table's max."""
+    th_t = 2.0 * np.pi * np.arange(_RHO_TABLE + 1) / _RHO_TABLE
     rho_t = geometry.eval_rho(curve, th_t)
-    dx = (X - curve.pole[0] + L) % (2.0 * L) - L
-    dy = (Y - curve.pole[1] + L) % (2.0 * L) - L
+    return curve.pole, (th_t, rho_t), float(rho_t.max())
+
+
+def _coverage(region, xs, ys, L, hs):
+    """Subcell coverage fractions of a star-shaped region on the subcell
+    centres xs x ys, estimated from the radial signed distance rho - r about
+    its centre, clipped to [0, 1].  rho is a table (angles, radii) or, for a
+    disk, its radius."""
+    centre, rho, _ = region
+    dx = ((xs - centre[0] + L) % (2.0 * L) - L)[:, None]
+    dy = ((ys - centre[1] + L) % (2.0 * L) - L)[None, :]
     r = np.hypot(dx, dy)
-    th = np.arctan2(dy, dx) % (2.0 * np.pi)
-    rho = np.interp(th, th_t, rho_t)
+    if isinstance(rho, tuple):
+        rho = np.interp(np.arctan2(dy, dx) % (2.0 * np.pi), *rho)
     return np.clip(0.5 + (rho - r) / hs, 0.0, 1.0)
 
 
-def _coverage_disk(center, R, X, Y, L, hs):
-    dx = (X - center[0] + L) % (2.0 * L) - L
-    dy = (Y - center[1] + L) % (2.0 * L) - L
-    return np.clip(0.5 + (R - np.hypot(dx, dy)) / hs, 0.0, 1.0)
+def _box(x1, sub, axis, regions, L, hs):
+    """The cells along one axis holding a subcell centre within periodic
+    distance reach + hs of a region's centre, and those cells' subcell
+    centres; every other cell has coverage exactly 0.  At least two cells
+    when the axis has two, so that the block average reduces in the same
+    order as over the whole grid."""
+    near = np.zeros(x1.size, dtype=bool)
+    for centre, _, reach in regions:
+        d = (x1 - centre[axis] + L) % (2.0 * L) - L
+        near |= np.abs(d) <= reach + hs
+    cells = np.unique(np.flatnonzero(near) // sub)
+    G = x1.size // sub
+    if cells.size < min(2, G):
+        cells = np.unique(np.append(cells, (cells[0] + 1) % G))
+    return cells, x1[(cells[:, None] * sub + np.arange(sub)).ravel()]
 
 
 def rasterize_difference(curve, center, grid=512, sub=4, other=None):
@@ -217,6 +236,8 @@ def rasterize_difference(curve, center, grid=512, sub=4, other=None):
     on the torus grid, with sub x sub subcell area-fraction anti-aliasing.
     ``other`` replaces the reference ball with a second curve's region;
     otherwise ``center`` None means the bulk barycenter of ``curve``.
+    Plane curves embed at EMBED_FACTOR times the larger R.  Warns
+    GridTooCoarse when either curve's interface band is under 4 h.
     Returns (f, L, h) with f zero-mean.  Raises ValueError when ``other``
     lies in another domain or torus cell."""
     if other is not None and (other.domain != curve.domain or (
@@ -224,25 +245,33 @@ def rasterize_difference(curve, center, grid=512, sub=4, other=None):
         raise ValueError(f"curves in different domains: {curve.domain} "
                          f"(L = {curve.L}) and {other.domain} "
                          f"(L = {other.L})")
-    R = curve.R
-    if other is None and center is None:
-        center = geometry.barycenter_bulk(geometry.build_cache(curve))
-    L = curve.L if curve.domain == "torus" else EMBED_FACTOR * curve.R
+    curves = [curve] if other is None else [curve, other]
+    L = curve.L if curve.domain == "torus" else \
+        EMBED_FACTOR * max(c.R for c in curves)
     G = grid
     h = 2.0 * L / G
-    dev = float(np.max(np.abs(geometry.synth_nodes(curve.rho_hat) - R)))
-    if dev > 0 and dev < 4.0 * h:
-        warnings.warn(
-            f"interface band {dev:.2e} under-resolved by grid h = {h:.2e}",
-            GridTooCoarse, stacklevel=2)
+    for c in curves:
+        dev = float(np.max(np.abs(geometry.synth_nodes(c.rho_hat) - c.R)))
+        if dev > 0 and dev < 4.0 * h:
+            warnings.warn(
+                f"interface band {dev:.2e} under-resolved by grid h = {h:.2e}",
+                GridTooCoarse, stacklevel=2)
+            break
 
-    X, Y, hs = _subcell_grid(L, G, sub)
-    f = _coverage_curve(curve, X, Y, L, hs)
+    hs = 2.0 * L / (G * sub)
+    x1 = -L + hs * (np.arange(G * sub) + 0.5)
+    regions = [_curve_region(c) for c in curves]
     if other is None:
-        f = f - _coverage_disk(center, R, X, Y, L, hs)
-    else:
-        f = f - _coverage_curve(other, X, Y, L, hs)
-    f = f.reshape(G, sub, G, sub).mean(axis=(1, 3))
+        if center is None:
+            center = geometry.barycenter_bulk(geometry.build_cache(curve))
+        regions.append((center, curve.R, curve.R))
+    (cx, xs), (cy, ys) = (_box(x1, sub, axis, regions, L, hs)
+                          for axis in (0, 1))
+    box = _coverage(regions[0], xs, ys, L, hs) - \
+        _coverage(regions[1], xs, ys, L, hs)
+    f = np.zeros((G, G))
+    f[np.ix_(cx, cy)] = box.reshape(cx.size, sub, cy.size, sub).mean(
+        axis=(1, 3))
     f -= f.mean()
     return f, L, h
 
@@ -252,7 +281,8 @@ def squared_distance(curve, center=None, grid=512, sub=4, other=None):
     (R = curve.R), or of chi_Omega_in - chi_Omega_other when a second curve
     ``other`` (sharing the domain) is given.
 
-    Plane curves are embedded into a torus with L = EMBED_FACTOR * R; the
+    Plane curves are embedded into a torus with L = EMBED_FACTOR * R (the
+    larger R of a pair, so that H is symmetric in the two curves); the
     H^{-1} norm of the compactly supported zero-mean difference converges as
     the embedding grows.
     """

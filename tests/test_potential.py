@@ -1,5 +1,6 @@
 """Boundary-integral solver, dissipation, trace equality, and H distance."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -341,3 +342,138 @@ def test_oracle_agrees_small_grid():
         Ho = potential.squared_distance_oracle(curve, center=np.zeros(2),
                                                grid=32)
     assert abs(H / Ho - 1.0) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# the box raster against the full-grid raster
+# ---------------------------------------------------------------------------
+
+def rasterize_difference_full(curve, center, grid=512, sub=4, other=None):
+    """rasterize_difference with every coverage evaluated on the whole
+    (grid * sub)^2 subcell meshgrid: the oracle of the box raster."""
+    curves = [curve] if other is None else [curve, other]
+    L = curve.L if curve.domain == "torus" else \
+        potential.EMBED_FACTOR * max(c.R for c in curves)
+    n = grid * sub
+    hs = 2.0 * L / n
+    x1 = -L + hs * (np.arange(n) + 0.5)
+    X, Y = np.meshgrid(x1, x1, indexing="ij")
+
+    def polar(centre):
+        dx = (X - centre[0] + L) % (2.0 * L) - L
+        dy = (Y - centre[1] + L) % (2.0 * L) - L
+        return dx, dy, np.hypot(dx, dy)
+
+    def coverage_curve(c):
+        th_t = 2.0 * np.pi * np.arange(8193) / 8192
+        dx, dy, r = polar(c.pole)
+        th = np.arctan2(dy, dx) % (2.0 * np.pi)
+        rho = np.interp(th, th_t, geometry.eval_rho(c, th_t))
+        return np.clip(0.5 + (rho - r) / hs, 0.0, 1.0)
+
+    f = coverage_curve(curve)
+    if other is None:
+        if center is None:
+            center = geometry.barycenter_bulk(geometry.build_cache(curve))
+        f = f - np.clip(0.5 + (curve.R - polar(center)[2]) / hs, 0.0, 1.0)
+    else:
+        f = f - coverage_curve(other)
+    f = f.reshape(grid, sub, grid, sub).mean(axis=(1, 3))
+    f -= f.mean()
+    return f, L, 2.0 * L / grid
+
+
+def placed_curve(seed, domain, L, R, pole):
+    """A random admissible curve of equal-area radius R with its pole at
+    ``pole``."""
+    curve = geometry.random_admissible(np.random.default_rng(seed), N=16,
+                                       domain=domain, L=L)
+    return replace(curve, R=R, rho_hat=R * curve.rho_hat,
+                   pole=np.asarray(pole, dtype=float))
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["plane", "torus"]),
+       st.floats(1.1, 8.0), st.sampled_from([16, 32, 64, 128]),
+       st.sampled_from([1, 2, 4]), st.sampled_from(["bulk", "center",
+                                                    "other"]),
+       st.tuples(unit, unit), st.tuples(unit, unit), st.floats(0.5, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_rasterize_matches_full_grid(seed, domain, ratio, grid, sub, ref,
+                                     pole, offset, R_other):
+    # unit curves in a torus cell of half edge L = ratio; on the plane the
+    # second curve's R differs, and the embedding follows the larger one.
+    # Poles and centres are fractions of the half edge, so regions wrap
+    # across the cell edges.
+    torus = domain == "torus"
+    L = ratio if torus else None
+    R_b = 1.0 if torus else R_other
+    edge = L if torus else potential.EMBED_FACTOR * (
+        max(1.0, R_b) if ref == "other" else 1.0)
+    curve = placed_curve(seed, domain, L, 1.0, np.multiply(pole, edge))
+    other = center = None
+    if ref == "other":
+        other = placed_curve(seed + 1, domain, L, R_b,
+                             np.multiply(offset, edge))
+    elif ref == "center":
+        center = np.multiply(offset, edge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridTooCoarse)
+        f, L_f, h = potential.rasterize_difference(curve, center, grid, sub,
+                                                   other)
+    f_full, L_full, h_full = rasterize_difference_full(curve, center, grid,
+                                                       sub, other)
+    assert (L_f, h) == (L_full, h_full)
+    assert np.array_equal(f, f_full)
+
+
+@pytest.mark.parametrize("grid", [1, 2, 4])
+def test_rasterize_one_cell_box_matches_full_grid(grid):
+    # a mode-2 curve against a nearby disk inside the cell [0, 4]^2 of a
+    # grid 4 raster: its box is one cell per axis and is widened to two, so
+    # the block average sums the 8 x 8 subcells in the full grid's order
+    curve = replace(geometry.single_mode_curve(1.0, 2, 0.2),
+                    pole=np.array([2.0, 2.0]))
+    center = np.array([2.2, 1.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridTooCoarse)
+        f, _, _ = potential.rasterize_difference(curve, center, grid, 8)
+    ref, _, _ = rasterize_difference_full(curve, center, grid, 8)
+    assert np.array_equal(f, ref)
+
+
+def test_h_pair_symmetric_for_unequal_radii():
+    # both orders embed at 8 max(R); f only changes sign, so H is exact
+    a = geometry.single_mode_curve(1.0, 2, 0.05)
+    b = geometry.single_mode_curve(2.0, 3, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridTooCoarse)
+        Hab = potential.squared_distance(a, grid=128, other=b)
+        Hba = potential.squared_distance(b, grid=128, other=a)
+    assert Hab == Hba > 0
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_h_pair_warns_in_either_order(swap):
+    a = geometry.single_mode_curve(1.0, 2, 0.0)    # exact circle: no band
+    b = geometry.single_mode_curve(1.0, 2, 1e-4)
+    if swap:
+        a, b = b, a
+    with pytest.warns(GridTooCoarse):
+        potential.squared_distance(a, grid=32, other=b)
+
+
+def test_h_memory_follows_the_box():
+    # one full-grid subcell array at grid 512 is 2048^2 doubles = 32 MB
+    curve = geometry.single_mode_curve(1.0, 2, 0.05, N=64)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarse)
+            potential.squared_distance(curve, grid=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
