@@ -30,22 +30,29 @@ Records lie on a fixed time grid t_j = j * k_out * dt_max, where
 
 is a fixed unit that shrinks like R^3 / N^3.  Record times therefore do not
 depend on the step-size history, and the three-point stencil of
-check_differential stays well posed; steps are cut to land on every t_j and
-on t_end.  The first trial step is dt_max.
+check_differential stays well posed.  The record grid does not constrain
+the steps: the first trial step is dt_max, only the last one is cut to land
+on t_end, and each t_j inside an accepted step is reached by dense output
+(see dense_output), a per-half-step exponential Hermite interpolant through
+the step's start, midpoint and end.  The interpolated state is projected to
+the exact area and evaluated once; that rhs call gives the record.
 
-run() evaluates each state -- the initial one, and each accepted one after
-any re-centering -- once: that rhs call checks it (a state with rho <= 0 or,
-like any stage, a top-mode ratio above TOP_MODE_ABORT ends the run before it
-is recorded) and gives its record and the N(y0) of every step tried from it.
-dt is chosen by step doubling: one step of h and two of h/2 from the state
-give the local error estimate
+run() evaluates each state -- the initial one, each accepted one, and each
+one whose pole a re-centering moved -- once: that rhs call checks it (a
+state with rho <= 0 or, like any stage, a top-mode ratio above
+TOP_MODE_ABORT ends the run) and gives the N(y0) of every step tried from
+it, the end point of the step's dense output and any record that falls on
+it.  A step's records are written before the re-centering, so the step's
+start, midpoint and end share one pole.  dt is chosen by step doubling: one
+step of h and two of h/2 from the state give the local error estimate
 
     err = max |y_half - y_full| / max(max |y_half|, 1e-9 R)
 
 over coefficients 1..N-1; the floor keeps rounding noise on an unperturbed
 circle from rejecting forever.  A step is accepted when err <= ERR_TOL, and
 then continues from the two-half-step result; either way the next trial is
-dt * clip(0.9 (ERR_TOL / err)^(1/5), 0.2, 4), capped at the record interval.
+dt * clip(0.9 (ERR_TOL / err)^(1/5), 0.2, 4).  A doubled step costs 11 rhs
+calls (10 when rejected), a record between steps one more.
 
 The flow conserves enclosed area exactly; the integrator's drift per step is
 removed after each accepted step by an exact adjustment of the zero mode
@@ -97,6 +104,7 @@ class StepStats:
     """What one run's stepping did, its ``rhs`` calls and the worst
     residuals of their BIE solves included."""
     rhs_calls: int = 0
+    record_rhs_calls: int = 0
     min_dt: float = math.inf
     max_dt: float = 0.0
     max_err: float = 0.0
@@ -109,6 +117,7 @@ class StepStats:
 
     def summary(self):
         return {"rhs_calls": self.rhs_calls,
+                "record_rhs_calls": self.record_rhs_calls,
                 "dt_accepted_min": self.min_dt if self.max_dt > 0 else 0.0,
                 "dt_accepted_max": self.max_dt,
                 "max_err_estimate": self.max_err,
@@ -165,34 +174,80 @@ def linear_symbol(N, R):
 _etd_cache = []   # (h, lam, coefficients) of the last two step sizes
 
 
+def _phi(lam, tau):
+    """phi_0 .. phi_4 of z = lambda tau, each an (N, 1) column.
+
+    phi_0(z) = e^z and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z; the last four
+    are the mean over CONTOUR_POINTS points of the upper unit half circle
+    about z (real part, by conjugate symmetry), which avoids the cancellation
+    of these forms at small |z|.
+    """
+    z = tau * lam + np.exp(1j * np.pi * (np.arange(CONTOUR_POINTS) + 0.5)
+                           / CONTOUR_POINTS)
+    p = [(np.exp(z) - 1.0) / z]
+    for fact in (1.0, 2.0, 6.0):
+        p.append((p[-1] - 1.0 / fact) / z)
+    return (np.exp(tau * lam),
+            *(np.real(np.mean(pk, axis=1, keepdims=True)) for pk in p))
+
+
 def _etd_coeffs(lam, h):
     """e^{Lambda h}, e^{Lambda h/2} and the ETDRK4 weights Q, f1, f2, f3.
 
-    Each weight is h times a phi-function of z = lambda h, evaluated as the
-    mean over CONTOUR_POINTS points of the upper unit half circle about z
-    (real part, by conjugate symmetry).  The last two step sizes are kept,
-    the h and h/2 of a doubled step; adaptive step sizes are otherwise all
-    distinct.
+    In phi-functions of Lambda h (Cox & Matthews): Q = h/2 phi_1(Lambda h/2),
+    f1 = h (phi_1 - 3 phi_2 + 4 phi_3), f2 = h (phi_2 - 2 phi_3) and
+    f3 = h (4 phi_3 - phi_2).  The last two step sizes are kept, the h and
+    h/2 of a doubled step; adaptive step sizes are otherwise all distinct.
     """
     for h_c, lam_c, coeffs in _etd_cache:
         if h_c == h and np.array_equal(lam_c, lam):
             return coeffs
-    r = np.exp(1j * np.pi * (np.arange(CONTOUR_POINTS) + 0.5)
-               / CONTOUR_POINTS)
-    z = h * lam + r
-    z2, z3, ez = z * z, z * z * z, np.exp(z)
-
-    def mean(f):
-        return h * np.real(np.mean(f, axis=1, keepdims=True))
-
-    coeffs = (np.exp(h * lam), np.exp(0.5 * h * lam),
-              mean((np.exp(0.5 * z) - 1.0) / z),
-              mean((-4.0 - z + ez * (4.0 - 3.0 * z + z2)) / z3),
-              mean((2.0 + z + ez * (z - 2.0)) / z3),
-              mean((-4.0 - 3.0 * z - z2 + ez * (4.0 - z)) / z3))
+    e, p1, p2, p3 = _phi(lam, h)[:4]
+    e2, q = _phi(lam, 0.5 * h)[:2]
+    coeffs = (e, e2, 0.5 * h * q, h * (p1 - 3.0 * p2 + 4.0 * p3),
+              h * (p2 - 2.0 * p3), h * (4.0 * p3 - p2))
     _etd_cache.append((h, lam.copy(), coeffs))
     del _etd_cache[:-2]
     return coeffs
+
+
+def dense_output(lam, h, y0, n0, y_mid, n_mid, y1, n1):
+    """y(s), 0 <= s <= h, inside an accepted doubled step of size h.
+
+    On each half step of size hh = h/2, from (ya, na), with u = tau / hh,
+
+        y(tau) = e^{Lambda tau} ya + tau (phi_1 na + u phi_2 d1
+                 + 2 u^2 phi_3 d2 + 6 u^3 phi_4 d3)     (phis at Lambda tau)
+
+    is the exact solution of y' = Lambda y + N(t) for the cubic
+    N = na + d1 u + d2 u^2 + d3 u^3 (Hochbruck & Ostermann, Acta Numerica
+    19, 2010, section 2).  Per coefficient, that cubic passes through n0,
+    n_mid and n1 at s = 0, hh and h, and d3 makes y end the half at y_mid or
+    y1, so the path passes through both.
+    """
+    hh = 0.5 * h
+    e, p1, p2, p3, p4 = _phi(lam, hh)
+    dn_mid, dn1 = n_mid - n0, n1 - n0
+
+    def half(ya, na, yb, a1, b1, a2, b2):
+        # d1 = a1 + b1 d3 and d2 = a2 + b2 d3 fit the three N values
+        r = (yb - e * ya - hh * p1 * na) / hh
+        d3 = (r - p2 * a1 - 2.0 * p3 * a2) / (b1 * p2 + 2.0 * b2 * p3
+                                               + 6.0 * p4)
+        return ya, na, a1 + b1 * d3, a2 + b2 * d3, d3
+
+    a2 = 0.5 * dn1 - dn_mid
+    first = half(y0, n0, y_mid, 2.0 * dn_mid - 0.5 * dn1, 2.0, a2, -3.0)
+    second = half(y_mid, n_mid, y1, 0.5 * dn1, -1.0, a2, 0.0)
+
+    def y(s):
+        ya, na, d1, d2, d3 = second if s > hh else first
+        tau = s - hh if s > hh else s
+        u = tau / hh
+        e, p1, p2, p3, p4 = _phi(lam, tau)
+        return e * ya + tau * (p1 * na + u * (p2 * d1 + u * (
+            2.0 * p3 * d2 + 6.0 * u * p4 * d3)))
+    return y
 
 
 def rhs(curve, kernel=None):
@@ -223,6 +278,14 @@ def _nonlinear(curve, lam, kernel, stats):
     return k - lam * curve.rho_hat, cache, solve
 
 
+def _stage(curve, lam, kernel, stats):
+    """N at a stage curve; a non-positive rho rejects the step."""
+    try:
+        return _nonlinear(curve, lam, kernel, stats)[0]
+    except NonPositiveRadius as exc:
+        raise StepRejected("rho <= 0 mid-stage", "positivity") from exc
+
+
 def step(curve, dt, kernel=None, n0=None, stats=None):
     """One ETDRK4 step: the new curve and the pre-projection area drift.
 
@@ -236,11 +299,7 @@ def step(curve, dt, kernel=None, n0=None, stats=None):
     E, E2, Q, f1, f2, f3 = _etd_coeffs(lam, dt)
 
     def nl(y):
-        try:
-            return _nonlinear(replace(curve, rho_hat=y), lam, kernel,
-                              stats)[0]
-        except NonPositiveRadius as exc:
-            raise StepRejected("rho <= 0 mid-stage", "positivity") from exc
+        return _stage(replace(curve, rho_hat=y), lam, kernel, stats)
 
     nv = nl(y0) if n0 is None else n0
     a = E2 * y0 + Q * nv
@@ -264,7 +323,7 @@ def step(curve, dt, kernel=None, n0=None, stats=None):
     return new, drift
 
 
-def recenter(curve):
+def recenter(curve, info=None):
     """Move the pole to the bulk barycenter, keeping the curve fixed.
 
     For each node direction e(phi_i) from the new pole c, the intersection
@@ -272,7 +331,9 @@ def recenter(curve):
     psi by Newton on the cross-product equation; the new coefficients are the
     FFT of r.  Pure reparametrization: raises RecenterFail if the Newton
     solve stalls, an intersection radius is non-positive, or |c - pole| is
-    not small compared to R.
+    not small compared to R.  Returns ``curve`` itself when the pole is
+    already at the barycenter; otherwise a dict ``info`` receives the pole
+    shift and the Newton iteration count.
     """
     c = geometry.barycenter_bulk(geometry.build_cache(curve))
     shift = c - curve.pole
@@ -285,7 +346,7 @@ def recenter(curve):
     phi = 2.0 * np.pi * np.arange(M) / M
     cphi, sphi = np.cos(phi), np.sin(phi)
     psi = phi.copy()
-    for _ in range(60):
+    for it in range(1, 61):
         rho = geometry.eval_rho(curve, psi)
         rho_p = geometry.eval_rho(curve, psi, 1)
         gx = rho * np.cos(psi) - shift[0]
@@ -306,6 +367,8 @@ def recenter(curve):
         (rho * np.sin(psi) - shift[1]) * sphi
     if np.any(r <= 0.0):
         raise RecenterFail("non-positive radius about the new pole")
+    if info is not None:
+        info.update(shift=shift.tolist(), newton_iterations=it)
     new = replace(curve, rho_hat=geometry.coeffs_from_nodes(r), pole=c)
     return geometry.project_area(new)
 
@@ -355,24 +418,26 @@ def _step_factor(err):
 def _doubled_step(curve, h, n0, kernel, stats):
     """One step of h and two of h/2 from ``curve``, sharing N(y0) = ``n0``.
 
-    Returns the two-half-step curve, its worst pre-projection area drift and
-    the relative local error estimate of the module docstring.
+    Returns the two-half-step curve, its worst pre-projection area drift,
+    the relative local error estimate of the module docstring, and the
+    midpoint coefficients with their N (the second half step's first stage).
     """
     full, _ = step(curve, h, kernel, n0, stats)
-    half, d1 = step(curve, 0.5 * h, kernel, n0, stats)
-    half, d2 = step(half, 0.5 * h, kernel, None, stats)
+    mid, d1 = step(curve, 0.5 * h, kernel, n0, stats)
+    n_mid = _stage(mid, linear_symbol(curve.N, curve.R), kernel, stats)
+    half, d2 = step(mid, 0.5 * h, kernel, n_mid, stats)
     y = half.rho_hat[1:]
     scale = max(np.max(np.abs(y)), 1e-9 * curve.R)
     err = np.max(np.abs(y - full.rho_hat[1:])) / scale
-    return half, max(d1, d2), float(err)
+    return half, max(d1, d2), float(err), (mid.rho_hat, n_mid)
 
 
 def run(config=None):
     """Drive the flow from a config dict (unknown keys rejected).
 
     Records diagnostics at t_j = j * k_out * dt_max and at the end (H on the
-    ``k_H`` record cadence), re-centers every ``k_rec`` accepted steps and
-    controls dt by step doubling (see the module docstring).  Stops at
+    ``k_H`` record cadence), re-centers every ``k_rec`` accepted steps but
+    the last and controls dt by step doubling (see the module docstring).  Stops at
     t_end or max_steps.  A MsrelaxError raised on the way carries the
     partial TrajectoryLog, ending in a ``fail`` event, as its ``trajectory``
     attribute.  On the torus, 2 max rho (a bound on the curve's diameter)
@@ -407,29 +472,25 @@ def run(config=None):
     traj.events.append({"event": "start", "t": 0.0, "dt": dt,
                         "N": curve.N, "domain": curve.domain})
     stats = StepStats()
-    t, steps = 0.0, 0
+    t, steps, j = 0.0, 0, 1
 
-    def emit():   # the current state, from its one evaluation
+    def emit(cache, solve, t_rec):
         H = float("nan")
         if cfg["k_H"] > 0 and len(traj.records) % int(cfg["k_H"]) == 0:
             H = potential.squared_distance(cache.curve, grid=int(cfg["grid"]))
-        traj.records.append(analysis.record(cache, solve, t, H))
+        traj.records.append(analysis.record(cache, solve, t_rec, H))
 
     stats.max_top_mode_ratio = geometry.top_mode_ratio(curve.rho_hat)
     try:
         n0, cache, solve = _nonlinear(curve, lam, kernel, stats)
-        emit()
-        recorded, j = True, 1
+        emit(cache, solve, 0.0)
         while t < t_end and steps < cfg["max_steps"]:
-            target = j * interval
-            if t_end - target <= 1e-9 * interval:
-                target = t_end
-            remaining = target - t
-            n_sub = max(1, math.ceil(remaining / dt - 1e-9))
-            h = remaining / n_sub
+            last = t_end - t <= dt * (1.0 + 1e-9)
+            h = t_end - t if last else dt
             err = None
             try:
-                new, drift, err = _doubled_step(curve, h, n0, kernel, stats)
+                new, drift, err, mid = _doubled_step(curve, h, n0, kernel,
+                                                     stats)
                 if not err <= ERR_TOL:
                     raise StepRejected(f"local error estimate {err:.3e} at "
                                        f"dt = {h:.3e}", "error")
@@ -443,19 +504,36 @@ def run(config=None):
                     raise StepRejected(f"step size collapsed to {dt:.3e} "
                                        f"({exc})", exc.reason) from exc
                 continue
-            fac = _step_factor(err)
-            dt = min(h * fac if fac < 1.0 else max(dt, h * fac), interval)
-            curve, t, steps = new, target if n_sub == 1 else t + h, steps + 1
-            stats.accept(h, err, drift, curve.rho_hat)
-            if cfg["k_rec"] > 0 and steps % int(cfg["k_rec"]) == 0:
-                curve = recenter(curve)
-            n0, cache, solve = _nonlinear(curve, lam, kernel, stats)
-            recorded = n_sub == 1
-            if recorded:
-                emit()
+            dt = h * _step_factor(err)
+            stats.accept(h, err, drift, new.rho_hat)
+            n1, cache, solve = _nonlinear(new, lam, kernel, stats)
+            t1 = t_end if last else t + h
+            # the step's records, in the pole that y0, y_mid and y1 share
+            path = None
+            while (t_rec := j * interval) <= t1 and \
+                    t_end - t_rec > 1e-9 * interval:
+                if t_rec == t1:
+                    emit(cache, solve, t_rec)
+                else:
+                    path = path or dense_output(lam, h, curve.rho_hat, n0,
+                                                *mid, new.rho_hat, n1)
+                    at = geometry.project_area(
+                        replace(curve, rho_hat=path(t_rec - t)))
+                    stats.record_rhs_calls += 1
+                    _, at_cache, at_solve = _nonlinear(at, lam, kernel, stats)
+                    emit(at_cache, at_solve, t_rec)
                 j += 1
-        if not recorded:
-            emit()
+            curve, n0, t, steps = new, n1, t1, steps + 1
+            if t < t_end and cfg["k_rec"] > 0 and \
+                    steps % int(cfg["k_rec"]) == 0:
+                info = {}
+                moved = recenter(curve, info)
+                if moved is not curve:
+                    traj.events.append({"event": "recenter", "t": t, **info})
+                    curve = moved
+                    n0, cache, solve = _nonlinear(curve, lam, kernel, stats)
+        if traj.records[-1].t != t:   # t_end, or max_steps between records
+            emit(cache, solve, t)
     except MsrelaxError as exc:
         traj.events.append({"event": "fail", "t": t, "steps": steps,
                             "rejects": sum(stats.rejects.values()), "dt": dt,
@@ -467,5 +545,6 @@ def run(config=None):
         raise
     traj.events.append({"event": "finish", "t": t, "steps": steps,
                         "rejects": sum(stats.rejects.values()),
+                        "stop": "t_end" if t >= t_end else "max_steps",
                         "E_final": traj.records[-1].E, **stats.summary()})
     return traj

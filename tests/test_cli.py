@@ -153,12 +153,16 @@ def test_simulate_summary_counts_steps(capsys, cfg_file, tmp_path):
                         "--out", str(out))
     assert code == 0
     summary = json.loads(msg)
-    finish = json.loads((out / "run.jsonl").read_text().splitlines()[-1])
+    events = [json.loads(ln)
+              for ln in (out / "run.jsonl").read_text().splitlines()]
+    finish = events[-1]
+    recenters = [e for e in events if e["event"] == "recenter"]
     assert summary["steps"] == finish["steps"] > 0
     assert summary["rejects"] == finish["rejects"] == sum(
         finish["rejects_by_reason"].values())
-    assert finish["rhs_calls"] == 11 * finish["steps"] + 1 + \
-        10 * finish["rejects"]
+    assert finish["stop"] == "t_end"
+    assert finish["rhs_calls"] == 1 + 11 * finish["steps"] + \
+        10 * finish["rejects"] + finish["record_rhs_calls"] + len(recenters)
     assert 0.0 < finish["dt_accepted_min"] <= finish["dt_accepted_max"]
     assert finish["max_err_estimate"] <= 1e-8
     assert 0.0 <= finish["max_top_mode_ratio"] < 1e-6

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msrelax import analysis, cli, evolution, geometry, potential
+from msrelax import analysis, cli, elliptic, evolution, geometry, potential
 from msrelax.errors import RecenterFail, StepRejected, Unresolved
 
 
@@ -125,6 +125,99 @@ def test_etd_weights_cached_for_h_and_half_h():
     cached = [c for _, _, c in evolution._etd_cache]
     for dt in (h, 0.5 * h, h, 0.5 * h):
         assert any(evolution._etd_coeffs(lam, dt) is c for c in cached)
+
+
+def doubled_step_path(curve, h):
+    """The dense-output path of one doubled step of h from ``curve``, with
+    the step's midpoint and end coefficients."""
+    lam = evolution.linear_symbol(curve.N, curve.R)
+    stats = evolution.StepStats()
+    n0 = evolution._nonlinear(curve, lam, None, stats)[0]
+    new, _, _, (y_mid, n_mid) = evolution._doubled_step(curve, h, n0, None,
+                                                         stats)
+    n1 = evolution._nonlinear(new, lam, None, stats)[0]
+    path = evolution.dense_output(lam, h, curve.rho_hat, n0, y_mid, n_mid,
+                                  new.rho_hat, n1)
+    return path, y_mid, new.rho_hat
+
+
+def test_dense_output_passes_through_step_points():
+    curve = state_for(5, 0.02)
+    h = 8.0 * evolution.dt_max(32, 1.0)
+    path, y_mid, y1 = doubled_step_path(curve, h)
+    assert np.array_equal(path(0.0), curve.rho_hat)
+    assert np.max(np.abs(path(0.5 * h) - y_mid)) < 1e-15
+    assert np.max(np.abs(path(h) - y1)) < 1e-15
+
+
+@pytest.mark.parametrize("degree", [0, 3])
+def test_dense_output_exact_for_polynomial_n(degree):
+    # y' = Lambda y + N(t) with N constant or cubic in t: the interpolant
+    # is the exact solution, here by Gauss-Legendre quadrature of the
+    # variation-of-constants integral (and directly for constant N)
+    rng = np.random.default_rng(degree)
+    N = 16
+    lam = evolution.linear_symbol(N, 1.0)
+    h = 2e-3    # |lambda h| up to 13.6
+    coef = rng.normal(size=(degree + 1, N, 2))
+
+    def n_at(t):
+        return sum(c * t**k for k, c in enumerate(coef))
+
+    def exact(y0, s):
+        if degree == 0:
+            grow = np.where(lam == 0.0, s, np.expm1(lam * s)
+                            / np.where(lam == 0.0, 1.0, lam))
+            return np.exp(lam * s) * y0 + grow * coef[0]
+        x, w = np.polynomial.legendre.leggauss(64)
+        sig = 0.5 * s * (x + 1.0)
+        integral = sum(0.5 * s * wi * np.exp(lam * (s - si)) * n_at(si)
+                       for wi, si in zip(w, sig))
+        return np.exp(lam * s) * y0 + integral
+
+    y0 = rng.normal(size=(N, 2))
+    path = evolution.dense_output(lam, h, y0, n_at(0.0),
+                                  exact(y0, 0.5 * h), n_at(0.5 * h),
+                                  exact(y0, h), n_at(h))
+    for s in np.linspace(0.0, h, 9):
+        ref = exact(y0, s)
+        assert np.max(np.abs(path(s) - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def test_run_records_match_tight_tolerance(monkeypatch):
+    # records interpolated inside large steps stay as accurate as the
+    # steps: a regime64 slice against a run at ERR_TOL = 1e-11
+    cfg = {**cli.RUNS["regime64"], "seed": 11, "t_end": 1e-3}
+    run = evolution.run(cfg)
+    monkeypatch.setattr(evolution, "ERR_TOL", 1e-11)
+    ref = evolution.run(cfg)
+    assert run.events[-1]["steps"] < ref.events[-1]["steps"]
+    assert [r.t for r in run.records] == [r.t for r in ref.records]
+    for a, b in zip(run.records, ref.records):
+        assert abs(a.E / b.E - 1.0) < 5e-10, (a.t, a.E, b.E)
+        assert abs(a.D / b.D - 1.0) < 5e-10, (a.t, a.D, b.D)
+
+
+def test_torus_rate_records_match_fixed_steps(monkeypatch):
+    # a single mode's error estimate sits at rounding level, so dt grows
+    # 4x a step and ERR_TOL = 1e-11 changes no step; the reference is
+    # instead two fixed ETDRK4 steps per record interval
+    monkeypatch.setattr(evolution, "ERR_TOL", 1e-11)
+    cfg = {"N": 128, "domain": "torus", "modes": "3", "amps": "1e-3",
+           "phases": "0", "t_end": 2e-5, "k_out": 6, "k_H": 0}
+    run = evolution.run(cfg)
+    assert run.events[-1]["steps"] < len(run.records) // 2
+    curve = evolution.initial_curve({**evolution.DEFAULTS, **cfg})
+    kernel = elliptic.LatticeKernel(curve.L)
+    t = 0.0
+    for rec in run.records:
+        for _ in range(2 if rec.t > t else 0):
+            curve, _ = evolution.step(curve, 0.5 * (rec.t - t), kernel)
+        t = rec.t
+        cache = geometry.build_cache(curve)
+        ref = analysis.record(cache, potential.solve_ms(cache, kernel), t)
+        assert abs(rec.E / ref.E - 1.0) < 1e-11, (t, rec.E, ref.E)
+        assert abs(rec.D / ref.D - 1.0) < 1e-11, (t, rec.D, ref.D)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +388,23 @@ def test_run_stop_conditions():
     traj = evolution.run({"N": 32, "modes": "2", "amps": "0.01",
                           "t_end": 1.0, "max_steps": 12, "k_out": 4,
                           "k_H": 0})
-    assert traj.events[-1]["steps"] == 12
+    fin = traj.events[-1]
+    assert fin["steps"] == 12 and fin["stop"] == "max_steps"
+    assert traj.records[-1].t == fin["t"] < 1.0   # the last state recorded
+    traj = evolution.run({"N": 32, "modes": "2", "amps": "0.01",
+                          "t_end": 1e-4, "k_out": 4, "k_H": 0})
+    assert traj.events[-1]["stop"] == "t_end"
+
+
+def test_run_logs_recenters():
+    traj = evolution.run({"N": 32, "modes": "2,3", "amps": "0.01,0.008",
+                          "seed": 5, "t_end": 1e-3, "k_rec": 1, "k_H": 0})
+    recenters = [e for e in traj.events if e["event"] == "recenter"]
+    steps = traj.events[-1]["steps"]
+    # every accepted step but the last moves the pole
+    assert len(recenters) == steps - 1 > 0
+    assert all(0.0 < e["t"] < 1e-3 and 0.0 < np.hypot(*e["shift"]) < 0.2
+               and 1 <= e["newton_iterations"] <= 60 for e in recenters)
 
 
 def test_run_final_partial_step_lands_on_t_end():
@@ -364,7 +473,8 @@ def test_run_dt_collapse_raises_with_partial_trajectory(monkeypatch):
 
 
 def test_run_solves_each_state_once(monkeypatch):
-    # every BIE solve is an rhs call: records reuse their state's solve
+    # every BIE solve is an rhs call: each accepted state is solved once,
+    # a record between steps once more, a state whose pole moved once more
     solves, solve_ms = [], potential.solve_ms
 
     def counted(*args, **kwargs):
@@ -373,12 +483,15 @@ def test_run_solves_each_state_once(monkeypatch):
 
     monkeypatch.setattr(potential, "solve_ms", counted)
     traj = evolution.run({"N": 32, "modes": "2,3", "amps": "0.01,0.005",
-                          "seed": 7, "t_end": 2e-4, "k_out": 2, "k_rec": 3,
+                          "seed": 7, "t_end": 2e-4, "k_out": 2, "k_rec": 2,
                           "k_H": 0})
     fin = traj.events[-1]
     assert fin["event"] == "finish" and fin["rejects"] == 0
     assert len(traj.records) > 5
-    assert len(solves) == fin["rhs_calls"] == 11 * fin["steps"] + 1
+    recenters = [e for e in traj.events if e["event"] == "recenter"]
+    assert fin["record_rhs_calls"] > 0 and recenters
+    assert len(solves) == fin["rhs_calls"] == 1 + 11 * fin["steps"] + \
+        fin["record_rhs_calls"] + len(recenters)
 
 
 def test_run_reports_worst_solve_residuals(monkeypatch):
