@@ -267,7 +267,7 @@ def cmd_checks(args):
     names = args.suite or list(SUITES)
     summary, ok = {}, True
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", GridTooCoarse)
         for name in names:
             try:
                 rep = SUITES[name](args.n, args.seed)
@@ -344,6 +344,7 @@ def cmd_norms(args):
     for sigma in (0.5, 1.0):
         out[f"rho_dev_h{sigma:g}"] = sobolev.curve_norm(
             cache, cache.rho - curve.R, sigma)
+    out["top_mode_ratio"] = geometry.top_mode_ratio(curve.rho_hat)
     out["curvature_oscillation_ratio"] = \
         analysis.curvature_oscillation_monitor(cache)["ratio"]
     try:

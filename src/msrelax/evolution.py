@@ -52,7 +52,8 @@ over coefficients 1..N-1; the floor keeps rounding noise on an unperturbed
 circle from rejecting forever.  A step is accepted when err <= ERR_TOL, and
 then continues from the two-half-step result; either way the next trial is
 dt * clip(0.9 (ERR_TOL / err)^(1/5), 0.2, 4).  A doubled step costs 11 rhs
-calls (10 when rejected), a record between steps one more.
+calls (10 when rejected), a record between steps one more; the phi-functions
+are evaluated once each at Lambda h, h/2 and h/4, and once per such record.
 
 The flow conserves enclosed area exactly; the integrator's drift per step is
 removed after each accepted step by an exact adjustment of the zero mode
@@ -61,11 +62,13 @@ removed after each accepted step by an exact adjustment of the zero mode
 area drift exceeds a hard bound; such rejections halve dt.
 
 The polar gauge degrades as the barycenter drifts off the pole, so the curve
-is periodically re-centered: the pole is moved to the bulk barycenter and the
-radial function recomputed by Newton ray-shooting, a pure reparametrization
-that leaves the curve (and hence E, H, D) unchanged to interpolation accuracy.
+is re-centered every K_REC accepted steps: the pole is moved to the bulk
+barycenter and the radial function recomputed by Newton ray-shooting, a pure
+reparametrization that leaves the curve (and hence E, H, D) unchanged to
+interpolation accuracy.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -80,6 +83,8 @@ AREA_DRIFT_REJECT = 1e-5
 TOP_MODE_ABORT = 1.0e-6   # top-mode ratio above which rhs raises Unresolved
 ERR_TOL = 1e-8
 CONTOUR_POINTS = 32
+K_REC = 10            # re-center every K_REC accepted steps; 0 never
+MAX_STEPS = 2_000_000
 
 DEFAULTS = {
     "R": 1.0,
@@ -91,9 +96,7 @@ DEFAULTS = {
     "phases": "",
     "seed": 0,
     "t_end": 0.01,
-    "max_steps": 2000000,
     "k_out": 10,
-    "k_rec": 10,
     "k_H": 5,               # H every k_H-th record; 0 disables H
     "grid": 256,
 }
@@ -171,9 +174,6 @@ def linear_symbol(N, R):
     return -2.0 * k * (k**2 - 1.0) / R**3
 
 
-_etd_cache = []   # (h, lam, coefficients) of the last two step sizes
-
-
 def _phi(lam, tau):
     """phi_0 .. phi_4 of z = lambda tau, each an (N, 1) column.
 
@@ -191,24 +191,28 @@ def _phi(lam, tau):
             *(np.real(np.mean(pk, axis=1, keepdims=True)) for pk in p))
 
 
+@functools.lru_cache(maxsize=3)
+def _step_phi(lam_bytes, tau):
+    """``_phi`` of the column ``lam`` (as bytes) at a step size, kept for
+    the h, h/2 and h/4 of one doubled step; the arrays are read-only."""
+    phis = _phi(np.frombuffer(lam_bytes)[:, None], tau)
+    for p in phis:
+        p.setflags(write=False)
+    return phis
+
+
 def _etd_coeffs(lam, h):
     """e^{Lambda h}, e^{Lambda h/2} and the ETDRK4 weights Q, f1, f2, f3.
 
     In phi-functions of Lambda h (Cox & Matthews): Q = h/2 phi_1(Lambda h/2),
     f1 = h (phi_1 - 3 phi_2 + 4 phi_3), f2 = h (phi_2 - 2 phi_3) and
-    f3 = h (4 phi_3 - phi_2).  The last two step sizes are kept, the h and
-    h/2 of a doubled step; adaptive step sizes are otherwise all distinct.
+    f3 = h (4 phi_3 - phi_2).
     """
-    for h_c, lam_c, coeffs in _etd_cache:
-        if h_c == h and np.array_equal(lam_c, lam):
-            return coeffs
-    e, p1, p2, p3 = _phi(lam, h)[:4]
-    e2, q = _phi(lam, 0.5 * h)[:2]
-    coeffs = (e, e2, 0.5 * h * q, h * (p1 - 3.0 * p2 + 4.0 * p3),
-              h * (p2 - 2.0 * p3), h * (4.0 * p3 - p2))
-    _etd_cache.append((h, lam.copy(), coeffs))
-    del _etd_cache[:-2]
-    return coeffs
+    key = lam.tobytes()
+    e, p1, p2, p3 = _step_phi(key, h)[:4]
+    e2, q = _step_phi(key, 0.5 * h)[:2]
+    return (e, e2, 0.5 * h * q, h * (p1 - 3.0 * p2 + 4.0 * p3),
+            h * (p2 - 2.0 * p3), h * (4.0 * p3 - p2))
 
 
 def dense_output(lam, h, y0, n0, y_mid, n_mid, y1, n1):
@@ -226,7 +230,7 @@ def dense_output(lam, h, y0, n0, y_mid, n_mid, y1, n1):
     y1, so the path passes through both.
     """
     hh = 0.5 * h
-    e, p1, p2, p3, p4 = _phi(lam, hh)
+    e, p1, p2, p3, p4 = _step_phi(lam.tobytes(), hh)
     dn_mid, dn1 = n_mid - n0, n1 - n0
 
     def half(ya, na, yb, a1, b1, a2, b2):
@@ -436,13 +440,13 @@ def run(config=None):
     """Drive the flow from a config dict (unknown keys rejected).
 
     Records diagnostics at t_j = j * k_out * dt_max and at the end (H on the
-    ``k_H`` record cadence), re-centers every ``k_rec`` accepted steps but
-    the last and controls dt by step doubling (see the module docstring).  Stops at
-    t_end or max_steps.  A MsrelaxError raised on the way carries the
-    partial TrajectoryLog, ending in a ``fail`` event, as its ``trajectory``
-    attribute.  On the torus, 2 max rho (a bound on the curve's diameter)
-    must stay below elliptic.TAIL_RADIUS * 2L, the reach of the lattice-tail
-    series, else ValueError.
+    ``k_H`` record cadence), re-centers every K_REC accepted steps but the
+    last and controls dt by step doubling (see the module docstring).  Stops
+    at t_end or after MAX_STEPS steps.  A MsrelaxError raised on the way
+    carries the partial TrajectoryLog, ending in a ``fail`` event, as its
+    ``trajectory`` attribute.  On the torus, 2 max rho (a bound on the
+    curve's diameter) must stay below elliptic.TAIL_RADIUS * 2L, the reach
+    of the lattice-tail series, else ValueError.
     """
     cfg = dict(DEFAULTS)
     for key, val in (config or {}).items():
@@ -477,14 +481,16 @@ def run(config=None):
     def emit(cache, solve, t_rec):
         H = float("nan")
         if cfg["k_H"] > 0 and len(traj.records) % int(cfg["k_H"]) == 0:
-            H = potential.squared_distance(cache.curve, grid=int(cfg["grid"]))
+            H = potential.squared_distance(
+                cache.curve, center=geometry.barycenter_bulk(cache),
+                grid=int(cfg["grid"]))
         traj.records.append(analysis.record(cache, solve, t_rec, H))
 
     stats.max_top_mode_ratio = geometry.top_mode_ratio(curve.rho_hat)
     try:
         n0, cache, solve = _nonlinear(curve, lam, kernel, stats)
         emit(cache, solve, 0.0)
-        while t < t_end and steps < cfg["max_steps"]:
+        while t < t_end and steps < MAX_STEPS:
             last = t_end - t <= dt * (1.0 + 1e-9)
             h = t_end - t if last else dt
             err = None
@@ -524,15 +530,14 @@ def run(config=None):
                     emit(at_cache, at_solve, t_rec)
                 j += 1
             curve, n0, t, steps = new, n1, t1, steps + 1
-            if t < t_end and cfg["k_rec"] > 0 and \
-                    steps % int(cfg["k_rec"]) == 0:
+            if t < t_end and K_REC > 0 and steps % K_REC == 0:
                 info = {}
                 moved = recenter(curve, info)
                 if moved is not curve:
                     traj.events.append({"event": "recenter", "t": t, **info})
                     curve = moved
                     n0, cache, solve = _nonlinear(curve, lam, kernel, stats)
-        if traj.records[-1].t != t:   # t_end, or max_steps between records
+        if traj.records[-1].t != t:   # t_end, or MAX_STEPS between records
             emit(cache, solve, t)
     except MsrelaxError as exc:
         traj.events.append({"event": "fail", "t": t, "steps": steps,

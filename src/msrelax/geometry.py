@@ -14,15 +14,11 @@ ell, kappa and the node points; rho_phiphi enters only kappa.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NonPositiveRadius, OptimFail
-
-# Relative top-mode amplitude above which build_cache warns
-TOP_MODE_WARN = 1.0e-13
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,7 @@ def curve_points(curve, phi):
 
 def top_mode_ratio(rho_hat):
     """Amplitude of the top Fourier mode relative to the largest one: the
-    resolution headroom."""
+    resolution headroom, which evolution.rhs alone judges."""
     amp = np.hypot(rho_hat[:, 0], rho_hat[:, 1])
     return float(amp[-1] / max(amp.max(), 1e-300))
 
@@ -165,20 +161,14 @@ def top_mode_ratio(rho_hat):
 def build_cache(curve):
     """Fill all node-wise geometric quantities for a curve.
 
-    Raises NonPositiveRadius unless rho > 0 everywhere; warns when
-    top_mode_ratio exceeds TOP_MODE_WARN (evolution.rhs decides what is
-    unresolved).
+    Raises NonPositiveRadius unless rho > 0 everywhere; whether the curve
+    is resolved is for evolution.rhs to decide.
     """
     M = curve.M
     phi = 2.0 * np.pi * np.arange(M) / M
     rho = synth_nodes(curve.rho_hat)
     if not np.all(rho > 0.0):
         raise NonPositiveRadius(f"min rho = {rho.min():.3e}")
-
-    if top_mode_ratio(curve.rho_hat) > TOP_MODE_WARN:
-        # constant text, so the once-per-location filter de-duplicates it
-        warnings.warn(f"top-mode relative amplitude above {TOP_MODE_WARN:g}",
-                      RuntimeWarning, stacklevel=2)
 
     rho_phi = synth_nodes(curve.rho_hat, 1)
     rho_phiphi = synth_nodes(curve.rho_hat, 2)

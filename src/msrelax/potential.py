@@ -253,9 +253,9 @@ def rasterize_difference(curve, center, grid=512, sub=4, other=None):
     for c in curves:
         dev = float(np.max(np.abs(geometry.synth_nodes(c.rho_hat) - c.R)))
         if dev > 0 and dev < 4.0 * h:
-            warnings.warn(
-                f"interface band {dev:.2e} under-resolved by grid h = {h:.2e}",
-                GridTooCoarse, stacklevel=2)
+            # constant text, so the once-per-location filter de-duplicates it
+            warnings.warn("interface band under 4 grid cells: H is unreliable",
+                          GridTooCoarse, stacklevel=2)
             break
 
     hs = 2.0 * L / (G * sub)

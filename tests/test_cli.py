@@ -408,6 +408,7 @@ def test_norms(capsys, tmp_path):
     assert rep["admissibility"]["pass"]
     assert rep["E"] > 0
     assert rep["rho_dev_h1"] > 0
+    assert rep["top_mode_ratio"] == 0.0   # a mode-3 curve: top mode empty
 
 
 def test_norms_monitors(capsys, tmp_path):

@@ -39,15 +39,13 @@ def test_rhs_mean_free_flux():
     assert abs(cache.quad(cache.rho * drho)) < 1e-10
 
 
-def test_rhs_raises_unresolved_where_build_cache_warns():
+def test_rhs_raises_unresolved_above_top_mode_abort():
     rho_hat = np.zeros((32, 2))
     rho_hat[0, 0] = 1.0
     rho_hat[31, 0] = 1e-4
     curve = geometry.RadialCurve(1.0, rho_hat, np.zeros(2))
     with pytest.raises(Unresolved):
         evolution.rhs(curve)
-    with pytest.warns(RuntimeWarning, match="top-mode"):
-        geometry.build_cache(curve)
 
 
 def test_step_conserves_area_exactly():
@@ -115,16 +113,23 @@ def test_step_rejects_large_dt():
         evolution.step(st, 0.05)
 
 
-def test_etd_weights_cached_for_h_and_half_h():
-    # a doubled step uses h and h/2; both weight sets stay cached
-    h = 4.0 * evolution.dt_max(32, 1.0)
-    curve = state_for(5, 0.01)
-    lam = evolution.linear_symbol(32, 1.0)
-    n0 = evolution.rhs(curve)[0] - lam * curve.rho_hat
-    evolution._doubled_step(curve, h, n0, None, evolution.StepStats())
-    cached = [c for _, _, c in evolution._etd_cache]
-    for dt in (h, 0.5 * h, h, 0.5 * h):
-        assert any(evolution._etd_coeffs(lam, dt) is c for c in cached)
+def test_phi_evaluated_once_per_step_size(monkeypatch):
+    # an accepted doubled step of h evaluates phi at Lambda h, h/2 and h/4
+    # once each, a record between step ends once more at its own offset
+    taus, phi = [], evolution._phi
+
+    def counted(lam, tau):
+        taus.append(tau)
+        return phi(lam, tau)
+
+    monkeypatch.setattr(evolution, "_phi", counted)
+    evolution._step_phi.cache_clear()
+    traj = evolution.run({"N": 32, "modes": "2,3", "amps": "0.01,0.005",
+                          "seed": 7, "t_end": 2e-4, "k_out": 2, "k_H": 0})
+    fin = traj.events[-1]
+    assert fin["event"] == "finish" and fin["rejects"] == 0
+    assert fin["steps"] > 1 and fin["record_rhs_calls"] > 0
+    assert len(taus) == 3 * fin["steps"] + fin["record_rhs_calls"]
 
 
 def doubled_step_path(curve, h):
@@ -316,7 +321,7 @@ def test_readme_config_table_matches_defaults():
 def test_run_rejects_unknown_key():
     # includes keys that existed once and were removed
     for key in ("not_a_key", "filter", "dt0", "E_stop", "c_cfl",
-                "embed_factor"):
+                "embed_factor", "k_rec", "max_steps"):
         with pytest.raises(KeyError):
             evolution.run({key: 1})
 
@@ -348,12 +353,14 @@ def test_run_energy_monotone():
     assert traj.events[-1]["max_area_drift"] < 1e-9
 
 
-def test_run_gauge_invariance():
+def test_run_gauge_invariance(monkeypatch):
     # recentering cadence must not change the physics
-    base = {"N": 32, "modes": "2,3", "amps": "0.01,0.008", "seed": 5,
-            "t_end": 1e-3, "k_out": 50, "k_H": 0}
-    a = evolution.run({**base, "k_rec": 1})
-    b = evolution.run({**base, "k_rec": 20})
+    cfg = {"N": 32, "modes": "2,3", "amps": "0.01,0.008", "seed": 5,
+           "t_end": 1e-3, "k_out": 50, "k_H": 0}
+    monkeypatch.setattr(evolution, "K_REC", 1)
+    a = evolution.run(cfg)
+    monkeypatch.setattr(evolution, "K_REC", 20)
+    b = evolution.run(cfg)
     assert abs(a.records[-1].E / b.records[-1].E - 1.0) < 1e-8
 
 
@@ -372,8 +379,13 @@ def test_run_properties_random_small_curves(domain, seed):
            "phases": ",".join(f"{p:.17g}"
                               for p in rng.uniform(0, 2 * np.pi, modes.size)),
            "t_end": 12 * evolution.dt_max(32, 1.0), "k_out": 4, "k_H": 0}
-    moved = evolution.run({**cfg, "k_rec": 1})
-    fixed = evolution.run({**cfg, "k_rec": 0})
+    # hypothesis shares function-scoped fixtures across examples: patch per
+    # example
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "K_REC", 1)
+        moved = evolution.run(cfg)
+        mp.setattr(evolution, "K_REC", 0)
+        fixed = evolution.run(cfg)
     assert len(moved.records) == len(fixed.records) == 4
     for traj in (moved, fixed):
         assert traj.events[-1]["max_area_drift"] < 1e-9
@@ -384,10 +396,11 @@ def test_run_properties_random_small_curves(domain, seed):
         assert abs(a.D / b.D - 1.0) < 1e-10, (a.t, a.D, b.D)
 
 
-def test_run_stop_conditions():
-    traj = evolution.run({"N": 32, "modes": "2", "amps": "0.01",
-                          "t_end": 1.0, "max_steps": 12, "k_out": 4,
-                          "k_H": 0})
+def test_run_stop_conditions(monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(evolution, "MAX_STEPS", 12)
+        traj = evolution.run({"N": 32, "modes": "2", "amps": "0.01",
+                              "t_end": 1.0, "k_out": 4, "k_H": 0})
     fin = traj.events[-1]
     assert fin["steps"] == 12 and fin["stop"] == "max_steps"
     assert traj.records[-1].t == fin["t"] < 1.0   # the last state recorded
@@ -396,9 +409,10 @@ def test_run_stop_conditions():
     assert traj.events[-1]["stop"] == "t_end"
 
 
-def test_run_logs_recenters():
+def test_run_logs_recenters(monkeypatch):
+    monkeypatch.setattr(evolution, "K_REC", 1)
     traj = evolution.run({"N": 32, "modes": "2,3", "amps": "0.01,0.008",
-                          "seed": 5, "t_end": 1e-3, "k_rec": 1, "k_H": 0})
+                          "seed": 5, "t_end": 1e-3, "k_H": 0})
     recenters = [e for e in traj.events if e["event"] == "recenter"]
     steps = traj.events[-1]["steps"]
     # every accepted step but the last moves the pole
@@ -482,9 +496,9 @@ def test_run_solves_each_state_once(monkeypatch):
         return solve_ms(*args, **kwargs)
 
     monkeypatch.setattr(potential, "solve_ms", counted)
+    monkeypatch.setattr(evolution, "K_REC", 2)
     traj = evolution.run({"N": 32, "modes": "2,3", "amps": "0.01,0.005",
-                          "seed": 7, "t_end": 2e-4, "k_out": 2, "k_rec": 2,
-                          "k_H": 0})
+                          "seed": 7, "t_end": 2e-4, "k_out": 2, "k_H": 0})
     fin = traj.events[-1]
     assert fin["event"] == "finish" and fin["rejects"] == 0
     assert len(traj.records) > 5

@@ -240,24 +240,6 @@ def test_build_cache_rejects_nan_radius():
         geometry.build_cache(geometry.RadialCurve(1.0, rho_hat, np.zeros(2)))
 
 
-def test_top_mode_warning_text_is_constant():
-    # the once-per-location filter can only de-duplicate a constant text
-    import warnings
-    texts = set()
-    for amp in (1e-10, 2e-10, 3e-10):
-        rho_hat = np.zeros((32, 2))
-        rho_hat[0, 0] = 1.0
-        rho_hat[31, 1] = amp
-        assert geometry.top_mode_ratio(rho_hat) == amp
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            geometry.build_cache(geometry.RadialCurve(1.0, rho_hat,
-                                                      np.zeros(2)))
-        texts |= {str(w.message) for w in caught}
-    assert len(texts) == 1
-    assert texts.pop().startswith("top-mode relative amplitude")
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

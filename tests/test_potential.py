@@ -332,6 +332,19 @@ def test_h_warns_when_under_resolved():
         potential.squared_distance(curve, grid=32)
 
 
+def test_grid_too_coarse_text_is_constant():
+    # the once-per-location filter can only de-duplicate a constant text
+    texts = set()
+    for eps in (1e-4, 2e-4, 3e-4):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            potential.squared_distance(
+                geometry.single_mode_curve(1.0, 2, eps), grid=32)
+        assert [w.category for w in caught] == [GridTooCoarse]
+        texts |= {str(w.message) for w in caught}
+    assert len(texts) == 1
+
+
 def test_oracle_agrees_small_grid():
     # full-size oracle comparisons live in the acceptance suite; this is the
     # cheap smoke version at grid 32
