@@ -55,6 +55,13 @@ dt * clip(0.9 (ERR_TOL / err)^(1/5), 0.2, 4).  A doubled step costs 11 rhs
 calls (10 when rejected), a record between steps one more; the phi-functions
 are evaluated once each at Lambda h, h/2 and h/4, and once per such record.
 
+Each rhs call is one bordered BIE solve (potential.solve_ms).  A run keeps
+one inverse of the bordered matrix in its StepStats and solves every state,
+stage and record against it by iterative refinement, so a call costs the
+O(M^2) assembly and a few matrix-vector products.  A matrix is inverted
+again only when refinement misses, so a run of small deficit inverts once,
+at its initial state.
+
 The flow conserves enclosed area exactly; the integrator's drift per step is
 removed after each accepted step by an exact adjustment of the zero mode
 (area is a quadratic polynomial in the coefficients).  Steps are rejected
@@ -105,7 +112,8 @@ DEFAULTS = {
 @dataclass
 class StepStats:
     """What one run's stepping did, its ``rhs`` calls and the worst
-    residuals of their BIE solves included."""
+    residuals of their BIE solves included; ``bie`` is the run's reference
+    inverse, with its inversion and refinement-sweep counts."""
     rhs_calls: int = 0
     record_rhs_calls: int = 0
     min_dt: float = math.inf
@@ -117,6 +125,7 @@ class StepStats:
     max_mean_constraint_residual: float = 0.0
     rejects: dict = field(default_factory=lambda: dict.fromkeys(
         ("error", "positivity", "area"), 0))
+    bie: potential.BieInverse = field(default_factory=potential.BieInverse)
 
     def summary(self):
         return {"rhs_calls": self.rhs_calls,
@@ -129,6 +138,8 @@ class StepStats:
                 "max_bie_residual": self.max_bie_residual,
                 "max_mean_constraint_residual":
                     self.max_mean_constraint_residual,
+                "bie_inversions": self.bie.inversions,
+                "refine_sweeps": self.bie.sweeps,
                 "rejects_by_reason": dict(self.rejects)}
 
     def accept(self, dt, err, drift, rho_hat):
@@ -191,10 +202,12 @@ def _phi(lam, tau):
             *(np.real(np.mean(pk, axis=1, keepdims=True)) for pk in p))
 
 
-@functools.lru_cache(maxsize=3)
+@functools.lru_cache(maxsize=5)
 def _step_phi(lam_bytes, tau):
-    """``_phi`` of the column ``lam`` (as bytes) at a step size, kept for
-    the h, h/2 and h/4 of one doubled step; the arrays are read-only."""
+    """``_phi`` of the column ``lam`` (as bytes) at a step size; the arrays
+    are read-only.  Five entries keep the h, h/2 and h/4 of one doubled step
+    while the next step adds its 4h and 2h, so a step that grows dt 4x finds
+    its own h/4 (the previous h) still there."""
     phis = _phi(np.frombuffer(lam_bytes)[:, None], tau)
     for p in phis:
         p.setflags(write=False)
@@ -254,26 +267,28 @@ def dense_output(lam, h, y0, n0, y_mid, n_mid, y1, n1):
     return y
 
 
-def rhs(curve, kernel=None):
-    """Coefficient-space time derivative, plus the cache and solve used.
+def rhs(curve, kernel=None, inverse=None):
+    """Coefficient-space time derivative, plus the cache and solve used; the
+    BIE solve refines against ``inverse`` (see potential.solve_ms).
     Raises NonPositiveRadius unless rho > 0, then Unresolved if the curve's
     top_mode_ratio exceeds TOP_MODE_ABORT."""
     cache = geometry.build_cache(curve)
     top = geometry.top_mode_ratio(curve.rho_hat)
     if top > TOP_MODE_ABORT:
         raise Unresolved(f"top-mode relative amplitude {top:.3e}")
-    solve = potential.solve_ms(cache, kernel)
+    solve = potential.solve_ms(cache, kernel, inverse=inverse)
     drho = solve.V * cache.ell / cache.rho
     return geometry.coeffs_from_nodes(drho), cache, solve
 
 
 def _nonlinear(curve, lam, kernel, stats):
     """N(y) = rhs(y) - Lambda y at y = ``curve``'s coefficients, the cache
-    and the solve."""
-    if stats is not None:
+    and the solve; with ``stats``, the solve refines against its inverse."""
+    if stats is None:
+        k, cache, solve = rhs(curve, kernel)
+    else:
         stats.rhs_calls += 1
-    k, cache, solve = rhs(curve, kernel)
-    if stats is not None:
+        k, cache, solve = rhs(curve, kernel, stats.bie)
         stats.max_bie_residual = max(stats.max_bie_residual,
                                      solve.residual_norm)
         stats.max_mean_constraint_residual = max(

@@ -368,8 +368,10 @@ def test_python_m_cli_runs_without_runtime_warning():
 
 def test_import_leaves_scipy_unloaded():
     # only geometry.bonnesen_monitor needs scipy, which would more than
-    # triple the import time of every command
+    # triple the import time of every command; a run needs none either
     proc = run_python("-c", "import sys, msrelax.cli; "
+                      "from msrelax import evolution; "
+                      "evolution.run({'N': 32, 't_end': 1e-4, 'k_out': 2}); "
                       "print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -114,22 +114,35 @@ def test_step_rejects_large_dt():
 
 
 def test_phi_evaluated_once_per_step_size(monkeypatch):
-    # an accepted doubled step of h evaluates phi at Lambda h, h/2 and h/4
-    # once each, a record between step ends once more at its own offset
-    taus, phi = [], evolution._phi
+    # accepted doubled steps of h evaluate phi once at each of Lambda h, h/2
+    # and h/4, a record between step ends once more at its own offset
+    taus, hs = [], []
+    phi, doubled_step = evolution._phi, evolution._doubled_step
 
     def counted(lam, tau):
         taus.append(tau)
         return phi(lam, tau)
 
+    def kept(curve, h, *args):
+        hs.append(h)
+        return doubled_step(curve, h, *args)
+
     monkeypatch.setattr(evolution, "_phi", counted)
-    evolution._step_phi.cache_clear()
-    traj = evolution.run({"N": 32, "modes": "2,3", "amps": "0.01,0.005",
-                          "seed": 7, "t_end": 2e-4, "k_out": 2, "k_H": 0})
-    fin = traj.events[-1]
-    assert fin["event"] == "finish" and fin["rejects"] == 0
-    assert fin["steps"] > 1 and fin["record_rhs_calls"] > 0
-    assert len(taus) == 3 * fin["steps"] + fin["record_rhs_calls"]
+    monkeypatch.setattr(evolution, "_doubled_step", kept)
+    base = {"N": 32, "t_end": 2e-4, "k_out": 2, "k_H": 0}
+    # the second, a single mode, has its error estimate at rounding level,
+    # so dt grows 4x and the grown step's h/4 is the previous step's h
+    for cfg in ({"modes": "2,3", "amps": "0.01,0.005", "seed": 7},
+                {"modes": "3", "amps": "1e-3", "phases": "0"}):
+        taus.clear()
+        hs.clear()
+        evolution._step_phi.cache_clear()
+        fin = evolution.run({**base, **cfg}).events[-1]
+        assert fin["event"] == "finish" and fin["rejects"] == 0
+        assert fin["steps"] == len(hs) > 1 and fin["record_rhs_calls"] > 0
+        sizes = {s for h in hs for s in (h, 0.5 * h, 0.25 * h)}
+        assert len(taus) == len(sizes) + fin["record_rhs_calls"]
+    assert any(b == 4.0 * a for a, b in zip(hs, hs[1:]))
 
 
 def doubled_step_path(curve, h):
@@ -327,9 +340,12 @@ def test_run_rejects_unknown_key():
 
 
 def test_run_deterministic():
+    # a run shares no state with the runs before it in the process: A, then
+    # another config, then A again writes A's rows byte for byte
     cfg = {"N": 32, "modes": "2,3", "amps": "0.01,0.005", "seed": 7,
            "t_end": 3e-4, "k_out": 5, "k_H": 0}
     a = evolution.run(cfg)
+    evolution.run({**cfg, "domain": "torus", "modes": "3", "amps": "0.02"})
     b = evolution.run(cfg)
     rows_a = [r.csv_row() for r in a.records]
     rows_b = [r.csv_row() for r in b.records]
@@ -482,8 +498,10 @@ def test_run_dt_collapse_raises_with_partial_trajectory(monkeypatch):
     rejects = [e for e in traj.events if e["event"] == "reject"]
     assert len(rejects) == fail["rejects_by_reason"]["error"] > 10
     assert all(e["reason"] == "error" and e["err"] > 0 for e in rejects)
-    # the initial state's one evaluation serves every retry
+    # the initial state's one evaluation serves every retry, and its inverse
+    # every solve
     assert fail["rhs_calls"] == 1 + 10 * len(rejects)
+    assert fail["bie_inversions"] == 1 and fail["refine_sweeps"] > 0
 
 
 def test_run_solves_each_state_once(monkeypatch):
@@ -506,6 +524,27 @@ def test_run_solves_each_state_once(monkeypatch):
     assert fin["record_rhs_calls"] > 0 and recenters
     assert len(solves) == fin["rhs_calls"] == 1 + 11 * fin["steps"] + \
         fin["record_rhs_calls"] + len(recenters)
+
+
+@pytest.mark.parametrize("cfg", [
+    {**cli.RUNS["regime64"], "t_end": 6e-4},
+    {"N": 128, "domain": "torus", "modes": "3", "amps": "1e-3",
+     "t_end": 1e-5, "k_out": 6, "k_H": 0}])
+def test_run_inverts_the_bie_matrix_once(monkeypatch, cfg):
+    # the bench's flow-plane-n64 and flow-torus-n128 shapes: every solve of
+    # the run refines against the initial state's inverse
+    inversions, inv = [], np.linalg.inv
+
+    def counted(a):
+        inversions.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    fin = evolution.run(cfg).events[-1]
+    assert fin["event"] == "finish"
+    assert fin["bie_inversions"] == len(inversions) == 1
+    assert fin["refine_sweeps"] >= 2 * fin["rhs_calls"]
+    assert 0.0 < fin["max_bie_residual"] <= potential.REFINE_TOL
 
 
 def test_run_reports_worst_solve_residuals(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msrelax import elliptic, evolution, geometry, potential, sobolev
-from msrelax.errors import GridTooCoarse, OutOfRadius
+from msrelax.errors import GridTooCoarse, OutOfRadius, SolverSingular
 
 
 def circle_cache(R=1.0, N=32):
@@ -187,6 +187,51 @@ def test_tail_nodes_rounding_fallback(monkeypatch):
     calls = count_elementwise_tails(monkeypatch)
     err, _ = tail_error(kern, z)
     assert len(calls) == 2 and err == 0.0
+
+
+def test_solve_ms_singular_matrix_raises(monkeypatch):
+    # a zero single-layer block leaves the bordered matrix of rank 2
+    monkeypatch.setattr(potential, "assemble",
+                        lambda cache, kernel=None: np.zeros((cache.M,) * 2))
+    with pytest.raises(SolverSingular, match="Singular matrix"):
+        potential.solve_ms(circle_cache())
+
+
+def test_solve_ms_non_finite_residual_raises():
+    cache = circle_cache()
+    data = np.full(cache.M, np.nan)
+    with pytest.raises(SolverSingular, match="residual nan"):
+        potential.solve_ms(cache, data=data)
+    inverse = potential.BieInverse()
+    potential.solve_ms(cache, inverse=inverse)
+    with pytest.raises(SolverSingular, match="residual nan"):
+        potential.solve_ms(cache, data=data, inverse=inverse)
+
+
+@pytest.mark.parametrize("amp, inversions", [(1e-3, 1), (0.2, 2)])
+def test_solve_ms_stale_reference_matches_direct_solve(amp, inversions):
+    # the circle's inverse as the reference for a perturbed curve: a small
+    # perturbation refines against it, a strong one inverts anew, and either
+    # way the solution is the direct solve's of the same bordered system
+    inverse = potential.BieInverse()
+    potential.solve_ms(circle_cache(), inverse=inverse)
+    rho_hat = np.zeros((32, 2))
+    rho_hat[0, 0], rho_hat[2, 0], rho_hat[3, 1] = 1.0, amp, 0.5 * amp
+    rho_hat[5, 0] = 0.25 * amp
+    cache = geometry.build_cache(geometry.project_area(
+        geometry.RadialCurve(1.0, rho_hat, np.zeros(2))))
+    solve = potential.solve_ms(cache, inverse=inverse)
+    assert inverse.inversions == inversions and inverse.sweeps > 2
+    big = potential._bordered(potential.assemble(cache),
+                              cache.ell * cache.dphi)
+    mean = np.mean(cache.kappa)
+    ref = np.linalg.solve(big, np.concatenate([cache.kappa - mean, [0.0]]))
+    ref[-1] += mean
+    x = np.append(solve.V, solve.additive_constant)
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert np.linalg.norm(solve.V - ref[:-1]) <= \
+        1e-13 * np.linalg.norm(ref[:-1])
+    assert solve.residual_norm <= potential.REFINE_TOL
 
 
 @pytest.mark.parametrize("L", [1.0, 0.999 / elliptic.TAIL_RADIUS])
