@@ -94,16 +94,17 @@ class GeometryCache:
 # ---------------------------------------------------------------------------
 
 def synth_nodes(coef, derivative=0):
-    """Evaluate the (N, 2) cos/sin series (or a phi-derivative) at the
-    M = 2N uniform nodes."""
-    N = coef.shape[0]
+    """Evaluate the (..., N, 2) cos/sin series (or a phi-derivative) at the
+    M = 2N uniform nodes; leading axes are a batch of curves."""
+    N = coef.shape[-2]
     M = 2 * N
-    c = coef[:, 0] - 1j * coef[:, 1]
+    c = coef[..., 0] - 1j * coef[..., 1]
     if derivative:
         c = c * (1j * np.arange(N)) ** derivative
-    X = np.zeros(N + 1, dtype=complex)   # rfft layout
-    X[0] = c[0].real * M if derivative == 0 else 0.0
-    X[1:N] = c[1:] * N
+    X = np.zeros(c.shape[:-1] + (N + 1,), dtype=complex)   # rfft layout
+    if derivative == 0:
+        X[..., 0] = c[..., 0].real * M
+    X[..., 1:N] = c[..., 1:] * N
     return np.fft.irfft(X, M)
 
 
@@ -244,27 +245,42 @@ def admissibility_report(curve, delta=0.05):
 
     Conditions: sup|rho - R| <= delta R, sup|rho_phi| <= delta R, bulk
     barycenter at the pole, enclosed area pi R^2.  Returns residuals and
-    booleans; never raises.
+    booleans; raises only NonPositiveRadius, as build_cache does.
     """
-    cache = build_cache(curve)
-    R = curve.R
-    sup_dev = float(np.max(np.abs(cache.rho - R)))
-    sup_slope = float(np.max(np.abs(cache.rho_phi)))
-    bary = barycenter_bulk(cache) - curve.pole
-    area = enclosed_area(cache)
+    rep = admissibility_report_stack(curve.rho_hat[None], curve.R, delta,
+                                     curve.pole)
+    return {k: v[0].item() for k, v in rep.items()}
+
+
+def admissibility_report_stack(rho_hat, R, delta=0.05, pole=(0.0, 0.0)):
+    """admissibility_report for stacked (B, N, 2) coefficients sharing R and
+    the pole: the same keys, each an array over the B rows."""
+    rho = synth_nodes(rho_hat)
+    if not np.all(rho > 0.0):
+        raise NonPositiveRadius(f"min rho = {rho.min():.3e}")
+    rho_phi = synth_nodes(rho_hat, 1)
+    M = rho.shape[-1]
+    phi = 2.0 * np.pi * np.arange(M) / M
+    dphi = 2.0 * np.pi / M
+    # the sums of enclosed_area and barycenter_bulk, row by row
+    area = 0.5 * (np.sum(rho**2, axis=-1) * dphi)
+    rho3 = rho**3
+    c = np.stack([np.sum(rho3 * np.cos(phi), axis=-1) * dphi,
+                  np.sum(rho3 * np.sin(phi), axis=-1) * dphi], axis=-1)
+    pole = np.asarray(pole, dtype=float)
+    bary = (pole + c / (3.0 * area[:, None])) - pole
     report = {
-        "annulus_residual": sup_dev / R,
-        "slope_residual": sup_slope / R,
-        "barycenter_residual": float(np.hypot(*bary)) / R,
-        "area_residual": abs(area - np.pi * R**2) / (np.pi * R**2),
+        "annulus_residual": np.max(np.abs(rho - R), axis=-1) / R,
+        "slope_residual": np.max(np.abs(rho_phi), axis=-1) / R,
+        "barycenter_residual": np.hypot(bary[:, 0], bary[:, 1]) / R,
+        "area_residual": np.abs(area - np.pi * R**2) / (np.pi * R**2),
     }
     report["annulus_pass"] = report["annulus_residual"] <= delta
     report["slope_pass"] = report["slope_residual"] <= delta
     report["barycenter_pass"] = report["barycenter_residual"] <= 1e-10
     report["area_pass"] = report["area_residual"] <= 1e-10
-    report["pass"] = all(report[k] for k in
-                         ("annulus_pass", "slope_pass", "barycenter_pass",
-                          "area_pass"))
+    report["pass"] = (report["annulus_pass"] & report["slope_pass"]
+                      & report["barycenter_pass"] & report["area_pass"])
     return report
 
 
@@ -312,33 +328,49 @@ def make_admissible(curve):
     Newton iteration with the analytic Jacobian of the three constraint
     integrals with respect to the three low-mode coefficients.
     """
-    rho_hat = curve.rho_hat.copy()
-    R = curve.R
-    M = curve.M
+    return replace(curve, rho_hat=make_admissible_stack(curve.rho_hat[None],
+                                                        curve.R)[0])
+
+
+def make_admissible_stack(rho_hat, R):
+    """make_admissible for stacked (B, N, 2) coefficients sharing R; returns
+    the projected copy.
+
+    Each row iterates until its own constraints converge and is then left
+    alone, so every row matches its B = 1 projection bit for bit.  Raises
+    OptimFail if any row has not converged after 50 Newton steps.
+    """
+    rho_hat = np.array(rho_hat, dtype=float)
+    M = 2 * rho_hat.shape[-2]
     phi = 2.0 * np.pi * np.arange(M) / M
     dphi = 2.0 * np.pi / M
     cphi, sphi = np.cos(phi), np.sin(phi)
+    basis = [np.ones(M), cphi, sphi]
     target = np.array([np.pi * R**2, 0.0, 0.0])
+    rows = np.arange(rho_hat.shape[0])
     for _ in range(50):
-        rho = synth_nodes(rho_hat)
-        g = np.array([
-            0.5 * np.sum(rho**2) * dphi,
-            np.sum(rho**3 * cphi) * dphi,
-            np.sum(rho**3 * sphi) * dphi,
-        ]) - target
-        if np.max(np.abs(g)) < 1e-14 * R**2:
-            return replace(curve, rho_hat=rho_hat)
+        rho = synth_nodes(rho_hat[rows])
+        rho2, rho3 = rho**2, rho**3
+        g = np.stack([
+            0.5 * np.sum(rho2, axis=-1) * dphi,
+            np.sum(rho3 * cphi, axis=-1) * dphi,
+            np.sum(rho3 * sphi, axis=-1) * dphi,
+        ], axis=-1) - target
+        # a NaN residual keeps its row iterating, and so fails
+        moving = ~(np.max(np.abs(g), axis=-1) < 1e-14 * R**2)
+        rows, rho, rho2, g = rows[moving], rho[moving], rho2[moving], g[moving]
+        if rows.size == 0:
+            return rho_hat
         # d/d(a0, a1, b1) of the three integrals
-        basis = [np.ones(M), cphi, sphi]
-        jac = np.empty((3, 3))
+        jac = np.empty((rows.size, 3, 3))
         for j, b in enumerate(basis):
-            jac[0, j] = np.sum(rho * b) * dphi
-            jac[1, j] = 3.0 * np.sum(rho**2 * cphi * b) * dphi
-            jac[2, j] = 3.0 * np.sum(rho**2 * sphi * b) * dphi
-        delta = np.linalg.solve(jac, g)
-        rho_hat[0, 0] -= delta[0]
-        rho_hat[1, 0] -= delta[1]
-        rho_hat[1, 1] -= delta[2]
+            jac[:, 0, j] = np.sum(rho * b, axis=-1) * dphi
+            jac[:, 1, j] = 3.0 * np.sum(rho2 * cphi * b, axis=-1) * dphi
+            jac[:, 2, j] = 3.0 * np.sum(rho2 * sphi * b, axis=-1) * dphi
+        delta = np.linalg.solve(jac, g[:, :, None])[:, :, 0]
+        rho_hat[rows, 0, 0] -= delta[:, 0]
+        rho_hat[rows, 1, 0] -= delta[:, 1]
+        rho_hat[rows, 1, 1] -= delta[:, 2]
     raise OptimFail("admissibility projection did not converge")
 
 
@@ -350,25 +382,46 @@ def random_admissible(rng, N=32, delta=0.05, k_max=8, domain="plane", L=None):
     sup bounds sit at ``delta / 2``, then Newton-projects the area and
     barycenter conditions.
     """
-    rho_hat = np.zeros((N, 2))
-    rho_hat[0, 0] = 1.0
+    rho_hat = random_admissible_stack([rng], N, delta, k_max)[0]
+    return RadialCurve(1.0, rho_hat, np.zeros(2), domain, L)
+
+
+def random_admissible_stack(rngs, N=32, delta=0.05, k_max=8):
+    """Coefficients (B, N, 2) of random_admissible, one row per generator:
+    row i is the curve random_admissible(rngs[i], ...) would return, bit for
+    bit, since each generator makes the same draws in the same order."""
+    rho_hat = np.zeros((len(rngs), N, 2))
+    rho_hat[:, 0, 0] = 1.0
     ks = np.arange(2, k_max + 1)
-    amps = rng.uniform(0.2, 1.0, ks.size) / ks  # mild spectral decay
-    phases = rng.uniform(0.0, 2.0 * np.pi, ks.size)
-    rho_hat[ks, 0] = amps * np.cos(phases)
-    rho_hat[ks, 1] = amps * np.sin(phases)
-    dev = synth_nodes(rho_hat) - 1.0
-    slope = synth_nodes(rho_hat, 1)
-    scale = 0.5 * delta / max(np.max(np.abs(dev)), np.max(np.abs(slope)))
-    rho_hat[1:] *= scale
-    curve = make_admissible(RadialCurve(1.0, rho_hat, np.zeros(2), domain, L))
+    # per generator: amplitudes, then phases
+    draws = np.array([[rng.uniform(0.2, 1.0, ks.size),
+                       rng.uniform(0.0, 2.0 * np.pi, ks.size)]
+                      for rng in rngs]).reshape(-1, 2, ks.size)
+    amps = draws[:, 0] / ks  # mild spectral decay
+    phases = draws[:, 1]
+    rho_hat[:, ks, 0] = amps * np.cos(phases)
+    rho_hat[:, ks, 1] = amps * np.sin(phases)
+    dev = np.max(np.abs(synth_nodes(rho_hat) - 1.0), axis=-1)
+    slope = np.max(np.abs(synth_nodes(rho_hat, 1)), axis=-1)
+    rho_hat[:, 1:] *= (0.5 * delta / np.maximum(dev, slope))[:, None, None]
+    return shrink_to_admissible(rho_hat, delta)
+
+
+def shrink_to_admissible(rho_hat, delta):
+    """Project each unit-radius row of a (B, N, 2) stack (make_admissible);
+    while a row fails the sup bounds at delta, shrink its modes k >= 1 by 0.8
+    and project it again.  Raises OptimFail if a row fails eight checks."""
+    rho_hat = make_admissible_stack(rho_hat, 1.0)
+    rows = np.arange(rho_hat.shape[0])
     for _ in range(8):
-        if admissibility_report(curve, delta)["pass"]:
-            return curve
+        passed = admissibility_report_stack(rho_hat[rows], 1.0, delta)["pass"]
+        rows = rows[~passed]
+        if rows.size == 0:
+            return rho_hat
         # projection moved low modes past the sup bounds; shrink and redo
-        rho_hat = curve.rho_hat.copy()
-        rho_hat[1:] *= 0.8
-        curve = make_admissible(replace(curve, rho_hat=rho_hat))
+        shrunk = rho_hat[rows]
+        shrunk[:, 1:] *= 0.8
+        rho_hat[rows] = make_admissible_stack(shrunk, 1.0)
     raise OptimFail("random_admissible: could not satisfy sup bounds")
 
 

@@ -75,6 +75,32 @@ def test_fuglede_random_admissible(seed):
     assert analysis.check_fuglede(curve)["pass"]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fuglede_stack_rows_match_single_curves(seed):
+    rngs = [np.random.default_rng([seed, i]) for i in range(200)]
+    stack = geometry.random_admissible_stack(rngs, delta=0.05)
+    rep = analysis.check_fuglede_stack(stack)
+    for i, row in enumerate(stack):
+        curve = geometry.random_admissible(np.random.default_rng([seed, i]),
+                                           delta=0.05)
+        assert np.array_equal(row, curve.rho_hat), i
+        assert np.array_equal(curve.pole, np.zeros(2))
+        assert (curve.domain, curve.L) == ("plane", None)
+        one = analysis.check_fuglede(curve)
+        assert one == {k: v[i].item() for k, v in rep.items()}, i
+    assert rep["pass"].all()
+
+
+def test_fuglede_stack_hypothesis_guard():
+    good = geometry.random_admissible(np.random.default_rng(1)).rho_hat
+    bad = geometry.single_mode_curve(1.0, 2, 0.09)
+    with pytest.raises(HypothesisFail) as single:
+        analysis.check_fuglede(bad)
+    with pytest.raises(HypothesisFail) as stacked:
+        analysis.check_fuglede_stack(np.stack([good, bad.rho_hat, good]))
+    assert str(stacked.value) == str(single.value)
+
+
 # ---------------------------------------------------------------------------
 # EED and differential checks on synthetic exact trajectories
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from msrelax import analysis, cli, elliptic, evolution, geometry
-from msrelax.errors import GridTooCoarse, OptimFail
+from msrelax.errors import GridTooCoarse, HypothesisFail, OptimFail
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -270,15 +270,59 @@ def test_checks_fast_suites(capsys):
 
 
 def test_checks_fuglede_deterministic_across_thread_counts(capsys, monkeypatch):
+    # the Fuglede suite runs in the calling thread, the Sobolev suite on the
+    # pool: neither output may depend on the pool size
+    argv = ("checks", "--suite", "fuglede", "--suite", "sobolev", "--n", "8",
+            "--seed", "3")
     monkeypatch.setenv("MSRELAX_THREADS", "1")
-    code, one = run_cli(capsys, "checks", "--suite", "fuglede", "--n", "8",
-                        "--seed", "3")
+    code, one = run_cli(capsys, *argv)
     assert code == 0
     monkeypatch.setenv("MSRELAX_THREADS", "4")
-    code, four = run_cli(capsys, "checks", "--suite", "fuglede", "--n", "8",
-                         "--seed", "3")
+    code, four = run_cli(capsys, *argv)
     assert code == 0
     assert one == four
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_suite_fuglede_independent_of_block_size(monkeypatch, seed):
+    n = 40
+    reps = []
+    for block in (1, 7, n, 128):
+        monkeypatch.setattr(cli, "FUGLEDE_BLOCK", block)
+        reps.append(cli._suite_fuglede(n, seed))
+    assert all(rep == reps[0] for rep in reps)
+    assert reps[0]["n"] == n and reps[0]["pass"]
+
+
+def test_suite_fuglede_empty():
+    assert cli._suite_fuglede(0, 3) == {"n": 0, "failures": 0,
+                                        "min_lower_margin": 0.0, "pass": True}
+
+
+def test_checks_fuglede_reports_hypothesis_failure(capsys, monkeypatch):
+    # one curve of the second block breaks sup|u| <= 3/40
+    bad = geometry.single_mode_curve(1.0, 2, 0.09)
+    with pytest.raises(HypothesisFail) as single:
+        analysis.check_fuglede(bad)
+    draw = geometry.random_admissible_stack
+    calls = []
+
+    def with_bad_row(rngs, **kwargs):
+        stack = draw(rngs, **kwargs)
+        calls.append(len(rngs))
+        if len(calls) == 2:
+            stack[3] = bad.rho_hat
+        return stack
+
+    monkeypatch.setattr(cli, "FUGLEDE_BLOCK", 5)
+    monkeypatch.setattr(geometry, "random_admissible_stack", with_bad_row)
+    code, out = run_cli(capsys, "checks", "--suite", "fuglede", "--n", "20")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["pass"] is False
+    assert rep["suites"]["fuglede"] == {
+        "pass": False, "error": f"HypothesisFail: {single.value}"}
+    assert calls == [5, 5]
 
 
 def test_checks_unknown_suite_exits_2(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msrelax import geometry
-from msrelax.errors import NonPositiveRadius
+from msrelax.errors import NonPositiveRadius, OptimFail
 
 
 def circle(R=1.0, N=32):
@@ -182,6 +182,66 @@ def test_make_admissible_fixes_constraints():
     rep = geometry.admissibility_report(curve)
     assert rep["area_residual"] < 1e-13
     assert rep["barycenter_residual"] < 1e-13
+
+
+def mode2_row(eps, N=32):
+    """Unit-radius rho = 1 + eps cos(2 phi): its slope bound 2 eps is the
+    one that binds, and the area/barycenter projection leaves eps alone."""
+    rho_hat = np.zeros((N, 2))
+    rho_hat[0, 0] = 1.0
+    rho_hat[2, 0] = eps
+    return rho_hat
+
+
+def projected_and_shrunk(rho_hat, shrinks):
+    """Row by row reference: project, then shrink by 0.8 and re-project
+    ``shrinks`` times."""
+    out = geometry.make_admissible_stack(rho_hat[None], 1.0)
+    for _ in range(shrinks):
+        out[:, 1:] *= 0.8
+        out = geometry.make_admissible_stack(out, 1.0)
+    return out[0]
+
+
+def test_synth_nodes_batch_rows_match_single_rows():
+    coef = np.random.default_rng(4).normal(size=(5, 32, 2))
+    coef[:, 0, 1] = 0.0
+    for d in (0, 1, 2):
+        stacked = geometry.synth_nodes(coef, d)
+        assert stacked.shape == (5, 64)
+        for row, c in zip(stacked, coef):
+            assert np.array_equal(row, geometry.synth_nodes(c, d))
+
+
+def test_shrink_to_admissible_shrinks_only_failing_rows():
+    delta = 0.05
+    # row m fails the slope bound after m - 1 shrinks (2 eps 0.8^(m-1) =
+    # 1.125 delta) and passes after m (0.9 delta)
+    shrinks = (1, 0, 7)
+    rows = np.stack([mode2_row(0.45 * delta / 0.8**m) for m in shrinks])
+    out = geometry.shrink_to_admissible(rows, delta)
+    for got, row, m in zip(out, rows, shrinks):
+        assert np.array_equal(got, projected_and_shrunk(row, m)), m
+    assert geometry.admissibility_report_stack(out, 1.0, delta)["pass"].all()
+    # the input stack is left as it was
+    assert np.array_equal(rows[1], mode2_row(0.45 * delta))
+
+
+def test_shrink_to_admissible_raises_after_eight_failures():
+    delta = 0.05
+    rows = np.stack([mode2_row(0.45 * delta),
+                     mode2_row(0.45 * delta / 0.8**8)])
+    with pytest.raises(OptimFail, match="sup bounds"):
+        geometry.shrink_to_admissible(rows, delta)
+
+
+def test_make_admissible_stack_raises_if_one_row_does_not_converge():
+    # amplitude 2 in mode 2 alone encloses more than pi: no a0 reaches the
+    # target area, so that row's Newton iteration wanders until the cap
+    good, bad = mode2_row(0.01), mode2_row(2.0)
+    assert geometry.make_admissible_stack(good[None], 1.0).shape == (1, 32, 2)
+    with pytest.raises(OptimFail, match="did not converge"):
+        geometry.make_admissible_stack(np.stack([good, bad]), 1.0)
 
 
 def test_project_area_exact():
