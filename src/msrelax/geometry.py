@@ -93,18 +93,22 @@ class GeometryCache:
 # synthesis / analysis between coefficients and nodes
 # ---------------------------------------------------------------------------
 
-def synth_nodes(coef, derivative=0):
+def synth_nodes(coef, derivative=0, M=None):
     """Evaluate the (..., N, 2) cos/sin series (or a phi-derivative) at the
-    M = 2N uniform nodes; leading axes are a batch of curves."""
+    M uniform nodes 2 pi j / M (default M = 2N; an even M >= 2N zero-pads
+    the spectrum); leading axes are a batch of curves."""
     N = coef.shape[-2]
-    M = 2 * N
+    if M is None:
+        M = 2 * N
+    elif M % 2 or M < 2 * N:
+        raise ValueError(f"M = {M} must be even and at least 2N = {2 * N}")
     c = coef[..., 0] - 1j * coef[..., 1]
     if derivative:
         c = c * (1j * np.arange(N)) ** derivative
-    X = np.zeros(c.shape[:-1] + (N + 1,), dtype=complex)   # rfft layout
+    X = np.zeros(c.shape[:-1] + (M // 2 + 1,), dtype=complex)  # rfft layout
     if derivative == 0:
         X[..., 0] = c[..., 0].real * M
-    X[..., 1:N] = c[..., 1:] * N
+    X[..., 1:N] = c[..., 1:] * (M // 2)
     return np.fft.irfft(X, M)
 
 

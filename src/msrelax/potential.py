@@ -43,7 +43,11 @@ curves.  Only the cells of the two regions' bounding boxes (periodic, per
 axis) are rasterized: a subcell farther than max rho + hs from a region's
 centre along either axis has radial signed distance below -hs/2, so its
 coverage clips to exactly 0 and every cell outside the boxes is exactly 0
-in the full-grid raster too.
+in the full-grid raster too.  A curve's rho is tabulated at uniform angles
+by one zero-padded inverse real FFT and read by direct-index linear
+interpolation; H sums w |F|^2 over the real FFT F of the raster, with the
+weights w (1/|k|^2, the conjugate pairs counted twice) cached per grid size
+and half edge L.
 """
 
 import functools
@@ -253,28 +257,41 @@ def trace_equality_disk(g_amps):
 # squared H^{-1} distance
 # ---------------------------------------------------------------------------
 
-_RHO_TABLE = 8192   # angles at which a curve's rho is tabulated for coverage
+_RHO_TABLE = 8192   # least number of angles at which coverage tabulates rho
 
 
 def _curve_region(curve):
-    """(centre, rho, reach) of the region enclosed by ``curve``: its pole, the
-    table (angles, radii) that coverage interpolates, and the table's max."""
-    th_t = 2.0 * np.pi * np.arange(_RHO_TABLE + 1) / _RHO_TABLE
-    rho_t = geometry.eval_rho(curve, th_t)
-    return curve.pole, (th_t, rho_t), float(rho_t.max())
+    """(centre, table, reach) of the region enclosed by ``curve``: its pole,
+    rho at T = max(_RHO_TABLE, 2N) uniform angles 2 pi j / T (one
+    zero-padded inverse real FFT, geometry.synth_nodes) with rho(0)
+    appended as entry T, and the table's max."""
+    T = max(_RHO_TABLE, curve.M)
+    rho = geometry.synth_nodes(curve.rho_hat, M=T)
+    table = np.append(rho, rho[0])
+    return curve.pole, table, float(rho.max())
+
+
+def _uniform_lookup(table, theta):
+    """Linear interpolation at angles theta in [0, 2 pi] of a table of
+    T + 1 values at the uniform angles 2 pi j / T, indexed directly."""
+    T = table.size - 1
+    s = theta * (T / (2.0 * np.pi))
+    i = np.minimum(s.astype(np.intp), T - 1)
+    lo = table[i]
+    return lo + (s - i) * (table[i + 1] - lo)
 
 
 def _coverage(region, xs, ys, L, hs):
     """Subcell coverage fractions of a star-shaped region on the subcell
     centres xs x ys, estimated from the radial signed distance rho - r about
-    its centre, clipped to [0, 1].  rho is a table (angles, radii) or, for a
-    disk, its radius."""
+    its centre, clipped to [0, 1].  rho is a uniform table (_curve_region)
+    or, for a disk, its radius."""
     centre, rho, _ = region
     dx = ((xs - centre[0] + L) % (2.0 * L) - L)[:, None]
     dy = ((ys - centre[1] + L) % (2.0 * L) - L)[None, :]
     r = np.hypot(dx, dy)
-    if isinstance(rho, tuple):
-        rho = np.interp(np.arctan2(dy, dx) % (2.0 * np.pi), *rho)
+    if isinstance(rho, np.ndarray):
+        rho = _uniform_lookup(rho, np.arctan2(dy, dx) % (2.0 * np.pi))
     return np.clip(0.5 + (rho - r) / hs, 0.0, 1.0)
 
 
@@ -348,17 +365,30 @@ def squared_distance(curve, center=None, grid=512, sub=4, other=None):
     Plane curves are embedded into a torus with L = EMBED_FACTOR * R (the
     larger R of a pair, so that H is symmetric in the two curves); the
     H^{-1} norm of the compactly supported zero-mean difference converges as
-    the embedding grows.
+    the embedding grows.  The sum runs over the real FFT of the raster, with
+    the weights of _h_weights.
     """
     f, L, _ = rasterize_difference(curve, center, grid, sub, other)
-    G = f.shape[0]
-    F = np.fft.fft2(f) / G**2
+    F = np.fft.rfft2(f)
+    return float(np.sum(_h_weights(f.shape[0], L)
+                        * (F.real ** 2 + F.imag ** 2)))
+
+
+@functools.lru_cache(maxsize=4)
+def _h_weights(G, L):
+    """Read-only weights w = (2L)^2 / (G^4 |k|^2) on the rfft2 layout of a
+    G x G raster of the torus [-L, L)^2, so that H = sum w |F|^2: zero at
+    k = 0, doubled on the columns 1..ceil(G/2)-1 that stand for a conjugate
+    pair, single on the Nyquist column of an even G."""
     m = np.fft.fftfreq(G, d=1.0 / G)
-    K2 = (np.pi / L) ** 2 * (m[:, None] ** 2 + m[None, :] ** 2)
+    n = np.arange(G // 2 + 1)
+    K2 = (np.pi / L) ** 2 * (m[:, None] ** 2 + n[None, :] ** 2)
     K2[0, 0] = 1.0
-    terms = np.abs(F) ** 2 / K2
-    terms[0, 0] = 0.0
-    return float((2.0 * L) ** 2 * np.sum(terms))
+    w = (2.0 * L) ** 2 / (float(G) ** 4 * K2)
+    w[0, 0] = 0.0
+    w[:, 1:(G + 1) // 2] *= 2.0
+    w.setflags(write=False)
+    return w
 
 
 @functools.cache

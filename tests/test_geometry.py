@@ -70,6 +70,58 @@ def test_eval_series_matches_synth_nodes(N, d, seed):
                          - geometry.synth_nodes(coef, d))) < 1e-13 * scale
 
 
+def synth_nodes_2n(coef, derivative=0):
+    """geometry.synth_nodes as it was before it took a node count M: the
+    flows call it on every rhs, so M = 2N must stay bit-identical."""
+    N = coef.shape[-2]
+    M = 2 * N
+    c = coef[..., 0] - 1j * coef[..., 1]
+    if derivative:
+        c = c * (1j * np.arange(N)) ** derivative
+    X = np.zeros(c.shape[:-1] + (N + 1,), dtype=complex)
+    if derivative == 0:
+        X[..., 0] = c[..., 0].real * M
+    X[..., 1:N] = c[..., 1:] * N
+    return np.fft.irfft(X, M)
+
+
+def decaying_coef(rng, shape):
+    """A cos/sin array of unit mean and decaying modes, like a curve's."""
+    N = shape[-2]
+    coef = rng.normal(size=shape) / (1.0 + np.arange(N))[:, None] ** 2
+    coef[..., 0, :] = (1.0, 0.0)
+    return coef
+
+
+@pytest.mark.parametrize("shape", [(16, 2), (64, 2), (1024, 2), (4, 64, 2)])
+def test_synth_nodes_zero_padded_matches_horner(shape):
+    M, N = 8192, shape[-2]
+    coef = decaying_coef(np.random.default_rng(N), shape)
+    phi = 2.0 * np.pi * np.arange(M) / M
+    for d in (0, 1):
+        got = geometry.synth_nodes(coef, d, M=M)
+        assert got.shape == shape[:-2] + (M,)
+        for row, c in zip(got.reshape(-1, M), coef.reshape(-1, N, 2)):
+            err = np.max(np.abs(row - geometry.eval_series(c, phi, d)))
+            assert err <= 1e-14 * np.max(np.abs(c)) * (N - 1) ** d
+
+
+@pytest.mark.parametrize("shape", [(16, 2), (64, 2), (3, 32, 2)])
+def test_synth_nodes_at_2n_unchanged(shape):
+    coef = np.random.default_rng(5).normal(size=shape)
+    for d in (0, 1, 2):
+        ref = synth_nodes_2n(coef, d)
+        assert np.array_equal(geometry.synth_nodes(coef, d), ref)
+        assert np.array_equal(
+            geometry.synth_nodes(coef, d, M=2 * shape[-2]), ref)
+
+
+@pytest.mark.parametrize("M", [63, 65, 62, 0])
+def test_synth_nodes_rejects_odd_or_short_m(M):
+    with pytest.raises(ValueError):
+        geometry.synth_nodes(np.zeros((32, 2)), M=M)
+
+
 def test_curve_points_offset_pole():
     curve = geometry.RadialCurve(1.0, circle().rho_hat, np.array([0.5, -0.2]))
     pts = geometry.curve_points(curve, np.array([0.0, np.pi / 2]))

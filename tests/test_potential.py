@@ -423,10 +423,12 @@ def rasterize_difference_full(curve, center, grid=512, sub=4, other=None):
         return dx, dy, np.hypot(dx, dy)
 
     def coverage_curve(c):
-        th_t = 2.0 * np.pi * np.arange(8193) / 8192
+        # rho from the production table and lookup, which have their own
+        # checks (test_rho_table_*, test_uniform_lookup_*): the subject here
+        # is the box restriction
         dx, dy, r = polar(c.pole)
         th = np.arctan2(dy, dx) % (2.0 * np.pi)
-        rho = np.interp(th, th_t, geometry.eval_rho(c, th_t))
+        rho = potential._uniform_lookup(potential._curve_region(c)[1], th)
         return np.clip(0.5 + (rho - r) / hs, 0.0, 1.0)
 
     f = coverage_curve(curve)
@@ -521,6 +523,63 @@ def test_h_pair_warns_in_either_order(swap):
         a, b = b, a
     with pytest.warns(GridTooCoarse):
         potential.squared_distance(a, grid=32, other=b)
+
+
+def squared_distance_fft2(curve, center=None, grid=512, sub=4, other=None):
+    """squared_distance as it was before the real FFT: fft2 of the whole
+    grid and a fresh K^2 on every call."""
+    f, L, _ = potential.rasterize_difference(curve, center, grid, sub, other)
+    G = f.shape[0]
+    F = np.fft.fft2(f) / G**2
+    m = np.fft.fftfreq(G, d=1.0 / G)
+    K2 = (np.pi / L) ** 2 * (m[:, None] ** 2 + m[None, :] ** 2)
+    K2[0, 0] = 1.0
+    terms = np.abs(F) ** 2 / K2
+    terms[0, 0] = 0.0
+    return float((2.0 * L) ** 2 * np.sum(terms))
+
+
+@pytest.mark.parametrize("grid", [63, 64, 256])
+@pytest.mark.parametrize("ref", ["center", "bulk", "other"])
+@pytest.mark.parametrize("domain", ["plane", "torus"])
+def test_h_matches_fft2_formula(domain, ref, grid):
+    # an odd grid has no Nyquist column; the pair has unequal R
+    L = 3.0 if domain == "torus" else None
+    curve = placed_curve(grid, domain, L, 1.0, (0.4, -0.3))
+    kwargs = {"center": np.array([0.1, 0.2])} if ref == "center" else {}
+    if ref == "other":
+        kwargs = {"other": placed_curve(grid + 1, domain, L, 1.3,
+                                        (-0.2, 0.1))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridTooCoarse)
+        H = potential.squared_distance(curve, grid=grid, **kwargs)
+        ref_H = squared_distance_fft2(curve, grid=grid, **kwargs)
+    assert ref_H > 0
+    assert abs(H - ref_H) <= 1e-13 * ref_H
+
+
+def test_uniform_lookup_matches_interp():
+    curve = placed_curve(2, "plane", None, 1.0, (0.0, 0.0))
+    table = potential._curve_region(curve)[1]
+    T = table.size - 1
+    nodes = 2.0 * np.pi * np.arange(T + 1) / T
+    theta = np.concatenate([
+        [0.0, 2.0 * np.pi - 1e-15, 2.0 * np.pi], nodes,
+        np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 20000)])
+    got = potential._uniform_lookup(table, theta)
+    want = np.interp(theta, nodes, table)
+    assert np.max(np.abs(got - want)) <= 4 * np.spacing(table.max())
+
+
+@pytest.mark.parametrize("N, size", [(16, 8192), (4096, 8192),
+                                     (8192, 16384)])
+def test_rho_table_size(N, size):
+    curve = geometry.single_mode_curve(1.0, 3, 0.01, N=N)
+    _, table, reach = potential._curve_region(curve)
+    assert table.size == size + 1 and table[-1] == table[0]
+    assert reach == table.max()
+    if size == 2 * N:
+        assert np.array_equal(table[:-1], geometry.synth_nodes(curve.rho_hat))
 
 
 def test_h_memory_follows_the_box():
