@@ -13,7 +13,7 @@ import numpy as np
 
 from . import geometry, potential, sobolev
 from .errors import (EnergyBalanceFail, HypothesisFail, MonotoneViolation,
-                     NoExponentialWindow, NonPositiveRadius)
+                     NoExponentialWindow)
 
 N_MODE_AMPS = 16
 
@@ -108,10 +108,7 @@ def check_fuglede_stack(rho_hat, R=1.0):
     """check_fuglede for stacked (B, N, 2) coefficients sharing R: the same
     keys, each an array over the B rows.  Raises HypothesisFail (naming the
     first offending row's sup norms) if any row violates the hypotheses."""
-    rho = geometry.synth_nodes(rho_hat)
-    if not np.all(rho > 0.0):
-        raise NonPositiveRadius(f"min rho = {rho.min():.3e}")
-    rho_phi = geometry.synth_nodes(rho_hat, 1)
+    rho, rho_phi = geometry.polar_nodes(rho_hat)
     u = rho / R - 1.0
     up = rho_phi / R
     sup_u = np.max(np.abs(u), axis=-1)
@@ -123,11 +120,10 @@ def check_fuglede_stack(rho_hat, R=1.0):
             f"sup|u| = {sup_u[i]:.3e}, sup|u_phi| = "
             f"{sup_up[i]:.3e} outside (3/40, 1/2)")
     # unit-area normalization: deficit measured against the equal-area
-    # circle; enclosed_area and perimeter, row by row
-    dphi = 2.0 * np.pi / rho.shape[-1]
-    area = 0.5 * (np.sum(rho**2, axis=-1) * dphi) / R**2
+    # circle
+    area = geometry.node_area(rho) / R**2
     r_eq = np.sqrt(area / np.pi)
-    length = np.sum(np.hypot(rho, rho_phi), axis=-1) * dphi
+    length = geometry.quad(np.hypot(rho, rho_phi))
     deficit = (length / R) / (2.0 * np.pi * r_eq) - 1.0
     u2 = np.mean(((rho / R) / r_eq[:, None] - 1.0) ** 2, axis=-1)
     up2 = np.mean((up / r_eq[:, None]) ** 2, axis=-1)

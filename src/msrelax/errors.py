@@ -20,7 +20,10 @@ class Unresolved(MsrelaxError):
 
 
 class OptimFail(MsrelaxError):
-    """Annulus-center search diverged."""
+    """An iterative construction failed: the annulus-center search of
+    bonnesen_monitor diverged, the admissibility projection
+    (make_admissible_stack) did not converge, or shrink_to_admissible could
+    not meet the sup bounds."""
 
 
 # -- sobolev ----------------------------------------------------------------

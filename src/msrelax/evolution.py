@@ -459,17 +459,21 @@ def run(config=None):
     last and controls dt by step doubling (see the module docstring).  Stops
     at t_end or after MAX_STEPS steps.  A MsrelaxError raised on the way
     carries the partial TrajectoryLog, ending in a ``fail`` event, as its
-    ``trajectory`` attribute.  On the torus, 2 max rho (a bound on the
-    curve's diameter) must stay below elliptic.TAIL_RADIUS * 2L, the reach
-    of the lattice-tail series, else ValueError.
+    ``trajectory`` attribute.  A non-finite t_end, a k_out or grid below 1
+    or a negative k_H is a ValueError, raised before any step.  On the
+    torus, 2 max rho (a bound on the curve's diameter) must stay below
+    elliptic.TAIL_RADIUS * 2L, the reach of the lattice-tail series, else
+    ValueError.
     """
     cfg = dict(DEFAULTS)
     for key, val in (config or {}).items():
         if key not in DEFAULTS:
             raise KeyError(f"unknown config key {key!r}")
         cfg[key] = type(DEFAULTS[key])(val)
-    if int(cfg["k_out"]) < 1 or int(cfg["grid"]) < 1:
-        raise ValueError("k_out and grid must be at least 1")
+    if int(cfg["k_out"]) < 1 or int(cfg["grid"]) < 1 or cfg["k_H"] < 0:
+        raise ValueError("k_out and grid must be at least 1, k_H at least 0")
+    if not math.isfinite(cfg["t_end"]):
+        raise ValueError(f"t_end must be finite, got {cfg['t_end']}")
     curve = initial_curve(cfg)
     if curve.domain == "torus":
         reach = 2.0 * float(np.max(geometry.synth_nodes(curve.rho_hat)))

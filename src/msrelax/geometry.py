@@ -11,6 +11,10 @@ Curvature of the polar graph:
 
 with ell the length element ds = ell dphi.  The cache keeps rho, rho_phi,
 ell, kappa and the node points; rho_phiphi enters only kappa.
+
+The node integrals reduce over the last axis, so single curves and (B, ...)
+stacks share them: ``polar_nodes`` (rho > 0 guard), ``quad`` (trapezoidal
+rule), ``node_area`` (1/2 int rho^2) and ``node_moments`` (int rho^3 e(phi)).
 """
 
 import math
@@ -85,8 +89,8 @@ class GeometryCache:
         return 2.0 * np.pi / self.M
 
     def quad(self, values):
-        """Trapezoidal (spectrally accurate) quadrature over [0, 2pi)."""
-        return float(np.sum(values) * self.dphi)
+        """``quad`` of this curve's node values, as a float."""
+        return float(quad(values))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +126,15 @@ def coeffs_from_nodes(values):
     rho_hat[1:, 0] = 2.0 * X[1:N].real / M
     rho_hat[1:, 1] = -2.0 * X[1:N].imag / M
     return rho_hat
+
+
+def polar_nodes(coef):
+    """rho and rho_phi of (..., N, 2) coefficients at the nodes; raises
+    NonPositiveRadius unless rho > 0 at every node of every row."""
+    rho = synth_nodes(coef)
+    if not np.all(rho > 0.0):
+        raise NonPositiveRadius(f"min rho = {rho.min():.3e}")
+    return rho, synth_nodes(coef, 1)
 
 
 def eval_series(coef, phi, derivative=0):
@@ -171,11 +184,7 @@ def build_cache(curve):
     """
     M = curve.M
     phi = 2.0 * np.pi * np.arange(M) / M
-    rho = synth_nodes(curve.rho_hat)
-    if not np.all(rho > 0.0):
-        raise NonPositiveRadius(f"min rho = {rho.min():.3e}")
-
-    rho_phi = synth_nodes(curve.rho_hat, 1)
+    rho, rho_phi = polar_nodes(curve.rho_hat)
     rho_phiphi = synth_nodes(curve.rho_hat, 2)
     ell = np.hypot(rho, rho_phi)
     kappa = (rho_phi**2 - rho * rho_phiphi) / ell**3 + 1.0 / ell
@@ -189,12 +198,30 @@ def build_cache(curve):
 # integral quantities
 # ---------------------------------------------------------------------------
 
+def quad(values):
+    """Trapezoidal (spectrally accurate) quadrature over [0, 2pi) of values
+    at M uniform nodes, reduced over the last axis of (..., M)."""
+    return np.sum(values, axis=-1) * (2.0 * np.pi / values.shape[-1])
+
+
+def node_area(rho):
+    """Enclosed area 1/2 int rho^2 dphi of (..., M) node radii."""
+    return 0.5 * quad(rho**2)
+
+
+def node_moments(rho):
+    """First moments int rho^3 (cos phi, sin phi) dphi of (..., M) node
+    radii, (..., 2): 3 area times the barycenter's offset from the pole."""
+    phi = 2.0 * np.pi * np.arange(rho.shape[-1]) / rho.shape[-1]
+    return quad(rho[..., None, :] ** 3 * np.stack([np.cos(phi), np.sin(phi)]))
+
+
 def perimeter(cache):
     return cache.quad(cache.ell)
 
 
 def enclosed_area(cache):
-    return 0.5 * cache.quad(cache.rho**2)
+    return float(node_area(cache.rho))
 
 
 def isoperimetric_gap(cache):
@@ -229,10 +256,8 @@ def isoperimetric_gap(cache):
 
 def barycenter_bulk(cache):
     """Centroid of the enclosed region: pole + (1/(3|Omega|)) int rho^3 e(phi)."""
-    area = enclosed_area(cache)
-    cx = cache.quad(cache.rho**3 * np.cos(cache.phi_nodes)) / (3.0 * area)
-    cy = cache.quad(cache.rho**3 * np.sin(cache.phi_nodes)) / (3.0 * area)
-    return cache.curve.pole + np.array([cx, cy])
+    return cache.curve.pole + node_moments(cache.rho) / (
+        3.0 * enclosed_area(cache))
 
 
 def gauss_bonnet_residual(cache):
@@ -259,20 +284,10 @@ def admissibility_report(curve, delta=0.05):
 def admissibility_report_stack(rho_hat, R, delta=0.05, pole=(0.0, 0.0)):
     """admissibility_report for stacked (B, N, 2) coefficients sharing R and
     the pole: the same keys, each an array over the B rows."""
-    rho = synth_nodes(rho_hat)
-    if not np.all(rho > 0.0):
-        raise NonPositiveRadius(f"min rho = {rho.min():.3e}")
-    rho_phi = synth_nodes(rho_hat, 1)
-    M = rho.shape[-1]
-    phi = 2.0 * np.pi * np.arange(M) / M
-    dphi = 2.0 * np.pi / M
-    # the sums of enclosed_area and barycenter_bulk, row by row
-    area = 0.5 * (np.sum(rho**2, axis=-1) * dphi)
-    rho3 = rho**3
-    c = np.stack([np.sum(rho3 * np.cos(phi), axis=-1) * dphi,
-                  np.sum(rho3 * np.sin(phi), axis=-1) * dphi], axis=-1)
+    rho, rho_phi = polar_nodes(rho_hat)
+    area = node_area(rho)
     pole = np.asarray(pole, dtype=float)
-    bary = (pole + c / (3.0 * area[:, None])) - pole
+    bary = (pole + node_moments(rho) / (3.0 * area[:, None])) - pole
     report = {
         "annulus_residual": np.max(np.abs(rho - R), axis=-1) / R,
         "slope_residual": np.max(np.abs(rho_phi), axis=-1) / R,
@@ -354,17 +369,14 @@ def make_admissible_stack(rho_hat, R):
     rows = np.arange(rho_hat.shape[0])
     for _ in range(50):
         rho = synth_nodes(rho_hat[rows])
-        rho2, rho3 = rho**2, rho**3
-        g = np.stack([
-            0.5 * np.sum(rho2, axis=-1) * dphi,
-            np.sum(rho3 * cphi, axis=-1) * dphi,
-            np.sum(rho3 * sphi, axis=-1) * dphi,
-        ], axis=-1) - target
+        g = np.concatenate([node_area(rho)[:, None], node_moments(rho)],
+                           axis=-1) - target
         # a NaN residual keeps its row iterating, and so fails
         moving = ~(np.max(np.abs(g), axis=-1) < 1e-14 * R**2)
-        rows, rho, rho2, g = rows[moving], rho[moving], rho2[moving], g[moving]
+        rows, rho, g = rows[moving], rho[moving], g[moving]
         if rows.size == 0:
             return rho_hat
+        rho2 = rho**2
         # d/d(a0, a1, b1) of the three integrals
         jac = np.empty((rows.size, 3, 3))
         for j, b in enumerate(basis):

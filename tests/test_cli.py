@@ -136,6 +136,9 @@ def test_simulate_unknown_key_exits_2(capsys, tmp_path):
     ["grid=0", "k_H=1"],           # an H raster of no cells
     ["domain=torus", "L=-1"],      # not the 8R default
     ["unresolved_tol=1e-30"],      # a removed config key
+    ["t_end=nan"],                 # would finish at once with no step
+    ["t_end=inf"],                 # would never finish
+    ["k_H=-1"],                    # would silently act as 0
 ])
 def test_simulate_bad_config_exits_2(capsys, cfg_file, tmp_path, overrides):
     argv = ["simulate", "--config", cfg_file, "--out", str(tmp_path / "o")]
@@ -267,6 +270,21 @@ def test_checks_fast_suites(capsys):
     assert rep["suites"]["elliptic"]["legendre"] < 1e-12
     ell = rep["suites"]["elliptic"]
     assert 0.0 <= ell["tail_nodes"] <= 1e-14 * max(1.0, ell["tail_scale"])
+
+
+def test_checks_flow_and_embedding_suites(capsys):
+    # eed, diff and bary each run a short mixed-mode flow; embed solves a
+    # few random gentle curves
+    code, msg = run_cli(capsys, "checks", "--suite", "eed", "--suite", "diff",
+                        "--suite", "bary", "--suite", "embed", "--n", "50")
+    assert code == 0
+    rep = json.loads(msg)
+    assert rep["pass"]
+    suites = rep["suites"]
+    assert suites["eed"]["worst_small_eps_err"] < 0.05
+    assert suites["diff"]["max_energy_balance_err"] <= 1e-3
+    assert suites["bary"]["confinement_ratio"] <= 5.0
+    assert suites["embed"]["n"] >= 1
 
 
 def test_checks_fuglede_deterministic_across_thread_counts(capsys, monkeypatch):

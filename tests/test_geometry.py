@@ -38,6 +38,29 @@ def test_shifted_disk_is_a_circle():
     assert geometry.isoperimetric_gap(cache) < 1e-11
 
 
+@pytest.mark.parametrize("R", [1.0, 1.3])
+def test_stacked_integrals_of_shifted_disks(R):
+    # a stack of disks of radius R centred at (a, 0), the pole at the
+    # origin: area pi R^2, barycenter (a, 0) and perimeter 2 pi R exactly
+    a = R * np.array([0.0, 0.01, 0.05, 0.1, 0.3])
+    rho_hat = np.stack([geometry.shifted_disk_curve(R, ai).rho_hat
+                        for ai in a])
+    rho, rho_phi = geometry.polar_nodes(rho_hat)
+    area = geometry.node_area(rho)
+    offset = geometry.node_moments(rho) / (3.0 * area[:, None])
+    length = geometry.quad(np.hypot(rho, rho_phi))
+    assert np.max(np.abs(area / (np.pi * R**2) - 1.0)) <= 1e-13
+    assert np.max(np.abs(offset - np.stack([a, 0.0 * a], axis=1))) <= 1e-13 * R
+    assert np.max(np.abs(length / (2.0 * np.pi * R) - 1.0)) <= 1e-13
+    rep = geometry.admissibility_report_stack(rho_hat, R)
+    assert np.max(np.abs(rep["barycenter_residual"] - a / R)) <= 1e-13
+    # the Newton projection moves every row's barycenter to the pole
+    out = geometry.make_admissible_stack(rho_hat, R)
+    rep = geometry.admissibility_report_stack(out, R)
+    assert np.max(rep["barycenter_residual"]) <= 1e-10
+    assert np.max(rep["area_residual"]) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # synthesis / analysis round trips
 # ---------------------------------------------------------------------------
