@@ -218,7 +218,7 @@ def _suite_sobolev(n, seed):
 
 
 def _suite_elliptic(n, seed):
-    kern = elliptic.LatticeKernel(1.0)
+    kern = elliptic.lattice_kernel(1.0)
     rng = np.random.default_rng([seed, 5])
     z = (rng.uniform(-0.9, 0.9, n // 10 + 20)
          + 1j * rng.uniform(-0.9, 0.9, n // 10 + 20))
@@ -316,7 +316,7 @@ def cmd_hminus(args):
 
 
 def cmd_potential_table(args):
-    kern = elliptic.LatticeKernel(args.L)
+    kern = elliptic.lattice_kernel(args.L)
     n = args.n
     x = -args.L + 2.0 * args.L * (np.arange(n) + 0.5) / n
     X, Y = np.meshgrid(x, x, indexing="ij")

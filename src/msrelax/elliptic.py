@@ -34,6 +34,7 @@ OutOfRadius at |w| >= TAIL_RADIUS; where the product would cost more or
 round worse, lambda_tail_nodes falls back to lambda_tail.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -109,6 +110,14 @@ class LatticeKernel:
         if k not in self._eis_cache:
             self._eis_cache[k] = float(np.sum(self._pts**(-float(k))).real)
         return self._eis_cache[k]
+
+
+@functools.lru_cache(maxsize=8)
+def lattice_kernel(L):
+    """The LatticeKernel of half edge L, built once per process: its lattice
+    shells and Eisenstein sums are fixed by L, and its caches only grow, so
+    every caller can share it."""
+    return LatticeKernel(L)
 
 
 def _check_pole(kernel, z):

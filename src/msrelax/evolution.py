@@ -31,11 +31,28 @@ Records lie on a fixed time grid t_j = j * k_out * dt_max, where
 is a fixed unit that shrinks like R^3 / N^3.  Record times therefore do not
 depend on the step-size history, and the three-point stencil of
 check_differential stays well posed.  The record grid does not constrain
-the steps: the first trial step is dt_max, only the last one is cut to land
-on t_end, and each t_j inside an accepted step is reached by dense output
-(see dense_output), a per-half-step exponential Hermite interpolant through
-the step's start, midpoint and end.  The interpolated state is projected to
-the exact area and evaluated once; that rhs call gives the record.
+the steps: only the last one is cut to land on t_end, and each t_j inside
+an accepted step is reached by dense output (see dense_output), a
+per-half-step exponential Hermite interpolant through the step's start,
+midpoint and end.  The interpolated state is projected to the exact area
+and evaluated once; that rhs call gives the record.
+
+The first trial step is estimated from the initial state (Hairer, Norsett &
+Wanner, Solving ODEs I, section II.4), on the nonlinear part N alone, the
+part ETDRK4 does not integrate exactly.  With s the error estimate's scale
+(below), d1 = max |N(y0)| / s; one exponential-Euler probe
+y_p = e^{Lambda h0} y0 + h0 phi_1(Lambda h0) N(y0) at h0 = 0.01 / d1 (at
+most t_end), projected to the exact area, gives
+d2 = max |N(y_p) - N(y0)| / (h0 s), both over coefficients 1..N-1.  The
+first trial step is then
+
+    max(dt_max, min(100 h0, START_SAFETY (0.01 ERR_TOL / max(d1, d2))^(1/5),
+                    t_end)),
+
+and dt_max itself when d1 = 0 (an unperturbed circle), when t_end = 0 or
+when the probe raises a MsrelaxError.  The probe costs one rhs call; the
+start event records the step, h0, d1, d2 and whether the start fell back
+to dt_max.
 
 run() evaluates each state -- the initial one, each accepted one, and each
 one whose pole a re-centering moved -- once: that rhs call checks it (a
@@ -53,7 +70,8 @@ circle from rejecting forever.  A step is accepted when err <= ERR_TOL, and
 then continues from the two-half-step result; either way the next trial is
 dt * clip(0.9 (ERR_TOL / err)^(1/5), 0.2, 4).  A doubled step costs 11 rhs
 calls (10 when rejected), a record between steps one more; the phi-functions
-are evaluated once each at Lambda h, h/2 and h/4, and once per such record.
+are evaluated once each at Lambda h, h/2 and h/4, once per such record and
+once for the start probe.
 
 Each rhs call is one bordered BIE solve (potential.solve_ms).  A run keeps
 one inverse of the bordered matrix in its StepStats and solves every state,
@@ -89,6 +107,9 @@ from .errors import (MsrelaxError, NonPositiveRadius, RecenterFail,
 AREA_DRIFT_REJECT = 1e-5
 TOP_MODE_ABORT = 1.0e-6   # top-mode ratio above which rhs raises Unresolved
 ERR_TOL = 1e-8
+# c of the first-step estimate, measured: at 0.02 the first step of 2 of 20
+# seeded N = 64 runs of modes 8..16 missed ERR_TOL (by at most 5%)
+START_SAFETY = 0.018
 CONTOUR_POINTS = 32
 K_REC = 10            # re-center every K_REC accepted steps; 0 never
 MAX_STEPS = 2_000_000
@@ -173,8 +194,9 @@ class TrajectoryLog:
 
 
 def dt_max(N, R):
-    """The unit of the record grid, 1.3925 / |lambda_N| (lambda_k of
-    ``linear_symbol`` continued one past the top mode k = N - 1)."""
+    """The unit of the record grid and the floor of the first trial step,
+    1.3925 / |lambda_N| (lambda_k of ``linear_symbol`` continued one past
+    the top mode k = N - 1)."""
     return 1.3925 * R**3 / (2.0 * N * (N**2 - 1.0))
 
 
@@ -434,6 +456,37 @@ def _step_factor(err):
     return min(4.0, max(0.2, 0.9 * (ERR_TOL / max(err, 1e-300)) ** 0.2))
 
 
+def _error_scale(y, R):
+    """The local error estimate's scale: max |y| over coefficients 1..N-1,
+    floored at 1e-9 R."""
+    return max(np.max(np.abs(y[1:])), 1e-9 * R)
+
+
+def _start_step(curve, lam, n0, t_end, kernel, stats):
+    """The first trial step from the initial ``curve`` and its N(y0) = ``n0``
+    (see the module docstring), with the start event's h0, d1, d2 and
+    fallback; the probe's rhs call is counted in ``stats``."""
+    unit = dt_max(curve.N, curve.R)
+    y0 = curve.rho_hat
+    scale = _error_scale(y0, curve.R)
+    d1 = float(np.max(np.abs(n0[1:])) / scale)
+    info = {"h0": None, "d1": d1, "d2": None, "fallback": True}
+    if not (d1 > 0.0 and t_end > 0.0):
+        return unit, info
+    h0 = info["h0"] = min(0.01 / d1, t_end)
+    e, p1 = _phi(lam, h0)[:2]
+    try:
+        probe = geometry.project_area(
+            replace(curve, rho_hat=e * y0 + h0 * p1 * n0))
+        n_p = _nonlinear(probe, lam, kernel, stats)[0]
+    except MsrelaxError:
+        return unit, info
+    d2 = info["d2"] = float(np.max(np.abs(n_p - n0)[1:]) / (h0 * scale))
+    h1 = START_SAFETY * (0.01 * ERR_TOL / max(d1, d2)) ** 0.2
+    info["fallback"] = False
+    return max(unit, min(100.0 * h0, h1, t_end)), info
+
+
 def _doubled_step(curve, h, n0, kernel, stats):
     """One step of h and two of h/2 from ``curve``, sharing N(y0) = ``n0``.
 
@@ -445,9 +498,8 @@ def _doubled_step(curve, h, n0, kernel, stats):
     mid, d1 = step(curve, 0.5 * h, kernel, n0, stats)
     n_mid = _stage(mid, linear_symbol(curve.N, curve.R), kernel, stats)
     half, d2 = step(mid, 0.5 * h, kernel, n_mid, stats)
-    y = half.rho_hat[1:]
-    scale = max(np.max(np.abs(y)), 1e-9 * curve.R)
-    err = np.max(np.abs(y - full.rho_hat[1:])) / scale
+    err = np.max(np.abs(half.rho_hat[1:] - full.rho_hat[1:])) / \
+        _error_scale(half.rho_hat, curve.R)
     return half, max(d1, d2), float(err), (mid.rho_hat, n_mid)
 
 
@@ -456,11 +508,12 @@ def run(config=None):
 
     Records diagnostics at t_j = j * k_out * dt_max and at the end (H on the
     ``k_H`` record cadence), re-centers every K_REC accepted steps but the
-    last and controls dt by step doubling (see the module docstring).  Stops
-    at t_end or after MAX_STEPS steps.  A MsrelaxError raised on the way
-    carries the partial TrajectoryLog, ending in a ``fail`` event, as its
-    ``trajectory`` attribute.  A non-finite t_end, a k_out or grid below 1
-    or a negative k_H is a ValueError, raised before any step.  On the
+    last and controls dt by step doubling from a first trial step estimated
+    on the initial state (see the module docstring).  Stops at t_end or
+    after MAX_STEPS steps.  A MsrelaxError raised on the way carries the
+    partial TrajectoryLog, ending in a ``fail`` event, as its ``trajectory``
+    attribute.  A negative or non-finite t_end, a k_out or grid below 1 or
+    a negative k_H is a ValueError, raised before any step.  On the
     torus, 2 max rho (a bound on the curve's diameter) must stay below
     elliptic.TAIL_RADIUS * 2L, the reach of the lattice-tail series, else
     ValueError.
@@ -472,8 +525,9 @@ def run(config=None):
         cfg[key] = type(DEFAULTS[key])(val)
     if int(cfg["k_out"]) < 1 or int(cfg["grid"]) < 1 or cfg["k_H"] < 0:
         raise ValueError("k_out and grid must be at least 1, k_H at least 0")
-    if not math.isfinite(cfg["t_end"]):
-        raise ValueError(f"t_end must be finite, got {cfg['t_end']}")
+    if not 0.0 <= cfg["t_end"] < math.inf:
+        raise ValueError(f"t_end must be finite and non-negative, got "
+                         f"{cfg['t_end']}")
     curve = initial_curve(cfg)
     if curve.domain == "torus":
         reach = 2.0 * float(np.max(geometry.synth_nodes(curve.rho_hat)))
@@ -484,7 +538,7 @@ def run(config=None):
                 f" reaches {elliptic.TAIL_RADIUS} * 2L = {bound:.4g} at "
                 f"L = {curve.L:g}")
     R = curve.R
-    kernel = (elliptic.LatticeKernel(curve.L)
+    kernel = (elliptic.lattice_kernel(curve.L)
               if curve.domain == "torus" else None)
     lam = linear_symbol(curve.N, R)
     t_end = cfg["t_end"]
@@ -492,8 +546,9 @@ def run(config=None):
     traj = TrajectoryLog(R=R, config=dict(cfg))
     dt = unit = dt_max(curve.N, R)
     interval = int(cfg["k_out"]) * unit
-    traj.events.append({"event": "start", "t": 0.0, "dt": dt,
-                        "N": curve.N, "domain": curve.domain})
+    start = {"event": "start", "t": 0.0, "dt": dt, "N": curve.N,
+             "domain": curve.domain}
+    traj.events.append(start)
     stats = StepStats()
     t, steps, j = 0.0, 0, 1
 
@@ -509,6 +564,8 @@ def run(config=None):
     try:
         n0, cache, solve = _nonlinear(curve, lam, kernel, stats)
         emit(cache, solve, 0.0)
+        dt, info = _start_step(curve, lam, n0, t_end, kernel, stats)
+        start.update(dt=dt, **info)
         while t < t_end and steps < MAX_STEPS:
             last = t_end - t <= dt * (1.0 + 1e-9)
             h = t_end - t if last else dt

@@ -276,18 +276,17 @@ def admissibility_report(curve, delta=0.05):
     barycenter at the pole, enclosed area pi R^2.  Returns residuals and
     booleans; raises only NonPositiveRadius, as build_cache does.
     """
-    rep = admissibility_report_stack(curve.rho_hat[None], curve.R, delta,
-                                     curve.pole)
+    rep = admissibility_report_stack(curve.rho_hat[None], curve.R, delta)
     return {k: v[0].item() for k, v in rep.items()}
 
 
-def admissibility_report_stack(rho_hat, R, delta=0.05, pole=(0.0, 0.0)):
-    """admissibility_report for stacked (B, N, 2) coefficients sharing R and
-    the pole: the same keys, each an array over the B rows."""
+def admissibility_report_stack(rho_hat, R, delta=0.05):
+    """admissibility_report for stacked (B, N, 2) coefficients sharing R:
+    the same keys, each an array over the B rows.  The barycentre residual
+    is the offset from the pole, whatever the pole's position."""
     rho, rho_phi = polar_nodes(rho_hat)
     area = node_area(rho)
-    pole = np.asarray(pole, dtype=float)
-    bary = (pole + node_moments(rho) / (3.0 * area[:, None])) - pole
+    bary = node_moments(rho) / (3.0 * area[:, None])
     report = {
         "annulus_residual": np.max(np.abs(rho - R), axis=-1) / R,
         "slope_residual": np.max(np.abs(rho_phi), axis=-1) / R,

@@ -433,7 +433,7 @@ def squared_distance_oracle(curve, center=None, grid=64, other=None):
     fp = _trig_upsample(f, ORACLE_REFINE)
     Gp = fp.shape[0]
     hp = h / ORACLE_REFINE
-    kern = elliptic.LatticeKernel(L)
+    kern = elliptic.lattice_kernel(L)
     off = _signed_modes(Gp) * hp
     ZX, ZY = np.meshgrid(off, off, indexing="ij")
     Z = ZX + 1j * ZY

@@ -138,6 +138,7 @@ def test_simulate_unknown_key_exits_2(capsys, tmp_path):
     ["unresolved_tol=1e-30"],      # a removed config key
     ["t_end=nan"],                 # would finish at once with no step
     ["t_end=inf"],                 # would never finish
+    ["t_end=-1"],                  # would record t = 0 past the horizon
     ["k_H=-1"],                    # would silently act as 0
 ])
 def test_simulate_bad_config_exits_2(capsys, cfg_file, tmp_path, overrides):
@@ -158,13 +159,15 @@ def test_simulate_summary_counts_steps(capsys, cfg_file, tmp_path):
     summary = json.loads(msg)
     events = [json.loads(ln)
               for ln in (out / "run.jsonl").read_text().splitlines()]
-    finish = events[-1]
+    start, finish = events[1], events[-1]
     recenters = [e for e in events if e["event"] == "recenter"]
+    assert start["event"] == "start" and not start["fallback"]
     assert summary["steps"] == finish["steps"] > 0
     assert summary["rejects"] == finish["rejects"] == sum(
         finish["rejects_by_reason"].values())
     assert finish["stop"] == "t_end"
-    assert finish["rhs_calls"] == 1 + 11 * finish["steps"] + \
+    # the initial state and the start probe, then the steps
+    assert finish["rhs_calls"] == 2 + 11 * finish["steps"] + \
         10 * finish["rejects"] + finish["record_rhs_calls"] + len(recenters)
     assert 0.0 < finish["dt_accepted_min"] <= finish["dt_accepted_max"]
     assert finish["max_err_estimate"] <= 1e-8

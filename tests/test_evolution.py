@@ -1,6 +1,7 @@
 """Time stepping: ETDRK4 split and order, conservation, recentering, the
 record grid and error control, runs."""
 
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -115,7 +116,8 @@ def test_step_rejects_large_dt():
 
 def test_phi_evaluated_once_per_step_size(monkeypatch):
     # accepted doubled steps of h evaluate phi once at each of Lambda h, h/2
-    # and h/4, a record between step ends once more at its own offset
+    # and h/4, a record between step ends once more at its own offset, and
+    # the start probe once at its h0
     taus, hs = [], []
     phi, doubled_step = evolution._phi, evolution._doubled_step
 
@@ -129,7 +131,7 @@ def test_phi_evaluated_once_per_step_size(monkeypatch):
 
     monkeypatch.setattr(evolution, "_phi", counted)
     monkeypatch.setattr(evolution, "_doubled_step", kept)
-    base = {"N": 32, "t_end": 2e-4, "k_out": 2, "k_H": 0}
+    base = {"N": 32, "t_end": 1e-3, "k_out": 2, "k_H": 0}
     # the second, a single mode, has its error estimate at rounding level,
     # so dt grows 4x and the grown step's h/4 is the previous step's h
     for cfg in ({"modes": "2,3", "amps": "0.01,0.005", "seed": 7},
@@ -141,7 +143,7 @@ def test_phi_evaluated_once_per_step_size(monkeypatch):
         assert fin["event"] == "finish" and fin["rejects"] == 0
         assert fin["steps"] == len(hs) > 1 and fin["record_rhs_calls"] > 0
         sizes = {s for h in hs for s in (h, 0.5 * h, 0.25 * h)}
-        assert len(taus) == len(sizes) + fin["record_rhs_calls"]
+        assert len(taus) == len(sizes) + fin["record_rhs_calls"] + 1
     assert any(b == 4.0 * a for a, b in zip(hs, hs[1:]))
 
 
@@ -460,8 +462,8 @@ def test_torus_run_smoke():
 
 
 def test_run_records_on_time_grid():
-    # a first trial step (dt_max) of 1/5 of the record interval must not
-    # move the records off the grid
+    # a first trial step that is no multiple of the record interval must
+    # not move the records off the grid
     cfg = {"N": 32, "modes": "2,3", "amps": "0.01,0.005", "seed": 7,
            "t_end": 4e-4, "k_out": 5, "k_H": 0}
     traj = evolution.run(cfg)
@@ -471,6 +473,82 @@ def test_run_records_on_time_grid():
     for j, t in enumerate(times[:-1]):
         assert abs(t - j * interval) <= 1e-12 * j * interval
     assert times[-1] == 4e-4
+
+
+def test_run_start_step_from_initial_state():
+    # an N = 128 torus mode-3 rate run: the first step, estimated from the
+    # initial state, is far above dt_max, so the run needs at most two
+    # steps; its records stay on the grid and its solves on one inverse
+    cfg = {"N": 128, "domain": "torus", "modes": "3", "amps": "1e-3",
+           "phases": "0", "t_end": 1.5e-4, "k_out": 6, "k_H": 0}
+    traj = evolution.run(cfg)
+    start, fin = traj.events[0], traj.events[-1]
+    unit = evolution.dt_max(128, 1.0)
+    assert start["event"] == "start" and not start["fallback"]
+    assert start["dt"] > 100 * unit
+    assert 0.0 < start["h0"] <= 1.5e-4 and start["d1"] > 0 and start["d2"] > 0
+    assert fin["event"] == "finish" and fin["steps"] <= 2
+    assert fin["rejects"] == 0 and fin["bie_inversions"] == 1
+    interval = 6 * unit
+    times = [r.t for r in traj.records]
+    assert len(times) == int(1.5e-4 / interval) + 2
+    for j, t in enumerate(times[:-1]):
+        assert abs(t - j * interval) <= 1e-12 * j * interval
+    assert times[-1] == 1.5e-4
+
+
+def test_run_start_falls_back_to_dt_max(monkeypatch):
+    # an unperturbed circle has N(y0) = 0 and no estimate: it starts at
+    # dt_max without a probe and without a RuntimeWarning
+    cfg = {"N": 32, "modes": "2", "amps": "0", "t_end": 5e-5, "k_out": 2,
+           "k_H": 0}
+    unit = evolution.dt_max(32, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = evolution.run(cfg)
+    start, fin = traj.events[0], traj.events[-1]
+    assert start["dt"] == unit and start["fallback"]
+    assert start["d1"] == 0.0 and start["h0"] is None and start["d2"] is None
+    assert fin["event"] == "finish" and fin["rejects"] == 0
+    assert fin["rhs_calls"] == 1 + 11 * fin["steps"] + fin["record_rhs_calls"]
+    # a probe that raises starts at dt_max too; its rhs call still counts
+    calls, rhs = [], evolution.rhs
+
+    def probe_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise Unresolved("probe")
+        return rhs(*args)
+
+    monkeypatch.setattr(evolution, "rhs", probe_fails)
+    traj = evolution.run({**cfg, "amps": "0.01"})
+    start, fin = traj.events[0], traj.events[-1]
+    assert start["dt"] == unit and start["fallback"]
+    assert start["h0"] > 0.0 and start["d1"] > 0.0 and start["d2"] is None
+    assert fin["event"] == "finish" and fin["rejects"] == 0
+    assert fin["rhs_calls"] == len(calls) == 2 + 11 * fin["steps"] + \
+        fin["record_rhs_calls"]
+    assert fin["bie_inversions"] == 1
+
+
+def test_torus_runs_share_one_lattice_kernel(monkeypatch):
+    # the lattice shells and Eisenstein sums are built once per L and
+    # process, and a shared kernel changes no record
+    built, kernel = [], elliptic.LatticeKernel
+
+    def counted(L):
+        built.append(L)
+        return kernel(L)
+
+    monkeypatch.setattr(elliptic, "LatticeKernel", counted)
+    elliptic.lattice_kernel.cache_clear()
+    cfg = {"N": 32, "domain": "torus", "modes": "3", "amps": "1e-3",
+           "phases": "0", "t_end": 5e-5, "k_out": 2, "k_H": 0}
+    a = evolution.run(cfg)
+    b = evolution.run(cfg)
+    assert built == [8.0]
+    assert elliptic.lattice_kernel(8.0) is elliptic.lattice_kernel(8.0)
+    assert [r.csv_row() for r in a.records] == [r.csv_row() for r in b.records]
 
 
 def test_run_large_cadence_matches_small_steps():
@@ -499,14 +577,16 @@ def test_run_dt_collapse_raises_with_partial_trajectory(monkeypatch):
     assert len(rejects) == fail["rejects_by_reason"]["error"] > 10
     assert all(e["reason"] == "error" and e["err"] > 0 for e in rejects)
     # the initial state's one evaluation serves every retry, and its inverse
-    # every solve
-    assert fail["rhs_calls"] == 1 + 10 * len(rejects)
+    # every solve; the start probe adds one call
+    assert traj.events[0]["dt"] == evolution.dt_max(32, 1.0)
+    assert fail["rhs_calls"] == 2 + 10 * len(rejects)
     assert fail["bie_inversions"] == 1 and fail["refine_sweeps"] > 0
 
 
 def test_run_solves_each_state_once(monkeypatch):
     # every BIE solve is an rhs call: each accepted state is solved once,
-    # a record between steps once more, a state whose pole moved once more
+    # a record between steps once more, a state whose pole moved once more,
+    # and the start probe once
     solves, solve_ms = [], potential.solve_ms
 
     def counted(*args, **kwargs):
@@ -516,13 +596,13 @@ def test_run_solves_each_state_once(monkeypatch):
     monkeypatch.setattr(potential, "solve_ms", counted)
     monkeypatch.setattr(evolution, "K_REC", 2)
     traj = evolution.run({"N": 32, "modes": "2,3", "amps": "0.01,0.005",
-                          "seed": 7, "t_end": 2e-4, "k_out": 2, "k_H": 0})
+                          "seed": 7, "t_end": 1e-3, "k_out": 2, "k_H": 0})
     fin = traj.events[-1]
     assert fin["event"] == "finish" and fin["rejects"] == 0
     assert len(traj.records) > 5
     recenters = [e for e in traj.events if e["event"] == "recenter"]
     assert fin["record_rhs_calls"] > 0 and recenters
-    assert len(solves) == fin["rhs_calls"] == 1 + 11 * fin["steps"] + \
+    assert len(solves) == fin["rhs_calls"] == 2 + 11 * fin["steps"] + \
         fin["record_rhs_calls"] + len(recenters)
 
 

@@ -1,5 +1,7 @@
 """Geometry: spectral curves, caches, integral quantities, admissibility."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +61,17 @@ def test_stacked_integrals_of_shifted_disks(R):
     rep = geometry.admissibility_report_stack(out, R)
     assert np.max(rep["barycenter_residual"]) <= 1e-10
     assert np.max(rep["area_residual"]) <= 1e-10
+
+
+def test_barycenter_residual_independent_of_pole():
+    # the residual is the offset from the pole, read without adding the
+    # pole and taking it away again: a far pole must not round it
+    curve = geometry.shifted_disk_curve(1.0, 1e-9)
+    near = geometry.admissibility_report(curve)
+    far = geometry.admissibility_report(replace(curve,
+                                                pole=np.array([1e7, 0.0])))
+    assert near["barycenter_residual"] == far["barycenter_residual"]
+    assert abs(near["barycenter_residual"] / 1e-9 - 1.0) < 1e-6
 
 
 # ---------------------------------------------------------------------------
