@@ -19,10 +19,11 @@ the linearization about the circle of radius R (modes 0 and 1 have
 lambda = 0).  The plane symbol serves both domains: on the torus it differs
 from the true one by O((R/L)^4), and the remainder N absorbs the difference.
 Lambda is integrated exactly, so the step is limited by accuracy rather than
-by the stiffest mode.  The phi-functions of Lambda h are contour means over
-32 points (Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005), which avoids
-the cancellation of their closed forms at small |lambda h|; ETDRK4 reduces
-to classical RK4 where lambda = 0.
+by the stiffest mode.  The phi-functions of the real z = lambda h are
+evaluated in real arithmetic: the closed forms where |z| >= 2, and where
+|z| < 2, where they cancel, a Taylor series for phi_4 and the upward
+recurrence phi_k = z phi_{k+1} + 1/k!; either way to a few ulps.  ETDRK4
+reduces to classical RK4 where lambda = 0.
 
 Records lie on a fixed time grid t_j = j * k_out * dt_max, where
 
@@ -110,7 +111,6 @@ ERR_TOL = 1e-8
 # c of the first-step estimate, measured: at 0.02 the first step of 2 of 20
 # seeded N = 64 runs of modes 8..16 missed ERR_TOL (by at most 5%)
 START_SAFETY = 0.018
-CONTOUR_POINTS = 32
 K_REC = 10            # re-center every K_REC accepted steps; 0 never
 MAX_STEPS = 2_000_000
 
@@ -207,21 +207,39 @@ def linear_symbol(N, R):
     return -2.0 * k * (k**2 - 1.0) / R**3
 
 
-def _phi(lam, tau):
-    """phi_0 .. phi_4 of z = lambda tau, each an (N, 1) column.
+# 1/(n + 4)!, n = 0..23: the coefficients of the Taylor series of phi_4
+_PHI4_TAYLOR = tuple(1 / math.factorial(n + 4) for n in range(24))
 
-    phi_0(z) = e^z and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z; the last four
-    are the mean over CONTOUR_POINTS points of the upper unit half circle
-    about z (real part, by conjugate symmetry), which avoids the cancellation
-    of these forms at small |z|.
+
+def _phi(lam, tau):
+    """phi_0 .. phi_4 of z = lambda tau (real), each an (N, 1) column.
+
+    phi_0(z) = e^z and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z.  Where
+    |z| >= 2 these closed forms lose at most a few bits; where |z| < 2,
+    phi_4 is its Taylor series sum_n z^n / (n + 4)! (24 terms; the first
+    one left out is below 6e-23) and phi_3 .. phi_1 follow from the upward
+    recurrence phi_k = z phi_{k+1} + 1/k!, which loses little there.
     """
-    z = tau * lam + np.exp(1j * np.pi * (np.arange(CONTOUR_POINTS) + 0.5)
-                           / CONTOUR_POINTS)
-    p = [(np.exp(z) - 1.0) / z]
-    for fact in (1.0, 2.0, 6.0):
-        p.append((p[-1] - 1.0 / fact) / z)
-    return (np.exp(tau * lam),
-            *(np.real(np.mean(pk, axis=1, keepdims=True)) for pk in p))
+    z = tau * lam
+    near = np.abs(z) < 2.0
+    e = np.exp(z)
+    zn = np.where(near, z, 0.0)
+    p4 = np.full_like(z, _PHI4_TAYLOR[-1])
+    for a in reversed(_PHI4_TAYLOR[:-1]):
+        p4 *= zn
+        p4 += a
+    p3 = zn * p4 + 1.0 / 6.0
+    p2 = zn * p3 + 0.5
+    p1 = zn * p2 + 1.0
+    if not near.all():
+        far = ~near
+        zf = z[far]
+        q1 = (e[far] - 1.0) / zf
+        q2 = (q1 - 1.0) / zf
+        q3 = (q2 - 0.5) / zf
+        p1[far], p2[far], p3[far] = q1, q2, q3
+        p4[far] = (q3 - 1.0 / 6.0) / zf
+    return e, p1, p2, p3, p4
 
 
 @functools.lru_cache(maxsize=5)
@@ -383,9 +401,7 @@ def recenter(curve, info=None):
     if np.hypot(*shift) > 0.2 * curve.R:
         raise RecenterFail(f"barycenter offset {np.hypot(*shift):.3e} > 0.2 R")
 
-    M = curve.M
-    phi = 2.0 * np.pi * np.arange(M) / M
-    cphi, sphi = np.cos(phi), np.sin(phi)
+    phi, cphi, sphi = geometry.node_trig(curve.M)
     psi = phi.copy()
     for it in range(1, 61):
         rho = geometry.eval_rho(curve, psi)

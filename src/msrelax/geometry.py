@@ -10,13 +10,17 @@ Curvature of the polar graph:
     ell   = sqrt(rho^2 + rho_phi^2),
 
 with ell the length element ds = ell dphi.  The cache keeps rho, rho_phi,
-ell, kappa and the node points; rho_phiphi enters only kappa.
+ell and kappa, and forms the node points on first use; rho_phiphi enters
+only kappa.  It synthesizes rho and both derivatives by one inverse FFT,
+with the factors (ik)^d cached per N and the node angles' cosines and sines
+(node_trig) per M.
 
 The node integrals reduce over the last axis, so single curves and (B, ...)
 stacks share them: ``polar_nodes`` (rho > 0 guard), ``quad`` (trapezoidal
 rule), ``node_area`` (1/2 int rho^2) and ``node_moments`` (int rho^3 e(phi)).
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -78,11 +82,17 @@ class GeometryCache:
     rho_phi: np.ndarray
     ell: np.ndarray
     kappa: np.ndarray
-    points: np.ndarray      # (M, 2) curve points
 
     @property
     def M(self):
         return self.phi_nodes.size
+
+    @functools.cached_property
+    def points(self):
+        """(M, 2) curve points pole + rho e(phi), formed on first use."""
+        _, cphi, sphi = node_trig(self.M)
+        return self.curve.pole + np.stack([self.rho * cphi, self.rho * sphi],
+                                          axis=1)
 
     @property
     def dphi(self):
@@ -100,20 +110,43 @@ class GeometryCache:
 def synth_nodes(coef, derivative=0, M=None):
     """Evaluate the (..., N, 2) cos/sin series (or a phi-derivative) at the
     M uniform nodes 2 pi j / M (default M = 2N; an even M >= 2N zero-pads
-    the spectrum); leading axes are a batch of curves."""
+    the spectrum); leading axes are a batch of curves.  A tuple of orders
+    synthesizes each, stacked along a new leading axis, by one inverse FFT;
+    each slice equals its own synthesis bit for bit."""
     N = coef.shape[-2]
     if M is None:
         M = 2 * N
     elif M % 2 or M < 2 * N:
         raise ValueError(f"M = {M} must be even and at least 2N = {2 * N}")
+    orders = derivative if isinstance(derivative, tuple) else (derivative,)
     c = coef[..., 0] - 1j * coef[..., 1]
-    if derivative:
-        c = c * (1j * np.arange(N)) ** derivative
-    X = np.zeros(c.shape[:-1] + (M // 2 + 1,), dtype=complex)  # rfft layout
-    if derivative == 0:
-        X[..., 0] = c[..., 0].real * M
-    X[..., 1:N] = c[..., 1:] * (M // 2)
-    return np.fft.irfft(X, M)
+    X = np.zeros((len(orders),) + c.shape[:-1] + (M // 2 + 1,),
+                 dtype=complex)  # rfft layout
+    for d, Xd in zip(orders, X):
+        cd = c * _ik_power(N, d) if d else c
+        if d == 0:
+            Xd[..., 0] = cd[..., 0].real * M
+        Xd[..., 1:N] = cd[..., 1:] * (M // 2)
+    nodes = np.fft.irfft(X, M)
+    return nodes if isinstance(derivative, tuple) else nodes[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _ik_power(N, d):
+    """The spectral derivative factors (ik)^d, k = 0..N-1, read-only."""
+    p = (1j * np.arange(N)) ** d
+    p.setflags(write=False)
+    return p
+
+
+@functools.lru_cache(maxsize=8)
+def node_trig(M):
+    """The M uniform node angles 2 pi j / M and their cosines and sines,
+    (3, M), read-only."""
+    phi = 2.0 * np.pi * np.arange(M) / M
+    trig = np.stack([phi, np.cos(phi), np.sin(phi)])
+    trig.setflags(write=False)
+    return trig
 
 
 def coeffs_from_nodes(values):
@@ -128,13 +161,14 @@ def coeffs_from_nodes(values):
     return rho_hat
 
 
-def polar_nodes(coef):
-    """rho and rho_phi of (..., N, 2) coefficients at the nodes; raises
+def polar_nodes(coef, order=1):
+    """rho and its phi-derivatives up to ``order`` of (..., N, 2)
+    coefficients at the nodes, from one inverse FFT; raises
     NonPositiveRadius unless rho > 0 at every node of every row."""
-    rho = synth_nodes(coef)
+    rho, *derivs = synth_nodes(coef, tuple(range(order + 1)))
     if not np.all(rho > 0.0):
         raise NonPositiveRadius(f"min rho = {rho.min():.3e}")
-    return rho, synth_nodes(coef, 1)
+    return rho, *derivs
 
 
 def eval_series(coef, phi, derivative=0):
@@ -182,16 +216,11 @@ def build_cache(curve):
     Raises NonPositiveRadius unless rho > 0 everywhere; whether the curve
     is resolved is for evolution.rhs to decide.
     """
-    M = curve.M
-    phi = 2.0 * np.pi * np.arange(M) / M
-    rho, rho_phi = polar_nodes(curve.rho_hat)
-    rho_phiphi = synth_nodes(curve.rho_hat, 2)
+    rho, rho_phi, rho_phiphi = polar_nodes(curve.rho_hat, 2)
     ell = np.hypot(rho, rho_phi)
     kappa = (rho_phi**2 - rho * rho_phiphi) / ell**3 + 1.0 / ell
-
-    points = curve.pole + np.stack([rho * np.cos(phi), rho * np.sin(phi)],
-                                   axis=1)
-    return GeometryCache(curve, phi, rho, rho_phi, ell, kappa, points)
+    return GeometryCache(curve, node_trig(curve.M)[0], rho, rho_phi, ell,
+                         kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +241,7 @@ def node_area(rho):
 def node_moments(rho):
     """First moments int rho^3 (cos phi, sin phi) dphi of (..., M) node
     radii, (..., 2): 3 area times the barycenter's offset from the pole."""
-    phi = 2.0 * np.pi * np.arange(rho.shape[-1]) / rho.shape[-1]
-    return quad(rho[..., None, :] ** 3 * np.stack([np.cos(phi), np.sin(phi)]))
+    return quad(rho[..., None, :] ** 3 * node_trig(rho.shape[-1])[1:])
 
 
 def perimeter(cache):
@@ -360,9 +388,8 @@ def make_admissible_stack(rho_hat, R):
     """
     rho_hat = np.array(rho_hat, dtype=float)
     M = 2 * rho_hat.shape[-2]
-    phi = 2.0 * np.pi * np.arange(M) / M
     dphi = 2.0 * np.pi / M
-    cphi, sphi = np.cos(phi), np.sin(phi)
+    _, cphi, sphi = node_trig(M)
     basis = [np.ones(M), cphi, sphi]
     target = np.array([np.pi * R**2, 0.0, 0.0])
     rows = np.arange(rho_hat.shape[0])

@@ -12,24 +12,30 @@ derivative extraction.  Sign/normalization calibration: boundary data
 A cos(k phi) on a circle of radius R gives V = -(2k/R) A cos(k phi)
 (interior r^k, exterior r^{-k} harmonics).
 
-Nystrom discretization: the log singularity is split off as
+Nystrom discretization: the unknown is w = ell V (ell the length element).
+The matrix acting on V is A = K diag(ell), and K, the one assembled, is
+symmetric.  The log singularity is split off as
 (1/2pi) log|2 sin((t-t')/2)| and integrated exactly on the trigonometric
 interpolant (spectral log-quadrature circulant); the smooth remainder --
 including the whole-lattice tail Lambda(z) - log|z| on the torus -- goes
-through the trapezoid rule.  The circulant and the chord log depend on M
-alone and are cached per M as one matrix; each assembly computes only
-log|z_i - z_j| (log ell on the diagonal) in place and, on the torus, adds
-the tail in its factorized node-pair form (elliptic.lambda_tail_nodes).
+through the trapezoid rule.  All nodes share the pole, so the smooth part
+is real: |z_i - z_j|^2 / (4 sin^2((phi_i - phi_j)/2)) equals
+rho_i rho_j + (rho_i - rho_j)^2 / (4 sin^2), with log ell_i on the
+diagonal.  The circulant and 1 / (4 sin^2) depend on M alone and are
+cached per M; on the torus each assembly adds the tail in its factorized
+node-pair form (elliptic.lambda_tail_nodes).
 
-The collocation system is bordered by the constraint int V ds = 0, with c
-as the extra unknown.  A run's curves stay close to each other, so one
-inverse P of a bordered matrix serves all of its solves (a BieInverse):
-each system A x = b, with A freshly assembled, is solved by fixed-precision
-iterative refinement x <- x + P (b - A x) (Higham, Accuracy and Stability
-of Numerical Algorithms, ch. 12), which costs O(M^2) per sweep where a
-direct solve costs O(M^3).  Refinement stops when a sweep no longer halves
-the residual; a residual that stagnates above REFINE_TOL re-inverts, and
-the new inverse becomes the reference.
+The collocation system is bordered by the constraint int V ds =
+dphi sum w = 0, a constant row, with c as the extra unknown, and
+V = w / ell.  A run's curves stay close to each other, so one inverse P of
+a bordered matrix serves all of its solves (a BieInverse): each system
+B x = b, with B freshly assembled, is solved by fixed-precision iterative
+refinement x <- x + P (b - B x) (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 12), which costs O(M^2) per sweep where a direct
+solve costs O(M^3).  Refinement stops when a sweep no longer halves the
+residual; a residual that stagnates above REFINE_TOL re-inverts, and the
+new inverse becomes the reference.  Since K w = A V, the residual and
+|int V ds| are those of the system in V.
 
 Dissipation: D = int |grad u|^2 = -int_Gamma kappa V ds (boundary
 reduction; normals cancel between the two sides).
@@ -64,7 +70,6 @@ EMBED_FACTOR = 8.0
 ORACLE_REFINE = 4   # squared_distance_oracle interpolates to this x finer grid
 REFINE_SWEEPS = 8   # cap on the iterative-refinement sweeps of one solve
 REFINE_TOL = 1e-14  # a refined relative residual above this re-inverts
-_NODE_MATRICES = {}   # M -> _node_matrix(M)
 
 
 def log_quadrature_row(M):
@@ -82,20 +87,20 @@ def log_quadrature_row(M):
     return row / M
 
 
-def _node_matrix(M):
-    """The part of ``assemble`` that depends on M alone, cached read-only:
-    row[(i - j) % M] - log|2 sin((phi_i - phi_j)/2)| / M off the diagonal
-    and row[0] on it (row = log_quadrature_row(M))."""
-    if M not in _NODE_MATRICES:
-        row = log_quadrature_row(M)
-        idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
-        phi = 2.0 * np.pi * np.arange(M) / M
-        chord = np.abs(2.0 * np.sin(0.5 * (phi[:, None] - phi[None, :])))
-        chord.flat[::M + 1] = 1.0
-        base = row[idx] - (1.0 / M) * np.log(chord)
-        base.setflags(write=False)
-        _NODE_MATRICES[M] = base
-    return _NODE_MATRICES[M]
+@functools.lru_cache(maxsize=8)
+def _node_matrices(M):
+    """The parts of ``assemble`` that depend on M alone, read-only: the
+    circulant quadrature matrix row[(i - j) % M] (row = log_quadrature_row),
+    chord2 = 4 sin^2((phi_i - phi_j)/2) and 1 / chord2 with a zero
+    diagonal."""
+    row = log_quadrature_row(M)
+    circulant = row[(np.arange(M)[:, None] - np.arange(M)[None, :]) % M]
+    phi = geometry.node_trig(M)[0]
+    chord2 = 4.0 * np.sin(0.5 * (phi[:, None] - phi[None, :])) ** 2
+    inv_chord2 = 1.0 / (chord2 + np.diag(np.full(M, np.inf)))
+    for mat in (circulant, chord2, inv_chord2):
+        mat.setflags(write=False)
+    return circulant, chord2, inv_chord2
 
 
 @dataclass
@@ -150,22 +155,36 @@ class BieInverse:
 
 
 def assemble(cache, kernel=None):
-    """Dense collocation matrix of the single-layer operator at the nodes.
+    """Dense collocation matrix K of the single-layer operator at the nodes,
+    acting on w = ell V: symmetric, and K diag(ell) is the matrix acting on
+    V.
 
-    ``kernel`` None means the free-space plane kernel; a LatticeKernel
-    substitutes Lambda/2pi with the identical singular split.
+    K = C + (1/M) (log|z_i - z_j| - log|2 sin((phi_i - phi_j)/2)|), with C
+    the circulant log-quadrature matrix and log ell_i on the diagonal.  All
+    nodes share the pole, so the smooth part is real:
+    |z_i - z_j|^2 / (4 sin^2) = rho_i rho_j + (rho_i - rho_j)^2 / (4 sin^2).
+    ``kernel`` None means the free-space plane kernel; a LatticeKernel adds
+    the smooth tail of Lambda/2pi.
     """
     M = cache.M
-    z = cache.points[:, 0] + 1j * cache.points[:, 1]
-    mat = np.abs(z[:, None] - z[None, :])
-    span = float(mat.max()) if kernel is not None else None
-    mat.flat[::M + 1] = cache.ell
-    np.log(mat, out=mat)
+    circulant, chord2, inv_chord2 = _node_matrices(M)
+    rho = cache.rho
+    mat = rho[:, None] - rho[None, :]
+    mat *= mat
+    mat *= inv_chord2
+    mat += rho[:, None] * rho[None, :]
     if kernel is not None:
-        mat += elliptic.lambda_tail_nodes(kernel, z, span)
-    mat *= 1.0 / M
-    mat += _node_matrix(M)
-    mat *= cache.ell
+        # the squared distances |z_i - z_j|^2, exactly 0 on the diagonal
+        span = math.sqrt(float(np.max(mat * chord2)))
+    np.log(mat, out=mat)
+    mat *= 0.5 / M
+    mat.flat[::M + 1] = np.log(cache.ell) / M
+    if kernel is not None:
+        z = cache.points[:, 0] + 1j * cache.points[:, 1]
+        tail = elliptic.lambda_tail_nodes(kernel, z, span)
+        tail *= 1.0 / M
+        mat += tail
+    mat += circulant
     return mat
 
 
@@ -182,21 +201,21 @@ def solve_ms(cache, kernel=None, data=None, inverse=None):
     """Solve S[phi] + c = data (default: curvature), int phi ds = 0.
 
     Returns a BieSolve whose density V IS the normal velocity (jump of
-    normal derivatives of the two-sided harmonic extension).  The mean of
-    ``data`` goes into c directly (a constant is solved by V = 0), so the
-    system solved is the one for the rest, whose size is that of V: on a
-    near-circle the residual is then small relative to V, not only to the
-    curvature.  The system is solved by iterative refinement against
-    ``inverse`` (a BieInverse; None means a fresh one), which becomes this
-    system's inverse when the refined relative residual stays above
-    REFINE_TOL.  Raises SolverSingular when the matrix has no inverse or
-    the residual is not finite or above 1e-8.
+    normal derivatives of the two-sided harmonic extension).  The unknown
+    is w = ell V: K w + c = data, dphi sum w = 0 with K = assemble(...),
+    and V = w / ell.  The mean of ``data`` goes into c directly (a constant
+    is solved by V = 0), so the system solved is the one for the rest,
+    whose size is that of V: on a near-circle the residual is then small
+    relative to V, not only to the curvature.  The system is solved by
+    iterative refinement against ``inverse`` (a BieInverse; None means a
+    fresh one), which becomes this system's inverse when the refined
+    relative residual stays above REFINE_TOL.  Raises SolverSingular when
+    the matrix has no inverse or the residual is not finite or above 1e-8.
     """
     M = cache.M
-    weights = cache.ell * cache.dphi
     if data is None:
         data = cache.kappa
-    big = _bordered(assemble(cache, kernel), weights)
+    big = _bordered(assemble(cache, kernel), cache.dphi)
     shift = float(np.mean(data))
     rhs = np.concatenate([data - shift, [0.0]])
     inverse = BieInverse() if inverse is None else inverse
@@ -206,11 +225,11 @@ def solve_ms(cache, kernel=None, data=None, inverse=None):
     if not resid <= REFINE_TOL:
         inverse.invert(big)
         sol, resid = inverse.refine(big, rhs)
-    phi, c = sol[:M], float(sol[M]) + shift
+    V, c = sol[:M] / cache.ell, float(sol[M]) + shift
     if not np.isfinite(resid) or resid > 1e-8:
         raise SolverSingular(f"relative residual {resid:.3e}")
-    mean_resid = abs(float(np.dot(weights, phi)))
-    return BieSolve(phi, c, float(resid), mean_resid)
+    mean_resid = abs(float(np.dot(cache.ell * cache.dphi, V)))
+    return BieSolve(V, c, float(resid), mean_resid)
 
 
 def dissipation(cache, solve):

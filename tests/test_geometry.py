@@ -299,6 +299,36 @@ def test_synth_nodes_batch_rows_match_single_rows():
         assert stacked.shape == (5, 64)
         for row, c in zip(stacked, coef):
             assert np.array_equal(row, geometry.synth_nodes(c, d))
+    # a tuple of orders stacks the syntheses of one inverse FFT
+    for M in (None, 128):
+        stacked = geometry.synth_nodes(coef, (0, 1, 2), M=M)
+        assert stacked.shape == (3, 5, M or 64)
+        for d, got in enumerate(stacked):
+            assert np.array_equal(got, geometry.synth_nodes(coef, d, M=M))
+
+
+@pytest.mark.parametrize("seed, N, domain", [(0, 32, "plane"),
+                                             (1, 64, "plane"),
+                                             (2, 128, "torus")])
+def test_build_cache_matches_separate_syntheses(seed, N, domain):
+    # the cache's one inverse FFT and cached trig give each field of the
+    # three separate syntheses bit for bit
+    rng = np.random.default_rng(seed)
+    curve = geometry.random_admissible(rng, N=N, domain=domain,
+                                       L=4.0 if domain == "torus" else None)
+    curve = replace(curve, pole=rng.uniform(-1.0, 1.0, 2))
+    cache = geometry.build_cache(curve)
+    rho, rho_phi, rho_phiphi = (geometry.synth_nodes(curve.rho_hat, d)
+                                for d in (0, 1, 2))
+    ell = np.hypot(rho, rho_phi)
+    phi = 2.0 * np.pi * np.arange(2 * N) / (2 * N)
+    expected = {
+        "phi_nodes": phi, "rho": rho, "rho_phi": rho_phi, "ell": ell,
+        "kappa": (rho_phi**2 - rho * rho_phiphi) / ell**3 + 1.0 / ell,
+        "points": curve.pole + np.stack([rho * np.cos(phi),
+                                         rho * np.sin(phi)], axis=1)}
+    for name, value in expected.items():
+        assert np.array_equal(getattr(cache, name), value), name
 
 
 def test_shrink_to_admissible_shrinks_only_failing_rows():

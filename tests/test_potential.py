@@ -222,7 +222,7 @@ def test_solve_ms_stale_reference_matches_direct_solve(amp, inversions):
         geometry.RadialCurve(1.0, rho_hat, np.zeros(2))))
     solve = potential.solve_ms(cache, inverse=inverse)
     assert inverse.inversions == inversions and inverse.sweeps > 2
-    big = potential._bordered(potential.assemble(cache),
+    big = potential._bordered(potential.assemble(cache) * cache.ell,
                               cache.ell * cache.dphi)
     mean = np.mean(cache.kappa)
     ref = np.linalg.solve(big, np.concatenate([cache.kappa - mean, [0.0]]))
@@ -249,8 +249,38 @@ def test_assemble_matches_elementwise(N, L):
     curve = geometry.random_admissible(np.random.default_rng(N), N=N)
     cache = geometry.build_cache(curve)
     kern = None if L is None else elliptic.LatticeKernel(L)
-    fast = potential.assemble(cache, kern)
+    fast = potential.assemble(cache, kern) * cache.ell
     assert np.max(np.abs(fast - assemble_elementwise(cache, kern))) <= 1e-15
+
+
+@pytest.mark.parametrize("N, L", [(32, None), (64, None), (32, 2.0),
+                                  (64, 1.2)])
+def test_assemble_is_symmetric(N, L):
+    # K acts on w = ell V, so no column scale breaks the kernel's symmetry
+    cache = geometry.build_cache(
+        geometry.random_admissible(np.random.default_rng(N + 1), N=N))
+    kern = None if L is None else elliptic.LatticeKernel(L)
+    K = potential.assemble(cache, kern)
+    assert np.max(np.abs(K - K.T)) <= 1e-14 * np.max(np.abs(K))
+
+
+@pytest.mark.parametrize("seed, L", [(3, None), (4, None), (3, 2.0),
+                                     (4, 8.0)])
+def test_solve_ms_matches_ell_scaled_system(seed, L):
+    # solving for w = ell V with the border dphi gives the V of the system
+    # in V itself: A = K diag(ell), bordered by ell dphi
+    curve = geometry.random_admissible(np.random.default_rng(seed), N=32)
+    cache = geometry.build_cache(curve)
+    kern = None if L is None else elliptic.LatticeKernel(L)
+    solve = potential.solve_ms(cache, kern)
+    big = potential._bordered(
+        assemble_elementwise(cache, kern), cache.ell * cache.dphi)
+    mean = np.mean(cache.kappa)
+    ref = np.linalg.solve(big, np.concatenate([cache.kappa - mean, [0.0]]))
+    assert np.max(np.abs(solve.V - ref[:-1])) <= \
+        1e-13 * np.max(np.abs(ref[:-1]))
+    assert abs(solve.additive_constant - ref[-1] - mean) <= 1e-13
+    assert solve.mean_constraint_residual <= 1e-15
 
 
 @pytest.mark.parametrize("cfg", [
@@ -260,7 +290,8 @@ def test_assemble_matches_elementwise(N, L):
 def test_runs_match_elementwise_assembly(monkeypatch, cfg):
     cfg = {**cfg, "N": 32, "t_end": 5e-4, "k_out": 5, "k_H": 0}
     fast = evolution.run(cfg)
-    monkeypatch.setattr(potential, "assemble", assemble_elementwise)
+    monkeypatch.setattr(potential, "assemble", lambda cache, kernel=None:
+                        assemble_elementwise(cache, kernel) / cache.ell)
     slow = evolution.run(cfg)
     assert len(fast.records) == len(slow.records) > 3
     for a, b in zip(fast.records, slow.records):
