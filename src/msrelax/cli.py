@@ -231,13 +231,15 @@ def _suite_elliptic(n, seed):
     series = np.log(np.abs(z)) + elliptic.lambda_tail(kern, z)
     ser = float(np.max(np.abs(series - elliptic.lam(kern, z))))
     # factorized node-pair tail against the elementwise series, on the
-    # nodes of random admissible curves scaled to reach 0.1..0.9
+    # offsets rho e(phi) of random admissible curves from their poles,
+    # scaled to reach 2 max|z| / 2L = 0.1..0.9
     tail, scale, tail_ok = 0.0, 0.0, True
     for N in (64, 128, 64, 128):
-        cache = geometry.build_cache(geometry.random_admissible(rng, N=N))
-        nodes = cache.points[:, 0] + 1j * cache.points[:, 1]
-        span = np.max(np.abs(nodes[:, None] - nodes[None, :]))
-        nodes *= rng.uniform(0.1, 0.9) * 2.0 * kern.L / span
+        curve = geometry.random_admissible(rng, N=N)
+        rho = geometry.synth_nodes(curve.rho_hat)
+        _, cphi, sphi = geometry.node_trig(curve.M)
+        nodes = rho * (cphi + 1j * sphi)
+        nodes *= rng.uniform(0.1, 0.9) * kern.L / np.max(np.abs(nodes))
         ref = elliptic.lambda_tail(kern, nodes[:, None] - nodes[None, :])
         err = float(np.max(np.abs(elliptic.lambda_tail_nodes(kern, nodes)
                                   - ref)))

@@ -26,12 +26,14 @@ The smooth tail Lambda(z) - log|z| = -beta_bg |z|^2 - sum_{4|k} Re(g_k w^k)/k
 (w = z/2L, |w| < 1) has two evaluators.  lambda_tail sums the series
 elementwise on any array of z; it serves the H oracle's grid offsets and is
 the reference.  lambda_tail_nodes evaluates the tail over all node pairs
-z_i - z_j of a boundary: the binomial expansion of (u_i - u_j)^k turns the
-series into the product of two thin M x (K+1) power matrices through a
-(K+1)^2 coefficient matrix, and the quadratic term adds four columns.  Both
-truncate at the same degree K, set by the largest |w|, and both raise
-OutOfRadius at |w| >= TAIL_RADIUS; where the product would cost more or
-round worse, lambda_tail_nodes falls back to lambda_tail.
+z_i - z_j of a boundary, given as offsets z_i from a centre (the pole): the
+binomial expansion of (u_i - u_j)^k, u = z/2L, turns the series into the
+product of two thin M x (K+1) power matrices through a (K+1)^2 coefficient
+matrix, and the quadratic term adds four columns.  Since |u_i - u_j| <=
+2 max|u|, that bound is the nodes' reach: it sets the degree K and raises
+OutOfRadius at TAIL_RADIUS, the same rule evolution.run checks at the start
+(2 max rho < TAIL_RADIUS 2L).  Where the product would cost more,
+lambda_tail_nodes falls back to lambda_tail.
 """
 
 import functools
@@ -155,11 +157,12 @@ def lam(kernel, z):
 
 
 def _tail_degree(r):
-    """Highest power k kept by the lattice-tail series at reach r = |w|max:
-    r^k falls below 1e-17, clipped to [8, 2000].  Raises OutOfRadius at
-    r >= TAIL_RADIUS."""
+    """Highest power k kept by the lattice-tail series at reach r, a bound
+    on every |w|: r^k falls below 1e-17, clipped to [8, 2000].  Raises
+    OutOfRadius at r >= TAIL_RADIUS."""
     if r >= TAIL_RADIUS:
-        raise OutOfRadius(f"|z|/(2L) = {r:.3f} too close to 1")
+        raise OutOfRadius(f"lattice-tail reach {r:.4f} (a bound on |z|/2L) "
+                          f"is at or above TAIL_RADIUS = {TAIL_RADIUS}")
     k_max = int(np.ceil(np.log(1e-17) / np.log(max(r, 1e-12))))
     return min(max(k_max, 8), 2000)
 
@@ -200,37 +203,31 @@ def _pair_coefficients(kernel, K):
     return kernel._pair_cache[K]
 
 
-def lambda_tail_nodes(kernel, z, span=None):
+def lambda_tail_nodes(kernel, z):
     """lambda_tail over all node pairs: the (M, M) matrix of
-    Lambda(z_i - z_j) - log|z_i - z_j|, with ``span`` = max |z_i - z_j|
-    when the caller has it.
+    Lambda(z_i - z_j) - log|z_i - z_j|, for nodes given as offsets ``z``
+    from a centre of the caller's choice (assemble passes rho e(phi) about
+    the pole).
 
-    With u = (z - c)/(2L) about the centre c of the nodes' bounding box,
-    w_ij = u_i - u_j, and the binomial expansion of each w^k makes the
-    series Re(P C Q^T) with P = [u_i^a], Q = [(-u_j)^b] (M x (K+1)) and C of
-    _pair_coefficients; with b = beta_bg (2L)^2, -beta_bg |z_i - z_j|^2 =
-    -b (|u_i|^2 + |u_j|^2 - 2 Re(u_i conj u_j)) adds four real columns,
-    so the whole tail is one real product of inner size 2K + 6.  K and
-    OutOfRadius follow lambda_tail at r = span/(2L).  The expanded terms
-    are bounded by (|u_i| + |u_j|)^k, so rounding stays at machine level
-    while 2 max|u| <= 1.  Where that fails, where the product costs more
-    than the elementwise series (past about K = 3M, where forming P C
-    takes M (K+1)^2 complex products), or past K = 1000 (the binomials
-    leave the float range), the elementwise lambda_tail is evaluated
-    instead.
+    With u = z/(2L), w_ij = u_i - u_j, and the binomial expansion of each
+    w^k makes the series Re(P C Q^T) with P = [u_i^a], Q = [(-u_j)^b]
+    (M x (K+1)) and C of _pair_coefficients; with b = beta_bg (2L)^2,
+    -beta_bg |z_i - z_j|^2 = -b (|u_i|^2 + |u_j|^2 - 2 Re(u_i conj u_j))
+    adds four real columns, so the whole tail is one real product of inner
+    size 2K + 6.  K and OutOfRadius follow lambda_tail at the reach
+    r = 2 max|u| >= |w_ij|.  The expanded terms are bounded by
+    (|u_i| + |u_j|)^k <= r^k < 1, so rounding stays at machine level.
+    Where the product costs more than the elementwise series (past about
+    K = 3M, where forming P C takes M (K+1)^2 complex products), or past
+    K = 1000 (the binomials leave the float range), the elementwise
+    lambda_tail is evaluated instead.
     """
     z = np.asarray(z, dtype=complex)
     M = z.size
-    if span is None:
-        span = float(np.max(np.abs(z[:, None] - z[None, :])))
-    k_max = _tail_degree(span / (2.0 * kernel.L))
+    u = z / (2.0 * kernel.L)
+    k_max = _tail_degree(2.0 * float(np.max(np.abs(u))))
     K = k_max - k_max % 4
     if K > min(3 * M, 1000):
-        return lambda_tail(kernel, z[:, None] - z[None, :])
-    centre = complex(0.5 * (z.real.min() + z.real.max()),
-                     0.5 * (z.imag.min() + z.imag.max()))
-    u = (z - centre) / (2.0 * kernel.L)
-    if 2.0 * np.max(np.abs(u)) > 1.0:
         return lambda_tail(kernel, z[:, None] - z[None, :])
     PC = np.vander(u, K + 1, increasing=True) @ _pair_coefficients(kernel, K)
     Q = np.vander(-u, K + 1, increasing=True)

@@ -447,6 +447,8 @@ def initial_curve(cfg):
     bad = [k for k in modes if not 1 <= k <= N - 1]
     if bad:
         raise ValueError(f"modes {bad} outside 1..{N - 1} at N = {N}")
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"modes {modes} repeat a mode (give each once)")
     if len(amps) == 1:
         amps = amps * len(modes)
     if len(amps) != len(modes):

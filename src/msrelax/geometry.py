@@ -10,10 +10,9 @@ Curvature of the polar graph:
     ell   = sqrt(rho^2 + rho_phi^2),
 
 with ell the length element ds = ell dphi.  The cache keeps rho, rho_phi,
-ell and kappa, and forms the node points on first use; rho_phiphi enters
-only kappa.  It synthesizes rho and both derivatives by one inverse FFT,
-with the factors (ik)^d cached per N and the node angles' cosines and sines
-(node_trig) per M.
+ell and kappa; rho_phiphi enters only kappa.  It synthesizes rho and both
+derivatives by one inverse FFT, with the factors (ik)^d cached per N and the
+node angles' cosines and sines (node_trig) per M.
 
 The node integrals reduce over the last axis, so single curves and (B, ...)
 stacks share them: ``polar_nodes`` (rho > 0 guard), ``quad`` (trapezoidal
@@ -86,13 +85,6 @@ class GeometryCache:
     @property
     def M(self):
         return self.phi_nodes.size
-
-    @functools.cached_property
-    def points(self):
-        """(M, 2) curve points pole + rho e(phi), formed on first use."""
-        _, cphi, sphi = node_trig(self.M)
-        return self.curve.pole + np.stack([self.rho * cphi, self.rho * sphi],
-                                          axis=1)
 
     @property
     def dphi(self):

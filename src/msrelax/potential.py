@@ -23,7 +23,9 @@ is real: |z_i - z_j|^2 / (4 sin^2((phi_i - phi_j)/2)) equals
 rho_i rho_j + (rho_i - rho_j)^2 / (4 sin^2), with log ell_i on the
 diagonal.  The circulant and 1 / (4 sin^2) depend on M alone and are
 cached per M; on the torus each assembly adds the tail in its factorized
-node-pair form (elliptic.lambda_tail_nodes).
+node-pair form (elliptic.lambda_tail_nodes) on the offsets rho e(phi)
+from the pole, whose reach 2 max rho / 2L is the rule evolution.run
+checks at the start.
 
 The collocation system is bordered by the constraint int V ds =
 dphi sum w = 0, a constant row, with c as the extra unknown, and
@@ -90,17 +92,16 @@ def log_quadrature_row(M):
 @functools.lru_cache(maxsize=8)
 def _node_matrices(M):
     """The parts of ``assemble`` that depend on M alone, read-only: the
-    circulant quadrature matrix row[(i - j) % M] (row = log_quadrature_row),
-    chord2 = 4 sin^2((phi_i - phi_j)/2) and 1 / chord2 with a zero
-    diagonal."""
+    circulant quadrature matrix row[(i - j) % M] (row = log_quadrature_row)
+    and 1 / (4 sin^2((phi_i - phi_j)/2)) with a zero diagonal."""
     row = log_quadrature_row(M)
     circulant = row[(np.arange(M)[:, None] - np.arange(M)[None, :]) % M]
     phi = geometry.node_trig(M)[0]
     chord2 = 4.0 * np.sin(0.5 * (phi[:, None] - phi[None, :])) ** 2
     inv_chord2 = 1.0 / (chord2 + np.diag(np.full(M, np.inf)))
-    for mat in (circulant, chord2, inv_chord2):
+    for mat in (circulant, inv_chord2):
         mat.setflags(write=False)
-    return circulant, chord2, inv_chord2
+    return circulant, inv_chord2
 
 
 @dataclass
@@ -164,24 +165,22 @@ def assemble(cache, kernel=None):
     nodes share the pole, so the smooth part is real:
     |z_i - z_j|^2 / (4 sin^2) = rho_i rho_j + (rho_i - rho_j)^2 / (4 sin^2).
     ``kernel`` None means the free-space plane kernel; a LatticeKernel adds
-    the smooth tail of Lambda/2pi.
+    the smooth tail of Lambda/2pi, evaluated on the offsets rho e(phi) from
+    the pole: OutOfRadius when 2 max rho >= elliptic.TAIL_RADIUS * 2L.
     """
     M = cache.M
-    circulant, chord2, inv_chord2 = _node_matrices(M)
+    circulant, inv_chord2 = _node_matrices(M)
     rho = cache.rho
     mat = rho[:, None] - rho[None, :]
     mat *= mat
     mat *= inv_chord2
     mat += rho[:, None] * rho[None, :]
-    if kernel is not None:
-        # the squared distances |z_i - z_j|^2, exactly 0 on the diagonal
-        span = math.sqrt(float(np.max(mat * chord2)))
     np.log(mat, out=mat)
     mat *= 0.5 / M
     mat.flat[::M + 1] = np.log(cache.ell) / M
     if kernel is not None:
-        z = cache.points[:, 0] + 1j * cache.points[:, 1]
-        tail = elliptic.lambda_tail_nodes(kernel, z, span)
+        _, cphi, sphi = geometry.node_trig(M)
+        tail = elliptic.lambda_tail_nodes(kernel, rho * (cphi + 1j * sphi))
         tail *= 1.0 / M
         mat += tail
     mat += circulant

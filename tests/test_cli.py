@@ -140,6 +140,7 @@ def test_simulate_unknown_key_exits_2(capsys, tmp_path):
     ["t_end=inf"],                 # would never finish
     ["t_end=-1"],                  # would record t = 0 past the horizon
     ["k_H=-1"],                    # would silently act as 0
+    ["modes=2,2", "amps=0.01,0.02", "phases=0,0"],  # one mode given twice
 ])
 def test_simulate_bad_config_exits_2(capsys, cfg_file, tmp_path, overrides):
     argv = ["simulate", "--config", cfg_file, "--out", str(tmp_path / "o")]

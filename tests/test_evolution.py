@@ -355,6 +355,15 @@ def test_initial_curve_rejects_malformed_modes(modes, amps, phases):
         evolution.initial_curve(cfg)
 
 
+def test_run_rejects_repeated_mode():
+    # each mode takes one amplitude and phase, so a repeat is refused, not
+    # merged into one coefficient
+    cfg = {"N": 32, "modes": "2,2", "amps": "0.01,0.02", "phases": "0,0",
+           "t_end": 1e-5, "k_H": 0}
+    with pytest.raises(ValueError, match="repeat"):
+        evolution.run(cfg)
+
+
 def test_run_rejects_curve_too_large_for_torus_cell():
     with pytest.raises(ValueError, match="L = 1"):
         evolution.run({"N": 32, "domain": "torus", "L": 1.0, "t_end": 1e-5})

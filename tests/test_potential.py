@@ -100,7 +100,9 @@ def assemble_elementwise(cache, kernel=None):
     """The single-layer matrix with every term formed elementwise over the
     node pairs (the tail by elliptic.lambda_tail): the oracle of assemble."""
     M = cache.M
-    z = cache.points[:, 0] + 1j * cache.points[:, 1]
+    offsets = geometry.curve_points(cache.curve, cache.phi_nodes) - \
+        cache.curve.pole
+    z = offsets[:, 0] + 1j * offsets[:, 1]
     dz = z[:, None] - z[None, :]
     delta = cache.phi_nodes[:, None] - cache.phi_nodes[None, :]
     chord = np.abs(2.0 * np.sin(0.5 * delta))
@@ -117,17 +119,21 @@ def assemble_elementwise(cache, kernel=None):
 
 
 def torus_nodes(seed, N, L, shift):
-    """Nodes of a random admissible unit curve on the torus of half edge L:
-    a mode-1 term of size ``shift`` moves the curve off its pole, and the
-    pole sits at a random point of the cell."""
+    """Nodes of a random admissible unit curve on the torus of half edge L,
+    as offsets from the centre of their bounding box: a mode-1 term of size
+    ``shift`` moves the curve off its pole, and the pole sits at a random
+    point of the cell."""
     rng = np.random.default_rng(seed)
     curve = geometry.random_admissible(rng, N=N, domain="torus", L=L)
     rho_hat = curve.rho_hat.copy()
     angle = rng.uniform(0.0, 2.0 * np.pi)
     rho_hat[1] = shift * np.array([np.cos(angle), np.sin(angle)])
     pole = rng.uniform(-L, L, 2)
-    cache = geometry.build_cache(replace(curve, rho_hat=rho_hat, pole=pole))
-    return cache.points[:, 0] + 1j * cache.points[:, 1]
+    curve = replace(curve, rho_hat=rho_hat, pole=pole)
+    points = geometry.curve_points(curve, geometry.node_trig(curve.M)[0])
+    z = points[:, 0] + 1j * points[:, 1]
+    return z - complex(0.5 * (z.real.min() + z.real.max()),
+                       0.5 * (z.imag.min() + z.imag.max()))
 
 
 def tail_error(kern, z):
@@ -176,17 +182,29 @@ def test_tail_nodes_cost_fallback(monkeypatch, N, L, elementwise):
     assert fast.shape == (2 * N, 2 * N)
 
 
-def test_tail_nodes_rounding_fallback(monkeypatch):
-    # an equilateral triangle of reach 0.8 has 2 max|u| = 1.06 about its
-    # bounding-box centre, where the expanded terms would swamp the sum
-    kern = elliptic.LatticeKernel(1.0)
-    t = np.linspace(0.0, 1.0, 40, endpoint=False)
-    corners = 1.6 * np.exp(2j * np.pi * np.arange(3) / 3) / np.sqrt(3.0)
-    z = np.concatenate([a + t * (b - a) for a, b in
-                        zip(corners, np.roll(corners, -1))])
-    calls = count_elementwise_tails(monkeypatch)
-    err, _ = tail_error(kern, z)
-    assert len(calls) == 2 and err == 0.0
+@pytest.mark.parametrize("margin", [1e-9, -1e-9])
+def test_one_reach_rule_for_assemble_and_run(margin):
+    # cells a relative 1e-9 either side of the one where 2 max rho =
+    # TAIL_RADIUS 2L (exactly at it, rounding picks the side): below the
+    # bound assemble succeeds and a run starts, above it assemble raises
+    # OutOfRadius and a run refuses the config
+    cfg = {"N": 32, "domain": "torus", "modes": "3", "amps": "0.05",
+           "phases": "0", "t_end": 0.0, "k_H": 0}
+    curve = evolution.initial_curve({**evolution.DEFAULTS, **cfg, "L": 1.0})
+    max_rho = float(np.max(geometry.synth_nodes(curve.rho_hat)))
+    L = max_rho / elliptic.TAIL_RADIUS * (1.0 + margin)
+    cache = geometry.build_cache(replace(curve, L=L))
+    if margin > 0.0:
+        assert np.all(np.isfinite(potential.assemble(
+            cache, elliptic.LatticeKernel(L))))
+        traj = evolution.run({**cfg, "L": L})
+        assert len(traj.records) == 1 and \
+            traj.events[-1]["event"] == "finish"
+    else:
+        with pytest.raises(OutOfRadius):
+            potential.assemble(cache, elliptic.LatticeKernel(L))
+        with pytest.raises(ValueError, match="too large for the torus cell"):
+            evolution.run({**cfg, "L": L})
 
 
 def test_solve_ms_singular_matrix_raises(monkeypatch):
