@@ -122,12 +122,17 @@ FUGLEDE_BLOCK = 128
 
 
 def _suite_fuglede(n, seed):
+    """Fuglede sandwich on n random admissible curves, all drawn from the one
+    generator default_rng([seed, 1]) and checked in stacked blocks of
+    FUGLEDE_BLOCK curves.  A block takes its curves from the stream as
+    successive random_admissible calls would, so the result does not depend
+    on the block size, and the first k curves of the n-curve suite are the
+    k-curve suite's."""
+    rng = np.random.default_rng([seed, 1])
     failures, margin = 0, []
     for start in range(0, n, FUGLEDE_BLOCK):
-        rngs = [np.random.default_rng([seed, i])
-                for i in range(start, min(n, start + FUGLEDE_BLOCK))]
-        rep = analysis.check_fuglede_stack(
-            geometry.random_admissible_stack(rngs, delta=0.05))
+        rep = analysis.check_fuglede_stack(geometry.random_admissible_stack(
+            rng, min(FUGLEDE_BLOCK, n - start), delta=0.05))
         failures += int(np.count_nonzero(~rep["pass"]))
         margin.append(np.min(rep["deficit"] - rep["lower"]))
     return {"n": n, "failures": failures,

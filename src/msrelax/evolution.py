@@ -74,6 +74,14 @@ calls (10 when rejected), a record between steps one more; the phi-functions
 are evaluated once each at Lambda h, h/2 and h/4, once per such record and
 once for the start probe.
 
+ERR_TOL thus bounds each step's local error, relative to max |y[1:]| at
+that step.  It does not bound the records of a long run, which carry the
+error accumulated over every step before them.  Against the same configs
+run at ERR_TOL = 1e-11, the records of cli.RUNS regime64 (seed 11) are off
+by up to about 2e-7 relative in E and D, at t = 0.012 to 0.02 where E is
+about 3e-12; those of mixed235 (seed 0) by about 3e-10 and of mixed23 by
+about 1e-10.
+
 Each rhs call is one bordered BIE solve (potential.solve_ms).  A run keeps
 one inverse of the bordered matrix in its StepStats and solves every state,
 stage and record against it by iterative refinement, so a call costs the

@@ -416,21 +416,21 @@ def random_admissible(rng, N=32, delta=0.05, k_max=8, domain="plane", L=None):
     sup bounds sit at ``delta / 2``, then Newton-projects the area and
     barycenter conditions.
     """
-    rho_hat = random_admissible_stack([rng], N, delta, k_max)[0]
+    rho_hat = random_admissible_stack(rng, 1, N, delta, k_max)[0]
     return RadialCurve(1.0, rho_hat, np.zeros(2), domain, L)
 
 
-def random_admissible_stack(rngs, N=32, delta=0.05, k_max=8):
-    """Coefficients (B, N, 2) of random_admissible, one row per generator:
-    row i is the curve random_admissible(rngs[i], ...) would return, bit for
-    bit, since each generator makes the same draws in the same order."""
-    rho_hat = np.zeros((len(rngs), N, 2))
+def random_admissible_stack(rng, B, N=32, delta=0.05, k_max=8):
+    """Coefficients (B, N, 2) of B random_admissible curves drawn from one
+    generator: row i is the curve the i-th of B successive
+    random_admissible(rng, ...) calls would return, bit for bit, since one
+    uniform call fills the draws in the same stream order (per curve, the
+    k_max - 1 amplitudes, then the k_max - 1 phases)."""
+    rho_hat = np.zeros((B, N, 2))
     rho_hat[:, 0, 0] = 1.0
     ks = np.arange(2, k_max + 1)
-    # per generator: amplitudes, then phases
-    draws = np.array([[rng.uniform(0.2, 1.0, ks.size),
-                       rng.uniform(0.0, 2.0 * np.pi, ks.size)]
-                      for rng in rngs]).reshape(-1, 2, ks.size)
+    draws = rng.uniform([[0.2], [0.0]], [[1.0], [2.0 * np.pi]],
+                        (B, 2, ks.size))
     amps = draws[:, 0] / ks  # mild spectral decay
     phases = draws[:, 1]
     rho_hat[:, ks, 0] = amps * np.cos(phases)

@@ -77,12 +77,13 @@ def test_fuglede_random_admissible(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fuglede_stack_rows_match_single_curves(seed):
-    rngs = [np.random.default_rng([seed, i]) for i in range(200)]
-    stack = geometry.random_admissible_stack(rngs, delta=0.05)
+    # one stream: row i is the i-th of successive single draws
+    stack = geometry.random_admissible_stack(np.random.default_rng(seed), 200,
+                                             delta=0.05)
     rep = analysis.check_fuglede_stack(stack)
+    rng = np.random.default_rng(seed)
     for i, row in enumerate(stack):
-        curve = geometry.random_admissible(np.random.default_rng([seed, i]),
-                                           delta=0.05)
+        curve = geometry.random_admissible(rng, delta=0.05)
         assert np.array_equal(row, curve.rho_hat), i
         assert np.array_equal(curve.pole, np.zeros(2))
         assert (curve.domain, curve.L) == ("plane", None)

@@ -329,9 +329,9 @@ def test_checks_fuglede_reports_hypothesis_failure(capsys, monkeypatch):
     draw = geometry.random_admissible_stack
     calls = []
 
-    def with_bad_row(rngs, **kwargs):
-        stack = draw(rngs, **kwargs)
-        calls.append(len(rngs))
+    def with_bad_row(rng, B, **kwargs):
+        stack = draw(rng, B, **kwargs)
+        calls.append(B)
         if len(calls) == 2:
             stack[3] = bad.rho_hat
         return stack

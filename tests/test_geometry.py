@@ -261,6 +261,30 @@ def test_random_admissible_passes_report(seed):
     assert rep["pass"], rep
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("delta, k_max", [(0.05, 8), (0.01, 5)])
+def test_random_admissible_draw_order(seed, delta, k_max):
+    # the amplitudes of modes 2..k_max, then their phases: the curves of
+    # every seeded caller depend on this order
+    rng = np.random.default_rng(seed)
+    ks = np.arange(2, k_max + 1)
+    amps = rng.uniform(0.2, 1.0, ks.size) / ks
+    phases = rng.uniform(0.0, 2.0 * np.pi, ks.size)
+    rho_hat = np.zeros((32, 2))
+    rho_hat[0, 0] = 1.0
+    rho_hat[ks, 0] = amps * np.cos(phases)
+    rho_hat[ks, 1] = amps * np.sin(phases)
+    dev = np.max(np.abs(geometry.synth_nodes(rho_hat) - 1.0))
+    slope = np.max(np.abs(geometry.synth_nodes(rho_hat, 1)))
+    rho_hat[1:] *= 0.5 * delta / max(dev, slope)
+    expected = geometry.shrink_to_admissible(rho_hat[None], delta)[0]
+    drawn = np.random.default_rng(seed)
+    curve = geometry.random_admissible(drawn, delta=delta, k_max=k_max)
+    assert np.array_equal(curve.rho_hat, expected)
+    # and nothing more is drawn
+    assert drawn.uniform() == rng.uniform()
+
+
 def test_make_admissible_fixes_constraints():
     rho_hat = np.zeros((32, 2))
     rho_hat[0, 0] = 1.02
