@@ -134,7 +134,7 @@ DEFAULTS = {
     "t_end": 0.01,
     "k_out": 10,
     "k_H": 5,               # H every k_H-th record; 0 disables H
-    "grid": 256,
+    "grid": 256,            # validated, not read: the flow's H needs no raster
 }
 
 
@@ -532,17 +532,19 @@ def _doubled_step(curve, h, n0, kernel, stats):
 def run(config=None):
     """Drive the flow from a config dict (unknown keys rejected).
 
-    Records diagnostics at t_j = j * k_out * dt_max and at the end (H on the
-    ``k_H`` record cadence), re-centers every K_REC accepted steps but the
-    last and controls dt by step doubling from a first trial step estimated
-    on the initial state (see the module docstring).  Stops at t_end or
+    Records diagnostics at t_j = j * k_out * dt_max and at the end, with H
+    (potential.disk_distance, by boundary integrals on the record's nodes,
+    with the run's kernel on the torus) on every ``k_H``-th record and NaN
+    on the others; re-centers every K_REC accepted steps but the last and
+    controls dt by step doubling from a first trial step estimated on the
+    initial state (see the module docstring).  Stops at t_end or
     after MAX_STEPS steps.  A MsrelaxError raised on the way carries the
     partial TrajectoryLog, ending in a ``fail`` event, as its ``trajectory``
     attribute.  A negative or non-finite t_end, a k_out or grid below 1 or
-    a negative k_H is a ValueError, raised before any step.  On the
-    torus, 2 max rho (a bound on the curve's diameter) must stay below
-    elliptic.TAIL_RADIUS * 2L, the reach of the lattice-tail series, else
-    ValueError.
+    a negative k_H is a ValueError, raised before any step; ``grid`` is
+    validated but not read.  On the torus, 2 max rho (a bound on the
+    curve's diameter) must stay below elliptic.TAIL_RADIUS * 2L, the reach
+    of the lattice-tail series, else ValueError.
     """
     cfg = dict(DEFAULTS)
     for key, val in (config or {}).items():
@@ -581,9 +583,7 @@ def run(config=None):
     def emit(cache, solve, t_rec):
         H = float("nan")
         if cfg["k_H"] > 0 and len(traj.records) % int(cfg["k_H"]) == 0:
-            H = potential.squared_distance(
-                cache.curve, center=geometry.barycenter_bulk(cache),
-                grid=int(cfg["grid"]))
+            H = potential.disk_distance(cache, kernel)
         traj.records.append(analysis.record(cache, solve, t_rec, H))
 
     stats.max_top_mode_ratio = geometry.top_mode_ratio(curve.rho_hat)

@@ -42,12 +42,20 @@ new inverse becomes the reference.  Since K w = A V, the residual and
 Dissipation: D = int |grad u|^2 = -int_Gamma kappa V ds (boundary
 reduction; normals cancel between the two sides).
 
-Squared distance H: the indicator difference chi_Omega - chi_B_R(c) is
-rasterized with subcell area-fraction anti-aliasing and H = ||f||_{H^-1}^2
-is summed in Fourier space; plane curves embed into a torus of half edge
-length EMBED_FACTOR * R (the larger R of a pair).  A second curve's region
-may replace the ball (``other=``), giving the squared distance between two
-curves.  Only the cells of the two regions' bounding boxes (periodic, per
+Squared distance H = ||chi_Omega - chi_B_R(c)||_{H^-1}^2 to the disk at
+the barycenter c, the flow's H: disk_distance forms it from boundary
+integrals on the curve's nodes, on the plane or the torus, spectrally
+accurate and free of the cancellation between its O(R^4) terms (see
+there).
+
+The squared distance between two curves (``msrelax hminus``), and the
+oracle of disk_distance: the indicator difference is rasterized with
+subcell area-fraction anti-aliasing and H = ||f||_{H^-1}^2 is summed in
+Fourier space (squared_distance); plane curves embed into a torus of half
+edge length EMBED_FACTOR * R (the larger R of a pair).  A second curve's
+region may replace the ball (``other=``).  The raster smooths the
+interface at its cell size, so it converges to H from below as the grid is
+refined.  Only the cells of the two regions' bounding boxes (periodic, per
 axis) are rasterized: a subcell farther than max rho + hs from a region's
 centre along either axis has radial signed distance below -hs/2, so its
 coverage clips to exactly 0 and every cell outside the boxes is exactly 0
@@ -66,12 +74,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic, geometry, sobolev
-from .errors import GridTooCoarse, NegativeDissipation, SolverSingular
+from .errors import (GridTooCoarse, NegativeDissipation, OutOfRadius,
+                     SolverSingular)
 
 EMBED_FACTOR = 8.0
 ORACLE_REFINE = 4   # squared_distance_oracle interpolates to this x finer grid
 REFINE_SWEEPS = 8   # cap on the iterative-refinement sweeps of one solve
 REFINE_TOL = 1e-14  # a refined relative residual above this re-inverts
+H_REFINE = 8        # disk_distance's rays per node
+GAUSS_NODES = 8     # disk_distance's Gauss-Legendre nodes per ray
 
 
 def log_quadrature_row(M):
@@ -274,6 +285,180 @@ def trace_equality_disk(g_amps):
 # ---------------------------------------------------------------------------
 # squared H^{-1} distance
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=8)
+def _distance_weights(M):
+    """The node-pair weights of disk_distance's double boundary integral,
+    read-only, each (M, M): (2 pi / M) C sin^2((phi_i - phi_j)/2) with C
+    the circulant of _node_matrices (the log|2 sin| part), and
+    (2 pi / M^2) sin^2((phi_i - phi_j)/2) (the trapezoid part)."""
+    circulant = _node_matrices(M)[0]
+    phi = geometry.node_trig(M)[0]
+    sin2 = np.sin(0.5 * (phi[:, None] - phi[None, :])) ** 2
+    weights = ((2.0 * np.pi / M) * circulant * sin2,
+               (2.0 * np.pi / M**2) * sin2)
+    for mat in weights:
+        mat.setflags(write=False)
+    return weights
+
+
+def _disk_graph(d, R, M):
+    """The disk of radius R centred at offset d from the pole, as a polar
+    graph about the pole at the M nodes: (b, b - R, db/dphi, h) with the
+    radius b = d.e + h, h = sqrt(R^2 - (d.e_perp)^2), and b - R formed
+    without cancellation."""
+    _, cphi, sphi = geometry.node_trig(M)
+    de = d[0] * cphi + d[1] * sphi
+    dp = d[1] * cphi - d[0] * sphi
+    h = np.sqrt((R - dp) * (R + dp))
+    b = de + h
+    return b, de - dp * dp / (h + R), dp * b / h, h
+
+
+def disk_distance(cache, kernel=None):
+    """H, the squared H^-1 distance ||chi_Omega - chi_B||^2 from the region
+    Omega enclosed by cache.curve to the disk B of radius R at its bulk
+    barycenter c, by boundary integrals on the polar graphs about the pole.
+    Omega's area must be pi R^2 (as a flow keeps it), so that the
+    difference has zero mean.  ``kernel`` None means the plane; a
+    LatticeKernel the torus of its L.
+
+    With I(A, A') = int_A int_A' log|x - y| dx dy,
+
+        H = -(1/2pi) ([I(Omega, Omega) - I(B, B)] - 2 [I(Omega, B) - I(B, B)]),
+
+    and each bracket is formed from the differences w = rho - b between the
+    two graphs (rho - R from the coefficient deviation, b - R from
+    _disk_graph), so nothing cancels at the O(R^4) size of the I's.
+
+    - I(A, A) = -oint oint gamma'(phi).gamma'(phi') Psi(r) dphi dphi' with
+      Psi = r^2 (log r - 1)/4, whose Laplacian is log r, and
+      r = |gamma(phi) - gamma(phi')|.  assemble's polar identity
+      r^2 = 4 sin^2 P splits log r = log|2 sin| + (1/2) log P: the first
+      part goes through the log-quadrature circulant, the rest through the
+      trapezoid rule, with the weights of _distance_weights.  The
+      Omega - B differences of G = gamma'.gamma' and of P are thin outer
+      products (P's with a 1/(4 sin^2) factor), and
+      log P_Omega - log P_B = log1p(dP / P_B).
+    - I(Omega, B) - I(B, B) = oint int_b^rho U_B r dr dphi, with B's
+      potential U_B = pi R^2 log|x - c| outside B and pi R^2 log R -
+      pi (R^2 - |x - c|^2)/2 inside: GAUSS_NODES Gauss-Legendre nodes on
+      each ray.  U_B is only C^1 across the circle, so a ray integral is
+      not smooth in phi where the graphs cross; the rays are therefore
+      H_REFINE times denser than the nodes (synth_nodes).
+    - On the torus, Lambda = log|z| + the lattice tail adds
+      -(1/2pi) [Re sum C_ab mu_a (-1)^b mu_b + 2 beta_bg |int f z|^2] with
+      C of elliptic._pair_coefficients and the moments mu_a = int f u^a,
+      u = (x - pole)/2L, f = chi_Omega - chi_B: mu_a = oint rho^(a+2)
+      e^(i a phi) / ((a+2)(2L)^a) dphi - pi R^2 (d/2L)^a, d = c - pole,
+      summed on the rays' angles: rho^(a+2) has a wide spectrum where the
+      degree is high.  The degree K follows elliptic._tail_degree at the
+      reach r = 2 max(max rho, |d| + R) / 2L, which raises OutOfRadius at
+      TAIL_RADIUS; so does a K above 1000 (r above about 0.96), where the
+      coefficients leave the float range.
+
+    Under N-doubling H agrees with itself to about 1e-10 relative on
+    resolved curves, and to rounding (a few 1e-9 relative) at H ~ 1e-14 R^4.
+    """
+    curve = cache.curve
+    R, M, F = curve.R, cache.M, H_REFINE * cache.M
+    rho = cache.rho
+    d = geometry.node_moments(rho) / (3.0 * geometry.node_area(rho))
+    dev = curve.rho_hat.copy()
+    dev[0, 0] -= R
+    b, bmr, bp, h = _disk_graph(d, R, F)
+    w = geometry.synth_nodes(dev, M=F) - bmr
+
+    # I(Omega, B) - I(B, B): U_B - pi R^2 log R along each ray r = b + t,
+    # where |x - c|^2 - R^2 = t (t + 2h), plus pi R^2 log R times the area
+    # difference
+    x, wt = _gauss_rule()
+    t = np.multiply.outer(w, x)
+    q = t * (t + 2.0 * h[:, None])
+    U = np.where(w[:, None] > 0.0,
+                 0.5 * np.pi * R * R * np.log1p(q / (R * R)), 0.5 * np.pi * q)
+    rays = w * ((U * (b[:, None] + t)) @ wt)
+    cross = geometry.quad(rays + np.pi * R * R * math.log(R)
+                          * 0.5 * w * (w + 2.0 * b))
+    rays_rho = b + w
+
+    # I(Omega, Omega) - I(B, B), node pair by node pair
+    b, bp, w = b[::H_REFINE], bp[::H_REFINE], w[::H_REFINE]
+    _, cphi, sphi = geometry.node_trig(M)
+    e = cphi + 1j * sphi
+    g = (cache.rho_phi + 1j * rho) * e      # gamma' of Omega,
+    gb = (bp + 1j * b) * e                  # of B,
+    dg = (cache.rho_phi - bp + 1j * w) * e  # and their difference, from w
+    GB = _outer_sum([gb.real, gb.imag], [gb.real, gb.imag])
+    dG = _outer_sum([dg.real, dg.imag, gb.real, gb.imag],
+                    [g.real, g.imag, dg.real, dg.imag])
+    inv_chord2 = _node_matrices(M)[1]
+    PB = np.subtract.outer(b, b)
+    PB *= PB
+    PB *= inv_chord2
+    PB += np.outer(b, b)
+    s = rho + b
+    dP = np.subtract.outer(w, w)
+    dP *= np.subtract.outer(s, s)
+    dP *= inv_chord2
+    dP += _outer_sum([w, b], [rho, w])
+    # dX = dG P_Omega + G_B dP and
+    # dY = dX ((1/2) log P_Omega - 1) + (1/2) G_B P_B log1p(dP / P_B),
+    # in place
+    PO = PB + dP
+    dX = dG
+    dX *= PO
+    dX += GB * dP
+    dY = np.log(PO, out=PO)
+    dY *= 0.5
+    dY -= 1.0
+    dY *= dX
+    dP /= PB
+    GB *= PB
+    GB *= np.log1p(dP, out=dP)
+    GB *= 0.5
+    dY += GB
+    circ_w, trap_w = _distance_weights(M)
+    self_term = -(2.0 * np.pi) * (np.vdot(circ_w, dX) + np.vdot(trap_w, dY))
+    H = -(self_term - 2.0 * cross) / (2.0 * np.pi)
+    if kernel is not None:
+        H += _lattice_distance(kernel, rays_rho, d, R)
+    return float(H)
+
+
+@functools.cache
+def _gauss_rule():
+    """GAUSS_NODES Gauss-Legendre nodes and weights on [0, 1]."""
+    x, wt = np.polynomial.legendre.leggauss(GAUSS_NODES)
+    return 0.5 * (x + 1.0), 0.5 * wt
+
+
+def _outer_sum(left, right):
+    """sum_k left[k][i] right[k][j] of node vectors, as one thin product."""
+    return np.stack(left, axis=1) @ np.stack(right, axis=1).T
+
+
+def _lattice_distance(kernel, rho, d, R):
+    """The lattice tail's share of disk_distance on the torus (see there),
+    from the curve's radii ``rho`` at uniform angles."""
+    M = rho.size
+    L2 = 2.0 * kernel.L
+    reach = 2.0 * max(float(rho.max()), math.hypot(*d) + R) / L2
+    k_max = elliptic._tail_degree(reach)
+    K = k_max - k_max % 4
+    if K > 1000:   # the binomials of _pair_coefficients leave the float range
+        raise OutOfRadius(f"lattice-tail reach {reach:.4f} needs degree {K} "
+                          f"> 1000 in H's moment series")
+    _, cphi, sphi = geometry.node_trig(M)
+    a = np.arange(K + 1)
+    powers = np.vander(rho * (cphi + 1j * sphi) / L2, K + 1, increasing=True)
+    mu = geometry.quad(rho**2 * powers.T) / (a + 2.0)
+    mu -= np.pi * R * R * (complex(*d) / L2) ** a
+    mu[0] = 0.0   # the zero mean of f
+    series = mu @ (elliptic._pair_coefficients(kernel, K) @ (mu * (-1.0) ** a))
+    return -(series.real + 2.0 * kernel.beta_bg * abs(L2 * mu[1]) ** 2) / (
+        2.0 * np.pi)
+
 
 _RHO_TABLE = 8192   # least number of angles at which coverage tabulates rho
 

@@ -21,9 +21,7 @@ from msrelax.errors import GridTooCoarse
 
 def timed_run(cfg):
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GridTooCoarse)
-        traj = evolution.run(cfg)
+    traj = evolution.run(cfg)
     return traj, time.perf_counter() - t0
 
 
@@ -34,8 +32,7 @@ def timed_run(cfg):
 
 @pytest.fixture(scope="module")
 def mixed23():
-    traj, _ = timed_run({**cli.RUNS["mixed23"], "seed": 7, "k_H": 5,
-                         "grid": 256})
+    traj, _ = timed_run({**cli.RUNS["mixed23"], "seed": 7, "k_H": 5})
     return traj
 
 
@@ -56,7 +53,7 @@ def regime64():
 @pytest.fixture(scope="module")
 def refine_pair():
     base = {"modes": "2,3", "amps": "0.02,0.01", "seed": 9, "t_end": 0.002,
-            "k_H": 1, "grid": 256}
+            "k_H": 1}
     a, _ = timed_run({**base, "N": 32, "k_out": 5})
     b, _ = timed_run({**base, "N": 64, "k_out": 40})
     return a, b

@@ -133,7 +133,7 @@ def test_simulate_unknown_key_exits_2(capsys, tmp_path):
     ["R=-1"],                      # would step backwards in time
     ["R=0"],
     ["amps=nan"],
-    ["grid=0", "k_H=1"],           # an H raster of no cells
+    ["grid=0", "k_H=1"],           # validated, though the flow's H needs none
     ["domain=torus", "L=-1"],      # not the 8R default
     ["unresolved_tol=1e-30"],      # a removed config key
     ["t_end=nan"],                 # would finish at once with no step

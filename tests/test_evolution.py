@@ -403,6 +403,24 @@ def test_run_deterministic():
     assert rows_a == rows_b
 
 
+@pytest.mark.parametrize("domain", ["plane", "torus"])
+def test_run_records_disk_distance_on_the_k_h_cadence(domain):
+    # H is disk_distance of the record's own cache, with the run's kernel on
+    # the torus, on every k_H-th record; the grid key is not read
+    cfg = {"N": 32, "domain": domain, "modes": "2,3", "amps": "0.01,0.008",
+           "t_end": 3e-4, "k_out": 5, "k_H": 2}
+    traj = evolution.run(cfg)
+    kernel = (elliptic.lattice_kernel(8.0) if domain == "torus" else None)
+    curve = evolution.initial_curve({**evolution.DEFAULTS, **cfg})
+    assert traj.records[0].H == potential.disk_distance(
+        geometry.build_cache(curve), kernel)
+    Hs = [r.H for r in traj.records]
+    assert all(H > 0 for H in Hs[::2]) and all(map(math.isnan, Hs[1::2]))
+    other = evolution.run({**cfg, "grid": 3})
+    assert [r.csv_row() for r in other.records] == \
+        [r.csv_row() for r in traj.records]
+
+
 def test_run_linear_decay_rate():
     traj = evolution.run({"N": 32, "modes": "2", "amps": "1e-3",
                           "phases": "0", "t_end": 2e-3, "k_out": 5, "k_H": 0})

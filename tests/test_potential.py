@@ -1,5 +1,6 @@
 """Boundary-integral solver, dissipation, trace equality, and H distance."""
 
+import functools
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msrelax import elliptic, evolution, geometry, potential, sobolev
+from msrelax import cli, elliptic, evolution, geometry, potential, sobolev
 from msrelax.errors import GridTooCoarse, OutOfRadius, SolverSingular
 
 
@@ -437,6 +438,123 @@ def test_grid_too_coarse_text_is_constant():
         assert [w.category for w in caught] == [GridTooCoarse]
         texts |= {str(w.message) for w in caught}
     assert len(texts) == 1
+
+
+# ---------------------------------------------------------------------------
+# H by boundary integrals (disk_distance)
+# ---------------------------------------------------------------------------
+
+def mixed_torus_curve(N=64, L=2.0):
+    """Modes 2 and 3 with a mode-1 term that puts the barycenter 3.7e-3 R
+    off the pole, on the torus of half edge L: there the lattice tail
+    raises H by 3.6% above the plane value."""
+    rho_hat = np.zeros((N, 2))
+    rho_hat[0, 0], rho_hat[1, 0], rho_hat[2, 0], rho_hat[3, 1] = \
+        1.0, 3.6e-3, 0.04, 0.01
+    return geometry.project_area(geometry.RadialCurve(
+        1.0, rho_hat, np.zeros(2), "torus", L))
+
+
+def off_pole_curve(N=64):
+    """A mode-3 curve whose barycenter, the disk's centre, sits 3.6e-3 R
+    off the pole, as between two re-centerings of a flow."""
+    rho_hat = geometry.single_mode_curve(1.0, 3, 0.01, N=N).rho_hat.copy()
+    rho_hat[1, 0] = 3.6e-3
+    return geometry.project_area(geometry.RadialCurve(1.0, rho_hat,
+                                                      np.zeros(2)))
+
+
+def regime_curve(N=64):
+    return evolution.initial_curve({**evolution.DEFAULTS,
+                                    **cli.RUNS["regime32"], "N": N,
+                                    "seed": 11})
+
+
+def readme_curve(N=64):
+    return evolution.initial_curve({**evolution.DEFAULTS, "N": N,
+                                    "modes": "2,3", "amps": "0.01,0.008"})
+
+
+def disk_distance(curve):
+    kernel = (elliptic.lattice_kernel(curve.L) if curve.domain == "torus"
+              else None)
+    return potential.disk_distance(geometry.build_cache(curve), kernel)
+
+
+H_CURVES = {
+    **{f"mode{k}-{eps:g}": functools.partial(geometry.single_mode_curve,
+                                             1.0, k, eps)
+       for k in (2, 3) for eps in (5e-2, 1e-3, 1e-7)},
+    "regime32-shaped": regime_curve,
+    "off-pole": off_pole_curve,
+    "torus-L2": mixed_torus_curve,
+}
+
+
+@pytest.mark.parametrize("name", sorted(H_CURVES))
+def test_disk_distance_converges_under_n_doubling(name):
+    # at 1e-7 the brackets' first-order parts cancel to rounding, which
+    # leaves a few 1e-9 of H
+    H64, H128 = (disk_distance(H_CURVES[name](N=N)) for N in (64, 128))
+    assert H64 > 0.0 and abs(H128 / H64 - 1.0) <= 1e-8, (H64, H128)
+
+
+def test_disk_distance_small_amplitude_limit():
+    # rho = R + eps cos(k phi): H -> pi R^2 eps^2 / (2k), the H^-1 norm of a
+    # single layer of density eps cos(k phi) on the circle
+    k, eps = 3, 1e-7
+    H = disk_distance(geometry.single_mode_curve(1.0, k, eps))
+    assert abs(H / (np.pi * eps**2 / (2 * k)) - 1.0) <= 1e-5
+
+
+@pytest.mark.parametrize("R", [0.5, 2.0, 3.7])
+def test_disk_distance_dilation_scaling(R):
+    # H scales like length^4; the log R of the kernel meets a zero-mean f
+    curve = readme_curve()
+    big = geometry.RadialCurve(R, R * curve.rho_hat, np.zeros(2))
+    assert abs(disk_distance(big) / (R**4 * disk_distance(curve)) - 1.0) \
+        < 1e-12
+
+
+def test_disk_distance_zero_for_centered_disk():
+    assert abs(disk_distance(geometry.single_mode_curve(1.0, 2, 0.0))) < 1e-30
+
+
+@pytest.mark.parametrize("L", [1.04, 1.08])
+def test_disk_distance_torus_reach(L):
+    # the tail series' reach 2 max(max rho, |d| + R) / 2L must stay below
+    # TAIL_RADIUS, the rule the run's assembly and start check use (L =
+    # 1.04), and below about 0.96, where the series' degree passes 1000
+    with pytest.raises(OutOfRadius):
+        disk_distance(geometry.single_mode_curve(1.0, 2, 0.05, domain="torus",
+                                                 L=L))
+
+
+@pytest.mark.parametrize("name, grids, sub", [
+    ("mode2", (512, 1024, 2048), 4),
+    ("readme", (512, 1024, 2048), 4),
+    # the box spans half the L = 2 cell, so the subcells are coarser here
+    ("torus-L2", (256, 512, 1024), 2)])
+def test_raster_approaches_disk_distance_from_below(name, grids, sub):
+    # the raster smooths the indicator at its cell size, so it converges to
+    # H from below.  A plane raster is the H of the torus of half edge 8R,
+    # whose lattice tail moves H by about 1e-4 relative: compare with that.
+    # Every disk here sits at the barycenter, where the -beta |z|^2 term
+    # of the embedding vanishes.
+    curve = {"mode2": geometry.single_mode_curve(1.0, 2, 0.05),
+             "readme": readme_curve(), "torus-L2": mixed_torus_curve()}[name]
+    cache = geometry.build_cache(curve)
+    L = curve.L if curve.domain == "torus" else \
+        potential.EMBED_FACTOR * curve.R
+    H = potential.disk_distance(cache, elliptic.lattice_kernel(L))
+    centre = geometry.barycenter_bulk(cache)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridTooCoarse)
+        gaps = [1.0 - potential.squared_distance(curve, center=centre,
+                                                 grid=G, sub=sub) / H
+                for G in grids]
+    assert 0.0 < gaps[2] < gaps[1] < gaps[0], gaps
+    assert gaps[2] < 2e-3, gaps
 
 
 def test_oracle_agrees_small_grid():
