@@ -25,14 +25,17 @@ truncation at SHELLS = 64 shells is already below 1e-17.
 The smooth tail Lambda(z) - log|z| = -beta_bg |z|^2 - sum_{4|k} Re(g_k w^k)/k
 (w = z/2L, |w| < 1) has two evaluators.  lambda_tail sums the series
 elementwise on any array of z; it serves the H oracle's grid offsets and is
-the reference.  lambda_tail_nodes evaluates the tail over all node pairs
-z_i - z_j of a boundary, given as offsets z_i from a centre (the pole): the
-binomial expansion of (u_i - u_j)^k, u = z/2L, turns the series into the
-product of two thin M x (K+1) power matrices through a (K+1)^2 coefficient
-matrix, and the quadratic term adds four columns.  Since |u_i - u_j| <=
+the reference.  lambda_tail_factors gives the tail over all node pairs
+z_i - z_j of a boundary, given as offsets z_i from a centre (the pole), as
+two thin (2K + 6) x M factors: the binomial expansion of (u_i - u_j)^k,
+u = z/2L, in the powers of 2u (coefficients binom(k, a) 2^-k <= 1, so no
+degree overflows) turns the series into a product of power matrices
+through a symmetric (K+1)^2 coefficient matrix, and the quadratic term
+adds four rows.  lambda_tail_nodes is their product; the BIE refinement
+applies them to vectors without forming it.  Since |u_i - u_j| <=
 2 max|u|, that bound is the nodes' reach: it sets the degree K and raises
 OutOfRadius at TAIL_RADIUS, the same rule evolution.run checks at the start
-(2 max rho < TAIL_RADIUS 2L).  Where the product would cost more,
+(2 max rho < TAIL_RADIUS 2L).  Where the factors would cost more,
 lambda_tail_nodes falls back to lambda_tail.
 """
 
@@ -190,54 +193,105 @@ def lambda_tail(kernel, z):
     return out if np.ndim(out) else float(out)
 
 
+@functools.cache
+def _scaled_binomials(k):
+    """binom(k, a) 2^-k for a = 0..k, each correctly rounded from the exact
+    integer, read-only; every one lies in (0, 1], so no degree overflows."""
+    row = np.empty(k + 1)
+    scale, c = 1 << k, 1
+    for a in range(k // 2 + 1):
+        row[a] = row[k - a] = c / scale
+        c = c * (k - a) // (a + 1)
+    row.setflags(write=False)
+    return row
+
+
+PAIR_CACHE = 4   # _pair_coefficients matrices kept per kernel
+
+
+def _powers(v, K):
+    """The (K + 1, M) complex table v^a, a = 0..K, of the M values v, as one
+    multiply.accumulate down its rows."""
+    powers = np.empty((K + 1, v.size), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = v
+    return np.multiply.accumulate(powers, axis=0, out=powers)
+
+
 def _pair_coefficients(kernel, K):
-    """C[a, b] = -binom(a+b, a) g_{a+b} / (a+b) for 4 | a+b in 4..K, else 0:
-    the series of lambda_tail regrouped by the powers of u_i and -u_j."""
-    if K not in kernel._pair_cache:
+    """C[a, b] = -(-1)^b binom(a+b, a) 2^-(a+b) g_{a+b} / (a+b) for 4 | a+b
+    in 4..K, else 0: the series of lambda_tail regrouped by the powers of
+    2u_i and 2u_j, since (u_i - u_j)^k = 2^-k sum_a binom(k, a) (2u_i)^a
+    (-2u_j)^(k-a).  Symmetric, as a and b share their parity.  The last
+    PAIR_CACHE degrees asked for are kept on the kernel (a degree of 2000
+    takes 32 MB)."""
+    cache = kernel._pair_cache
+    if K not in cache:
         C = np.zeros((K + 1, K + 1))
         for k in range(4, K + 1, 4):
-            g = kernel.eisenstein(k) / k
-            for a in range(k + 1):
-                C[a, k - a] = -math.comb(k, a) * g
-        kernel._pair_cache[K] = C
-    return kernel._pair_cache[K]
+            a = np.arange(k + 1)
+            C[a, k - a] = _scaled_binomials(k) * (
+                (-kernel.eisenstein(k) / k) * (1.0 - 2.0 * (a % 2)))
+        C.setflags(write=False)
+        if len(cache) >= PAIR_CACHE:
+            del cache[next(iter(cache))]
+        cache[K] = C
+    return cache[K]
+
+
+def lambda_tail_factors(kernel, z):
+    """The factors of lambda_tail over all node pairs: (left, right), each
+    of shape (2K + 6, M), with left.T @ right the (M, M) matrix of
+    Lambda(z_i - z_j) - log|z_i - z_j|, for nodes given as offsets ``z``
+    from a centre of the caller's choice (potential.assemble passes
+    rho e(phi) about the pole); None where the product costs more than the
+    elementwise series.
+
+    With v = z/L = 2u, the binomial expansion of each (u_i - u_j)^k makes
+    the series Re(P C P^T) with P = [v_i^a] (M x (K+1), one accumulate of
+    the powers) and C the symmetric _pair_coefficients, (-1)^b folded in:
+    left = [Re(C P^T); -Im(C P^T)] against right = [Re P^T; Im P^T].  With
+    c = beta_bg L^2, -beta_bg |z_i - z_j|^2 = -c (|v_i|^2 + |v_j|^2 -
+    2 Re(v_i conj v_j)) adds four rows.  K and OutOfRadius follow
+    lambda_tail at the reach r = max|v| = 2 max|u| >= |u_i - u_j|.  The
+    expanded terms are bounded by (|u_i| + |u_j|)^k <= r^k < 1, so rounding
+    stays at machine level.  The product costs more than the elementwise
+    series past about K = 3M, where forming C P^T takes M (K+1)^2 products.
+    """
+    z = np.asarray(z, dtype=complex)
+    M = z.size
+    v = z / kernel.L
+    k_max = _tail_degree(float(np.max(np.abs(v))))
+    K = k_max - k_max % 4
+    if K > 3 * M:
+        return None
+    powers = _powers(v, K)
+    C = _pair_coefficients(kernel, K)
+    v2 = v.real**2 + v.imag**2
+    c = kernel.beta_bg * kernel.L**2
+    left, right = np.empty((2, 2 * K + 6, M))
+    right[:K + 1], right[K + 1:2 * K + 2] = powers.real, powers.imag
+    np.matmul(C, right[:K + 1], out=left[:K + 1])
+    np.matmul(C, right[K + 1:2 * K + 2], out=left[K + 1:2 * K + 2])
+    left[K + 1:2 * K + 2] *= -1.0
+    left[2 * K + 2], left[2 * K + 3] = v2, 1.0
+    left[2 * K + 4], left[2 * K + 5] = v.real, v.imag
+    right[2 * K + 2], right[2 * K + 3] = -c, -c * v2
+    right[2 * K + 4], right[2 * K + 5] = 2.0 * c * v.real, 2.0 * c * v.imag
+    return left, right
 
 
 def lambda_tail_nodes(kernel, z):
     """lambda_tail over all node pairs: the (M, M) matrix of
     Lambda(z_i - z_j) - log|z_i - z_j|, for nodes given as offsets ``z``
-    from a centre of the caller's choice (assemble passes rho e(phi) about
-    the pole).
-
-    With u = z/(2L), w_ij = u_i - u_j, and the binomial expansion of each
-    w^k makes the series Re(P C Q^T) with P = [u_i^a], Q = [(-u_j)^b]
-    (M x (K+1)) and C of _pair_coefficients; with b = beta_bg (2L)^2,
-    -beta_bg |z_i - z_j|^2 = -b (|u_i|^2 + |u_j|^2 - 2 Re(u_i conj u_j))
-    adds four real columns, so the whole tail is one real product of inner
-    size 2K + 6.  K and OutOfRadius follow lambda_tail at the reach
-    r = 2 max|u| >= |w_ij|.  The expanded terms are bounded by
-    (|u_i| + |u_j|)^k <= r^k < 1, so rounding stays at machine level.
-    Where the product costs more than the elementwise series (past about
-    K = 3M, where forming P C takes M (K+1)^2 complex products), or past
-    K = 1000 (the binomials leave the float range), the elementwise
-    lambda_tail is evaluated instead.
-    """
-    z = np.asarray(z, dtype=complex)
-    M = z.size
-    u = z / (2.0 * kernel.L)
-    k_max = _tail_degree(2.0 * float(np.max(np.abs(u))))
-    K = k_max - k_max % 4
-    if K > min(3 * M, 1000):
+    from a centre, as the product of lambda_tail_factors; where that costs
+    more, the elementwise lambda_tail."""
+    factors = lambda_tail_factors(kernel, z)
+    if factors is None:
+        z = np.asarray(z, dtype=complex)
         return lambda_tail(kernel, z[:, None] - z[None, :])
-    PC = np.vander(u, K + 1, increasing=True) @ _pair_coefficients(kernel, K)
-    Q = np.vander(-u, K + 1, increasing=True)
-    u2 = u.real**2 + u.imag**2
-    one = np.ones(M)
-    b = kernel.beta_bg * (2.0 * kernel.L) ** 2
-    left = np.column_stack([PC.real, -PC.imag, u2, one, u.real, u.imag])
-    right = np.column_stack([Q.real, Q.imag, -b * one, -b * u2,
-                             2.0 * b * u.real, 2.0 * b * u.imag])
-    return left @ right.T
+    left, right = factors
+    return left.T @ right
 
 
 def legendre_residual(kernel):

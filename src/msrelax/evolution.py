@@ -83,11 +83,15 @@ about 3e-12; those of mixed235 (seed 0) by about 3e-10 and of mixed23 by
 about 1e-10.
 
 Each rhs call is one bordered BIE solve (potential.solve_ms).  A run keeps
-one inverse of the bordered matrix in its StepStats and solves every state,
-stage and record against it by iterative refinement, so a call costs the
-O(M^2) assembly and a few matrix-vector products.  A matrix is inverted
-again only when refinement misses, so a run of small deficit inverts once,
-at its initial state.
+one reference inverse of the bordered matrix in its StepStats, starting
+from the closed-form inverse of its circle of radius R
+(potential.circle_inverse), and solves every state, stage and record
+against it by iterative refinement, so a call costs the O(M^2) assembly
+and a few matrix-vector products; on the torus the lattice tail enters
+those products by its two thin factors.  A matrix is inverted only when
+refinement misses, so a run of small deficit inverts none; a large
+deficit, or a small torus cell, inverts the state's matrix where it
+first misses, and that inverse becomes the reference.
 
 The flow conserves enclosed area exactly; the integrator's drift per step is
 removed after each accepted step by an exact adjustment of the zero mode
@@ -577,7 +581,8 @@ def run(config=None):
     start = {"event": "start", "t": 0.0, "dt": dt, "N": curve.N,
              "domain": curve.domain}
     traj.events.append(start)
-    stats = StepStats()
+    stats = StepStats(bie=potential.BieInverse(
+        potential.circle_inverse(curve.M, R, kernel)))
     t, steps, j = 0.0, 0, 1
 
     def emit(cache, solve, t_rec):

@@ -22,21 +22,27 @@ through the trapezoid rule.  All nodes share the pole, so the smooth part
 is real: |z_i - z_j|^2 / (4 sin^2((phi_i - phi_j)/2)) equals
 rho_i rho_j + (rho_i - rho_j)^2 / (4 sin^2), with log ell_i on the
 diagonal.  The circulant and 1 / (4 sin^2) depend on M alone and are
-cached per M; on the torus each assembly adds the tail in its factorized
-node-pair form (elliptic.lambda_tail_nodes) on the offsets rho e(phi)
-from the pole, whose reach 2 max rho / 2L is the rule evolution.run
-checks at the start.
+cached per M.  On the torus the tail is evaluated on the offsets
+rho e(phi) from the pole, whose reach 2 max rho / 2L is the rule
+evolution.run checks at the start, as two thin factors
+(elliptic.lambda_tail_factors) of inner size 2K + 6: a solve applies them
+to vectors and never sums them into an M x M matrix, which only
+``assemble(cache, kernel)`` and an inversion form.
 
 The collocation system is bordered by the constraint int V ds =
 dphi sum w = 0, a constant row, with c as the extra unknown, and
-V = w / ell.  A run's curves stay close to each other, so one inverse P of
+V = w / ell.  A run's curves stay close to a circle, so one inverse P of
 a bordered matrix serves all of its solves (a BieInverse): each system
 B x = b, with B freshly assembled, is solved by fixed-precision iterative
 refinement x <- x + P (b - B x) (Higham, Accuracy and Stability of
 Numerical Algorithms, ch. 12), which costs O(M^2) per sweep where a direct
-solve costs O(M^3).  Refinement stops when a sweep no longer halves the
-residual; a residual that stagnates above REFINE_TOL re-inverts, and the
-new inverse becomes the reference.  Since K w = A V, the residual and
+solve costs O(M^3).  A run's reference starts as the circle's inverse in
+closed form (circle_inverse: K is circulant on the circle), which improves
+as the deficit decays; no matrix is inverted unless refinement misses.
+Refinement stops when a sweep no longer halves the residual; a residual
+that stagnates above REFINE_TOL (a large deficit, or a small torus cell,
+whose lattice tail is far from circulant) inverts the current matrix, and
+that inverse becomes the reference.  Since K w = A V, the residual and
 |int V ds| are those of the system in V.
 
 Dissipation: D = int |grad u|^2 = -int_Gamma kappa V ds (boundary
@@ -74,8 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic, geometry, sobolev
-from .errors import (GridTooCoarse, NegativeDissipation, OutOfRadius,
-                     SolverSingular)
+from .errors import GridTooCoarse, NegativeDissipation, SolverSingular
 
 EMBED_FACTOR = 8.0
 ORACLE_REFINE = 4   # squared_distance_oracle interpolates to this x finer grid
@@ -100,13 +105,21 @@ def log_quadrature_row(M):
     return row / M
 
 
+def _circulant(col):
+    """The circulant matrix col[(i - j) % M] with first column ``col``: its
+    row i is the window from M - i of col[(-k) % M], k = 0..2M-1."""
+    M = col.size
+    rev = np.roll(col[::-1], 1)
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(rev, 2), M)
+    return windows[M:0:-1].copy()
+
+
 @functools.lru_cache(maxsize=8)
 def _node_matrices(M):
     """The parts of ``assemble`` that depend on M alone, read-only: the
-    circulant quadrature matrix row[(i - j) % M] (row = log_quadrature_row)
-    and 1 / (4 sin^2((phi_i - phi_j)/2)) with a zero diagonal."""
-    row = log_quadrature_row(M)
-    circulant = row[(np.arange(M)[:, None] - np.arange(M)[None, :]) % M]
+    circulant quadrature matrix of log_quadrature_row and
+    1 / (4 sin^2((phi_i - phi_j)/2)) with a zero diagonal."""
+    circulant = _circulant(log_quadrature_row(M))
     phi = geometry.node_trig(M)[0]
     chord2 = 4.0 * np.sin(0.5 * (phi[:, None] - phi[None, :])) ** 2
     inv_chord2 = 1.0 / (chord2 + np.diag(np.full(M, np.inf)))
@@ -131,31 +144,38 @@ class BieSolve:
 class BieInverse:
     """The inverse of one bordered matrix, the reference that ``solve_ms``
     refines the systems of nearby curves against, with the number of
-    inversions and refinement sweeps it took so far."""
+    inversions and refinement sweeps it took so far.  ``tail`` arguments
+    are the lattice tail's factors (left, right) of _tail_factors, to be
+    added to the bordered matrix's K block as left.T @ right; None means
+    none."""
 
     matrix: np.ndarray = None
     inversions: int = 0
     sweeps: int = 0
 
-    def invert(self, big):
-        """Make ``big``'s inverse the reference; SolverSingular if none."""
+    def invert(self, big, tail=None):
+        """Make the inverse of ``big`` (with ``tail``) the reference;
+        SolverSingular if none."""
+        if tail is not None:
+            big = big.copy()
+            big[:-1, :-1] += tail[0].T @ tail[1]
         try:
             self.matrix = np.linalg.inv(big)
         except np.linalg.LinAlgError as exc:
             raise SolverSingular(str(exc)) from exc
         self.inversions += 1
 
-    def refine(self, big, rhs):
-        """Solve big x = rhs by iterative refinement with the reference P:
-        x = P rhs, then x <- x + P (rhs - big x) while a sweep at least
-        halves the residual, at most REFINE_SWEEPS sweeps.  Returns the
-        iterate of least residual and its relative residual."""
+    def refine(self, big, rhs, tail=None):
+        """Solve (big with ``tail``) x = rhs by iterative refinement with the
+        reference P: x = P rhs, then x <- x + P (rhs - big x) while a sweep
+        at least halves the residual, at most REFINE_SWEEPS sweeps.  Returns
+        the iterate of least residual and its relative residual."""
         x = self.matrix @ rhs
-        r = rhs - big @ x
+        r = rhs - _product(big, tail, x)
         res = r @ r
         for sweep in range(1, REFINE_SWEEPS + 1):
             y = x + self.matrix @ r
-            s = rhs - big @ y
+            s = rhs - _product(big, tail, y)
             new = s @ s
             halved = new < 0.25 * res
             if new < res:
@@ -164,6 +184,55 @@ class BieInverse:
                 break
         self.sweeps += sweep
         return x, math.sqrt(res) / max(math.sqrt(rhs @ rhs), 1e-300)
+
+
+def _product(big, tail, x):
+    """(big with ``tail``) @ x, the tail applied by its two thin factors."""
+    y = big @ x
+    if tail is not None:
+        left, right = tail
+        y[:-1] += left.T @ (right @ x[:-1])
+    return y
+
+
+def circle_inverse(M, R, kernel=None):
+    """The inverse of the bordered matrix of solve_ms for the circle of
+    radius R about its centre at M nodes, in closed form; with a
+    LatticeKernel, of the circle's matrix with the -beta_bg |z|^2 part of
+    the lattice tail (the rest of the tail is not circulant).
+
+    On the circle K is circulant.  Its eigenvalue on Fourier mode m is
+    kappa_m = -1/(2|m|) for 0 < |m| < M/2 (log_quadrature_row),
+    kappa_{M/2} = -1/M and kappa_0 = log R (the smooth part is log R / M in
+    every entry); the tail's -beta_bg |z_i - z_j|^2 / M adds -2 beta_bg R^2
+    to kappa_0 and beta_bg R^2 to kappa_{+-1}.  Splitting off the mean, the
+    bordered system K w + c = f, dphi sum w = g has the inverse
+
+        P = [[Z, 1/(2 pi)], [1/M, -kappa_0 / (2 pi)]],
+
+    with Z the circulant of eigenvalues 1/kappa_m for m != 0 and 0 at
+    m = 0: one inverse real FFT gives its first column.
+    """
+    kappa = -0.5 / np.maximum(np.arange(M // 2 + 1), 1)
+    kappa[0], kappa[-1] = math.log(R), -1.0 / M
+    if kernel is not None:
+        shift = kernel.beta_bg * R * R
+        kappa[0] -= 2.0 * shift
+        kappa[1] += shift
+    eig = np.zeros_like(kappa)
+    eig[1:] = 1.0 / kappa[1:]
+    inverse = np.empty((M + 1, M + 1))
+    inverse[:M, :M] = _circulant(np.fft.irfft(eig, M))
+    inverse[:M, M] = 1.0 / (2.0 * np.pi)
+    inverse[M, :M] = 1.0 / M
+    inverse[M, M] = -kappa[0] / (2.0 * np.pi)
+    return inverse
+
+
+def _offsets(cache):
+    """The nodes as complex offsets rho e(phi) from the pole."""
+    _, cphi, sphi = geometry.node_trig(cache.M)
+    return cache.rho * (cphi + 1j * sphi)
 
 
 def assemble(cache, kernel=None):
@@ -177,7 +246,9 @@ def assemble(cache, kernel=None):
     |z_i - z_j|^2 / (4 sin^2) = rho_i rho_j + (rho_i - rho_j)^2 / (4 sin^2).
     ``kernel`` None means the free-space plane kernel; a LatticeKernel adds
     the smooth tail of Lambda/2pi, evaluated on the offsets rho e(phi) from
-    the pole: OutOfRadius when 2 max rho >= elliptic.TAIL_RADIUS * 2L.
+    the pole (elliptic.lambda_tail_nodes): OutOfRadius when
+    2 max rho >= elliptic.TAIL_RADIUS * 2L.  solve_ms takes the tail by its
+    factors instead (_tail_factors), where they cost less.
     """
     M = cache.M
     circulant, inv_chord2 = _node_matrices(M)
@@ -190,12 +261,22 @@ def assemble(cache, kernel=None):
     mat *= 0.5 / M
     mat.flat[::M + 1] = np.log(cache.ell) / M
     if kernel is not None:
-        _, cphi, sphi = geometry.node_trig(M)
-        tail = elliptic.lambda_tail_nodes(kernel, rho * (cphi + 1j * sphi))
+        tail = elliptic.lambda_tail_nodes(kernel, _offsets(cache))
         tail *= 1.0 / M
         mat += tail
     mat += circulant
     return mat
+
+
+def _tail_factors(cache, kernel):
+    """The lattice tail's share of assemble's K as the factors (left / M,
+    right) of elliptic.lambda_tail_factors, so that it is left.T @ right;
+    None where the factors cost more than the elementwise tail."""
+    factors = elliptic.lambda_tail_factors(kernel, _offsets(cache))
+    if factors is not None:
+        left, _ = factors
+        left *= 1.0 / cache.M
+    return factors
 
 
 def _bordered(mat, weights):
@@ -219,22 +300,28 @@ def solve_ms(cache, kernel=None, data=None, inverse=None):
     relative to V, not only to the curvature.  The system is solved by
     iterative refinement against ``inverse`` (a BieInverse; None means a
     fresh one), which becomes this system's inverse when the refined
-    relative residual stays above REFINE_TOL.  Raises SolverSingular when
-    the matrix has no inverse or the residual is not finite or above 1e-8.
+    relative residual stays above REFINE_TOL.  On the torus the lattice
+    tail enters the refinement by its factors (_tail_factors); the dense
+    K is formed only where the factors cost more, or to invert.  Raises
+    SolverSingular when the matrix has no inverse or the residual is not
+    finite or above 1e-8.
     """
     M = cache.M
     if data is None:
         data = cache.kappa
-    big = _bordered(assemble(cache, kernel), cache.dphi)
+    tail = None if kernel is None else _tail_factors(cache, kernel)
+    # the plane part, and the tail too where it has no factors
+    big = _bordered(assemble(cache, kernel if tail is None else None),
+                    cache.dphi)
     shift = float(np.mean(data))
     rhs = np.concatenate([data - shift, [0.0]])
     inverse = BieInverse() if inverse is None else inverse
     resid = np.inf
     if inverse.matrix is not None:
-        sol, resid = inverse.refine(big, rhs)
+        sol, resid = inverse.refine(big, rhs, tail)
     if not resid <= REFINE_TOL:
-        inverse.invert(big)
-        sol, resid = inverse.refine(big, rhs)
+        inverse.invert(big, tail)
+        sol, resid = inverse.refine(big, rhs, tail)
     V, c = sol[:M] / cache.ell, float(sol[M]) + shift
     if not np.isfinite(resid) or resid > 1e-8:
         raise SolverSingular(f"relative residual {resid:.3e}")
@@ -347,15 +434,15 @@ def disk_distance(cache, kernel=None):
       not smooth in phi where the graphs cross; the rays are therefore
       H_REFINE times denser than the nodes (synth_nodes).
     - On the torus, Lambda = log|z| + the lattice tail adds
-      -(1/2pi) [Re sum C_ab mu_a (-1)^b mu_b + 2 beta_bg |int f z|^2] with
-      C of elliptic._pair_coefficients and the moments mu_a = int f u^a,
-      u = (x - pole)/2L, f = chi_Omega - chi_B: mu_a = oint rho^(a+2)
-      e^(i a phi) / ((a+2)(2L)^a) dphi - pi R^2 (d/2L)^a, d = c - pole,
-      summed on the rays' angles: rho^(a+2) has a wide spectrum where the
-      degree is high.  The degree K follows elliptic._tail_degree at the
-      reach r = 2 max(max rho, |d| + R) / 2L, which raises OutOfRadius at
-      TAIL_RADIUS; so does a K above 1000 (r above about 0.96), where the
-      coefficients leave the float range.
+      -(1/2pi) [Re sum C_ab nu_a nu_b + 2 beta_bg |int f z|^2] with C of
+      elliptic._pair_coefficients (the powers of 2u = (x - pole)/L, with
+      (-1)^b folded in) and the moments nu_a = int f (2u)^a,
+      f = chi_Omega - chi_B: nu_a = oint rho^(a+2) e^(i a phi) /
+      ((a+2) L^a) dphi - pi R^2 (d/L)^a, d = c - pole, summed on the rays'
+      angles: rho^(a+2) has a wide spectrum where the degree is high.  The
+      degree K follows elliptic._tail_degree at the reach
+      r = max(max rho, |d| + R) / L, which raises OutOfRadius at
+      TAIL_RADIUS.  Every term is bounded by r^k, so no degree overflows.
 
     Under N-doubling H agrees with itself to about 1e-10 relative on
     resolved curves, and to rounding (a few 1e-9 relative) at H ~ 1e-14 R^4.
@@ -419,7 +506,8 @@ def disk_distance(cache, kernel=None):
     GB *= 0.5
     dY += GB
     circ_w, trap_w = _distance_weights(M)
-    self_term = -(2.0 * np.pi) * (np.vdot(circ_w, dX) + np.vdot(trap_w, dY))
+    self_term = -(2.0 * np.pi) * (np.einsum("ij,ij->", circ_w, dX)
+                                  + np.einsum("ij,ij->", trap_w, dY))
     H = -(self_term - 2.0 * cross) / (2.0 * np.pi)
     if kernel is not None:
         H += _lattice_distance(kernel, rays_rho, d, R)
@@ -434,29 +522,27 @@ def _gauss_rule():
 
 
 def _outer_sum(left, right):
-    """sum_k left[k][i] right[k][j] of node vectors, as one thin product."""
-    return np.stack(left, axis=1) @ np.stack(right, axis=1).T
+    """sum_k left[k][i] right[k][j] of node vectors, as one einsum (numpy's
+    own loops, so the sum does not depend on the BLAS threads)."""
+    return np.einsum("ki,kj->ij", np.stack(left), np.stack(right))
 
 
 def _lattice_distance(kernel, rho, d, R):
     """The lattice tail's share of disk_distance on the torus (see there),
     from the curve's radii ``rho`` at uniform angles."""
-    M = rho.size
-    L2 = 2.0 * kernel.L
-    reach = 2.0 * max(float(rho.max()), math.hypot(*d) + R) / L2
-    k_max = elliptic._tail_degree(reach)
+    M, L = rho.size, kernel.L
+    k_max = elliptic._tail_degree(max(float(rho.max()),
+                                      math.hypot(*d) + R) / L)
     K = k_max - k_max % 4
-    if K > 1000:   # the binomials of _pair_coefficients leave the float range
-        raise OutOfRadius(f"lattice-tail reach {reach:.4f} needs degree {K} "
-                          f"> 1000 in H's moment series")
     _, cphi, sphi = geometry.node_trig(M)
     a = np.arange(K + 1)
-    powers = np.vander(rho * (cphi + 1j * sphi) / L2, K + 1, increasing=True)
-    mu = geometry.quad(rho**2 * powers.T) / (a + 2.0)
-    mu -= np.pi * R * R * (complex(*d) / L2) ** a
-    mu[0] = 0.0   # the zero mean of f
-    series = mu @ (elliptic._pair_coefficients(kernel, K) @ (mu * (-1.0) ** a))
-    return -(series.real + 2.0 * kernel.beta_bg * abs(L2 * mu[1]) ** 2) / (
+    powers = elliptic._powers(rho * (cphi + 1j * sphi) / L, K)
+    nu = geometry.quad(rho**2 * powers) / (a + 2.0)
+    nu -= np.pi * R * R * (complex(*d) / L) ** a
+    nu[0] = 0.0   # the zero mean of f
+    C = elliptic._pair_coefficients(kernel, K)
+    series = nu.real @ (C @ nu.real) - nu.imag @ (C @ nu.imag)
+    return -(series + 2.0 * kernel.beta_bg * abs(L * nu[1]) ** 2) / (
         2.0 * np.pi)
 
 

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per acceptance criterion, at stated tolerance.
 
 Run with ``pytest -v tests/test_acceptance.py`` for one pass/fail line per
-criterion.  Each test also prints a ``criterion N PASS`` summary with the
-observed numbers (visible with ``-rA`` or ``-s``).
+criterion (and one for the regime runs' solver counts).  Each criterion's
+test also prints a ``criterion N PASS`` summary with the observed numbers
+(visible with ``-rA`` or ``-s``).
 
 The long trajectories (notably the N = 64 regime-refinement run) make this
 module take several minutes end to end; every stated runtime budget is
@@ -278,6 +279,16 @@ def test_criterion_11_regime_structure(regime32, regime64):
           f"T1 = C R^3 with C = {f32.T1:.6f} (N=64: {f64.T1:.6f}); "
           f"runtimes {regime32.elapsed:.0f}s + {regime64.elapsed:.0f}s "
           f"<= 10 min")
+
+
+def test_regime_runs_refine_against_the_circle_inverse(regime32, regime64):
+    # not a criterion: every solve of the gate's slowest runs refines
+    # against the circle's closed-form inverse, and no matrix is inverted
+    for traj in (regime32, regime64):
+        fin = traj.events[-1]
+        assert fin["bie_inversions"] == 0
+        assert fin["refine_sweeps"] <= 3 * fin["rhs_calls"]
+        assert 0.0 < fin["max_bie_residual"] <= potential.REFINE_TOL
 
 
 def test_criterion_12_barycenter_confinement(mixed23):

@@ -32,12 +32,14 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def run_python(*args):
-    """Run the interpreter on this msrelax in a fresh process."""
+def run_python(*args, **env):
+    """Run the interpreter on this msrelax in a fresh process, with the
+    environment variables ``env`` set."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True,
+                          env={**os.environ, **env, "PYTHONPATH": path})
 
 
 def readme_table_keys(title):
@@ -430,6 +432,27 @@ def test_python_m_cli_runs_without_runtime_warning():
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert json.loads(proc.stdout)["pass"]
+
+
+@pytest.mark.parametrize("text", [
+    # the README config, H on every record
+    "N = 64\nmodes = 2,3\namps = 0.01,0.008\nt_end = 0.004\nk_H = 1\n",
+    # CI's torus config: the lattice tail in every solve
+    "N = 128\ndomain = torus\nmodes = 3\namps = 1e-3\nphases = 0\n"
+    "t_end = 1.5e-4\nk_out = 6\nk_H = 0\n"], ids=["readme", "torus"])
+def test_simulate_same_bytes_at_any_blas_thread_count(tmp_path, text):
+    # no reduction of a run is split over BLAS threads: no inversion, the
+    # refinement's matrix-vector products and H's einsum reductions
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    for n in (1, 2):
+        proc = run_python("-m", "msrelax.cli", "simulate", "--config",
+                          str(cfg), "--out", str(tmp_path / f"out{n}"),
+                          OPENBLAS_NUM_THREADS=str(n))
+        assert proc.returncode == 0, proc.stderr
+    for name in ("trajectory.csv", "run.jsonl"):
+        assert (tmp_path / "out1" / name).read_bytes() == \
+            (tmp_path / "out2" / name).read_bytes(), name
 
 
 def test_import_leaves_scipy_unloaded():

@@ -545,7 +545,8 @@ def test_run_records_on_time_grid():
 def test_run_start_step_from_initial_state():
     # an N = 128 torus mode-3 rate run: the first step, estimated from the
     # initial state, is far above dt_max, so the run needs at most two
-    # steps; its records stay on the grid and its solves on one inverse
+    # steps; its records stay on the grid and its solves on the circle's
+    # inverse
     cfg = {"N": 128, "domain": "torus", "modes": "3", "amps": "1e-3",
            "phases": "0", "t_end": 1.5e-4, "k_out": 6, "k_H": 0}
     traj = evolution.run(cfg)
@@ -555,7 +556,7 @@ def test_run_start_step_from_initial_state():
     assert start["dt"] > 100 * unit
     assert 0.0 < start["h0"] <= 1.5e-4 and start["d1"] > 0 and start["d2"] > 0
     assert fin["event"] == "finish" and fin["steps"] <= 2
-    assert fin["rejects"] == 0 and fin["bie_inversions"] == 1
+    assert fin["rejects"] == 0 and fin["bie_inversions"] == 0
     interval = 6 * unit
     times = [r.t for r in traj.records]
     assert len(times) == int(1.5e-4 / interval) + 2
@@ -595,7 +596,7 @@ def test_run_start_falls_back_to_dt_max(monkeypatch):
     assert fin["event"] == "finish" and fin["rejects"] == 0
     assert fin["rhs_calls"] == len(calls) == 2 + 11 * fin["steps"] + \
         fin["record_rhs_calls"]
-    assert fin["bie_inversions"] == 1
+    assert fin["bie_inversions"] == 0
 
 
 def test_torus_runs_share_one_lattice_kernel(monkeypatch):
@@ -643,11 +644,11 @@ def test_run_dt_collapse_raises_with_partial_trajectory(monkeypatch):
     rejects = [e for e in traj.events if e["event"] == "reject"]
     assert len(rejects) == fail["rejects_by_reason"]["error"] > 10
     assert all(e["reason"] == "error" and e["err"] > 0 for e in rejects)
-    # the initial state's one evaluation serves every retry, and its inverse
-    # every solve; the start probe adds one call
+    # the initial state's one evaluation serves every retry, and the
+    # circle's inverse every solve; the start probe adds one call
     assert traj.events[0]["dt"] == evolution.dt_max(32, 1.0)
     assert fail["rhs_calls"] == 2 + 10 * len(rejects)
-    assert fail["bie_inversions"] == 1 and fail["refine_sweeps"] > 0
+    assert fail["bie_inversions"] == 0 and fail["refine_sweeps"] > 0
 
 
 def test_run_solves_each_state_once(monkeypatch):
@@ -676,11 +677,15 @@ def test_run_solves_each_state_once(monkeypatch):
 @pytest.mark.parametrize("cfg", [
     {**cli.RUNS["regime64"], "t_end": 6e-4},
     {"N": 128, "domain": "torus", "modes": "3", "amps": "1e-3",
-     "t_end": 1e-5, "k_out": 6, "k_H": 0}])
-def test_run_inverts_the_bie_matrix_once(monkeypatch, cfg):
-    # the bench's flow-plane-n64 and flow-torus-n128 shapes: every solve of
-    # the run refines against the initial state's inverse; solving for
-    # w = ell V, the regime64 slice takes about 5.2 sweeps a solve
+     "t_end": 1e-5, "k_out": 6, "k_H": 0},
+    {"N": 64, "modes": "2,3", "amps": "0.01,0.008", "t_end": 1.2e-4,
+     "k_H": 1}])
+def test_run_refines_against_the_circle_inverse(monkeypatch, cfg):
+    # the bench's flow-plane-n64, flow-torus-n128 and simulate-h-n64
+    # shapes: every solve of the run refines against the circle's
+    # closed-form inverse, and no matrix is inverted; solving for
+    # w = ell V, the regime64 slice takes about 4.7 sweeps a solve, the
+    # others 4 to 5
     inversions, inv = [], np.linalg.inv
 
     def counted(a):
@@ -690,11 +695,49 @@ def test_run_inverts_the_bie_matrix_once(monkeypatch, cfg):
     monkeypatch.setattr(np.linalg, "inv", counted)
     fin = evolution.run(cfg).events[-1]
     assert fin["event"] == "finish"
-    assert fin["bie_inversions"] == len(inversions) == 1
+    assert fin["bie_inversions"] == len(inversions) == 0
     assert fin["refine_sweeps"] >= 2 * fin["rhs_calls"]
     if cfg.get("domain") != "torus":
         assert fin["refine_sweeps"] <= 6 * fin["rhs_calls"]
     assert 0.0 < fin["max_bie_residual"] <= potential.REFINE_TOL
+
+
+def test_run_inverts_where_the_circle_inverse_stagnates(monkeypatch):
+    # a mixed23-shaped run in the cell of half edge L = 2R: the lattice
+    # tail moves the matrix far from the circle's, so the first solve's
+    # refinement stagnates and the run inverts once, that state's matrix,
+    # which then serves every later solve
+    inversions, inv = [], np.linalg.inv
+
+    def counted(a):
+        inversions.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    cfg = {**cli.RUNS["mixed23"], "domain": "torus", "L": 2.0, "seed": 7,
+           "t_end": 1e-3}
+    fin = evolution.run(cfg).events[-1]
+    assert fin["event"] == "finish" and fin["rhs_calls"] > 40
+    assert fin["bie_inversions"] == len(inversions) == 1
+    assert inversions == [(65, 65)]
+    assert 0.0 < fin["max_bie_residual"] <= potential.REFINE_TOL
+
+
+@pytest.mark.parametrize("L, amps", [(1.08, "0.05"), (1.06, "0.04")])
+def test_run_records_h_near_the_tail_reach(L, amps):
+    # reach max rho / L = 0.972 and 0.981, degrees 1360 and 2000: every
+    # record has a finite H, and N = 32 and N = 64 agree on the initial
+    # curve to the H's own accuracy and at t_end to the flow's
+    runs = [evolution.run({"N": N, "domain": "torus", "L": L, "modes": "2",
+                           "amps": amps, "phases": "0", "t_end": 1e-4,
+                           "k_H": 1}) for N in (32, 64)]
+    for traj in runs:
+        assert traj.events[-1]["event"] == "finish"
+        assert all(np.isfinite(r.H) and r.H > 0.0 for r in traj.records)
+    first, last = ([traj.records[i] for traj in runs] for i in (0, -1))
+    assert abs(first[1].H / first[0].H - 1.0) <= 1e-9
+    assert last[0].t == last[1].t == 1e-4
+    assert abs(last[1].H / last[0].H - 1.0) <= 1e-5
 
 
 def test_run_reports_worst_solve_residuals(monkeypatch):

@@ -208,6 +208,54 @@ def test_one_reach_rule_for_assemble_and_run(margin):
             evolution.run({**cfg, "L": L})
 
 
+def circle_bordered(M, R, kernel=None):
+    """The bordered matrix of solve_ms on the circle of radius R, with the
+    circulant -beta_bg |z_i - z_j|^2 / M part of the lattice tail on the
+    torus, formed directly: the matrix circle_inverse inverts."""
+    cache = circle_cache(R, N=M // 2)
+    mat = potential.assemble(cache)
+    if kernel is not None:
+        z = potential._offsets(cache)
+        mat -= kernel.beta_bg * np.abs(z[:, None] - z[None, :]) ** 2 / M
+    return potential._bordered(mat, cache.dphi)
+
+
+@pytest.mark.parametrize("M", [64, 128, 256])
+@pytest.mark.parametrize("R, L", [(1.0, None), (1.3, None), (1.0, 8.0),
+                                  (1.3, 10.4)])
+def test_circle_inverse_matches_linalg_inv(M, R, L):
+    # at R = 1 kappa_0 = log R = 0, which the closed form never divides by
+    kernel = None if L is None else elliptic.LatticeKernel(L)
+    big = circle_bordered(M, R, kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        P = potential.circle_inverse(M, R, kernel)
+    assert np.max(np.abs(P @ big - np.eye(M + 1))) <= 1e-13
+    ref = np.linalg.inv(big)
+    assert np.max(np.abs(P - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N, L", [(32, 2.0), (64, 1.2), (128, 8.0)])
+def test_tail_factors_match_elementwise(N, L):
+    # the factors solve_ms refines with give the elementwise tail / M, and
+    # the bordered product the dense assembly's
+    cache = geometry.build_cache(
+        geometry.random_admissible(np.random.default_rng(N), N=N))
+    kern = elliptic.LatticeKernel(L)
+    z = potential._offsets(cache)
+    left, right = potential._tail_factors(cache, kern)
+    ref = elliptic.lambda_tail(kern, z[:, None] - z[None, :]) / cache.M
+    assert left.shape == right.shape and left.shape[1] == cache.M
+    assert np.max(np.abs(left.T @ right - ref)) <= \
+        1e-14 * max(1.0, np.max(np.abs(ref)))
+    x = np.random.default_rng(1).standard_normal(cache.M + 1)
+    dense = potential._bordered(potential.assemble(cache, kern), cache.dphi)
+    plane = potential._bordered(potential.assemble(cache), cache.dphi)
+    ref = dense @ x
+    fast = potential._product(plane, (left, right), x)
+    assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_solve_ms_singular_matrix_raises(monkeypatch):
     # a zero single-layer block leaves the bordered matrix of rank 2
     monkeypatch.setattr(potential, "assemble",
@@ -227,13 +275,13 @@ def test_solve_ms_non_finite_residual_raises():
         potential.solve_ms(cache, data=data, inverse=inverse)
 
 
-@pytest.mark.parametrize("amp, inversions", [(1e-3, 1), (0.2, 2)])
+@pytest.mark.parametrize("amp, inversions", [(1e-3, 0), (0.2, 1)])
 def test_solve_ms_stale_reference_matches_direct_solve(amp, inversions):
-    # the circle's inverse as the reference for a perturbed curve: a small
-    # perturbation refines against it, a strong one inverts anew, and either
-    # way the solution is the direct solve's of the same bordered system
-    inverse = potential.BieInverse()
-    potential.solve_ms(circle_cache(), inverse=inverse)
+    # the circle's closed-form inverse as the reference for a perturbed
+    # curve: a small perturbation refines against it, a strong one inverts
+    # anew, and either way the solution is the direct solve's of the same
+    # bordered system
+    inverse = potential.BieInverse(potential.circle_inverse(64, 1.0))
     rho_hat = np.zeros((32, 2))
     rho_hat[0, 0], rho_hat[2, 0], rho_hat[3, 1] = 1.0, amp, 0.5 * amp
     rho_hat[5, 0] = 0.25 * amp
@@ -522,12 +570,18 @@ def test_disk_distance_zero_for_centered_disk():
 
 @pytest.mark.parametrize("L", [1.04, 1.08])
 def test_disk_distance_torus_reach(L):
-    # the tail series' reach 2 max(max rho, |d| + R) / 2L must stay below
-    # TAIL_RADIUS, the rule the run's assembly and start check use (L =
-    # 1.04), and below about 0.96, where the series' degree passes 1000
-    with pytest.raises(OutOfRadius):
-        disk_distance(geometry.single_mode_curve(1.0, 2, 0.05, domain="torus",
-                                                 L=L))
+    # the tail series' reach max(max rho, |d| + R) / L must stay below
+    # TAIL_RADIUS, the rule the run's assembly and start check use: 1.0096
+    # at L = 1.04.  At L = 1.08 it is 0.972, whose degree 1360 the scaled
+    # coefficients take without leaving the float range
+    curves = [geometry.single_mode_curve(1.0, 2, 0.05, N=N, domain="torus",
+                                         L=L) for N in (32, 64)]
+    if L < 1.05:
+        with pytest.raises(OutOfRadius):
+            disk_distance(curves[0])
+    else:
+        H32, H64 = map(disk_distance, curves)
+        assert H32 > 0.0 and abs(H64 / H32 - 1.0) <= 1e-9, (H32, H64)
 
 
 @pytest.mark.parametrize("name, grids, sub", [
