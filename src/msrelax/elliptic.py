@@ -19,8 +19,13 @@ tail collapses (shells are symmetric under multiplication by i, so only
 powers k = 0 mod 4 survive) to -sum_{4|k} z^k T_k / k with T_k the tail of
 the Eisenstein sum sum' z_mn^{-k}.  The k = 4 and k = 8 tails decay only
 algebraically in the shell count, so they are corrected exactly using the
-rapidly convergent q-series for E4(i) (q = e^{-2 pi}); beyond k = 12 the
-truncation at SHELLS = 64 shells is already below 1e-17.
+rapidly convergent q-series for E4(i) (q = e^{-2 pi}); from k = 12 on, the
+shells beyond s add at most 8 s^(2-k) / (k - 2) (shell s holds 8s points
+of modulus at least s), so g_k sums only the shells where that bound is
+above 1e-18: 61 of the SHELLS = 64 at k = 12, two at k = 40, one from
+k = 100 on.  Summed with zeros in place of the dropped terms, each g_k of
+a degree that TAIL_RADIUS admits equals its full 64-shell sum bit for bit
+(a test checks every one).
 
 The smooth tail Lambda(z) - log|z| = -beta_bg |z|^2 - sum_{4|k} Re(g_k w^k)/k
 (w = z/2L, |w| < 1) has two evaluators.  lambda_tail sums the series
@@ -37,6 +42,10 @@ applies them to vectors without forming it.  Since |u_i - u_j| <=
 OutOfRadius at TAIL_RADIUS, the same rule evolution.run checks at the start
 (2 max rho < TAIL_RADIUS 2L).  Where the factors would cost more,
 lambda_tail_nodes falls back to lambda_tail.
+
+The kernel is a primitive: every function here takes it explicitly.  A
+curve's solves take theirs from geometry.RadialCurve.kernel, which is
+lattice_kernel(L), one LatticeKernel per L and process.
 """
 
 import functools
@@ -48,7 +57,7 @@ import numpy as np
 from .errors import NearPole, OutOfRadius
 
 POLE_TOL = 1e-8
-TAIL_RADIUS = 0.995   # lambda_tail needs |z| / (2L) below this
+TAIL_RADIUS = 0.98    # lambda_tail needs |z| / (2L) below this
 SHELLS = 64           # square lattice shells summed directly by log_sigma
 
 
@@ -109,11 +118,20 @@ class LatticeKernel:
         self._pts = pts
 
     def eisenstein(self, k):
-        """Normalized sum over (m,n) != 0 of (m+in)^{-k} (real; 0 unless 4|k)."""
+        """Normalized sum over (m,n) != 0 of (m+in)^{-k} (real; 0 unless 4|k),
+        over the shells s whose tail bound 8 s^(2-k) / (k - 2) exceeds 1e-18
+        (see the module docstring)."""
         if k % 4 != 0 or k <= 0:
             return 0.0
         if k not in self._eis_cache:
-            self._eis_cache[k] = float(np.sum(self._pts**(-float(k))).real)
+            s = np.arange(1, SHELLS + 1)
+            shells = np.count_nonzero(8.0 * s ** (2.0 - k) / (k - 2) > 1e-18)
+            n = 4 * shells * (shells + 1)   # shell s holds 8s points
+            # zeros in place of the dropped terms keep numpy's pairwise
+            # grouping of the full sum, and with it the full sum's bits
+            terms = np.zeros_like(self._pts)
+            terms[:n] = self._pts[:n] ** (-float(k))
+            self._eis_cache[k] = float(np.sum(terms).real)
         return self._eis_cache[k]
 
 
@@ -161,13 +179,13 @@ def lam(kernel, z):
 
 def _tail_degree(r):
     """Highest power k kept by the lattice-tail series at reach r, a bound
-    on every |w|: r^k falls below 1e-17, clipped to [8, 2000].  Raises
-    OutOfRadius at r >= TAIL_RADIUS."""
+    on every |w|: r^k falls below 1e-17, at least 8; below TAIL_RADIUS it
+    is at most 1938.  Raises OutOfRadius at r >= TAIL_RADIUS."""
     if r >= TAIL_RADIUS:
         raise OutOfRadius(f"lattice-tail reach {r:.4f} (a bound on |z|/2L) "
                           f"is at or above TAIL_RADIUS = {TAIL_RADIUS}")
     k_max = int(np.ceil(np.log(1e-17) / np.log(max(r, 1e-12))))
-    return min(max(k_max, 8), 2000)
+    return max(k_max, 8)
 
 
 def lambda_tail(kernel, z):
@@ -223,8 +241,8 @@ def _pair_coefficients(kernel, K):
     in 4..K, else 0: the series of lambda_tail regrouped by the powers of
     2u_i and 2u_j, since (u_i - u_j)^k = 2^-k sum_a binom(k, a) (2u_i)^a
     (-2u_j)^(k-a).  Symmetric, as a and b share their parity.  The last
-    PAIR_CACHE degrees asked for are kept on the kernel (a degree of 2000
-    takes 32 MB)."""
+    PAIR_CACHE degrees asked for are kept on the kernel (a degree of 1936
+    takes 30 MB)."""
     cache = kernel._pair_cache
     if K not in cache:
         C = np.zeros((K + 1, K + 1))

@@ -18,6 +18,9 @@ side is split as
 the linearization about the circle of radius R (modes 0 and 1 have
 lambda = 0).  The plane symbol serves both domains: on the torus it differs
 from the true one by O((R/L)^4), and the remainder N absorbs the difference.
+The curve fixes both operators of a step: Lambda by its N and R
+(linear_symbol, cached per (N, R)), and the Green's function of N's BIE
+solve by its domain (geometry.RadialCurve.kernel).
 Lambda is integrated exactly, so the step is limited by accuracy rather than
 by the stiffest mode.  The phi-functions of the real z = lambda h are
 evaluated in real arithmetic: the closed forms where |z| >= 2, and where
@@ -212,11 +215,15 @@ def dt_max(N, R):
     return 1.3925 * R**3 / (2.0 * N * (N**2 - 1.0))
 
 
+@functools.lru_cache(maxsize=8)
 def linear_symbol(N, R):
     """Diagonal of Lambda, the linearization of ``rhs`` about the circle of
-    radius R, as an (N, 1) column: lambda_k = -2 k (k^2 - 1) / R^3."""
+    radius R, as an (N, 1) column: lambda_k = -2 k (k^2 - 1) / R^3;
+    read-only."""
     k = np.arange(N, dtype=float)[:, None]
-    return -2.0 * k * (k**2 - 1.0) / R**3
+    lam = -2.0 * k * (k**2 - 1.0) / R**3
+    lam.setflags(write=False)
+    return lam
 
 
 # 1/(n + 4)!, n = 0..23: the coefficients of the Taylor series of phi_4
@@ -255,33 +262,34 @@ def _phi(lam, tau):
 
 
 @functools.lru_cache(maxsize=5)
-def _step_phi(lam_bytes, tau):
-    """``_phi`` of the column ``lam`` (as bytes) at a step size; the arrays
-    are read-only.  Five entries keep the h, h/2 and h/4 of one doubled step
+def _step_phi(N, R, tau):
+    """``_phi`` of linear_symbol(N, R) at a step size; the arrays are
+    read-only.  Five entries keep the h, h/2 and h/4 of one doubled step
     while the next step adds its 4h and 2h, so a step that grows dt 4x finds
     its own h/4 (the previous h) still there."""
-    phis = _phi(np.frombuffer(lam_bytes)[:, None], tau)
+    phis = _phi(linear_symbol(N, R), tau)
     for p in phis:
         p.setflags(write=False)
     return phis
 
 
-def _etd_coeffs(lam, h):
-    """e^{Lambda h}, e^{Lambda h/2} and the ETDRK4 weights Q, f1, f2, f3.
+def _etd_coeffs(N, R, h):
+    """e^{Lambda h}, e^{Lambda h/2} and the ETDRK4 weights Q, f1, f2, f3,
+    Lambda = linear_symbol(N, R).
 
     In phi-functions of Lambda h (Cox & Matthews): Q = h/2 phi_1(Lambda h/2),
     f1 = h (phi_1 - 3 phi_2 + 4 phi_3), f2 = h (phi_2 - 2 phi_3) and
     f3 = h (4 phi_3 - phi_2).
     """
-    key = lam.tobytes()
-    e, p1, p2, p3 = _step_phi(key, h)[:4]
-    e2, q = _step_phi(key, 0.5 * h)[:2]
+    e, p1, p2, p3 = _step_phi(N, R, h)[:4]
+    e2, q = _step_phi(N, R, 0.5 * h)[:2]
     return (e, e2, 0.5 * h * q, h * (p1 - 3.0 * p2 + 4.0 * p3),
             h * (p2 - 2.0 * p3), h * (4.0 * p3 - p2))
 
 
-def dense_output(lam, h, y0, n0, y_mid, n_mid, y1, n1):
-    """y(s), 0 <= s <= h, inside an accepted doubled step of size h.
+def dense_output(curve, h, n0, y_mid, n_mid, y1, n1):
+    """y(s), 0 <= s <= h, inside an accepted doubled step of size h from
+    ``curve`` (y0 = curve.rho_hat, Lambda = its linear_symbol).
 
     On each half step of size hh = h/2, from (ya, na), with u = tau / hh,
 
@@ -295,7 +303,8 @@ def dense_output(lam, h, y0, n0, y_mid, n_mid, y1, n1):
     y1, so the path passes through both.
     """
     hh = 0.5 * h
-    e, p1, p2, p3, p4 = _step_phi(lam.tobytes(), hh)
+    y0, lam = curve.rho_hat, linear_symbol(curve.N, curve.R)
+    e, p1, p2, p3, p4 = _step_phi(curve.N, curve.R, hh)
     dn_mid, dn1 = n_mid - n0, n1 - n0
 
     def half(ya, na, yb, a1, b1, a2, b2):
@@ -321,43 +330,49 @@ def dense_output(lam, h, y0, n0, y_mid, n_mid, y1, n1):
 
 def rhs(curve, kernel=None, inverse=None):
     """Coefficient-space time derivative, plus the cache and solve used; the
-    BIE solve refines against ``inverse`` (see potential.solve_ms).
-    Raises NonPositiveRadius unless rho > 0, then Unresolved if the curve's
-    top_mode_ratio exceeds TOP_MODE_ABORT."""
+    BIE solve, with the curve's own kernel, refines against ``inverse``
+    (see potential.solve_ms).  ``kernel`` is only checked: a LatticeKernel
+    of another L than a torus curve's, or any kernel with a plane curve, is
+    a ValueError.  Raises NonPositiveRadius unless rho > 0, then Unresolved
+    if the curve's top_mode_ratio exceeds TOP_MODE_ABORT."""
+    if kernel is not None and (curve.domain != "torus"
+                               or kernel.L != curve.L):
+        raise ValueError(f"a kernel of L = {kernel.L} for a {curve.domain} "
+                         f"curve (L = {curve.L})")
     cache = geometry.build_cache(curve)
     top = geometry.top_mode_ratio(curve.rho_hat)
     if top > TOP_MODE_ABORT:
         raise Unresolved(f"top-mode relative amplitude {top:.3e}")
-    solve = potential.solve_ms(cache, kernel, inverse=inverse)
+    solve = potential.solve_ms(cache, inverse=inverse)
     drho = solve.V * cache.ell / cache.rho
     return geometry.coeffs_from_nodes(drho), cache, solve
 
 
-def _nonlinear(curve, lam, kernel, stats):
+def _nonlinear(curve, stats):
     """N(y) = rhs(y) - Lambda y at y = ``curve``'s coefficients, the cache
     and the solve; with ``stats``, the solve refines against its inverse."""
     if stats is None:
-        k, cache, solve = rhs(curve, kernel)
+        k, cache, solve = rhs(curve)
     else:
         stats.rhs_calls += 1
-        k, cache, solve = rhs(curve, kernel, stats.bie)
+        k, cache, solve = rhs(curve, inverse=stats.bie)
         stats.max_bie_residual = max(stats.max_bie_residual,
                                      solve.residual_norm)
         stats.max_mean_constraint_residual = max(
             stats.max_mean_constraint_residual,
             solve.mean_constraint_residual)
-    return k - lam * curve.rho_hat, cache, solve
+    return k - linear_symbol(curve.N, curve.R) * curve.rho_hat, cache, solve
 
 
-def _stage(curve, lam, kernel, stats):
+def _stage(curve, stats):
     """N at a stage curve; a non-positive rho rejects the step."""
     try:
-        return _nonlinear(curve, lam, kernel, stats)[0]
+        return _nonlinear(curve, stats)[0]
     except NonPositiveRadius as exc:
         raise StepRejected("rho <= 0 mid-stage", "positivity") from exc
 
 
-def step(curve, dt, kernel=None, n0=None, stats=None):
+def step(curve, dt, n0=None, stats=None):
     """One ETDRK4 step: the new curve and the pre-projection area drift.
 
     ``n0`` is N(y0) when the caller already has it; ``stats`` (a StepStats)
@@ -366,11 +381,10 @@ def step(curve, dt, kernel=None, n0=None, stats=None):
     AREA_DRIFT_REJECT relative, or the area projection fails.
     """
     y0 = curve.rho_hat
-    lam = linear_symbol(curve.N, curve.R)
-    E, E2, Q, f1, f2, f3 = _etd_coeffs(lam, dt)
+    E, E2, Q, f1, f2, f3 = _etd_coeffs(curve.N, curve.R, dt)
 
     def nl(y):
-        return _stage(replace(curve, rho_hat=y), lam, kernel, stats)
+        return _stage(replace(curve, rho_hat=y), stats)
 
     nv = nl(y0) if n0 is None else n0
     a = E2 * y0 + Q * nv
@@ -492,7 +506,7 @@ def _error_scale(y, R):
     return max(np.max(np.abs(y[1:])), 1e-9 * R)
 
 
-def _start_step(curve, lam, n0, t_end, kernel, stats):
+def _start_step(curve, n0, t_end, stats):
     """The first trial step from the initial ``curve`` and its N(y0) = ``n0``
     (see the module docstring), with the start event's h0, d1, d2 and
     fallback; the probe's rhs call is counted in ``stats``."""
@@ -504,11 +518,11 @@ def _start_step(curve, lam, n0, t_end, kernel, stats):
     if not (d1 > 0.0 and t_end > 0.0):
         return unit, info
     h0 = info["h0"] = min(0.01 / d1, t_end)
-    e, p1 = _phi(lam, h0)[:2]
+    e, p1 = _phi(linear_symbol(curve.N, curve.R), h0)[:2]
     try:
         probe = geometry.project_area(
             replace(curve, rho_hat=e * y0 + h0 * p1 * n0))
-        n_p = _nonlinear(probe, lam, kernel, stats)[0]
+        n_p = _nonlinear(probe, stats)[0]
     except MsrelaxError:
         return unit, info
     d2 = info["d2"] = float(np.max(np.abs(n_p - n0)[1:]) / (h0 * scale))
@@ -517,17 +531,17 @@ def _start_step(curve, lam, n0, t_end, kernel, stats):
     return max(unit, min(100.0 * h0, h1, t_end)), info
 
 
-def _doubled_step(curve, h, n0, kernel, stats):
+def _doubled_step(curve, h, n0, stats):
     """One step of h and two of h/2 from ``curve``, sharing N(y0) = ``n0``.
 
     Returns the two-half-step curve, its worst pre-projection area drift,
     the relative local error estimate of the module docstring, and the
     midpoint coefficients with their N (the second half step's first stage).
     """
-    full, _ = step(curve, h, kernel, n0, stats)
-    mid, d1 = step(curve, 0.5 * h, kernel, n0, stats)
-    n_mid = _stage(mid, linear_symbol(curve.N, curve.R), kernel, stats)
-    half, d2 = step(mid, 0.5 * h, kernel, n_mid, stats)
+    full, _ = step(curve, h, n0, stats)
+    mid, d1 = step(curve, 0.5 * h, n0, stats)
+    n_mid = _stage(mid, stats)
+    half, d2 = step(mid, 0.5 * h, n_mid, stats)
     err = np.max(np.abs(half.rho_hat[1:] - full.rho_hat[1:])) / \
         _error_scale(half.rho_hat, curve.R)
     return half, max(d1, d2), float(err), (mid.rho_hat, n_mid)
@@ -538,7 +552,7 @@ def run(config=None):
 
     Records diagnostics at t_j = j * k_out * dt_max and at the end, with H
     (potential.disk_distance, by boundary integrals on the record's nodes,
-    with the run's kernel on the torus) on every ``k_H``-th record and NaN
+    in the curve's domain) on every ``k_H``-th record and NaN
     on the others; re-centers every K_REC accepted steps but the last and
     controls dt by step doubling from a first trial step estimated on the
     initial state (see the module docstring).  Stops at t_end or
@@ -570,9 +584,6 @@ def run(config=None):
                 f" reaches {elliptic.TAIL_RADIUS} * 2L = {bound:.4g} at "
                 f"L = {curve.L:g}")
     R = curve.R
-    kernel = (elliptic.lattice_kernel(curve.L)
-              if curve.domain == "torus" else None)
-    lam = linear_symbol(curve.N, R)
     t_end = cfg["t_end"]
 
     traj = TrajectoryLog(R=R, config=dict(cfg))
@@ -582,28 +593,27 @@ def run(config=None):
              "domain": curve.domain}
     traj.events.append(start)
     stats = StepStats(bie=potential.BieInverse(
-        potential.circle_inverse(curve.M, R, kernel)))
+        potential.circle_inverse(curve.M, R, curve.kernel)))
     t, steps, j = 0.0, 0, 1
 
     def emit(cache, solve, t_rec):
         H = float("nan")
         if cfg["k_H"] > 0 and len(traj.records) % int(cfg["k_H"]) == 0:
-            H = potential.disk_distance(cache, kernel)
+            H = potential.disk_distance(cache)
         traj.records.append(analysis.record(cache, solve, t_rec, H))
 
     stats.max_top_mode_ratio = geometry.top_mode_ratio(curve.rho_hat)
     try:
-        n0, cache, solve = _nonlinear(curve, lam, kernel, stats)
+        n0, cache, solve = _nonlinear(curve, stats)
         emit(cache, solve, 0.0)
-        dt, info = _start_step(curve, lam, n0, t_end, kernel, stats)
+        dt, info = _start_step(curve, n0, t_end, stats)
         start.update(dt=dt, **info)
         while t < t_end and steps < MAX_STEPS:
             last = t_end - t <= dt * (1.0 + 1e-9)
             h = t_end - t if last else dt
             err = None
             try:
-                new, drift, err, mid = _doubled_step(curve, h, n0, kernel,
-                                                     stats)
+                new, drift, err, mid = _doubled_step(curve, h, n0, stats)
                 if not err <= ERR_TOL:
                     raise StepRejected(f"local error estimate {err:.3e} at "
                                        f"dt = {h:.3e}", "error")
@@ -619,7 +629,7 @@ def run(config=None):
                 continue
             dt = h * _step_factor(err)
             stats.accept(h, err, drift, new.rho_hat)
-            n1, cache, solve = _nonlinear(new, lam, kernel, stats)
+            n1, cache, solve = _nonlinear(new, stats)
             t1 = t_end if last else t + h
             # the step's records, in the pole that y0, y_mid and y1 share
             path = None
@@ -628,12 +638,12 @@ def run(config=None):
                 if t_rec == t1:
                     emit(cache, solve, t_rec)
                 else:
-                    path = path or dense_output(lam, h, curve.rho_hat, n0,
-                                                *mid, new.rho_hat, n1)
+                    path = path or dense_output(curve, h, n0, *mid,
+                                                new.rho_hat, n1)
                     at = geometry.project_area(
                         replace(curve, rho_hat=path(t_rec - t)))
                     stats.record_rhs_calls += 1
-                    _, at_cache, at_solve = _nonlinear(at, lam, kernel, stats)
+                    _, at_cache, at_solve = _nonlinear(at, stats)
                     emit(at_cache, at_solve, t_rec)
                 j += 1
             curve, n0, t, steps = new, n1, t1, steps + 1
@@ -643,7 +653,7 @@ def run(config=None):
                 if moved is not curve:
                     traj.events.append({"event": "recenter", "t": t, **info})
                     curve = moved
-                    n0, cache, solve = _nonlinear(curve, lam, kernel, stats)
+                    n0, cache, solve = _nonlinear(curve, stats)
         if traj.records[-1].t != t:   # t_end, or MAX_STEPS between records
             emit(cache, solve, t)
     except MsrelaxError as exc:

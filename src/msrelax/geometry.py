@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import elliptic
 from .errors import NonPositiveRadius, OptimFail
 
 
@@ -36,7 +37,8 @@ class RadialCurve:
     the sin(k phi) coefficients, k = 0..N-1 (the k = 0 sin entry is unused and
     must be zero).  ``R`` is the length scale of the equal-area circle; the
     flow preserves enclosed area = pi R^2.  ``domain`` is "plane" or "torus";
-    the torus has fundamental cell [-L, L)^2.
+    the torus has fundamental cell [-L, L)^2.  The domain fixes the Green's
+    function (``kernel``) of every solve on the curve.
     """
 
     R: float
@@ -69,6 +71,13 @@ class RadialCurve:
     @property
     def M(self):
         return 2 * self.rho_hat.shape[0]
+
+    @property
+    def kernel(self):
+        """The torus's LatticeKernel (elliptic.lattice_kernel, one per L and
+        process); None on the plane, whose kernel is the free-space log."""
+        return elliptic.lattice_kernel(self.L) if self.domain == "torus" \
+            else None
 
 
 @dataclass

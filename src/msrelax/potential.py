@@ -6,6 +6,10 @@ both sides) is represented as a single-layer potential
     u = S[phi] + c,   S[phi](x) = int_Gamma G(x - y) phi(y) ds(y),
 
 with G = (1/2pi) log|z| on the plane and G = Lambda(z)/(2pi) on the torus.
+The curve picks G: solve_ms and disk_distance take the kernel of
+cache.curve (RadialCurve.kernel), so a torus curve cannot be solved with
+the plane's G by omission.  assemble and circle_inverse, the primitives
+below them, take the kernel explicitly.
 The jump of normal derivatives across a single layer equals the density, so
 the Mullins-Sekerka normal velocity is V = phi directly -- no normal
 derivative extraction.  Sign/normalization calibration: boundary data
@@ -249,6 +253,10 @@ def assemble(cache, kernel=None):
     the pole (elliptic.lambda_tail_nodes): OutOfRadius when
     2 max rho >= elliptic.TAIL_RADIUS * 2L.  solve_ms takes the tail by its
     factors instead (_tail_factors), where they cost less.
+
+    Unlike solve_ms, assemble takes the kernel as an argument rather than
+    from cache.curve: solve_ms assembles only the free-space part of a torus
+    curve's matrix (kernel None) when it applies the tail by its factors.
     """
     M = cache.M
     circulant, inv_chord2 = _node_matrices(M)
@@ -288,16 +296,18 @@ def _bordered(mat, weights):
     return big
 
 
-def solve_ms(cache, kernel=None, data=None, inverse=None):
-    """Solve S[phi] + c = data (default: curvature), int phi ds = 0.
+def solve_ms(cache, data=None, inverse=None):
+    """Solve S[phi] + c = data (default: curvature), int phi ds = 0, with
+    the Green's function of cache.curve's domain (RadialCurve.kernel).
 
     Returns a BieSolve whose density V IS the normal velocity (jump of
     normal derivatives of the two-sided harmonic extension).  The unknown
-    is w = ell V: K w + c = data, dphi sum w = 0 with K = assemble(...),
-    and V = w / ell.  The mean of ``data`` goes into c directly (a constant
-    is solved by V = 0), so the system solved is the one for the rest,
-    whose size is that of V: on a near-circle the residual is then small
-    relative to V, not only to the curvature.  The system is solved by
+    is w = ell V: K w + c = data, dphi sum w = 0 with
+    K = assemble(cache, cache.curve.kernel), and V = w / ell.  The mean of
+    ``data`` goes into c directly (a constant is solved by V = 0), so the
+    system solved is the one for the rest, whose size is that of V: on a
+    near-circle the residual is then small relative to V, not only to the
+    curvature.  The system is solved by
     iterative refinement against ``inverse`` (a BieInverse; None means a
     fresh one), which becomes this system's inverse when the refined
     relative residual stays above REFINE_TOL.  On the torus the lattice
@@ -309,6 +319,7 @@ def solve_ms(cache, kernel=None, data=None, inverse=None):
     M = cache.M
     if data is None:
         data = cache.kappa
+    kernel = cache.curve.kernel
     tail = None if kernel is None else _tail_factors(cache, kernel)
     # the plane part, and the tail too where it has no factors
     big = _bordered(assemble(cache, kernel if tail is None else None),
@@ -402,13 +413,13 @@ def _disk_graph(d, R, M):
     return b, de - dp * dp / (h + R), dp * b / h, h
 
 
-def disk_distance(cache, kernel=None):
+def disk_distance(cache):
     """H, the squared H^-1 distance ||chi_Omega - chi_B||^2 from the region
     Omega enclosed by cache.curve to the disk B of radius R at its bulk
     barycenter c, by boundary integrals on the polar graphs about the pole.
     Omega's area must be pi R^2 (as a flow keeps it), so that the
-    difference has zero mean.  ``kernel`` None means the plane; a
-    LatticeKernel the torus of its L.
+    difference has zero mean.  The domain is cache.curve's: the plane, or
+    the torus of its L.
 
     With I(A, A') = int_A int_A' log|x - y| dx dy,
 
@@ -509,6 +520,7 @@ def disk_distance(cache, kernel=None):
     self_term = -(2.0 * np.pi) * (np.einsum("ij,ij->", circ_w, dX)
                                   + np.einsum("ij,ij->", trap_w, dY))
     H = -(self_term - 2.0 * cross) / (2.0 * np.pi)
+    kernel = curve.kernel
     if kernel is not None:
         H += _lattice_distance(kernel, rays_rho, d, R)
     return float(H)

@@ -120,3 +120,28 @@ def test_periodicity_property(seed):
     if abs(z) < 1e-3:
         z += 0.1
     assert abs(elliptic.lam(kern, z + 2.0) - elliptic.lam(kern, z)) < 1e-10
+
+
+def test_eisenstein_sums_match_all_shells():
+    # g_k sums only the shells whose tail bound 8 s^(2-k) / (k - 2) is above
+    # 1e-18, with zeros for the rest: every degree that TAIL_RADIUS admits
+    # keeps the bits of the full 64-shell sum
+    kern = elliptic.LatticeKernel(1.0)
+    top = elliptic._tail_degree(np.nextafter(elliptic.TAIL_RADIUS, 0.0))
+    assert top == 1938
+    for k in range(12, top + 1, 4):
+        full = float(np.sum(kern._pts ** (-float(k))).real)
+        assert kern.eisenstein(k) == full, k
+
+
+def test_lambda_tail_just_under_the_reach_bound(kern):
+    # the reach rule's bound leaves the series' degree (at most 1938) enough
+    # terms: lambda_tail matches Lambda - log|z| on a circle of reach just
+    # under TAIL_RADIUS
+    r = 0.9999 * elliptic.TAIL_RADIUS
+    z = 2.0 * kern.L * r * np.exp(1j * np.linspace(0.0, 0.5 * np.pi, 13))
+    for zi in z:
+        ref = elliptic.lam(kern, zi) - np.log(abs(zi))
+        assert abs(elliptic.lambda_tail(kern, zi) - ref) <= 5e-14, zi
+    with pytest.raises(OutOfRadius):
+        elliptic.lambda_tail(kern, 2.0 * kern.L * elliptic.TAIL_RADIUS)

@@ -2,6 +2,7 @@
 record grid and error control, runs."""
 
 import decimal
+import functools
 import math
 import warnings
 from dataclasses import replace
@@ -90,9 +91,12 @@ def test_linear_symbol_is_rhs_jacobian_on_circle():
 
 
 def test_step_is_classical_rk4_without_linear_part(monkeypatch):
-    # ETDRK4 reduces to classical RK4 at Lambda = 0
+    # ETDRK4 reduces to classical RK4 at Lambda = 0; a fresh phi cache
+    # keeps the zero symbol's phis out of the shared one
     monkeypatch.setattr(evolution, "linear_symbol",
                         lambda N, R: np.zeros((N, 1)))
+    monkeypatch.setattr(evolution, "_step_phi", functools.lru_cache(
+        maxsize=5)(evolution._step_phi.__wrapped__))
     curve = state_for(5, 0.01)
     dt = 2.0 * evolution.dt_max(32, 1.0)
 
@@ -114,6 +118,51 @@ def test_step_rejects_large_dt():
     st = state_for(10, 0.02)
     with pytest.raises(StepRejected):
         evolution.step(st, 0.05)
+
+
+def lattice_curve():
+    """A mode-2 curve on the torus of half edge 1.5 R."""
+    return geometry.single_mode_curve(1.0, 2, 0.05, N=32, domain="torus",
+                                      L=1.5)
+
+
+def test_step_on_a_torus_curve_uses_its_lattice_kernel(monkeypatch):
+    # a torus curve's step, given no kernel, is its plane twin's step with
+    # every solve a dense solve of the explicit assemble(cache, kernel)
+    curve = lattice_curve()
+    plane = replace(curve, domain="plane", L=None)
+    dt = 4.0 * evolution.dt_max(32, 1.0)
+    new, _ = evolution.step(curve, dt)
+    plain, _ = evolution.step(plane, dt)
+    kernel = elliptic.LatticeKernel(curve.L)
+
+    def lattice_solve(cache, data=None, inverse=None):
+        big = potential._bordered(potential.assemble(cache, kernel)
+                                  * cache.ell, cache.ell * cache.dphi)
+        mean = np.mean(cache.kappa)
+        x = np.linalg.solve(big, np.append(cache.kappa - mean, 0.0))
+        return potential.BieSolve(x[:-1], float(x[-1]) + mean, 0.0, 0.0)
+
+    monkeypatch.setattr(potential, "solve_ms", lattice_solve)
+    ref, _ = evolution.step(plane, dt)
+    move = np.max(np.abs(ref.rho_hat - curve.rho_hat))
+    assert np.max(np.abs(new.rho_hat - ref.rho_hat)) <= 1e-12 * move
+    assert np.max(np.abs(plain.rho_hat - ref.rho_hat)) > 0.05 * move
+
+
+def test_rhs_checks_a_given_kernel():
+    # rhs takes a kernel only to check it: the curve's own lattice, even a
+    # fresh LatticeKernel of it, gives the same derivative; another L, or
+    # any kernel for a plane curve, is a ValueError
+    curve = lattice_curve()
+    own = evolution.rhs(curve)[0]
+    assert np.array_equal(
+        evolution.rhs(curve, elliptic.LatticeKernel(curve.L))[0], own)
+    with pytest.raises(ValueError, match="kernel of L = 2.0"):
+        evolution.rhs(curve, elliptic.lattice_kernel(2.0))
+    with pytest.raises(ValueError, match="plane curve"):
+        evolution.rhs(replace(curve, domain="plane", L=None),
+                      elliptic.lattice_kernel(curve.L))
 
 
 def test_phi_evaluated_once_per_step_size(monkeypatch):
@@ -190,14 +239,12 @@ def test_phi_matches_60_digit_reference():
 def doubled_step_path(curve, h):
     """The dense-output path of one doubled step of h from ``curve``, with
     the step's midpoint and end coefficients."""
-    lam = evolution.linear_symbol(curve.N, curve.R)
     stats = evolution.StepStats()
-    n0 = evolution._nonlinear(curve, lam, None, stats)[0]
-    new, _, _, (y_mid, n_mid) = evolution._doubled_step(curve, h, n0, None,
-                                                         stats)
-    n1 = evolution._nonlinear(new, lam, None, stats)[0]
-    path = evolution.dense_output(lam, h, curve.rho_hat, n0, y_mid, n_mid,
-                                  new.rho_hat, n1)
+    n0 = evolution._nonlinear(curve, stats)[0]
+    new, _, _, (y_mid, n_mid) = evolution._doubled_step(curve, h, n0, stats)
+    n1 = evolution._nonlinear(new, stats)[0]
+    path = evolution.dense_output(curve, h, n0, y_mid, n_mid, new.rho_hat,
+                                  n1)
     return path, y_mid, new.rho_hat
 
 
@@ -236,7 +283,9 @@ def test_dense_output_exact_for_polynomial_n(degree):
         return np.exp(lam * s) * y0 + integral
 
     y0 = rng.normal(size=(N, 2))
-    path = evolution.dense_output(lam, h, y0, n_at(0.0),
+    y0[0, 1] = 0.0   # a curve's unused k = 0 sine entry
+    curve = geometry.RadialCurve(1.0, y0, np.zeros(2))
+    path = evolution.dense_output(curve, h, n_at(0.0),
                                   exact(y0, 0.5 * h), n_at(0.5 * h),
                                   exact(y0, h), n_at(h))
     for s in np.linspace(0.0, h, 9):
@@ -268,14 +317,13 @@ def test_torus_rate_records_match_fixed_steps(monkeypatch):
     run = evolution.run(cfg)
     assert run.events[-1]["steps"] < len(run.records) // 2
     curve = evolution.initial_curve({**evolution.DEFAULTS, **cfg})
-    kernel = elliptic.LatticeKernel(curve.L)
     t = 0.0
     for rec in run.records:
         for _ in range(2 if rec.t > t else 0):
-            curve, _ = evolution.step(curve, 0.5 * (rec.t - t), kernel)
+            curve, _ = evolution.step(curve, 0.5 * (rec.t - t))
         t = rec.t
         cache = geometry.build_cache(curve)
-        ref = analysis.record(cache, potential.solve_ms(cache, kernel), t)
+        ref = analysis.record(cache, potential.solve_ms(cache), t)
         assert abs(rec.E / ref.E - 1.0) < 1e-11, (t, rec.E, ref.E)
         assert abs(rec.D / ref.D - 1.0) < 1e-11, (t, rec.D, ref.D)
 
@@ -405,15 +453,14 @@ def test_run_deterministic():
 
 @pytest.mark.parametrize("domain", ["plane", "torus"])
 def test_run_records_disk_distance_on_the_k_h_cadence(domain):
-    # H is disk_distance of the record's own cache, with the run's kernel on
-    # the torus, on every k_H-th record; the grid key is not read
+    # H is disk_distance of the record's own cache, in the curve's domain,
+    # on every k_H-th record; the grid key is not read
     cfg = {"N": 32, "domain": domain, "modes": "2,3", "amps": "0.01,0.008",
            "t_end": 3e-4, "k_out": 5, "k_H": 2}
     traj = evolution.run(cfg)
-    kernel = (elliptic.lattice_kernel(8.0) if domain == "torus" else None)
     curve = evolution.initial_curve({**evolution.DEFAULTS, **cfg})
     assert traj.records[0].H == potential.disk_distance(
-        geometry.build_cache(curve), kernel)
+        geometry.build_cache(curve))
     Hs = [r.H for r in traj.records]
     assert all(H > 0 for H in Hs[::2]) and all(map(math.isnan, Hs[1::2]))
     other = evolution.run({**cfg, "grid": 3})
@@ -582,11 +629,11 @@ def test_run_start_falls_back_to_dt_max(monkeypatch):
     # a probe that raises starts at dt_max too; its rhs call still counts
     calls, rhs = [], evolution.rhs
 
-    def probe_fails(*args):
+    def probe_fails(*args, **kwargs):
         calls.append(args)
         if len(calls) == 2:
             raise Unresolved("probe")
-        return rhs(*args)
+        return rhs(*args, **kwargs)
 
     monkeypatch.setattr(evolution, "rhs", probe_fails)
     traj = evolution.run({**cfg, "amps": "0.01"})
@@ -724,13 +771,24 @@ def test_run_inverts_where_the_circle_inverse_stagnates(monkeypatch):
 
 
 @pytest.mark.parametrize("L, amps", [(1.08, "0.05"), (1.06, "0.04")])
-def test_run_records_h_near_the_tail_reach(L, amps):
-    # reach max rho / L = 0.972 and 0.981, degrees 1360 and 2000: every
-    # record has a finite H, and N = 32 and N = 64 agree on the initial
-    # curve to the H's own accuracy and at t_end to the flow's
-    runs = [evolution.run({"N": N, "domain": "torus", "L": L, "modes": "2",
-                           "amps": amps, "phases": "0", "t_end": 1e-4,
-                           "k_H": 1}) for N in (32, 64)]
+def test_run_records_h_near_the_tail_reach(tmp_path, L, amps):
+    # reach 2 max rho / 2L = 0.9716 and 0.98065.  The first, of degree
+    # 1360, is admitted: every record has a finite H, and N = 32 and
+    # N = 64 agree on the initial curve to the H's own accuracy and at
+    # t_end to the flow's.  The second lies past TAIL_RADIUS = 0.98, where
+    # the series degree would pass 1938: the run and simulate refuse it
+    cfgs = [{"N": N, "domain": "torus", "L": L, "modes": "2", "amps": amps,
+             "phases": "0", "t_end": 1e-4, "k_H": 1} for N in (32, 64)]
+    if L < 1.07:
+        for cfg in cfgs:
+            with pytest.raises(ValueError, match="too large for the torus"):
+                evolution.run(cfg)
+        path = tmp_path / "near.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in cfgs[0].items()))
+        assert cli.main(["simulate", "--config", str(path), "--out",
+                         str(tmp_path / "out")]) == 2
+        return
+    runs = [evolution.run(cfg) for cfg in cfgs]
     for traj in runs:
         assert traj.events[-1]["event"] == "finish"
         assert all(np.isfinite(r.H) and r.H > 0.0 for r in traj.records)

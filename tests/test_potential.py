@@ -74,23 +74,54 @@ def test_assemble_with_cond():
 
 def test_torus_matches_plane_at_large_L():
     curve = geometry.single_mode_curve(1.0, 2, 1e-3, domain="torus", L=8.0)
-    cache = geometry.build_cache(curve)
-    vp = potential.solve_ms(cache).V
-    vt = potential.solve_ms(cache, elliptic.LatticeKernel(8.0)).V
+    plane = replace(curve, domain="plane", L=None)
+    vp = potential.solve_ms(geometry.build_cache(plane)).V
+    vt = potential.solve_ms(geometry.build_cache(curve)).V
     assert np.max(np.abs(vt - vp)) / np.max(np.abs(vp)) < 0.02
 
 
 def test_torus_plane_convergence_order():
     # the finite-cell correction decays like (R/L)^2
     curve0 = geometry.single_mode_curve(1.0, 2, 1e-3)
-    cache = geometry.build_cache(curve0)
-    vp = potential.solve_ms(cache).V
+    vp = potential.solve_ms(geometry.build_cache(curve0)).V
     errs = []
     for L in (8.0, 16.0, 32.0):
-        vt = potential.solve_ms(cache, elliptic.LatticeKernel(L)).V
+        torus = replace(curve0, domain="torus", L=L)
+        vt = potential.solve_ms(geometry.build_cache(torus)).V
         errs.append(np.max(np.abs(vt - vp)) / np.max(np.abs(vp)))
     order = np.polyfit(np.log([8.0, 16.0, 32.0]), np.log(errs), 1)[0]
     assert order < -1.8
+
+
+def lattice_curve():
+    """A mode-2 curve on the torus of half edge 1.5 R, where the lattice
+    tail moves V and H each by about 11% from the plane's."""
+    return geometry.single_mode_curve(1.0, 2, 0.05, N=32, domain="torus",
+                                      L=1.5)
+
+
+def direct_solve(cache, kernel):
+    """V of the bordered system with the explicit assemble(cache, kernel),
+    by one dense solve."""
+    big = potential._bordered(potential.assemble(cache, kernel) * cache.ell,
+                              cache.ell * cache.dphi)
+    mean = np.mean(cache.kappa)
+    return np.linalg.solve(big, np.append(cache.kappa - mean, 0.0))[:-1]
+
+
+def test_torus_curve_solves_with_its_lattice_kernel():
+    # a torus curve passed alone gets its lattice's Green's function: the
+    # V of an explicit assemble(cache, LatticeKernel(L)) solve, not the
+    # plane's
+    curve = lattice_curve()
+    assert curve.kernel is elliptic.lattice_kernel(1.5)
+    assert replace(curve, domain="plane", L=None).kernel is None
+    cache = geometry.build_cache(curve)
+    V = potential.solve_ms(cache).V
+    ref = direct_solve(cache, elliptic.LatticeKernel(1.5))
+    plane = direct_solve(cache, None)
+    assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(plane - ref)) > 0.05 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +337,7 @@ def test_solve_ms_out_of_radius(L):
     # a unit circle spans 2, so its reach 2 / (2L) is 1 or TAIL_RADIUS / 0.999
     curve = geometry.single_mode_curve(1.0, 2, 0.0, domain="torus", L=L)
     with pytest.raises(OutOfRadius):
-        potential.solve_ms(geometry.build_cache(curve),
-                           elliptic.LatticeKernel(L))
+        potential.solve_ms(geometry.build_cache(curve))
 
 
 @pytest.mark.parametrize("N, L", [(32, None), (64, None), (32, 2.0),
@@ -337,9 +367,11 @@ def test_solve_ms_matches_ell_scaled_system(seed, L):
     # solving for w = ell V with the border dphi gives the V of the system
     # in V itself: A = K diag(ell), bordered by ell dphi
     curve = geometry.random_admissible(np.random.default_rng(seed), N=32)
+    if L is not None:
+        curve = replace(curve, domain="torus", L=L)
     cache = geometry.build_cache(curve)
     kern = None if L is None else elliptic.LatticeKernel(L)
-    solve = potential.solve_ms(cache, kern)
+    solve = potential.solve_ms(cache)
     big = potential._bordered(
         assemble_elementwise(cache, kern), cache.ell * cache.dphi)
     mean = np.mean(cache.kappa)
@@ -524,9 +556,7 @@ def readme_curve(N=64):
 
 
 def disk_distance(curve):
-    kernel = (elliptic.lattice_kernel(curve.L) if curve.domain == "torus"
-              else None)
-    return potential.disk_distance(geometry.build_cache(curve), kernel)
+    return potential.disk_distance(geometry.build_cache(curve))
 
 
 H_CURVES = {
@@ -584,6 +614,24 @@ def test_disk_distance_torus_reach(L):
         assert H32 > 0.0 and abs(H64 / H32 - 1.0) <= 1e-9, (H32, H64)
 
 
+def test_torus_curve_distance_uses_its_lattice_kernel():
+    # a torus curve's H comes with its lattice tail: the torus raster, an
+    # independent oracle, approaches it from below, while the plane's H
+    # of the same nodes is about 11% lower
+    curve = lattice_curve()
+    cache = geometry.build_cache(curve)
+    H = potential.disk_distance(cache)
+    plane = disk_distance(replace(curve, domain="plane", L=None))
+    centre = geometry.barycenter_bulk(cache)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridTooCoarse)
+        gaps = [1.0 - potential.squared_distance(curve, center=centre,
+                                                 grid=G) / H
+                for G in (256, 512)]
+    assert 0.0 < gaps[1] < gaps[0] < 2e-3, gaps
+    assert H - plane > 0.05 * H
+
+
 @pytest.mark.parametrize("name, grids, sub", [
     ("mode2", (512, 1024, 2048), 4),
     ("readme", (512, 1024, 2048), 4),
@@ -597,10 +645,10 @@ def test_raster_approaches_disk_distance_from_below(name, grids, sub):
     # of the embedding vanishes.
     curve = {"mode2": geometry.single_mode_curve(1.0, 2, 0.05),
              "readme": readme_curve(), "torus-L2": mixed_torus_curve()}[name]
-    cache = geometry.build_cache(curve)
-    L = curve.L if curve.domain == "torus" else \
-        potential.EMBED_FACTOR * curve.R
-    H = potential.disk_distance(cache, elliptic.lattice_kernel(L))
+    embedded = curve if curve.domain == "torus" else replace(
+        curve, domain="torus", L=potential.EMBED_FACTOR * curve.R)
+    cache = geometry.build_cache(embedded)
+    H = potential.disk_distance(cache)
     centre = geometry.barycenter_bulk(cache)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridTooCoarse)
