@@ -12,6 +12,7 @@ deterministic.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -431,7 +432,11 @@ def _positive_int(text):
     return n
 
 
+@functools.cache
 def build_parser():
+    """The CLI's argument parser, built once per process.  A subcommand
+    runs the module's cmd_<name> looked up at call time, so a wrapped or
+    replaced command takes effect without a new parser."""
     p = argparse.ArgumentParser(prog="msrelax")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -439,36 +444,30 @@ def build_parser():
     s.add_argument("--config", required=True)
     s.add_argument("--out", default=".")
     s.add_argument("--set", action="append", metavar="KEY=VALUE")
-    s.set_defaults(func=cmd_simulate)
 
     s = sub.add_parser("checks", help="run verification suites")
     s.add_argument("--suite", action="append", choices=sorted(SUITES))
     s.add_argument("--n", type=_positive_int, default=1000)
     s.add_argument("--seed", type=int, default=0)
-    s.set_defaults(func=cmd_checks)
 
     s = sub.add_parser("hminus", help="squared H^-1 distance of two curves")
     s.add_argument("curve_a")
     s.add_argument("curve_b")
     s.add_argument("--grid", type=_positive_int, default=256)
     s.add_argument("--no-oracle", action="store_true")
-    s.set_defaults(func=cmd_hminus)
 
     s = sub.add_parser("potential-table",
                        help="dump the periodic kernel on a grid")
     s.add_argument("--L", type=float, default=1.0)
     s.add_argument("--n", type=_positive_int, default=64)
     s.add_argument("--out", default=None)
-    s.set_defaults(func=cmd_potential_table)
 
     s = sub.add_parser("norms", help="geometry/norm report for a curve file")
     s.add_argument("curve")
     s.add_argument("--delta", type=float, default=0.05)
-    s.set_defaults(func=cmd_norms)
 
     s = sub.add_parser("report", help="summarize a trajectory.csv")
     s.add_argument("trajectory")
-    s.set_defaults(func=cmd_report)
     return p
 
 
@@ -479,7 +478,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except MsrelaxError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -58,32 +58,47 @@ when the probe raises a MsrelaxError.  The probe costs one rhs call; the
 start event records the step, h0, d1, d2 and whether the start fell back
 to dt_max.
 
-run() evaluates each state -- the initial one, each accepted one, and each
+run() evaluates each state -- the initial one, each step's end, and each
 one whose pole a re-centering moved -- once: that rhs call checks it (a
-state with rho <= 0 or, like any stage, a top-mode ratio above
-TOP_MODE_ABORT ends the run) and gives the N(y0) of every step tried from
-it, the end point of the step's dense output and any record that falls on
-it.  A step's records are written before the re-centering, so the step's
-start, midpoint and end share one pole.  dt is chosen by step doubling: one
-step of h and two of h/2 from the state give the local error estimate
+top-mode ratio above TOP_MODE_ABORT, at any state or stage, ends the run;
+rho <= 0 at a step's end, as at a stage, rejects the step) and gives the
+N(y0) of every step tried from it, the end point of the step's dense
+output and any record that falls on it.  A step's records are written
+before the re-centering, so the step's start, midpoint and end share one
+pole.  A step of h is two ETDRK4 steps of h/2, through y_mid to y1.  Its
+error is estimated against the exponential Simpson rule through the
+step's own N values: with dn_mid = N(y_mid) - N(y0),
+dn1 = N(y1) - N(y0), q2 = 2 dn1 - 4 dn_mid and q1 = dn1 - q2, the quadratic
+N(y0) + q1 u + q2 u^2 (u = t / h) through all three, integrated exactly
+(Cox & Matthews; Hochbruck & Ostermann, Acta Numerica 19, 2010), gives
 
-    err = max |y_half - y_full| / max(max |y_half|, 1e-9 R)
+    y_S = e^{Lambda h} y0 + h (phi_1 N(y0) + phi_2 q1 + 2 phi_3 q2)
+
+(phis at Lambda h; Simpson's rule y0 + h (n0 + 4 n_mid + n1) / 6 where
+Lambda = 0), and
+
+    err = max |y1 - y_S| / max(max |y1|, 1e-9 R)
 
 over coefficients 1..N-1; the floor keeps rounding noise on an unperturbed
-circle from rejecting forever.  A step is accepted when err <= ERR_TOL, and
-then continues from the two-half-step result; either way the next trial is
-dt * clip(0.9 (ERR_TOL / err)^(1/5), 0.2, 4).  A doubled step costs 11 rhs
-calls (10 when rejected), a record between steps one more; the phi-functions
+circle from rejecting forever.  y_S and y1 are both fourth order, so err
+falls like h^5; like a step-doubling estimate (one full step of h against
+the two halves, three more rhs calls) it measures the cruder of two
+results rather than y1, and the two estimates agree within a factor of
+about 1 to 3.  A step is accepted when err <= ERR_TOL, and then continues
+from y1; either way the next trial is
+dt * clip(0.9 (ERR_TOL / err)^(1/5), 0.2, 4).  A step costs 8 rhs calls,
+accepted or rejected on error (a reject on positivity or area only the
+calls made up to it), a record between steps one more; the phi-functions
 are evaluated once each at Lambda h, h/2 and h/4, once per such record and
 once for the start probe.
 
 ERR_TOL thus bounds each step's local error, relative to max |y[1:]| at
 that step.  It does not bound the records of a long run, which carry the
 error accumulated over every step before them.  Against the same configs
-run at ERR_TOL = 1e-11, the records of cli.RUNS regime64 (seed 11) are off
-by up to about 2e-7 relative in E and D, at t = 0.012 to 0.02 where E is
-about 3e-12; those of mixed235 (seed 0) by about 3e-10 and of mixed23 by
-about 1e-10.
+run at ERR_TOL = 1e-12, the records of cli.RUNS regime32 (seed 11) are off
+by up to about 2e-7 relative in E and D, near t = 0.013 where E has
+decayed from 1e-3 to about 3e-12; those of mixed235 (seed 0) by about
+4e-10 and of mixed23 (seed 7) by about 7e-11.
 
 Each rhs call is one bordered BIE solve (potential.solve_ms).  A run keeps
 one reference inverse of the bordered matrix in its StepStats, starting
@@ -99,8 +114,9 @@ first misses, and that inverse becomes the reference.
 The flow conserves enclosed area exactly; the integrator's drift per step is
 removed after each accepted step by an exact adjustment of the zero mode
 (area is a quadratic polynomial in the coefficients).  Steps are rejected
-(StepRejected) when rho turns non-positive mid-stage or the pre-projection
-area drift exceeds a hard bound; such rejections halve dt.
+(StepRejected) when rho turns non-positive at a stage or at the step's
+end, or the pre-projection area drift exceeds a hard bound; such
+rejections halve dt.
 
 The polar gauge degrades as the barycenter drifts off the pole, so the curve
 is re-centered every K_REC accepted steps: the pole is moved to the bulk
@@ -264,9 +280,9 @@ def _phi(lam, tau):
 @functools.lru_cache(maxsize=5)
 def _step_phi(N, R, tau):
     """``_phi`` of linear_symbol(N, R) at a step size; the arrays are
-    read-only.  Five entries keep the h, h/2 and h/4 of one doubled step
-    while the next step adds its 4h and 2h, so a step that grows dt 4x finds
-    its own h/4 (the previous h) still there."""
+    read-only.  Five entries keep the h, h/2 and h/4 of one step (its half
+    steps and its estimate) while the next step adds its 4h and 2h, so a
+    step that grows dt 4x finds its own h/4 (the previous h) still there."""
     phis = _phi(linear_symbol(N, R), tau)
     for p in phis:
         p.setflags(write=False)
@@ -288,7 +304,7 @@ def _etd_coeffs(N, R, h):
 
 
 def dense_output(curve, h, n0, y_mid, n_mid, y1, n1):
-    """y(s), 0 <= s <= h, inside an accepted doubled step of size h from
+    """y(s), 0 <= s <= h, inside an accepted step of size h from
     ``curve`` (y0 = curve.rho_hat, Lambda = its linear_symbol).
 
     On each half step of size hh = h/2, from (ya, na), with u = tau / hh,
@@ -365,11 +381,12 @@ def _nonlinear(curve, stats):
 
 
 def _stage(curve, stats):
-    """N at a stage curve; a non-positive rho rejects the step."""
+    """``_nonlinear`` at a stage curve or a step's end; a non-positive rho
+    rejects the step."""
     try:
-        return _nonlinear(curve, stats)[0]
+        return _nonlinear(curve, stats)
     except NonPositiveRadius as exc:
-        raise StepRejected("rho <= 0 mid-stage", "positivity") from exc
+        raise StepRejected("rho <= 0 at a stage", "positivity") from exc
 
 
 def step(curve, dt, n0=None, stats=None):
@@ -384,7 +401,7 @@ def step(curve, dt, n0=None, stats=None):
     E, E2, Q, f1, f2, f3 = _etd_coeffs(curve.N, curve.R, dt)
 
     def nl(y):
-        return _stage(replace(curve, rho_hat=y), stats)
+        return _stage(replace(curve, rho_hat=y), stats)[0]
 
     nv = nl(y0) if n0 is None else n0
     a = E2 * y0 + Q * nv
@@ -531,20 +548,30 @@ def _start_step(curve, n0, t_end, stats):
     return max(unit, min(100.0 * h0, h1, t_end)), info
 
 
-def _doubled_step(curve, h, n0, stats):
-    """One step of h and two of h/2 from ``curve``, sharing N(y0) = ``n0``.
+def _two_half_steps(curve, h, n0, stats):
+    """Two ETDRK4 steps of h/2 from ``curve``, sharing N(y0) = ``n0``, and
+    their error estimate against the exponential Simpson rule.
 
     Returns the two-half-step curve, its worst pre-projection area drift,
-    the relative local error estimate of the module docstring, and the
-    midpoint coefficients with their N (the second half step's first stage).
+    the relative local error estimate of the module docstring, the
+    midpoint coefficients with their N (the second half step's first
+    stage), and the end's (N, cache, solve), which a run reuses for the
+    next step, the step's end record and its dense output.  A non-positive
+    rho at the end is a positivity reject, as at a stage.
     """
-    full, _ = step(curve, h, n0, stats)
     mid, d1 = step(curve, 0.5 * h, n0, stats)
-    n_mid = _stage(mid, stats)
+    n_mid = _stage(mid, stats)[0]
     half, d2 = step(mid, 0.5 * h, n_mid, stats)
-    err = np.max(np.abs(half.rho_hat[1:] - full.rho_hat[1:])) / \
+    end = _stage(half, stats)
+    # the quadratic through n0, n_mid and n1, integrated exactly
+    e, p1, p2, p3 = _step_phi(curve.N, curve.R, h)[:4]
+    dn_mid, dn1 = n_mid - n0, end[0] - n0
+    q2 = 2.0 * dn1 - 4.0 * dn_mid
+    simpson = e * curve.rho_hat + h * (p1 * n0 + p2 * (dn1 - q2)
+                                       + 2.0 * p3 * q2)
+    err = np.max(np.abs(half.rho_hat[1:] - simpson[1:])) / \
         _error_scale(half.rho_hat, curve.R)
-    return half, max(d1, d2), float(err), (mid.rho_hat, n_mid)
+    return half, max(d1, d2), float(err), (mid.rho_hat, n_mid), end
 
 
 def run(config=None):
@@ -554,8 +581,9 @@ def run(config=None):
     (potential.disk_distance, by boundary integrals on the record's nodes,
     in the curve's domain) on every ``k_H``-th record and NaN
     on the others; re-centers every K_REC accepted steps but the last and
-    controls dt by step doubling from a first trial step estimated on the
-    initial state (see the module docstring).  Stops at t_end or
+    controls dt by each step's exponential Simpson error estimate from a
+    first trial step estimated on the initial state (see the module
+    docstring).  Stops at t_end or
     after MAX_STEPS steps.  A MsrelaxError raised on the way carries the
     partial TrajectoryLog, ending in a ``fail`` event, as its ``trajectory``
     attribute.  A negative or non-finite t_end, a k_out or grid below 1 or
@@ -613,7 +641,8 @@ def run(config=None):
             h = t_end - t if last else dt
             err = None
             try:
-                new, drift, err, mid = _doubled_step(curve, h, n0, stats)
+                new, drift, err, mid, (n1, cache, solve) = _two_half_steps(
+                    curve, h, n0, stats)
                 if not err <= ERR_TOL:
                     raise StepRejected(f"local error estimate {err:.3e} at "
                                        f"dt = {h:.3e}", "error")
@@ -629,7 +658,6 @@ def run(config=None):
                 continue
             dt = h * _step_factor(err)
             stats.accept(h, err, drift, new.rho_hat)
-            n1, cache, solve = _nonlinear(new, stats)
             t1 = t_end if last else t + h
             # the step's records, in the pole that y0, y_mid and y1 share
             path = None

@@ -43,10 +43,12 @@ Numerical Algorithms, ch. 12), which costs O(M^2) per sweep where a direct
 solve costs O(M^3).  A run's reference starts as the circle's inverse in
 closed form (circle_inverse: K is circulant on the circle), which improves
 as the deficit decays; no matrix is inverted unless refinement misses.
-Refinement stops when a sweep no longer halves the residual; a residual
-that stagnates above REFINE_TOL (a large deficit, or a small torus cell,
-whose lattice tail is far from circulant) inverts the current matrix, and
-that inverse becomes the reference.  Since K w = A V, the residual and
+Refinement stops when the relative residual reaches rounding level
+(REFINE_FLOOR, about 2 eps), where a further sweep could not halve it, or
+when a sweep no longer halves it; a residual that stagnates above
+REFINE_TOL (a large deficit, or a small torus cell, whose lattice tail is
+far from circulant) inverts the current matrix, and that inverse becomes
+the reference.  Since K w = A V, the residual and
 |int V ds| are those of the system in V.
 
 Dissipation: D = int |grad u|^2 = -int_Gamma kappa V ds (boundary
@@ -90,6 +92,7 @@ EMBED_FACTOR = 8.0
 ORACLE_REFINE = 4   # squared_distance_oracle interpolates to this x finer grid
 REFINE_SWEEPS = 8   # cap on the iterative-refinement sweeps of one solve
 REFINE_TOL = 1e-14  # a refined relative residual above this re-inverts
+REFINE_FLOOR = 4e-16  # rounding level (about 2 eps): refinement stops here
 H_REFINE = 8        # disk_distance's rays per node
 GAUSS_NODES = 8     # disk_distance's Gauss-Legendre nodes per ray
 
@@ -171,13 +174,17 @@ class BieInverse:
 
     def refine(self, big, rhs, tail=None):
         """Solve (big with ``tail``) x = rhs by iterative refinement with the
-        reference P: x = P rhs, then x <- x + P (rhs - big x) while a sweep
-        at least halves the residual, at most REFINE_SWEEPS sweeps.  Returns
-        the iterate of least residual and its relative residual."""
+        reference P: x = P rhs, then x <- x + P (rhs - big x) while the
+        relative residual is above REFINE_FLOOR and each sweep at least
+        halves it, at most REFINE_SWEEPS sweeps.  Returns the iterate of
+        least residual and its relative residual."""
         x = self.matrix @ rhs
         r = rhs - _product(big, tail, x)
-        res = r @ r
-        for sweep in range(1, REFINE_SWEEPS + 1):
+        res, norm = r @ r, rhs @ rhs
+        floor = REFINE_FLOOR * REFINE_FLOOR * norm
+        sweeps = 0
+        while res > floor and sweeps < REFINE_SWEEPS:
+            sweeps += 1
             y = x + self.matrix @ r
             s = rhs - _product(big, tail, y)
             new = s @ s
@@ -186,8 +193,8 @@ class BieInverse:
                 x, r, res = y, s, new
             if not halved:
                 break
-        self.sweeps += sweep
-        return x, math.sqrt(res) / max(math.sqrt(rhs @ rhs), 1e-300)
+        self.sweeps += sweeps
+        return x, math.sqrt(res) / max(math.sqrt(norm), 1e-300)
 
 
 def _product(big, tail, x):

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per acceptance criterion, at stated tolerance.
 
 Run with ``pytest -v tests/test_acceptance.py`` for one pass/fail line per
-criterion (and one for the regime runs' solver counts).  Each criterion's
+criterion (and, not criteria, for the regime runs' solver counts and the
+gate runs' records against a tight-tolerance reference).  Each criterion's
 test also prints a ``criterion N PASS`` summary with the observed numbers
 (visible with ``-rA`` or ``-s``).
 
@@ -289,6 +290,30 @@ def test_regime_runs_refine_against_the_circle_inverse(regime32, regime64):
         assert fin["bie_inversions"] == 0
         assert fin["refine_sweeps"] <= 3 * fin["rhs_calls"]
         assert 0.0 < fin["max_bie_residual"] <= potential.REFINE_TOL
+
+
+@pytest.mark.parametrize("name, bound_E, bound_D", [
+    ("mixed23", 1.2e-10, 1.95e-10),
+    ("mixed235", 1.8e-10, 4.8e-10),
+    ("regime32", 2.9e-7, 3.03e-7)])
+def test_gate_records_match_a_tight_tolerance_reference(
+        request, monkeypatch, name, bound_E, bound_D):
+    # not a criterion: the records of the gate's runs against the same run
+    # at ERR_TOL = 1e-12, at most 1.5x the worst relative errors in E and
+    # D of the step-doubling estimate that the Simpson estimate replaced
+    # (8.0e-11 / 1.3e-10, 1.2e-10 / 3.2e-10 and 1.93e-7 / 2.02e-7)
+    seeds = {"mixed23": 7, "mixed235": 0, "regime32": 11}
+    cfg = {**cli.RUNS[name], "seed": seeds[name]}
+    if name == "mixed235":
+        run = evolution.run(cfg)
+    else:
+        run = request.getfixturevalue(name)
+    monkeypatch.setattr(evolution, "ERR_TOL", 1e-12)
+    ref = evolution.run(cfg)
+    assert [r.t for r in run.records] == [r.t for r in ref.records]
+    err_E = max(abs(a.E / b.E - 1.0) for a, b in zip(run.records, ref.records))
+    err_D = max(abs(a.D / b.D - 1.0) for a, b in zip(run.records, ref.records))
+    assert err_E <= bound_E and err_D <= bound_D, (err_E, err_D)
 
 
 def test_criterion_12_barycenter_confinement(mixed23):

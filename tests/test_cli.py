@@ -1,5 +1,6 @@
 """CLI: config handling, subcommands, exit codes, reproducible outputs."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -169,9 +170,10 @@ def test_simulate_summary_counts_steps(capsys, cfg_file, tmp_path):
     assert summary["rejects"] == finish["rejects"] == sum(
         finish["rejects_by_reason"].values())
     assert finish["stop"] == "t_end"
-    # the initial state and the start probe, then the steps
-    assert finish["rhs_calls"] == 2 + 11 * finish["steps"] + \
-        10 * finish["rejects"] + finish["record_rhs_calls"] + len(recenters)
+    # the initial state and the start probe, then 8 per step tried
+    assert finish["rhs_calls"] == 2 + 8 * finish["steps"] + \
+        8 * finish["rejects_by_reason"]["error"] + \
+        finish["record_rhs_calls"] + len(recenters)
     assert 0.0 < finish["dt_accepted_min"] <= finish["dt_accepted_max"]
     assert finish["max_err_estimate"] <= 1e-8
     assert 0.0 <= finish["max_top_mode_ratio"] < 1e-6
@@ -538,6 +540,24 @@ def test_readme_norms_keys_match_output(capsys, tmp_path):
     assert code == 0
     assert sorted(readme_table_keys("### msrelax norms")) == \
         sorted(json.loads(msg))
+
+
+def test_parser_built_once_and_reused_after_a_usage_error(
+        capsys, curve_pair, monkeypatch):
+    # a usage error (argparse's exit 2) leaves the one cached parser usable
+    parsers, parse_args = [], argparse.ArgumentParser.parse_args
+
+    def kept(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", kept)
+    assert cli.main(["simulate"]) == 2
+    assert "--config" in capsys.readouterr().err
+    code, msg = run_cli(capsys, "norms", curve_pair[1])
+    assert code == 0 and json.loads(msg)["E"] > 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert parsers[0] is cli.build_parser()
 
 
 def test_missing_file_exits_2(capsys):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msrelax import analysis, cli, elliptic, evolution, geometry, potential
-from msrelax.errors import RecenterFail, StepRejected, Unresolved
+from msrelax.errors import (NonPositiveRadius, RecenterFail, StepRejected,
+                            Unresolved)
 
 
 def state_for(k, eps, N=32, R=1.0):
@@ -166,11 +167,12 @@ def test_rhs_checks_a_given_kernel():
 
 
 def test_phi_evaluated_once_per_step_size(monkeypatch):
-    # accepted doubled steps of h evaluate phi once at each of Lambda h, h/2
-    # and h/4, a record between step ends once more at its own offset, and
-    # the start probe once at its h0
+    # accepted steps of h (two half steps and the Simpson estimate)
+    # evaluate phi once at each of Lambda h, h/2 and h/4, a record between
+    # step ends once more at its own offset, and the start probe once at
+    # its h0
     taus, hs = [], []
-    phi, doubled_step = evolution._phi, evolution._doubled_step
+    phi, two_half_steps = evolution._phi, evolution._two_half_steps
 
     def counted(lam, tau):
         taus.append(tau)
@@ -178,10 +180,10 @@ def test_phi_evaluated_once_per_step_size(monkeypatch):
 
     def kept(curve, h, *args):
         hs.append(h)
-        return doubled_step(curve, h, *args)
+        return two_half_steps(curve, h, *args)
 
     monkeypatch.setattr(evolution, "_phi", counted)
-    monkeypatch.setattr(evolution, "_doubled_step", kept)
+    monkeypatch.setattr(evolution, "_two_half_steps", kept)
     base = {"N": 32, "t_end": 1e-3, "k_out": 2, "k_H": 0}
     # the second, a single mode, has its error estimate at rounding level,
     # so dt grows 4x and the grown step's h/4 is the previous step's h
@@ -221,6 +223,62 @@ def phi_reference(z):
         return out
 
 
+@pytest.mark.parametrize("cfg, hs, stiff", [
+    ({**cli.RUNS["mixed23"], "seed": 7}, [4e-4, 2e-4, 1e-4, 5e-5], False),
+    ({**cli.RUNS["regime64"], "seed": 11},
+     [f * evolution.dt_max(64, 1.0) for f in (64, 32, 16, 8, 4)], True),
+    ({"N": 64, "domain": "torus", "L": 2.0, "modes": "2,3",
+      "amps": "0.01,0.008", "seed": 7}, [4e-4, 2e-4, 1e-4, 5e-5], False)])
+def test_simpson_estimate_tracks_step_doubling(cfg, hs, stiff):
+    # the exponential Simpson rule through the step's own n0, N(y_mid) and
+    # N(y1) against one full step of h (the step-doubling estimate), on
+    # the mixed23 shape, the regime64 shape and the mixed23 shape in the
+    # cell of half edge L = 2R: within a small factor of it (measured
+    # 0.96-2.6) at every h, and falling like h^5 where the modes are not
+    # stiff (22, 26 and 29 per halving, toward 32)
+    curve = evolution.initial_curve({**evolution.DEFAULTS, **cfg})
+    stats = evolution.StepStats()
+    n0 = evolution._nonlinear(curve, stats)[0]
+    errs = []
+    for h in hs:
+        half, _, err, _, _ = evolution._two_half_steps(curve, h, n0, stats)
+        full, _ = evolution.step(curve, h, n0, stats)
+        doubling = np.max(np.abs(half.rho_hat[1:] - full.rho_hat[1:])) / \
+            evolution._error_scale(half.rho_hat, curve.R)
+        assert 1e-15 < doubling and 0.5 <= err / doubling <= 4.0, (h, err,
+                                                                   doubling)
+        errs.append(err)
+    if not stiff:
+        falls = [a / b for a, b in zip(errs, errs[1:])]
+        assert all(f >= 16.0 for f in falls), falls
+        assert 0.8 * 32 <= falls[-1] <= 1.25 * 32, falls
+
+
+def test_positivity_lost_at_a_steps_end_rejects_the_step(monkeypatch):
+    # rho <= 0 at y1, found by the step's own N(y1), is a positivity
+    # reject that halves dt and costs the step's 8 solves; the run goes on
+    calls, rhs = [], evolution.rhs
+
+    def end_fails(curve, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2 + 8:   # the first step's end
+            raise NonPositiveRadius("min rho = -1")
+        return rhs(curve, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "rhs", end_fails)
+    traj = evolution.run({"N": 32, "modes": "2,3", "amps": "0.01,0.005",
+                          "seed": 7, "t_end": 2e-4, "k_out": 2, "k_H": 0})
+    start, fin = traj.events[0], traj.events[-1]
+    rejects = [e for e in traj.events if e["event"] == "reject"]
+    assert fin["event"] == "finish" and fin["steps"] > 0
+    assert [(e["reason"], e["err"], e["dt"]) for e in rejects] == [
+        ("positivity", None, 0.5 * start["dt"])]
+    assert fin["rejects_by_reason"] == {"error": 0, "positivity": 1,
+                                        "area": 0}
+    assert fin["rhs_calls"] == len(calls) == 2 + 8 * fin["steps"] + 8 + \
+        fin["record_rhs_calls"]
+
+
 def test_phi_matches_60_digit_reference():
     # the ETDRK4 arguments z = lambda tau are real and non-positive; the
     # 32-point contour mean lost up to 2e-11 of phi_4 near |z| = 1
@@ -236,22 +294,18 @@ def test_phi_matches_60_digit_reference():
             assert err <= 2e-15, (zi, k, float(err))
 
 
-def doubled_step_path(curve, h):
-    """The dense-output path of one doubled step of h from ``curve``, with
-    the step's midpoint and end coefficients."""
-    stats = evolution.StepStats()
-    n0 = evolution._nonlinear(curve, stats)[0]
-    new, _, _, (y_mid, n_mid) = evolution._doubled_step(curve, h, n0, stats)
-    n1 = evolution._nonlinear(new, stats)[0]
-    path = evolution.dense_output(curve, h, n0, y_mid, n_mid, new.rho_hat,
-                                  n1)
-    return path, y_mid, new.rho_hat
-
-
 def test_dense_output_passes_through_step_points():
+    # the step's own N(y1), solved once on its end state, ends the path
     curve = state_for(5, 0.02)
     h = 8.0 * evolution.dt_max(32, 1.0)
-    path, y_mid, y1 = doubled_step_path(curve, h)
+    stats = evolution.StepStats()
+    n0 = evolution._nonlinear(curve, stats)[0]
+    new, _, _, (y_mid, n_mid), (n1, cache, solve) = \
+        evolution._two_half_steps(curve, h, n0, stats)
+    assert stats.rhs_calls == 1 + 8 and cache.curve is new
+    assert solve.residual_norm <= potential.REFINE_TOL
+    y1 = new.rho_hat
+    path = evolution.dense_output(curve, h, n0, y_mid, n_mid, y1, n1)
     assert np.array_equal(path(0.0), curve.rho_hat)
     assert np.max(np.abs(path(0.5 * h) - y_mid)) < 1e-15
     assert np.max(np.abs(path(h) - y1)) < 1e-15
@@ -625,7 +679,7 @@ def test_run_start_falls_back_to_dt_max(monkeypatch):
     assert start["dt"] == unit and start["fallback"]
     assert start["d1"] == 0.0 and start["h0"] is None and start["d2"] is None
     assert fin["event"] == "finish" and fin["rejects"] == 0
-    assert fin["rhs_calls"] == 1 + 11 * fin["steps"] + fin["record_rhs_calls"]
+    assert fin["rhs_calls"] == 1 + 8 * fin["steps"] + fin["record_rhs_calls"]
     # a probe that raises starts at dt_max too; its rhs call still counts
     calls, rhs = [], evolution.rhs
 
@@ -641,7 +695,7 @@ def test_run_start_falls_back_to_dt_max(monkeypatch):
     assert start["dt"] == unit and start["fallback"]
     assert start["h0"] > 0.0 and start["d1"] > 0.0 and start["d2"] is None
     assert fin["event"] == "finish" and fin["rejects"] == 0
-    assert fin["rhs_calls"] == len(calls) == 2 + 11 * fin["steps"] + \
+    assert fin["rhs_calls"] == len(calls) == 2 + 8 * fin["steps"] + \
         fin["record_rhs_calls"]
     assert fin["bie_inversions"] == 0
 
@@ -694,7 +748,7 @@ def test_run_dt_collapse_raises_with_partial_trajectory(monkeypatch):
     # the initial state's one evaluation serves every retry, and the
     # circle's inverse every solve; the start probe adds one call
     assert traj.events[0]["dt"] == evolution.dt_max(32, 1.0)
-    assert fail["rhs_calls"] == 2 + 10 * len(rejects)
+    assert fail["rhs_calls"] == 2 + 8 * len(rejects)
     assert fail["bie_inversions"] == 0 and fail["refine_sweeps"] > 0
 
 
@@ -717,7 +771,7 @@ def test_run_solves_each_state_once(monkeypatch):
     assert len(traj.records) > 5
     recenters = [e for e in traj.events if e["event"] == "recenter"]
     assert fin["record_rhs_calls"] > 0 and recenters
-    assert len(solves) == fin["rhs_calls"] == 2 + 11 * fin["steps"] + \
+    assert len(solves) == fin["rhs_calls"] == 2 + 8 * fin["steps"] + \
         fin["record_rhs_calls"] + len(recenters)
 
 
@@ -731,8 +785,8 @@ def test_run_refines_against_the_circle_inverse(monkeypatch, cfg):
     # the bench's flow-plane-n64, flow-torus-n128 and simulate-h-n64
     # shapes: every solve of the run refines against the circle's
     # closed-form inverse, and no matrix is inverted; solving for
-    # w = ell V, the regime64 slice takes about 4.7 sweeps a solve, the
-    # others 4 to 5
+    # w = ell V and stopping at the rounding floor, the regime64 slice
+    # takes about 3.7 sweeps a solve, the others 3 to 4
     inversions, inv = [], np.linalg.inv
 
     def counted(a):
@@ -763,8 +817,13 @@ def test_run_inverts_where_the_circle_inverse_stagnates(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", counted)
     cfg = {**cli.RUNS["mixed23"], "domain": "torus", "L": 2.0, "seed": 7,
            "t_end": 1e-3}
-    fin = evolution.run(cfg).events[-1]
-    assert fin["event"] == "finish" and fin["rhs_calls"] > 40
+    traj = evolution.run(cfg)
+    fin = traj.events[-1]
+    recenters = [e for e in traj.events if e["event"] == "recenter"]
+    assert fin["event"] == "finish" and fin["steps"] > 1
+    assert fin["rhs_calls"] == 2 + 8 * fin["steps"] + \
+        8 * fin["rejects_by_reason"]["error"] + fin["record_rhs_calls"] + \
+        len(recenters)
     assert fin["bie_inversions"] == len(inversions) == 1
     assert inversions == [(65, 65)]
     assert 0.0 < fin["max_bie_residual"] <= potential.REFINE_TOL

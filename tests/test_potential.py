@@ -332,6 +332,30 @@ def test_solve_ms_stale_reference_matches_direct_solve(amp, inversions):
     assert solve.residual_norm <= potential.REFINE_TOL
 
 
+@pytest.mark.parametrize("amp", [1e-4, 1e-3, 1e-2, 3e-2])
+def test_refinement_stops_at_the_rounding_floor(monkeypatch, amp):
+    # refinement against the circle's inverse stops once the relative
+    # residual is at most REFINE_FLOOR, one sweep before the halving rule
+    # alone, which also needs the sweep that fails to halve it
+    rho_hat = np.zeros((32, 2))
+    rho_hat[0, 0], rho_hat[2, 0], rho_hat[3, 1] = 1.0, amp, 0.5 * amp
+    rho_hat[5, 0] = 0.25 * amp
+    cache = geometry.build_cache(geometry.project_area(
+        geometry.RadialCurve(1.0, rho_hat, np.zeros(2))))
+    runs, floor_eps = [], potential.REFINE_FLOOR
+    for floor in (floor_eps, 0.0):
+        monkeypatch.setattr(potential, "REFINE_FLOOR", floor)
+        inverse = potential.BieInverse(potential.circle_inverse(64, 1.0))
+        runs.append((potential.solve_ms(cache, inverse=inverse), inverse))
+    (floored, a), (halving, b) = runs
+    assert a.inversions == b.inversions == 0
+    assert 0 < a.sweeps == b.sweeps - 1
+    assert floored.residual_norm <= floor_eps
+    assert halving.residual_norm <= potential.REFINE_TOL
+    assert np.max(np.abs(floored.V - halving.V)) <= \
+        1e-14 * np.max(np.abs(halving.V))
+
+
 @pytest.mark.parametrize("L", [1.0, 0.999 / elliptic.TAIL_RADIUS])
 def test_solve_ms_out_of_radius(L):
     # a unit circle spans 2, so its reach 2 / (2L) is 1 or TAIL_RADIUS / 0.999
