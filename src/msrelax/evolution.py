@@ -100,16 +100,14 @@ by up to about 2e-7 relative in E and D, near t = 0.013 where E has
 decayed from 1e-3 to about 3e-12; those of mixed235 (seed 0) by about
 4e-10 and of mixed23 (seed 7) by about 7e-11.
 
-Each rhs call is one bordered BIE solve (potential.solve_ms).  A run keeps
-one reference inverse of the bordered matrix in its StepStats, starting
-from the closed-form inverse of its circle of radius R
-(potential.circle_inverse), and solves every state, stage and record
-against it by iterative refinement, so a call costs the O(M^2) assembly
-and a few matrix-vector products; on the torus the lattice tail enters
-those products by its two thin factors.  A matrix is inverted only when
-refinement misses, so a run of small deficit inverts none; a large
-deficit, or a small torus cell, inverts the state's matrix where it
-first misses, and that inverse becomes the reference.
+Each rhs call is one bordered BIE solve (potential.solve_ms), refined
+against the closed-form inverse of the circle of radius R
+(potential.circle_inverse), so a call costs the O(M^2) assembly and a few
+matrix-vector products; on the torus the lattice tail enters those
+products by its two thin factors.  A solve whose refinement misses (a
+large deficit, or a small torus cell) is solved directly instead.  A solve
+depends on its curve alone, not on the run's history; StepStats counts the
+sweeps and the direct solves.
 
 The flow conserves enclosed area exactly; the integrator's drift per step is
 removed after each accepted step by an exact adjustment of the zero mode
@@ -163,9 +161,9 @@ DEFAULTS = {
 
 @dataclass
 class StepStats:
-    """What one run's stepping did, its ``rhs`` calls and the worst
-    residuals of their BIE solves included; ``bie`` is the run's reference
-    inverse, with its inversion and refinement-sweep counts."""
+    """What one run's stepping did, its ``rhs`` calls, the worst residuals
+    of their BIE solves, their refinement sweeps and their direct solves
+    included."""
     rhs_calls: int = 0
     record_rhs_calls: int = 0
     min_dt: float = math.inf
@@ -175,9 +173,10 @@ class StepStats:
     max_top_mode_ratio: float = 0.0
     max_bie_residual: float = 0.0
     max_mean_constraint_residual: float = 0.0
+    refine_sweeps: int = 0
+    direct_solves: int = 0
     rejects: dict = field(default_factory=lambda: dict.fromkeys(
         ("error", "positivity", "area"), 0))
-    bie: potential.BieInverse = field(default_factory=potential.BieInverse)
 
     def summary(self):
         return {"rhs_calls": self.rhs_calls,
@@ -190,8 +189,8 @@ class StepStats:
                 "max_bie_residual": self.max_bie_residual,
                 "max_mean_constraint_residual":
                     self.max_mean_constraint_residual,
-                "bie_inversions": self.bie.inversions,
-                "refine_sweeps": self.bie.sweeps,
+                "direct_solves": self.direct_solves,
+                "refine_sweeps": self.refine_sweeps,
                 "rejects_by_reason": dict(self.rejects)}
 
     def accept(self, dt, err, drift, rho_hat):
@@ -344,13 +343,13 @@ def dense_output(curve, h, n0, y_mid, n_mid, y1, n1):
     return y
 
 
-def rhs(curve, kernel=None, inverse=None):
+def rhs(curve, kernel=None):
     """Coefficient-space time derivative, plus the cache and solve used; the
-    BIE solve, with the curve's own kernel, refines against ``inverse``
-    (see potential.solve_ms).  ``kernel`` is only checked: a LatticeKernel
-    of another L than a torus curve's, or any kernel with a plane curve, is
-    a ValueError.  Raises NonPositiveRadius unless rho > 0, then Unresolved
-    if the curve's top_mode_ratio exceeds TOP_MODE_ABORT."""
+    BIE solve takes the curve's own kernel (see potential.solve_ms), and
+    ``kernel`` is only checked: a LatticeKernel of another L than a torus
+    curve's, or any kernel with a plane curve, is a ValueError.  Raises
+    NonPositiveRadius unless rho > 0, then Unresolved if the curve's
+    top_mode_ratio exceeds TOP_MODE_ABORT."""
     if kernel is not None and (curve.domain != "torus"
                                or kernel.L != curve.L):
         raise ValueError(f"a kernel of L = {kernel.L} for a {curve.domain} "
@@ -359,24 +358,25 @@ def rhs(curve, kernel=None, inverse=None):
     top = geometry.top_mode_ratio(curve.rho_hat)
     if top > TOP_MODE_ABORT:
         raise Unresolved(f"top-mode relative amplitude {top:.3e}")
-    solve = potential.solve_ms(cache, inverse=inverse)
+    solve = potential.solve_ms(cache)
     drho = solve.V * cache.ell / cache.rho
     return geometry.coeffs_from_nodes(drho), cache, solve
 
 
 def _nonlinear(curve, stats):
     """N(y) = rhs(y) - Lambda y at y = ``curve``'s coefficients, the cache
-    and the solve; with ``stats``, the solve refines against its inverse."""
-    if stats is None:
-        k, cache, solve = rhs(curve)
-    else:
+    and the solve; ``stats``, if given, counts the call and its solve."""
+    if stats is not None:
         stats.rhs_calls += 1
-        k, cache, solve = rhs(curve, inverse=stats.bie)
+    k, cache, solve = rhs(curve)
+    if stats is not None:
         stats.max_bie_residual = max(stats.max_bie_residual,
                                      solve.residual_norm)
         stats.max_mean_constraint_residual = max(
             stats.max_mean_constraint_residual,
             solve.mean_constraint_residual)
+        stats.refine_sweeps += solve.sweeps
+        stats.direct_solves += solve.direct
     return k - linear_symbol(curve.N, curve.R) * curve.rho_hat, cache, solve
 
 
@@ -620,8 +620,7 @@ def run(config=None):
     start = {"event": "start", "t": 0.0, "dt": dt, "N": curve.N,
              "domain": curve.domain}
     traj.events.append(start)
-    stats = StepStats(bie=potential.BieInverse(
-        potential.circle_inverse(curve.M, R, curve.kernel)))
+    stats = StepStats()
     t, steps, j = 0.0, 0, 1
 
     def emit(cache, solve, t_rec):

@@ -31,25 +31,24 @@ rho e(phi) from the pole, whose reach 2 max rho / 2L is the rule
 evolution.run checks at the start, as two thin factors
 (elliptic.lambda_tail_factors) of inner size 2K + 6: a solve applies them
 to vectors and never sums them into an M x M matrix, which only
-``assemble(cache, kernel)`` and an inversion form.
+``assemble(cache, kernel)`` and a direct solve form.
 
 The collocation system is bordered by the constraint int V ds =
 dphi sum w = 0, a constant row, with c as the extra unknown, and
-V = w / ell.  A run's curves stay close to a circle, so one inverse P of
-a bordered matrix serves all of its solves (a BieInverse): each system
-B x = b, with B freshly assembled, is solved by fixed-precision iterative
-refinement x <- x + P (b - B x) (Higham, Accuracy and Stability of
-Numerical Algorithms, ch. 12), which costs O(M^2) per sweep where a direct
-solve costs O(M^3).  A run's reference starts as the circle's inverse in
-closed form (circle_inverse: K is circulant on the circle), which improves
-as the deficit decays; no matrix is inverted unless refinement misses.
-Refinement stops when the relative residual reaches rounding level
-(REFINE_FLOOR, about 2 eps), where a further sweep could not halve it, or
-when a sweep no longer halves it; a residual that stagnates above
-REFINE_TOL (a large deficit, or a small torus cell, whose lattice tail is
-far from circulant) inverts the current matrix, and that inverse becomes
-the reference.  Since K w = A V, the residual and
-|int V ds| are those of the system in V.
+V = w / ell.  A flow's curves stay close to a circle, so each system
+B x = b is solved by fixed-precision iterative refinement
+x <- x + P (b - B x) (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 12), O(M^2) per sweep where a direct solve costs O(M^3),
+against the inverse P of the bordered matrix of the circle of the curve's
+R, in closed form (circle_inverse: K is circulant on the circle), cached
+per (M, R, L) and read-only.  Refinement stops when the relative residual
+reaches rounding level (REFINE_FLOOR, about 2 eps), where a further sweep
+could not halve it, or when a sweep no longer halves it; a residual that
+stagnates above REFINE_TOL (a large deficit, or a small torus cell, whose
+lattice tail is far from circulant) falls back to a direct solve of that
+one system.  No solve keeps anything for the next, so each is a function
+of its curve and data.  Since K w = A V, the residual and |int V ds| are
+those of the system in V.
 
 Dissipation: D = int |grad u|^2 = -int_Gamma kappa V ds (boundary
 reduction; normals cancel between the two sides).
@@ -91,7 +90,7 @@ from .errors import GridTooCoarse, NegativeDissipation, SolverSingular
 EMBED_FACTOR = 8.0
 ORACLE_REFINE = 4   # squared_distance_oracle interpolates to this x finer grid
 REFINE_SWEEPS = 8   # cap on the iterative-refinement sweeps of one solve
-REFINE_TOL = 1e-14  # a refined relative residual above this re-inverts
+REFINE_TOL = 1e-14  # a refined relative residual above this solves directly
 REFINE_FLOOR = 4e-16  # rounding level (about 2 eps): refinement stops here
 H_REFINE = 8        # disk_distance's rays per node
 GAUSS_NODES = 8     # disk_distance's Gauss-Legendre nodes per ray
@@ -138,63 +137,41 @@ def _node_matrices(M):
 @dataclass
 class BieSolve:
     """Density V (= the normal velocity) and constant c of u = S[V] + c, with
-    the bordered system's relative residual (for the data less its mean) and
-    |int V ds|."""
+    the bordered system's relative residual (for the data less its mean),
+    |int V ds|, the refinement sweeps taken and whether the system fell
+    back to a direct solve."""
 
     V: np.ndarray
     additive_constant: float
     residual_norm: float
     mean_constraint_residual: float
-
-
-@dataclass
-class BieInverse:
-    """The inverse of one bordered matrix, the reference that ``solve_ms``
-    refines the systems of nearby curves against, with the number of
-    inversions and refinement sweeps it took so far.  ``tail`` arguments
-    are the lattice tail's factors (left, right) of _tail_factors, to be
-    added to the bordered matrix's K block as left.T @ right; None means
-    none."""
-
-    matrix: np.ndarray = None
-    inversions: int = 0
     sweeps: int = 0
+    direct: bool = False
 
-    def invert(self, big, tail=None):
-        """Make the inverse of ``big`` (with ``tail``) the reference;
-        SolverSingular if none."""
-        if tail is not None:
-            big = big.copy()
-            big[:-1, :-1] += tail[0].T @ tail[1]
-        try:
-            self.matrix = np.linalg.inv(big)
-        except np.linalg.LinAlgError as exc:
-            raise SolverSingular(str(exc)) from exc
-        self.inversions += 1
 
-    def refine(self, big, rhs, tail=None):
-        """Solve (big with ``tail``) x = rhs by iterative refinement with the
-        reference P: x = P rhs, then x <- x + P (rhs - big x) while the
-        relative residual is above REFINE_FLOOR and each sweep at least
-        halves it, at most REFINE_SWEEPS sweeps.  Returns the iterate of
-        least residual and its relative residual."""
-        x = self.matrix @ rhs
-        r = rhs - _product(big, tail, x)
-        res, norm = r @ r, rhs @ rhs
-        floor = REFINE_FLOOR * REFINE_FLOOR * norm
-        sweeps = 0
-        while res > floor and sweeps < REFINE_SWEEPS:
-            sweeps += 1
-            y = x + self.matrix @ r
-            s = rhs - _product(big, tail, y)
-            new = s @ s
-            halved = new < 0.25 * res
-            if new < res:
-                x, r, res = y, s, new
-            if not halved:
-                break
-        self.sweeps += sweeps
-        return x, math.sqrt(res) / max(math.sqrt(norm), 1e-300)
+def _refine(inverse, big, rhs, tail):
+    """Solve (big with ``tail``, the lattice tail's factors of _tail_factors
+    or None) x = rhs by iterative refinement against P = ``inverse``:
+    x = P rhs, then x <- x + P (rhs - big x) while the relative residual is
+    above REFINE_FLOOR and each sweep at least halves it, at most
+    REFINE_SWEEPS sweeps.  Returns the iterate of least residual, its
+    relative residual and the sweeps taken."""
+    x = inverse @ rhs
+    r = rhs - _product(big, tail, x)
+    res, norm = r @ r, rhs @ rhs
+    floor = REFINE_FLOOR * REFINE_FLOOR * norm
+    sweeps = 0
+    while res > floor and sweeps < REFINE_SWEEPS:
+        sweeps += 1
+        y = x + inverse @ r
+        s = rhs - _product(big, tail, y)
+        new = s @ s
+        halved = new < 0.25 * res
+        if new < res:
+            x, r, res = y, s, new
+        if not halved:
+            break
+    return x, math.sqrt(res) / max(math.sqrt(norm), 1e-300), sweeps
 
 
 def _product(big, tail, x):
@@ -237,6 +214,17 @@ def circle_inverse(M, R, kernel=None):
     inverse[:M, M] = 1.0 / (2.0 * np.pi)
     inverse[M, :M] = 1.0 / M
     inverse[M, M] = -kappa[0] / (2.0 * np.pi)
+    return inverse
+
+
+@functools.lru_cache(maxsize=8)
+def _reference(M, R, L):
+    """circle_inverse(M, R, kernel), read-only, with the LatticeKernel of half
+    edge L (None: the plane): the P that solve_ms refines against.  Keyed
+    by L because a LatticeKernel is unhashable."""
+    inverse = circle_inverse(M, R, None if L is None else
+                             elliptic.lattice_kernel(L))
+    inverse.setflags(write=False)
     return inverse
 
 
@@ -303,7 +291,7 @@ def _bordered(mat, weights):
     return big
 
 
-def solve_ms(cache, data=None, inverse=None):
+def solve_ms(cache, data=None):
     """Solve S[phi] + c = data (default: curvature), int phi ds = 0, with
     the Green's function of cache.curve's domain (RadialCurve.kernel).
 
@@ -314,14 +302,13 @@ def solve_ms(cache, data=None, inverse=None):
     ``data`` goes into c directly (a constant is solved by V = 0), so the
     system solved is the one for the rest, whose size is that of V: on a
     near-circle the residual is then small relative to V, not only to the
-    curvature.  The system is solved by
-    iterative refinement against ``inverse`` (a BieInverse; None means a
-    fresh one), which becomes this system's inverse when the refined
-    relative residual stays above REFINE_TOL.  On the torus the lattice
-    tail enters the refinement by its factors (_tail_factors); the dense
-    K is formed only where the factors cost more, or to invert.  Raises
-    SolverSingular when the matrix has no inverse or the residual is not
-    finite or above 1e-8.
+    curvature.  The system is solved by iterative refinement against the
+    circle's inverse (_reference), and directly (np.linalg.solve) when the
+    refined relative residual stays above REFINE_TOL.  On the torus the
+    lattice tail enters the refinement by its factors (_tail_factors); the
+    dense K is formed only where the factors cost more, or for the direct
+    solve.  Raises SolverSingular when the direct solve finds the matrix
+    singular, or the residual is not finite or above 1e-8.
     """
     M = cache.M
     if data is None:
@@ -333,18 +320,24 @@ def solve_ms(cache, data=None, inverse=None):
                     cache.dphi)
     shift = float(np.mean(data))
     rhs = np.concatenate([data - shift, [0.0]])
-    inverse = BieInverse() if inverse is None else inverse
-    resid = np.inf
-    if inverse.matrix is not None:
-        sol, resid = inverse.refine(big, rhs, tail)
-    if not resid <= REFINE_TOL:
-        inverse.invert(big, tail)
-        sol, resid = inverse.refine(big, rhs, tail)
+    reference = _reference(M, cache.curve.R,
+                           None if kernel is None else kernel.L)
+    sol, resid, sweeps = _refine(reference, big, rhs, tail)
+    direct = not resid <= REFINE_TOL
+    if direct:
+        if tail is not None:
+            big[:-1, :-1] += tail[0].T @ tail[1]
+        try:
+            sol = np.linalg.solve(big, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SolverSingular(str(exc)) from exc
+        resid = np.linalg.norm(rhs - big @ sol) / max(np.linalg.norm(rhs),
+                                                      1e-300)
     V, c = sol[:M] / cache.ell, float(sol[M]) + shift
     if not np.isfinite(resid) or resid > 1e-8:
         raise SolverSingular(f"relative residual {resid:.3e}")
     mean_resid = abs(float(np.dot(cache.ell * cache.dphi, V)))
-    return BieSolve(V, c, float(resid), mean_resid)
+    return BieSolve(V, c, float(resid), mean_resid, sweeps, direct)
 
 
 def dissipation(cache, solve):

@@ -284,10 +284,11 @@ def test_criterion_11_regime_structure(regime32, regime64):
 
 def test_regime_runs_refine_against_the_circle_inverse(regime32, regime64):
     # not a criterion: every solve of the gate's slowest runs refines
-    # against the circle's closed-form inverse, and no matrix is inverted
+    # against the circle's closed-form inverse, and none falls back to a
+    # direct solve
     for traj in (regime32, regime64):
         fin = traj.events[-1]
-        assert fin["bie_inversions"] == 0
+        assert fin["direct_solves"] == 0
         assert fin["refine_sweeps"] <= 3 * fin["rhs_calls"]
         assert 0.0 < fin["max_bie_residual"] <= potential.REFINE_TOL
 

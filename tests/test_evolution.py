@@ -137,7 +137,7 @@ def test_step_on_a_torus_curve_uses_its_lattice_kernel(monkeypatch):
     plain, _ = evolution.step(plane, dt)
     kernel = elliptic.LatticeKernel(curve.L)
 
-    def lattice_solve(cache, data=None, inverse=None):
+    def lattice_solve(cache, data=None):
         big = potential._bordered(potential.assemble(cache, kernel)
                                   * cache.ell, cache.ell * cache.dphi)
         mean = np.mean(cache.kappa)
@@ -657,7 +657,7 @@ def test_run_start_step_from_initial_state():
     assert start["dt"] > 100 * unit
     assert 0.0 < start["h0"] <= 1.5e-4 and start["d1"] > 0 and start["d2"] > 0
     assert fin["event"] == "finish" and fin["steps"] <= 2
-    assert fin["rejects"] == 0 and fin["bie_inversions"] == 0
+    assert fin["rejects"] == 0 and fin["direct_solves"] == 0
     interval = 6 * unit
     times = [r.t for r in traj.records]
     assert len(times) == int(1.5e-4 / interval) + 2
@@ -697,7 +697,7 @@ def test_run_start_falls_back_to_dt_max(monkeypatch):
     assert fin["event"] == "finish" and fin["rejects"] == 0
     assert fin["rhs_calls"] == len(calls) == 2 + 8 * fin["steps"] + \
         fin["record_rhs_calls"]
-    assert fin["bie_inversions"] == 0
+    assert fin["direct_solves"] == 0
 
 
 def test_torus_runs_share_one_lattice_kernel(monkeypatch):
@@ -749,7 +749,7 @@ def test_run_dt_collapse_raises_with_partial_trajectory(monkeypatch):
     # circle's inverse every solve; the start probe adds one call
     assert traj.events[0]["dt"] == evolution.dt_max(32, 1.0)
     assert fail["rhs_calls"] == 2 + 8 * len(rejects)
-    assert fail["bie_inversions"] == 0 and fail["refine_sweeps"] > 0
+    assert fail["direct_solves"] == 0 and fail["refine_sweeps"] > 0
 
 
 def test_run_solves_each_state_once(monkeypatch):
@@ -775,6 +775,24 @@ def test_run_solves_each_state_once(monkeypatch):
         fin["record_rhs_calls"] + len(recenters)
 
 
+def count_dense_solves(monkeypatch):
+    """The shapes of the matrices passed to np.linalg.inv and
+    np.linalg.solve from now on, by function name."""
+    calls = {"inv": [], "solve": []}
+
+    def counter(name):
+        fn = getattr(np.linalg, name)
+
+        def counted(a, *args):
+            calls[name].append(a.shape)
+            return fn(a, *args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counter(name))
+    return calls
+
+
 @pytest.mark.parametrize("cfg", [
     {**cli.RUNS["regime64"], "t_end": 6e-4},
     {"N": 128, "domain": "torus", "modes": "3", "amps": "1e-3",
@@ -784,37 +802,26 @@ def test_run_solves_each_state_once(monkeypatch):
 def test_run_refines_against_the_circle_inverse(monkeypatch, cfg):
     # the bench's flow-plane-n64, flow-torus-n128 and simulate-h-n64
     # shapes: every solve of the run refines against the circle's
-    # closed-form inverse, and no matrix is inverted; solving for
-    # w = ell V and stopping at the rounding floor, the regime64 slice
-    # takes about 3.7 sweeps a solve, the others 3 to 4
-    inversions, inv = [], np.linalg.inv
-
-    def counted(a):
-        inversions.append(a.shape)
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", counted)
+    # closed-form inverse, and no matrix is inverted or solved directly;
+    # solving for w = ell V and stopping at the rounding floor, the
+    # regime64 slice takes about 3.7 sweeps a solve, the others 3 to 4
+    calls = count_dense_solves(monkeypatch)
     fin = evolution.run(cfg).events[-1]
     assert fin["event"] == "finish"
-    assert fin["bie_inversions"] == len(inversions) == 0
+    assert fin["direct_solves"] == 0 and calls == {"inv": [], "solve": []}
     assert fin["refine_sweeps"] >= 2 * fin["rhs_calls"]
     if cfg.get("domain") != "torus":
         assert fin["refine_sweeps"] <= 6 * fin["rhs_calls"]
     assert 0.0 < fin["max_bie_residual"] <= potential.REFINE_TOL
 
 
-def test_run_inverts_where_the_circle_inverse_stagnates(monkeypatch):
+def test_run_falls_back_to_direct_solves_where_refinement_stagnates(
+        monkeypatch):
     # a mixed23-shaped run in the cell of half edge L = 2R: the lattice
-    # tail moves the matrix far from the circle's, so the first solve's
-    # refinement stagnates and the run inverts once, that state's matrix,
-    # which then serves every later solve
-    inversions, inv = [], np.linalg.inv
-
-    def counted(a):
-        inversions.append(a.shape)
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", counted)
+    # tail moves the matrix far from the circle's, so every solve's
+    # refinement stagnates and falls back to a direct solve of its own
+    # system; nothing is inverted and nothing carries over between solves
+    calls = count_dense_solves(monkeypatch)
     cfg = {**cli.RUNS["mixed23"], "domain": "torus", "L": 2.0, "seed": 7,
            "t_end": 1e-3}
     traj = evolution.run(cfg)
@@ -824,8 +831,8 @@ def test_run_inverts_where_the_circle_inverse_stagnates(monkeypatch):
     assert fin["rhs_calls"] == 2 + 8 * fin["steps"] + \
         8 * fin["rejects_by_reason"]["error"] + fin["record_rhs_calls"] + \
         len(recenters)
-    assert fin["bie_inversions"] == len(inversions) == 1
-    assert inversions == [(65, 65)]
+    assert fin["direct_solves"] == fin["rhs_calls"] == 35
+    assert calls == {"inv": [], "solve": [(65, 65)] * 35}
     assert 0.0 < fin["max_bie_residual"] <= potential.REFINE_TOL
 
 

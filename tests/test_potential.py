@@ -287,12 +287,24 @@ def test_tail_factors_match_elementwise(N, L):
     assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def stale_curve(amp):
+    """A modes 2, 3 and 5 curve of amplitude ``amp`` about the unit circle."""
+    rho_hat = np.zeros((32, 2))
+    rho_hat[0, 0], rho_hat[2, 0], rho_hat[3, 1] = 1.0, amp, 0.5 * amp
+    rho_hat[5, 0] = 0.25 * amp
+    return geometry.project_area(
+        geometry.RadialCurve(1.0, rho_hat, np.zeros(2)))
+
+
 def test_solve_ms_singular_matrix_raises(monkeypatch):
-    # a zero single-layer block leaves the bordered matrix of rank 2
+    # a zero single-layer block leaves the bordered matrix of rank 2, so
+    # refinement misses and the direct solve fails; the data are a
+    # deformed curve's curvature, since the circle's, less its mean, is 0
+    # and solved exactly by w = 0 whatever the matrix
     monkeypatch.setattr(potential, "assemble",
                         lambda cache, kernel=None: np.zeros((cache.M,) * 2))
     with pytest.raises(SolverSingular, match="Singular matrix"):
-        potential.solve_ms(circle_cache())
+        potential.solve_ms(geometry.build_cache(stale_curve(1e-2)))
 
 
 def test_solve_ms_non_finite_residual_raises():
@@ -300,26 +312,20 @@ def test_solve_ms_non_finite_residual_raises():
     data = np.full(cache.M, np.nan)
     with pytest.raises(SolverSingular, match="residual nan"):
         potential.solve_ms(cache, data=data)
-    inverse = potential.BieInverse()
-    potential.solve_ms(cache, inverse=inverse)
-    with pytest.raises(SolverSingular, match="residual nan"):
-        potential.solve_ms(cache, data=data, inverse=inverse)
 
 
-@pytest.mark.parametrize("amp, inversions", [(1e-3, 0), (0.2, 1)])
-def test_solve_ms_stale_reference_matches_direct_solve(amp, inversions):
+@pytest.mark.parametrize("amp, direct", [(1e-3, False), (0.2, True)])
+def test_solve_ms_matches_direct_solve(amp, direct):
     # the circle's closed-form inverse as the reference for a perturbed
-    # curve: a small perturbation refines against it, a strong one inverts
-    # anew, and either way the solution is the direct solve's of the same
+    # curve: a small perturbation refines against it, a strong one still
+    # misses REFINE_TOL after REFINE_SWEEPS sweeps and is solved directly,
+    # and either way the solution is the direct solve's of the same
     # bordered system
-    inverse = potential.BieInverse(potential.circle_inverse(64, 1.0))
-    rho_hat = np.zeros((32, 2))
-    rho_hat[0, 0], rho_hat[2, 0], rho_hat[3, 1] = 1.0, amp, 0.5 * amp
-    rho_hat[5, 0] = 0.25 * amp
-    cache = geometry.build_cache(geometry.project_area(
-        geometry.RadialCurve(1.0, rho_hat, np.zeros(2))))
-    solve = potential.solve_ms(cache, inverse=inverse)
-    assert inverse.inversions == inversions and inverse.sweeps > 2
+    cache = geometry.build_cache(stale_curve(amp))
+    solve = potential.solve_ms(cache)
+    assert solve.direct is direct and solve.sweeps > 2
+    if direct:
+        assert solve.sweeps == potential.REFINE_SWEEPS
     big = potential._bordered(potential.assemble(cache) * cache.ell,
                               cache.ell * cache.dphi)
     mean = np.mean(cache.kappa)
@@ -332,24 +338,43 @@ def test_solve_ms_stale_reference_matches_direct_solve(amp, inversions):
     assert solve.residual_norm <= potential.REFINE_TOL
 
 
+def test_solve_is_a_function_of_its_curve():
+    # no solve leaves anything behind for the next: a small curve solves
+    # bit for bit alike before and after a curve that falls back to a
+    # direct solve and a torus curve at L = 2 that does too, and the
+    # references are shared read-only arrays, one per (M, R, L)
+    small = geometry.build_cache(stale_curve(1e-3))
+    first = potential.solve_ms(small)
+    assert potential.solve_ms(geometry.build_cache(stale_curve(0.2))).direct
+    torus = evolution.initial_curve({**evolution.DEFAULTS, **cli.RUNS[
+        "mixed23"], "domain": "torus", "L": 2.0, "seed": 7})
+    assert potential.solve_ms(geometry.build_cache(torus)).direct
+    again = potential.solve_ms(small)
+    assert not first.direct and not again.direct
+    assert np.array_equal(first.V, again.V)
+    assert (first.additive_constant, first.residual_norm, first.sweeps) == \
+        (again.additive_constant, again.residual_norm, again.sweeps)
+    for M, R, L in [(64, 1.0, None), (64, 1.0, 2.0)]:
+        P = potential._reference(M, R, L)
+        assert P is potential._reference(M, R, L)
+        assert not P.flags.writeable
+        kernel = None if L is None else elliptic.LatticeKernel(L)
+        assert np.array_equal(P, potential.circle_inverse(M, R, kernel))
+
+
 @pytest.mark.parametrize("amp", [1e-4, 1e-3, 1e-2, 3e-2])
 def test_refinement_stops_at_the_rounding_floor(monkeypatch, amp):
     # refinement against the circle's inverse stops once the relative
     # residual is at most REFINE_FLOOR, one sweep before the halving rule
     # alone, which also needs the sweep that fails to halve it
-    rho_hat = np.zeros((32, 2))
-    rho_hat[0, 0], rho_hat[2, 0], rho_hat[3, 1] = 1.0, amp, 0.5 * amp
-    rho_hat[5, 0] = 0.25 * amp
-    cache = geometry.build_cache(geometry.project_area(
-        geometry.RadialCurve(1.0, rho_hat, np.zeros(2))))
-    runs, floor_eps = [], potential.REFINE_FLOOR
-    for floor in (floor_eps, 0.0):
-        monkeypatch.setattr(potential, "REFINE_FLOOR", floor)
-        inverse = potential.BieInverse(potential.circle_inverse(64, 1.0))
-        runs.append((potential.solve_ms(cache, inverse=inverse), inverse))
-    (floored, a), (halving, b) = runs
-    assert a.inversions == b.inversions == 0
-    assert 0 < a.sweeps == b.sweeps - 1
+    cache = geometry.build_cache(stale_curve(amp))
+    floor_eps = potential.REFINE_FLOOR
+    monkeypatch.setattr(potential, "REFINE_FLOOR", 0.0)
+    halving = potential.solve_ms(cache)
+    monkeypatch.setattr(potential, "REFINE_FLOOR", floor_eps)
+    floored = potential.solve_ms(cache)
+    assert not floored.direct and not halving.direct
+    assert 0 < floored.sweeps == halving.sweeps - 1
     assert floored.residual_norm <= floor_eps
     assert halving.residual_norm <= potential.REFINE_TOL
     assert np.max(np.abs(floored.V - halving.V)) <= \
