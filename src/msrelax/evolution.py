@@ -58,14 +58,12 @@ when the probe raises a MsrelaxError.  The probe costs one rhs call; the
 start event records the step, h0, d1, d2 and whether the start fell back
 to dt_max.
 
-run() evaluates each state -- the initial one, each step's end, and each
-one whose pole a re-centering moved -- once: that rhs call checks it (a
-top-mode ratio above TOP_MODE_ABORT, at any state or stage, ends the run;
-rho <= 0 at a step's end, as at a stage, rejects the step) and gives the
-N(y0) of every step tried from it, the end point of the step's dense
-output and any record that falls on it.  A step's records are written
-before the re-centering, so the step's start, midpoint and end share one
-pole.  A step of h is two ETDRK4 steps of h/2, through y_mid to y1.  Its
+run() evaluates each state -- the initial one and each step's end --
+once: that rhs call checks it (a top-mode ratio above TOP_MODE_ABORT, at
+any state or stage, ends the run; rho <= 0 at a step's end, as at a stage,
+rejects the step) and gives the N(y0) of every step tried from it, the end
+point of the step's dense output and any record that falls on it.  A step
+of h is two ETDRK4 steps of h/2, through y_mid to y1.  Its
 error is estimated against the exponential Simpson rule through the
 step's own N values: with dn_mid = N(y_mid) - N(y0),
 dn1 = N(y1) - N(y0), q2 = 2 dn1 - 4 dn_mid and q1 = dn1 - q2, the quadratic
@@ -116,11 +114,13 @@ removed after each accepted step by an exact adjustment of the zero mode
 end, or the pre-projection area drift exceeds a hard bound; such
 rejections halve dt.
 
-The polar gauge degrades as the barycenter drifts off the pole, so the curve
-is re-centered every K_REC accepted steps: the pole is moved to the bulk
-barycenter and the radial function recomputed by Newton ray-shooting, a pure
-reparametrization that leaves the curve (and hence E, H, D) unchanged to
-interpolation accuracy.
+A run keeps the pole of its initial curve.  The polar gauge would degrade
+if the barycenter drifted far off the pole, but the flow confines the
+barycenter in terms of the initial data (acceptance criterion 12 checks
+max |c(t)| <= 5 sqrt(E(0) R)): that of cli.RUNS regime32 and regime64
+stays within 1.3e-6 R of the pole, that of mixed23 to t = 0.01 within
+8e-5 R.  A pole offset d adds a Fourier tail of about (d/R)^k, which the
+top-mode check would catch.
 """
 
 import functools
@@ -140,7 +140,6 @@ ERR_TOL = 1e-8
 # c of the first-step estimate, measured: at 0.02 the first step of 2 of 20
 # seeded N = 64 runs of modes 8..16 missed ERR_TOL (by at most 5%)
 START_SAFETY = 0.018
-K_REC = 10            # re-center every K_REC accepted steps; 0 never
 MAX_STEPS = 2_000_000
 
 DEFAULTS = {
@@ -425,7 +424,7 @@ def step(curve, dt, n0=None, stats=None):
     return new, drift
 
 
-def recenter(curve, info=None):
+def recenter(curve):
     """Move the pole to the bulk barycenter, keeping the curve fixed.
 
     For each node direction e(phi_i) from the new pole c, the intersection
@@ -434,8 +433,8 @@ def recenter(curve, info=None):
     FFT of r.  Pure reparametrization: raises RecenterFail if the Newton
     solve stalls, an intersection radius is non-positive, or |c - pole| is
     not small compared to R.  Returns ``curve`` itself when the pole is
-    already at the barycenter; otherwise a dict ``info`` receives the pole
-    shift and the Newton iteration count.
+    already at the barycenter.  ``run`` does not call it: a run keeps its
+    initial pole (see the module docstring).
     """
     c = geometry.barycenter_bulk(geometry.build_cache(curve))
     shift = c - curve.pole
@@ -446,7 +445,7 @@ def recenter(curve, info=None):
 
     phi, cphi, sphi = geometry.node_trig(curve.M)
     psi = phi.copy()
-    for it in range(1, 61):
+    for _ in range(60):
         rho = geometry.eval_rho(curve, psi)
         rho_p = geometry.eval_rho(curve, psi, 1)
         gx = rho * np.cos(psi) - shift[0]
@@ -467,8 +466,6 @@ def recenter(curve, info=None):
         (rho * np.sin(psi) - shift[1]) * sphi
     if np.any(r <= 0.0):
         raise RecenterFail("non-positive radius about the new pole")
-    if info is not None:
-        info.update(shift=shift.tolist(), newton_iterations=it)
     new = replace(curve, rho_hat=geometry.coeffs_from_nodes(r), pole=c)
     return geometry.project_area(new)
 
@@ -580,10 +577,10 @@ def run(config=None):
     Records diagnostics at t_j = j * k_out * dt_max and at the end, with H
     (potential.disk_distance, by boundary integrals on the record's nodes,
     in the curve's domain) on every ``k_H``-th record and NaN
-    on the others; re-centers every K_REC accepted steps but the last and
-    controls dt by each step's exponential Simpson error estimate from a
-    first trial step estimated on the initial state (see the module
-    docstring).  Stops at t_end or
+    on the others; keeps the initial curve's pole throughout and controls
+    dt by each step's exponential Simpson error estimate from a first trial
+    step estimated on the initial state (see the module docstring).  Stops
+    at t_end or
     after MAX_STEPS steps.  A MsrelaxError raised on the way carries the
     partial TrajectoryLog, ending in a ``fail`` event, as its ``trajectory``
     attribute.  A negative or non-finite t_end, a k_out or grid below 1 or
@@ -658,7 +655,6 @@ def run(config=None):
             dt = h * _step_factor(err)
             stats.accept(h, err, drift, new.rho_hat)
             t1 = t_end if last else t + h
-            # the step's records, in the pole that y0, y_mid and y1 share
             path = None
             while (t_rec := j * interval) <= t1 and \
                     t_end - t_rec > 1e-9 * interval:
@@ -674,13 +670,6 @@ def run(config=None):
                     emit(at_cache, at_solve, t_rec)
                 j += 1
             curve, n0, t, steps = new, n1, t1, steps + 1
-            if t < t_end and K_REC > 0 and steps % K_REC == 0:
-                info = {}
-                moved = recenter(curve, info)
-                if moved is not curve:
-                    traj.events.append({"event": "recenter", "t": t, **info})
-                    curve = moved
-                    n0, cache, solve = _nonlinear(curve, stats)
         if traj.records[-1].t != t:   # t_end, or MAX_STEPS between records
             emit(cache, solve, t)
     except MsrelaxError as exc:

@@ -293,6 +293,16 @@ def test_regime_runs_refine_against_the_circle_inverse(regime32, regime64):
         assert 0.0 < fin["max_bie_residual"] <= potential.REFINE_TOL
 
 
+def test_gate_runs_keep_their_barycenter_near_the_fixed_pole(
+        mixed23, regime32, regime64):
+    # not a criterion: a run never moves its pole, and the barycenter stays
+    # close to it (measured at most 1.29e-6 R on the regime runs and
+    # 8.0e-5 R on mixed23)
+    for traj, bound in ((regime32, 1e-5), (regime64, 1e-5), (mixed23, 1e-3)):
+        assert all(e["event"] != "recenter" for e in traj.events)
+        assert max(r.bary for r in traj.records) <= bound * traj.R
+
+
 @pytest.mark.parametrize("name, bound_E, bound_D", [
     ("mixed23", 1.2e-10, 1.95e-10),
     ("mixed235", 1.8e-10, 4.8e-10),

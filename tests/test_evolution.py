@@ -539,22 +539,10 @@ def test_run_energy_monotone():
     assert traj.events[-1]["max_area_drift"] < 1e-9
 
 
-def test_run_gauge_invariance(monkeypatch):
-    # recentering cadence must not change the physics
-    cfg = {"N": 32, "modes": "2,3", "amps": "0.01,0.008", "seed": 5,
-           "t_end": 1e-3, "k_out": 50, "k_H": 0}
-    monkeypatch.setattr(evolution, "K_REC", 1)
-    a = evolution.run(cfg)
-    monkeypatch.setattr(evolution, "K_REC", 20)
-    b = evolution.run(cfg)
-    assert abs(a.records[-1].E / b.records[-1].E - 1.0) < 1e-8
-
-
 @given(st.sampled_from(["plane", "torus"]), st.integers(0, 10**6))
 @settings(max_examples=10, deadline=None)
 def test_run_properties_random_small_curves(domain, seed):
-    # a short run from random modes 2..6: exact area, E >= 0, monotone
-    # E^2 D, and E, D unchanged when the pole is re-centered every step
+    # a short run from random modes 2..6: exact area, E >= 0, monotone E^2 D
     rng = np.random.default_rng([53, seed])
     modes = rng.choice(np.arange(2, 7), size=int(rng.integers(1, 4)),
                        replace=False)
@@ -565,21 +553,11 @@ def test_run_properties_random_small_curves(domain, seed):
            "phases": ",".join(f"{p:.17g}"
                               for p in rng.uniform(0, 2 * np.pi, modes.size)),
            "t_end": 12 * evolution.dt_max(32, 1.0), "k_out": 4, "k_H": 0}
-    # hypothesis shares function-scoped fixtures across examples: patch per
-    # example
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evolution, "K_REC", 1)
-        moved = evolution.run(cfg)
-        mp.setattr(evolution, "K_REC", 0)
-        fixed = evolution.run(cfg)
-    assert len(moved.records) == len(fixed.records) == 4
-    for traj in (moved, fixed):
-        assert traj.events[-1]["max_area_drift"] < 1e-9
-        assert min(r.E for r in traj.records) >= 0.0
-        assert analysis.check_eed(traj)["eed_monotone"]
-    for a, b in zip(moved.records, fixed.records):
-        assert abs(a.E / b.E - 1.0) < 1e-10, (a.t, a.E, b.E)
-        assert abs(a.D / b.D - 1.0) < 1e-10, (a.t, a.D, b.D)
+    traj = evolution.run(cfg)
+    assert len(traj.records) == 4
+    assert traj.events[-1]["max_area_drift"] < 1e-9
+    assert min(r.E for r in traj.records) >= 0.0
+    assert analysis.check_eed(traj)["eed_monotone"]
 
 
 def test_run_stop_conditions(monkeypatch):
@@ -593,18 +571,6 @@ def test_run_stop_conditions(monkeypatch):
     traj = evolution.run({"N": 32, "modes": "2", "amps": "0.01",
                           "t_end": 1e-4, "k_out": 4, "k_H": 0})
     assert traj.events[-1]["stop"] == "t_end"
-
-
-def test_run_logs_recenters(monkeypatch):
-    monkeypatch.setattr(evolution, "K_REC", 1)
-    traj = evolution.run({"N": 32, "modes": "2,3", "amps": "0.01,0.008",
-                          "seed": 5, "t_end": 1e-3, "k_H": 0})
-    recenters = [e for e in traj.events if e["event"] == "recenter"]
-    steps = traj.events[-1]["steps"]
-    # every accepted step but the last moves the pole
-    assert len(recenters) == steps - 1 > 0
-    assert all(0.0 < e["t"] < 1e-3 and 0.0 < np.hypot(*e["shift"]) < 0.2
-               and 1 <= e["newton_iterations"] <= 60 for e in recenters)
 
 
 def test_run_final_partial_step_lands_on_t_end():
@@ -754,8 +720,7 @@ def test_run_dt_collapse_raises_with_partial_trajectory(monkeypatch):
 
 def test_run_solves_each_state_once(monkeypatch):
     # every BIE solve is an rhs call: each accepted state is solved once,
-    # a record between steps once more, a state whose pole moved once more,
-    # and the start probe once
+    # a record between steps once more, and the start probe once
     solves, solve_ms = [], potential.solve_ms
 
     def counted(*args, **kwargs):
@@ -763,16 +728,13 @@ def test_run_solves_each_state_once(monkeypatch):
         return solve_ms(*args, **kwargs)
 
     monkeypatch.setattr(potential, "solve_ms", counted)
-    monkeypatch.setattr(evolution, "K_REC", 2)
     traj = evolution.run({"N": 32, "modes": "2,3", "amps": "0.01,0.005",
                           "seed": 7, "t_end": 1e-3, "k_out": 2, "k_H": 0})
     fin = traj.events[-1]
     assert fin["event"] == "finish" and fin["rejects"] == 0
-    assert len(traj.records) > 5
-    recenters = [e for e in traj.events if e["event"] == "recenter"]
-    assert fin["record_rhs_calls"] > 0 and recenters
+    assert len(traj.records) > 5 and fin["record_rhs_calls"] > 0
     assert len(solves) == fin["rhs_calls"] == 2 + 8 * fin["steps"] + \
-        fin["record_rhs_calls"] + len(recenters)
+        fin["record_rhs_calls"]
 
 
 def count_dense_solves(monkeypatch):
@@ -793,21 +755,29 @@ def count_dense_solves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("cfg", [
-    {**cli.RUNS["regime64"], "t_end": 6e-4},
-    {"N": 128, "domain": "torus", "modes": "3", "amps": "1e-3",
-     "t_end": 1e-5, "k_out": 6, "k_H": 0},
-    {"N": 64, "modes": "2,3", "amps": "0.01,0.008", "t_end": 1.2e-4,
-     "k_H": 1}])
-def test_run_refines_against_the_circle_inverse(monkeypatch, cfg):
+@pytest.mark.parametrize("cfg, steps_calls", [
+    ({**cli.RUNS["regime64"], "t_end": 6e-4}, (21, 184)),
+    ({"N": 128, "domain": "torus", "modes": "3", "amps": "1e-3",
+      "t_end": 1e-5, "k_out": 6, "k_H": 0}, None),
+    ({"N": 64, "modes": "2,3", "amps": "0.01,0.008", "t_end": 1.2e-4,
+      "k_H": 1}, None)], ids=["cfg0", "cfg1", "cfg2"])
+def test_run_refines_against_the_circle_inverse(monkeypatch, cfg,
+                                                steps_calls):
     # the bench's flow-plane-n64, flow-torus-n128 and simulate-h-n64
     # shapes: every solve of the run refines against the circle's
     # closed-form inverse, and no matrix is inverted or solved directly;
     # solving for w = ell V and stopping at the rounding floor, the
-    # regime64 slice takes about 3.7 sweeps a solve, the others 3 to 4
+    # regime64 slice takes about 3.7 sweeps a solve, the others 3 to 4.
+    # The pole stays put: the rhs_calls identity has no re-centring term
     calls = count_dense_solves(monkeypatch)
-    fin = evolution.run(cfg).events[-1]
+    traj = evolution.run(cfg)
+    fin = traj.events[-1]
     assert fin["event"] == "finish"
+    assert all(e["event"] != "recenter" for e in traj.events)
+    assert fin["rhs_calls"] == 2 + 8 * fin["steps"] + \
+        8 * fin["rejects_by_reason"]["error"] + fin["record_rhs_calls"]
+    if steps_calls is not None:
+        assert (fin["steps"], fin["rhs_calls"]) == steps_calls
     assert fin["direct_solves"] == 0 and calls == {"inv": [], "solve": []}
     assert fin["refine_sweeps"] >= 2 * fin["rhs_calls"]
     if cfg.get("domain") != "torus":
@@ -824,13 +794,10 @@ def test_run_falls_back_to_direct_solves_where_refinement_stagnates(
     calls = count_dense_solves(monkeypatch)
     cfg = {**cli.RUNS["mixed23"], "domain": "torus", "L": 2.0, "seed": 7,
            "t_end": 1e-3}
-    traj = evolution.run(cfg)
-    fin = traj.events[-1]
-    recenters = [e for e in traj.events if e["event"] == "recenter"]
+    fin = evolution.run(cfg).events[-1]
     assert fin["event"] == "finish" and fin["steps"] > 1
     assert fin["rhs_calls"] == 2 + 8 * fin["steps"] + \
-        8 * fin["rejects_by_reason"]["error"] + fin["record_rhs_calls"] + \
-        len(recenters)
+        8 * fin["rejects_by_reason"]["error"] + fin["record_rhs_calls"]
     assert fin["direct_solves"] == fin["rhs_calls"] == 35
     assert calls == {"inv": [], "solve": [(65, 65)] * 35}
     assert 0.0 < fin["max_bie_residual"] <= potential.REFINE_TOL

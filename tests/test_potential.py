@@ -586,7 +586,8 @@ def mixed_torus_curve(N=64, L=2.0):
 
 def off_pole_curve(N=64):
     """A mode-3 curve whose barycenter, the disk's centre, sits 3.6e-3 R
-    off the pole, as between two re-centerings of a flow."""
+    off the pole, further than the gate's flows drift from their fixed
+    pole (at most 8.0e-5 R)."""
     rho_hat = geometry.single_mode_curve(1.0, 3, 0.01, N=N).rho_hat.copy()
     rho_hat[1, 0] = 3.6e-3
     return geometry.project_area(geometry.RadialCurve(1.0, rho_hat,
