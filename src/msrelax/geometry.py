@@ -372,48 +372,71 @@ def bonnesen_monitor(cache):
 def make_admissible(curve):
     """Project (a0, a1, b1) so area = pi R^2 and the barycenter sits at the pole.
 
-    Newton iteration with the analytic Jacobian of the three constraint
-    integrals with respect to the three low-mode coefficients.
+    a0 comes from the area identity a0^2 = R^2 - (1/2) sum_{k>=1} |rho_hat_k|^2
+    in closed form, and a Newton iteration in (a1, b1) zeroes the first
+    moments int rho^3 e(phi) dphi (see make_admissible_stack).
     """
     return replace(curve, rho_hat=make_admissible_stack(curve.rho_hat[None],
                                                         curve.R)[0])
+
+
+@functools.lru_cache(maxsize=8)
+def _moment_table(M):
+    """cos, sin, cos^2, cos sin and sin^2 of the M node angles, (5, M),
+    read-only: the weights of make_admissible_stack's node sums."""
+    _, cphi, sphi = node_trig(M)
+    table = np.stack([cphi, sphi, cphi * cphi, cphi * sphi, sphi * sphi])
+    table.setflags(write=False)
+    return table
 
 
 def make_admissible_stack(rho_hat, R):
     """make_admissible for stacked (B, N, 2) coefficients sharing R; returns
     the projected copy.
 
-    Each row iterates until its own constraints converge and is then left
+    Each Newton iterate first sets a0 exactly from the area identity
+    a0^2 = R^2 - (1/2) sum_{k>=1} |rho_hat_k|^2, then takes a Newton step in
+    (a1, b1) on the moments m = int rho^3 (cos phi, sin phi) dphi, whose
+    2 x 2 Jacobian carries a0's dependence da0/da1 = -a1 / (2 a0),
+    da0/db1 = -b1 / (2 a0): dm/da1 = 3 int rho^2 e(phi) (cos phi - a1 / (2 a0)),
+    and likewise for b1.  One einsum of rho^2 and rho^3 against
+    _moment_table gives m and the Jacobian, and Cramer's rule solves the
+    step.  Each row iterates until its moments converge and is then left
     alone, so every row matches its B = 1 projection bit for bit.  Raises
-    OptimFail if any row has not converged after 50 Newton steps.
+    OptimFail at once if a row's area is out of reach (a0^2 <= 0), and if
+    any row has not converged after 50 Newton steps.
     """
     rho_hat = np.array(rho_hat, dtype=float)
     M = 2 * rho_hat.shape[-2]
-    dphi = 2.0 * np.pi / M
-    _, cphi, sphi = node_trig(M)
-    basis = [np.ones(M), cphi, sphi]
-    target = np.array([np.pi * R**2, 0.0, 0.0])
+    table = _moment_table(M)
+    # the sums below are node sums, quad without its factor 2 pi / M
+    tol = 1e-14 * R**2 * M / (2.0 * np.pi)
     rows = np.arange(rho_hat.shape[0])
     for _ in range(50):
+        a0sq = R**2 - 0.5 * np.sum(rho_hat[rows, 1:] ** 2, axis=(1, 2))
+        # a NaN coefficient fails here too
+        if not np.all(a0sq > 0.0):
+            raise OptimFail("admissibility projection did not converge: "
+                            "area pi R^2 out of reach")
+        a0 = np.sqrt(a0sq)
+        rho_hat[rows, 0, 0] = a0
         rho = synth_nodes(rho_hat[rows])
-        g = np.concatenate([node_area(rho)[:, None], node_moments(rho)],
-                           axis=-1) - target
-        # a NaN residual keeps its row iterating, and so fails
-        moving = ~(np.max(np.abs(g), axis=-1) < 1e-14 * R**2)
-        rows, rho, g = rows[moving], rho[moving], g[moving]
+        rho2 = rho * rho
+        sums = np.einsum("pbm,jm->pbj", np.stack([rho2, rho2 * rho]), table)
+        m = sums[1, :, :2]
+        moving = ~(np.max(np.abs(m), axis=-1) < tol)
+        rows, q, m = rows[moving], sums[0, moving], m[moving]
         if rows.size == 0:
             return rho_hat
-        rho2 = rho**2
-        # d/d(a0, a1, b1) of the three integrals
-        jac = np.empty((rows.size, 3, 3))
-        for j, b in enumerate(basis):
-            jac[:, 0, j] = np.sum(rho * b, axis=-1) * dphi
-            jac[:, 1, j] = 3.0 * np.sum(rho2 * cphi * b, axis=-1) * dphi
-            jac[:, 2, j] = 3.0 * np.sum(rho2 * sphi * b, axis=-1) * dphi
-        delta = np.linalg.solve(jac, g[:, :, None])[:, :, 0]
-        rho_hat[rows, 0, 0] -= delta[:, 0]
-        rho_hat[rows, 1, 0] -= delta[:, 1]
-        rho_hat[rows, 1, 1] -= delta[:, 2]
+        # the Jacobian over 3, from the rho^2 sums q
+        da0 = rho_hat[rows, 1] / (2.0 * a0[moving, None])
+        j00 = q[:, 2] - da0[:, 0] * q[:, 0]
+        j01 = q[:, 3] - da0[:, 1] * q[:, 0]
+        j10 = q[:, 3] - da0[:, 0] * q[:, 1]
+        j11 = q[:, 4] - da0[:, 1] * q[:, 1]
+        det = 3.0 * (j00 * j11 - j01 * j10)
+        rho_hat[rows, 1, 0] -= (m[:, 0] * j11 - m[:, 1] * j01) / det
+        rho_hat[rows, 1, 1] -= (j00 * m[:, 1] - j10 * m[:, 0]) / det
     raise OptimFail("admissibility projection did not converge")
 
 
@@ -444,8 +467,9 @@ def random_admissible_stack(rng, B, N=32, delta=0.05, k_max=8):
     phases = draws[:, 1]
     rho_hat[:, ks, 0] = amps * np.cos(phases)
     rho_hat[:, ks, 1] = amps * np.sin(phases)
-    dev = np.max(np.abs(synth_nodes(rho_hat) - 1.0), axis=-1)
-    slope = np.max(np.abs(synth_nodes(rho_hat, 1)), axis=-1)
+    rho, rho_phi = synth_nodes(rho_hat, (0, 1))
+    dev = np.max(np.abs(rho - 1.0), axis=-1)
+    slope = np.max(np.abs(rho_phi), axis=-1)
     rho_hat[:, 1:] *= (0.5 * delta / np.maximum(dev, slope))[:, None, None]
     return shrink_to_admissible(rho_hat, delta)
 

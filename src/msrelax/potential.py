@@ -43,11 +43,12 @@ against the inverse P of the bordered matrix of the circle of the curve's
 R, in closed form (circle_inverse: K is circulant on the circle), cached
 per (M, R, L) and read-only.  Refinement stops when the relative residual
 reaches rounding level (REFINE_FLOOR, about 2 eps), where a further sweep
-could not halve it, or when a sweep no longer halves it; a residual that
-stagnates above REFINE_TOL (a large deficit, or a small torus cell, whose
-lattice tail is far from circulant) falls back to a direct solve of that
-one system.  No solve keeps anything for the next, so each is a function
-of its curve and data.  Since K w = A V, the residual and |int V ds| are
+could not halve it, or when a sweep no longer halves it, or, from the
+third sweep on, when the sweeps left could not reach REFINE_TOL even at
+the best contraction seen; a residual left above REFINE_TOL (a large
+deficit, or a small torus cell, whose lattice tail is far from circulant)
+falls back to a direct solve of that one system.  No solve keeps anything
+for the next, so each is a function of its curve and data.  Since K w = A V, the residual and |int V ds| are
 those of the system in V.
 
 Dissipation: D = int |grad u|^2 = -int_Gamma kappa V ds (boundary
@@ -154,22 +155,29 @@ def _refine(inverse, big, rhs, tail):
     or None) x = rhs by iterative refinement against P = ``inverse``:
     x = P rhs, then x <- x + P (rhs - big x) while the relative residual is
     above REFINE_FLOOR and each sweep at least halves it, at most
-    REFINE_SWEEPS sweeps.  Returns the iterate of least residual, its
-    relative residual and the sweeps taken."""
+    REFINE_SWEEPS sweeps.  From the third sweep on it also stops when the
+    sweeps left, each contracting the residual as much as the best sweep
+    so far, could not bring it to REFINE_TOL: the caller then solves
+    directly, and the sweeps it would have spent are saved.  Returns the
+    iterate of least residual, its relative residual and the sweeps
+    taken."""
     x = inverse @ rhs
     r = rhs - _product(big, tail, x)
     res, norm = r @ r, rhs @ rhs
     floor = REFINE_FLOOR * REFINE_FLOOR * norm
-    sweeps = 0
+    target = REFINE_TOL * REFINE_TOL * norm
+    sweeps, best = 0, 1.0
     while res > floor and sweeps < REFINE_SWEEPS:
         sweeps += 1
         y = x + inverse @ r
         s = rhs - _product(big, tail, y)
         new = s @ s
         halved = new < 0.25 * res
+        best = min(best, new / res)
         if new < res:
             x, r, res = y, s, new
-        if not halved:
+        if not halved or (
+                sweeps > 2 and res * best ** (REFINE_SWEEPS - sweeps) > target):
             break
     return x, math.sqrt(res) / max(math.sqrt(norm), 1e-300), sweeps
 
@@ -255,11 +263,7 @@ def assemble(cache, kernel=None):
     """
     M = cache.M
     circulant, inv_chord2 = _node_matrices(M)
-    rho = cache.rho
-    mat = rho[:, None] - rho[None, :]
-    mat *= mat
-    mat *= inv_chord2
-    mat += rho[:, None] * rho[None, :]
+    mat = _polar_chord(cache.rho, inv_chord2)
     np.log(mat, out=mat)
     mat *= 0.5 / M
     mat.flat[::M + 1] = np.log(cache.ell) / M
@@ -269,6 +273,38 @@ def assemble(cache, kernel=None):
         mat += tail
     mat += circulant
     return mat
+
+
+def _pair_grids(v, out=None):
+    """The grids v_i and v_j of a node vector, (2, M, M), filled row by row
+    (into ``out`` if given): elementwise arithmetic on the two runs over
+    contiguous operands, where broadcasting v[:, None] against v[None, :]
+    costs about three times as much, with the same result."""
+    M = v.size
+    grids = np.empty((2, M, M)) if out is None else out
+    grids[0] = v[:, None]
+    grids[1] = v
+    return grids
+
+
+def _polar_chord(v, inv_chord2):
+    """(v_i - v_j)^2 inv_chord2 + v_i v_j over the node pairs: with v = rho,
+    |z_i - z_j|^2 / (4 sin^2((phi_i - phi_j)/2)) for nodes about one pole."""
+    grids = _pair_grids(v)
+    P = grids[0] - grids[1]
+    P *= P
+    P *= inv_chord2
+    grids[0] *= grids[1]
+    P += grids[0]
+    return P
+
+
+def _chord_difference(w, s):
+    """(w_i - w_j) (s_i - s_j) over the node pairs."""
+    grids = _pair_grids(w)
+    d = grids[0] - grids[1]
+    d *= np.subtract(*_pair_grids(s, grids), out=grids[0])
+    return d
 
 
 def _tail_factors(cache, kernel):
@@ -491,13 +527,8 @@ def disk_distance(cache):
     dG = _outer_sum([dg.real, dg.imag, gb.real, gb.imag],
                     [g.real, g.imag, dg.real, dg.imag])
     inv_chord2 = _node_matrices(M)[1]
-    PB = np.subtract.outer(b, b)
-    PB *= PB
-    PB *= inv_chord2
-    PB += np.outer(b, b)
-    s = rho + b
-    dP = np.subtract.outer(w, w)
-    dP *= np.subtract.outer(s, s)
+    PB = _polar_chord(b, inv_chord2)
+    dP = _chord_difference(w, rho + b)
     dP *= inv_chord2
     dP += _outer_sum([w, b], [rho, w])
     # dX = dG P_Omega + G_B dP and

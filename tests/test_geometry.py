@@ -378,11 +378,109 @@ def test_shrink_to_admissible_raises_after_eight_failures():
 
 def test_make_admissible_stack_raises_if_one_row_does_not_converge():
     # amplitude 2 in mode 2 alone encloses more than pi: no a0 reaches the
-    # target area, so that row's Newton iteration wanders until the cap
+    # target area (a0^2 < 0), and the projection says so at once
     good, bad = mode2_row(0.01), mode2_row(2.0)
     assert geometry.make_admissible_stack(good[None], 1.0).shape == (1, 32, 2)
     with pytest.raises(OptimFail, match="did not converge"):
         geometry.make_admissible_stack(np.stack([good, bad]), 1.0)
+
+
+def newton_3x3_projection(rho_hat, R):
+    """Independent reference for make_admissible_stack: Newton in
+    (a0, a1, b1) on the node area and both first moments together, with the
+    3 x 3 Jacobian summed entry by entry and solved by LAPACK."""
+    rho_hat = np.array(rho_hat, dtype=float)
+    M = 2 * rho_hat.shape[-2]
+    dphi = 2.0 * np.pi / M
+    _, cphi, sphi = geometry.node_trig(M)
+    basis = [np.ones(M), cphi, sphi]
+    target = np.array([np.pi * R**2, 0.0, 0.0])
+    rows = np.arange(rho_hat.shape[0])
+    for _ in range(50):
+        rho = geometry.synth_nodes(rho_hat[rows])
+        g = np.concatenate([geometry.node_area(rho)[:, None],
+                            geometry.node_moments(rho)], axis=-1) - target
+        moving = ~(np.max(np.abs(g), axis=-1) < 1e-14 * R**2)
+        rows, rho, g = rows[moving], rho[moving], g[moving]
+        if rows.size == 0:
+            return rho_hat
+        jac = np.empty((rows.size, 3, 3))
+        for j, b in enumerate(basis):
+            jac[:, 0, j] = np.sum(rho * b, axis=-1) * dphi
+            jac[:, 1, j] = 3.0 * np.sum(rho**2 * cphi * b, axis=-1) * dphi
+            jac[:, 2, j] = 3.0 * np.sum(rho**2 * sphi * b, axis=-1) * dphi
+        delta = np.linalg.solve(jac, g[:, :, None])[:, :, 0]
+        rho_hat[rows, 0, 0] -= delta[:, 0]
+        rho_hat[rows, 1, 0] -= delta[:, 1]
+        rho_hat[rows, 1, 1] -= delta[:, 2]
+    raise AssertionError("reference projection did not converge")
+
+
+def fuglede_suite_draws(monkeypatch, n, seed):
+    """The n scaled, not yet projected curves that the Fuglede suite
+    (cli._suite_fuglede) draws first at ``seed``."""
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "shrink_to_admissible", lambda rho_hat, _: rho_hat)
+        return geometry.random_admissible_stack(
+            np.random.default_rng([seed, 1]), n, delta=0.05)
+
+
+def perturbed_shifted_disks(R):
+    """Disks of radius R centred at (a, 0) about the pole at the origin, with
+    small random modes 2..12 and an area off by up to 1e-3."""
+    rng = np.random.default_rng(3)
+    rows = []
+    for a in R * np.array([0.0, 0.01, 0.05, 0.1]):
+        rho_hat = geometry.shifted_disk_curve(R, a).rho_hat
+        for _ in range(4):
+            row = rho_hat.copy()
+            row[2:13] += 1e-3 * R * rng.normal(size=(11, 2))
+            row[0, 0] *= 1.0 + 1e-3 * rng.uniform(-1.0, 1.0)
+            rows.append(row)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("case", ["fuglede", "disks-1.0", "disks-1.3"])
+def test_make_admissible_stack_matches_3x3_newton(monkeypatch, case):
+    # the closed-form a0 and the 2 x 2 Newton land where the full 3 x 3
+    # Newton does, and meet both constraints to rounding
+    if case == "fuglede":
+        R, rho_hat = 1.0, fuglede_suite_draws(monkeypatch, 1000, 0)
+    else:
+        R = float(case.split("-")[1])
+        rho_hat = perturbed_shifted_disks(R)
+    got = geometry.make_admissible_stack(rho_hat, R)
+    ref = newton_3x3_projection(rho_hat, R)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * R
+    rep = geometry.admissibility_report_stack(got, R)
+    assert np.max(rep["area_residual"]) <= 1e-14
+    assert np.max(rep["barycenter_residual"]) <= 1e-14
+
+
+def test_make_admissible_stack_converges_quadratically(monkeypatch):
+    # a 128-curve block of the suite converges in a few Newton steps, one
+    # synthesis each: a Jacobian slip that left it linear would take more
+    rho_hat = fuglede_suite_draws(monkeypatch, 128, 0)
+    calls = []
+    synth = geometry.synth_nodes
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return synth(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "synth_nodes", counted)
+    geometry.make_admissible_stack(rho_hat, 1.0)
+    assert 1 <= len(calls) <= 4 and calls[0] == (128, 32, 2)
+
+
+def test_make_admissible_stack_uses_no_linalg(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in ("solve", "inv", "lstsq", "det"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    rho_hat = perturbed_shifted_disks(1.0)
+    assert np.all(np.isfinite(geometry.make_admissible_stack(rho_hat, 1.0)))
 
 
 def test_project_area_exact():

@@ -317,15 +317,15 @@ def test_solve_ms_non_finite_residual_raises():
 @pytest.mark.parametrize("amp, direct", [(1e-3, False), (0.2, True)])
 def test_solve_ms_matches_direct_solve(amp, direct):
     # the circle's closed-form inverse as the reference for a perturbed
-    # curve: a small perturbation refines against it, a strong one still
-    # misses REFINE_TOL after REFINE_SWEEPS sweeps and is solved directly,
-    # and either way the solution is the direct solve's of the same
-    # bordered system
+    # curve: a small perturbation refines against it, a strong one would
+    # still miss REFINE_TOL after REFINE_SWEEPS sweeps, so refinement stops
+    # early and it is solved directly, and either way the solution is the
+    # direct solve's of the same bordered system
     cache = geometry.build_cache(stale_curve(amp))
     solve = potential.solve_ms(cache)
     assert solve.direct is direct and solve.sweeps > 2
     if direct:
-        assert solve.sweeps == potential.REFINE_SWEEPS
+        assert solve.sweeps < potential.REFINE_SWEEPS
     big = potential._bordered(potential.assemble(cache) * cache.ell,
                               cache.ell * cache.dphi)
     mean = np.mean(cache.kappa)
@@ -408,6 +408,43 @@ def test_assemble_is_symmetric(N, L):
     kern = None if L is None else elliptic.LatticeKernel(L)
     K = potential.assemble(cache, kern)
     assert np.max(np.abs(K - K.T)) <= 1e-14 * np.max(np.abs(K))
+
+
+def broadcast_polar_chord(v, inv_chord2):
+    """potential._polar_chord by broadcasting a column against a row."""
+    P = v[:, None] - v[None, :]
+    P *= P
+    P *= inv_chord2
+    P += v[:, None] * v[None, :]
+    return P
+
+
+def broadcast_chord_difference(w, s):
+    """potential._chord_difference by broadcasting a column against a row."""
+    d = np.subtract.outer(w, w)
+    d *= np.subtract.outer(s, s)
+    return d
+
+
+@pytest.mark.parametrize("N", [32, 64, 128])
+def test_pair_grids_match_broadcast_formulas(monkeypatch, N):
+    # the node-pair terms filled row by row give assemble (plane and torus)
+    # and disk_distance the broadcast formulas' bits
+    torus = mixed_torus_curve(N)
+    curves = [torus, replace(torus, domain="plane", L=None),
+              off_pole_curve(N)]
+    caches = [geometry.build_cache(c) for c in curves]
+
+    def outputs():
+        return [potential.assemble(c, c.curve.kernel) for c in caches] + \
+            [np.array([potential.disk_distance(c) for c in caches])]
+
+    rows = outputs()
+    monkeypatch.setattr(potential, "_polar_chord", broadcast_polar_chord)
+    monkeypatch.setattr(potential, "_chord_difference",
+                        broadcast_chord_difference)
+    for got, want in zip(rows, outputs()):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("seed, L", [(3, None), (4, None), (3, 2.0),
