@@ -98,7 +98,9 @@ def check_fuglede(curve):
     with u = rho/R - 1 after rescaling to unit enclosed-disk radius,
     Delta = L(Gamma)/(2 pi) - 1 the nondimensional deficit, and L2 norms
     averaged over the circle (measure dphi/2pi).  Hypotheses sup|u| <= 3/40
-    and sup|u_phi| <= 1/2 are verified first.
+    and sup|u_phi| <= 1/2 are verified first.  One polar synthesis feeds
+    the admissibility report that supplies sup|u| and sup|u_phi| and the
+    sandwich (check_fuglede_nodes), which forms Delta without cancellation.
     """
     rep = check_fuglede_stack(curve.rho_hat[None], curve.R)
     return {k: v[0].item() for k, v in rep.items()}
@@ -106,27 +108,49 @@ def check_fuglede(curve):
 
 def check_fuglede_stack(rho_hat, R=1.0):
     """check_fuglede for stacked (B, N, 2) coefficients sharing R: the same
-    keys, each an array over the B rows.  Raises HypothesisFail (naming the
-    first offending row's sup norms) if any row violates the hypotheses."""
+    keys, each an array over the B rows, from one polar_nodes synthesis.
+    Raises HypothesisFail (naming the first offending row's sup norms) if
+    any row violates the hypotheses."""
     rho, rho_phi = geometry.polar_nodes(rho_hat)
-    u = rho / R - 1.0
-    up = rho_phi / R
-    sup_u = np.max(np.abs(u), axis=-1)
-    sup_up = np.max(np.abs(up), axis=-1)
+    report = geometry.admissibility_report_nodes(rho, rho_phi, R)
+    return check_fuglede_nodes(rho, rho_phi, report, R)
+
+
+def check_fuglede_nodes(rho, rho_phi, report, R=1.0):
+    """check_fuglede_stack from the rows' node values (B, M) of rho and
+    rho_phi and their geometry.admissibility_report_nodes report, whose
+    annulus and slope residuals are sup|u| and sup|u_phi|.
+
+    Delta is formed without cancellation, as geometry.isoperimetric_gap
+    forms E: with w = rho - R and s = w (2R + w) = rho^2 - R^2,
+
+        L - 2 pi R = quad((s + rho_phi^2) / (ell + R)),
+        r_eq - 1 = x / (1 + sqrt(1 + x)),   x = quad(s) / (2 pi R^2),
+        Delta = ((L - 2 pi R) / (2 pi R) - (r_eq - 1)) / r_eq,
+
+    with ell = sqrt(rho^2 + rho_phi^2) the length element, and
+    u = (w - R (r_eq - 1)) / (R r_eq).
+    """
+    sup_u, sup_up = report["annulus_residual"], report["slope_residual"]
     bad = (sup_u > FUGLEDE_SUP_U) | (sup_up > FUGLEDE_SUP_DU)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise HypothesisFail(
             f"sup|u| = {sup_u[i]:.3e}, sup|u_phi| = "
             f"{sup_up[i]:.3e} outside (3/40, 1/2)")
-    # unit-area normalization: deficit measured against the equal-area
-    # circle
-    area = geometry.node_area(rho) / R**2
-    r_eq = np.sqrt(area / np.pi)
-    length = geometry.quad(np.hypot(rho, rho_phi))
-    deficit = (length / R) / (2.0 * np.pi * r_eq) - 1.0
-    u2 = np.mean(((rho / R) / r_eq[:, None] - 1.0) ** 2, axis=-1)
-    up2 = np.mean((up / r_eq[:, None]) ** 2, axis=-1)
+    w = rho - R
+    s = w * (2.0 * R + w)
+    up_sq = rho_phi * rho_phi
+    # ell enters only through the denominator, so hypot's care is not needed
+    excess = geometry.quad((s + up_sq) / (np.sqrt(rho * rho + up_sq) + R))
+    x = geometry.quad(s) / (2.0 * np.pi * R**2)
+    r_eq1 = x / (1.0 + np.sqrt(1.0 + x))
+    r_eq = 1.0 + r_eq1
+    deficit = (excess / (2.0 * np.pi * R) - r_eq1) / r_eq
+    # circle averages: node sums over M (R r_eq)^2
+    scale = rho.shape[-1] * (R * r_eq) ** 2
+    u2 = np.sum((w - (R * r_eq1)[:, None]) ** 2, axis=-1) / scale
+    up2 = np.sum(up_sq, axis=-1) / scale
     lower = FUGLEDE_LOWER * (u2 + up2)
     upper = FUGLEDE_UPPER * up2
     tol = 1e-13  # absolute slack: the circle sits at 0 <= 0 <= 0 in rounding

@@ -275,35 +275,34 @@ def _phi(lam, tau):
     return e, p1, p2, p3, p4
 
 
-@functools.lru_cache(maxsize=5)
-def _step_phi(N, R, tau):
-    """``_phi`` of linear_symbol(N, R) at a step size; the arrays are
-    read-only.  Five entries keep the h, h/2 and h/4 of one step (its half
-    steps and its estimate) while the next step adds its 4h and 2h, so a
-    step that grows dt 4x finds its own h/4 (the previous h) still there."""
-    phis = _phi(linear_symbol(N, R), tau)
-    for p in phis:
-        p.setflags(write=False)
-    return phis
+def _phis_at(curve, taus):
+    """``_phi`` of the curve's linear_symbol at each step size in ``taus``,
+    from one call: phi_0 .. phi_4, each a (len(taus), N, 1) stack.  The
+    operations are elementwise, so each row equals its own scalar call bit
+    for bit."""
+    return _phi(linear_symbol(curve.N, curve.R),
+                np.asarray(taus, dtype=float)[:, None, None])
 
 
-def _etd_coeffs(N, R, h):
+def _etd_coeffs(phis, h):
     """e^{Lambda h}, e^{Lambda h/2} and the ETDRK4 weights Q, f1, f2, f3,
-    Lambda = linear_symbol(N, R).
+    from ``phis``, the _phis_at of h and h/2 (rows 0 and 1).
 
     In phi-functions of Lambda h (Cox & Matthews): Q = h/2 phi_1(Lambda h/2),
     f1 = h (phi_1 - 3 phi_2 + 4 phi_3), f2 = h (phi_2 - 2 phi_3) and
     f3 = h (4 phi_3 - phi_2).
     """
-    e, p1, p2, p3 = _step_phi(N, R, h)[:4]
-    e2, q = _step_phi(N, R, 0.5 * h)[:2]
+    e, p1, p2, p3 = (p[0] for p in phis[:4])
+    e2, q = phis[0][1], phis[1][1]
     return (e, e2, 0.5 * h * q, h * (p1 - 3.0 * p2 + 4.0 * p3),
             h * (p2 - 2.0 * p3), h * (4.0 * p3 - p2))
 
 
-def dense_output(curve, h, n0, y_mid, n_mid, y1, n1):
-    """y(s), 0 <= s <= h, inside an accepted step of size h from
-    ``curve`` (y0 = curve.rho_hat, Lambda = its linear_symbol).
+def dense_output(curve, h, n0, y_mid, n_mid, y1, n1, s):
+    """y at the offsets ``s`` (a sequence, 0 <= s <= h) inside an accepted
+    step of size h from ``curve`` (y0 = curve.rho_hat, Lambda = its
+    linear_symbol), as a (len(s), N, 2) stack; one _phi call evaluates the
+    phis at h/2 and at every offset.
 
     On each half step of size hh = h/2, from (ya, na), with u = tau / hh,
 
@@ -317,8 +316,11 @@ def dense_output(curve, h, n0, y_mid, n_mid, y1, n1):
     y1, so the path passes through both.
     """
     hh = 0.5 * h
-    y0, lam = curve.rho_hat, linear_symbol(curve.N, curve.R)
-    e, p1, p2, p3, p4 = _step_phi(curve.N, curve.R, hh)
+    s = np.asarray(s, dtype=float)
+    later = s > hh
+    tau = np.where(later, s - hh, s)
+    phis = _phis_at(curve, np.concatenate([[hh], tau]))
+    e, p1, p2, p3, p4 = (p[0] for p in phis)
     dn_mid, dn1 = n_mid - n0, n1 - n0
 
     def half(ya, na, yb, a1, b1, a2, b2):
@@ -329,17 +331,16 @@ def dense_output(curve, h, n0, y_mid, n_mid, y1, n1):
         return ya, na, a1 + b1 * d3, a2 + b2 * d3, d3
 
     a2 = 0.5 * dn1 - dn_mid
-    first = half(y0, n0, y_mid, 2.0 * dn_mid - 0.5 * dn1, 2.0, a2, -3.0)
+    first = half(curve.rho_hat, n0, y_mid, 2.0 * dn_mid - 0.5 * dn1, 2.0,
+                 a2, -3.0)
     second = half(y_mid, n_mid, y1, 0.5 * dn1, -1.0, a2, 0.0)
-
-    def y(s):
-        ya, na, d1, d2, d3 = second if s > hh else first
-        tau = s - hh if s > hh else s
-        u = tau / hh
-        e, p1, p2, p3, p4 = _phi(lam, tau)
-        return e * ya + tau * (p1 * na + u * (p2 * d1 + u * (
-            2.0 * p3 * d2 + 6.0 * u * p4 * d3)))
-    return y
+    ya, na, d1, d2, d3 = (np.where(later[:, None, None], b, a)
+                          for a, b in zip(first, second))
+    e, p1, p2, p3, p4 = (p[1:] for p in phis)
+    tau = tau[:, None, None]
+    u = tau / hh
+    return e * ya + tau * (p1 * na + u * (p2 * d1 + u * (
+        2.0 * p3 * d2 + 6.0 * u * p4 * d3)))
 
 
 def rhs(curve, kernel=None):
@@ -388,16 +389,19 @@ def _stage(curve, stats):
         raise StepRejected("rho <= 0 at a stage", "positivity") from exc
 
 
-def step(curve, dt, n0=None, stats=None):
+def step(curve, dt, n0=None, stats=None, coeffs=None):
     """One ETDRK4 step: the new curve and the pre-projection area drift.
 
     ``n0`` is N(y0) when the caller already has it; ``stats`` (a StepStats)
-    counts the ``rhs`` calls.  Raises StepRejected if any stage curve loses
-    positivity of rho, the area drift before re-projection exceeds
+    counts the ``rhs`` calls; ``coeffs`` are the step's _etd_coeffs when
+    the caller already has them.  Raises StepRejected if any stage curve
+    loses positivity of rho, the area drift before re-projection exceeds
     AREA_DRIFT_REJECT relative, or the area projection fails.
     """
     y0 = curve.rho_hat
-    E, E2, Q, f1, f2, f3 = _etd_coeffs(curve.N, curve.R, dt)
+    if coeffs is None:
+        coeffs = _etd_coeffs(_phis_at(curve, [dt, 0.5 * dt]), dt)
+    E, E2, Q, f1, f2, f3 = coeffs
 
     def nl(y):
         return _stage(replace(curve, rho_hat=y), stats)[0]
@@ -556,12 +560,15 @@ def _two_half_steps(curve, h, n0, stats):
     next step, the step's end record and its dense output.  A non-positive
     rho at the end is a positivity reject, as at a stage.
     """
-    mid, d1 = step(curve, 0.5 * h, n0, stats)
+    # one _phi call: the estimate's phis at h, the half steps' at h/2, h/4
+    phis = _phis_at(curve, [h, 0.5 * h, 0.25 * h])
+    coeffs = _etd_coeffs([p[1:] for p in phis], 0.5 * h)
+    mid, d1 = step(curve, 0.5 * h, n0, stats, coeffs)
     n_mid = _stage(mid, stats)[0]
-    half, d2 = step(mid, 0.5 * h, n_mid, stats)
+    half, d2 = step(mid, 0.5 * h, n_mid, stats, coeffs)
     end = _stage(half, stats)
     # the quadratic through n0, n_mid and n1, integrated exactly
-    e, p1, p2, p3 = _step_phi(curve.N, curve.R, h)[:4]
+    e, p1, p2, p3 = (p[0] for p in phis[:4])
     dn_mid, dn1 = n_mid - n0, end[0] - n0
     q2 = 2.0 * dn1 - 4.0 * dn_mid
     simpson = e * curve.rho_hat + h * (p1 * n0 + p2 * (dn1 - q2)
@@ -655,20 +662,23 @@ def run(config=None):
             dt = h * _step_factor(err)
             stats.accept(h, err, drift, new.rho_hat)
             t1 = t_end if last else t + h
-            path = None
+            times = []
             while (t_rec := j * interval) <= t1 and \
                     t_end - t_rec > 1e-9 * interval:
+                times.append(t_rec)
+                j += 1
+            # the records strictly inside the step, from one dense output
+            inside = [t_rec - t for t_rec in times if t_rec != t1]
+            path = iter(dense_output(curve, h, n0, *mid, new.rho_hat, n1,
+                                     inside) if inside else ())
+            for t_rec in times:
                 if t_rec == t1:
                     emit(cache, solve, t_rec)
-                else:
-                    path = path or dense_output(curve, h, n0, *mid,
-                                                new.rho_hat, n1)
-                    at = geometry.project_area(
-                        replace(curve, rho_hat=path(t_rec - t)))
-                    stats.record_rhs_calls += 1
-                    _, at_cache, at_solve = _nonlinear(at, stats)
-                    emit(at_cache, at_solve, t_rec)
-                j += 1
+                    continue
+                at = geometry.project_area(replace(curve, rho_hat=next(path)))
+                stats.record_rhs_calls += 1
+                _, at_cache, at_solve = _nonlinear(at, stats)
+                emit(at_cache, at_solve, t_rec)
             curve, n0, t, steps = new, n1, t1, steps + 1
         if traj.records[-1].t != t:   # t_end, or MAX_STEPS between records
             emit(cache, solve, t)

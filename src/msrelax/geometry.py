@@ -22,6 +22,7 @@ rule), ``node_area`` (1/2 int rho^2) and ``node_moments`` (int rho^3 e(phi)).
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -303,7 +304,8 @@ def admissibility_report(curve, delta=0.05):
 
     Conditions: sup|rho - R| <= delta R, sup|rho_phi| <= delta R, bulk
     barycenter at the pole, enclosed area pi R^2.  Returns residuals and
-    booleans; raises only NonPositiveRadius, as build_cache does.
+    booleans; raises only NonPositiveRadius, as build_cache does.  One
+    polar synthesis feeds admissibility_report_nodes.
     """
     rep = admissibility_report_stack(curve.rho_hat[None], curve.R, delta)
     return {k: v[0].item() for k, v in rep.items()}
@@ -311,9 +313,17 @@ def admissibility_report(curve, delta=0.05):
 
 def admissibility_report_stack(rho_hat, R, delta=0.05):
     """admissibility_report for stacked (B, N, 2) coefficients sharing R:
-    the same keys, each an array over the B rows.  The barycentre residual
-    is the offset from the pole, whatever the pole's position."""
-    rho, rho_phi = polar_nodes(rho_hat)
+    the same keys, each an array over the B rows, from one polar_nodes
+    synthesis (see admissibility_report_nodes)."""
+    return admissibility_report_nodes(*polar_nodes(rho_hat), R, delta)
+
+
+def admissibility_report_nodes(rho, rho_phi, R, delta=0.05):
+    """admissibility_report_stack from the rows' node values (B, M) of rho
+    and rho_phi, for callers that already hold them.  The annulus and slope
+    residuals are the sup norms sup|rho - R| / R and sup|rho_phi| / R; the
+    barycentre residual is the offset from the pole, whatever the pole's
+    position."""
     area = node_area(rho)
     bary = node_moments(rho) / (3.0 * area[:, None])
     report = {
@@ -440,6 +450,17 @@ def make_admissible_stack(rho_hat, R):
     raise OptimFail("admissibility projection did not converge")
 
 
+class AdmissibleStack(NamedTuple):
+    """Projected unit-radius (B, N, 2) coefficients, with the node values
+    (B, M) of rho and rho_phi and the admissibility_report_nodes report
+    that passed each row."""
+
+    rho_hat: np.ndarray
+    rho: np.ndarray
+    rho_phi: np.ndarray
+    report: dict
+
+
 def random_admissible(rng, N=32, delta=0.05, k_max=8, domain="plane", L=None):
     """Random nearly circular curve of unit equal-area radius satisfying all
     admissibility conditions.
@@ -448,16 +469,16 @@ def random_admissible(rng, N=32, delta=0.05, k_max=8, domain="plane", L=None):
     sup bounds sit at ``delta / 2``, then Newton-projects the area and
     barycenter conditions.
     """
-    rho_hat = random_admissible_stack(rng, 1, N, delta, k_max)[0]
+    rho_hat = random_admissible_stack(rng, 1, N, delta, k_max).rho_hat[0]
     return RadialCurve(1.0, rho_hat, np.zeros(2), domain, L)
 
 
 def random_admissible_stack(rng, B, N=32, delta=0.05, k_max=8):
-    """Coefficients (B, N, 2) of B random_admissible curves drawn from one
-    generator: row i is the curve the i-th of B successive
-    random_admissible(rng, ...) calls would return, bit for bit, since one
-    uniform call fills the draws in the same stream order (per curve, the
-    k_max - 1 amplitudes, then the k_max - 1 phases)."""
+    """B random_admissible curves drawn from one generator, as the
+    AdmissibleStack of shrink_to_admissible: row i is the curve the i-th of
+    B successive random_admissible(rng, ...) calls would return, bit for
+    bit, since one uniform call fills the draws in the same stream order
+    (per curve, the k_max - 1 amplitudes, then the k_max - 1 phases)."""
     rho_hat = np.zeros((B, N, 2))
     rho_hat[:, 0, 0] = 1.0
     ks = np.arange(2, k_max + 1)
@@ -477,19 +498,28 @@ def random_admissible_stack(rng, B, N=32, delta=0.05, k_max=8):
 def shrink_to_admissible(rho_hat, delta):
     """Project each unit-radius row of a (B, N, 2) stack (make_admissible);
     while a row fails the sup bounds at delta, shrink its modes k >= 1 by 0.8
-    and project it again.  Raises OptimFail if a row fails eight checks."""
+    and project it again.  Returns an AdmissibleStack whose nodes and report
+    are those of each row's passing check: one polar synthesis of the stack,
+    and one more of the rows each shrink redoes.  Raises OptimFail if a
+    row fails eight checks."""
     rho_hat = make_admissible_stack(rho_hat, 1.0)
-    rows = np.arange(rho_hat.shape[0])
-    for _ in range(8):
-        passed = admissibility_report_stack(rho_hat[rows], 1.0, delta)["pass"]
-        rows = rows[~passed]
+    rho, rho_phi = polar_nodes(rho_hat)
+    report = admissibility_report_nodes(rho, rho_phi, 1.0, delta)
+    for _ in range(7):   # checks 2..8
+        rows = np.flatnonzero(~report["pass"])
         if rows.size == 0:
-            return rho_hat
+            break
         # projection moved low modes past the sup bounds; shrink and redo
         shrunk = rho_hat[rows]
         shrunk[:, 1:] *= 0.8
         rho_hat[rows] = make_admissible_stack(shrunk, 1.0)
-    raise OptimFail("random_admissible: could not satisfy sup bounds")
+        rho[rows], rho_phi[rows] = polar_nodes(rho_hat[rows])
+        rep = admissibility_report_nodes(rho[rows], rho_phi[rows], 1.0, delta)
+        for key, value in rep.items():
+            report[key][rows] = value
+    if not report["pass"].all():
+        raise OptimFail("random_admissible: could not satisfy sup bounds")
+    return AdmissibleStack(rho_hat, rho, rho_phi, report)
 
 
 def single_mode_curve(R, k, eps, N=32, phase=0.0, domain="plane", L=None,

@@ -79,7 +79,7 @@ def test_fuglede_random_admissible(seed):
 def test_fuglede_stack_rows_match_single_curves(seed):
     # one stream: row i is the i-th of successive single draws
     stack = geometry.random_admissible_stack(np.random.default_rng(seed), 200,
-                                             delta=0.05)
+                                             delta=0.05).rho_hat
     rep = analysis.check_fuglede_stack(stack)
     rng = np.random.default_rng(seed)
     for i, row in enumerate(stack):

@@ -323,6 +323,99 @@ def test_suite_fuglede_empty():
                                         "min_lower_margin": 0.0, "pass": True}
 
 
+def suite_fuglede_rows(monkeypatch, n, seed):
+    """cli._suite_fuglede(n, seed) and, per block, what its path saw: the
+    drawn AdmissibleStack and the sandwich computed from its nodes."""
+    draws, reps = [], []
+    draw, sandwich = geometry.random_admissible_stack, \
+        analysis.check_fuglede_nodes
+
+    def drawn(*args, **kwargs):
+        draws.append(draw(*args, **kwargs))
+        return draws[-1]
+
+    def checked(*args, **kwargs):
+        reps.append(sandwich(*args, **kwargs))
+        return reps[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "random_admissible_stack", drawn)
+        m.setattr(analysis, "check_fuglede_nodes", checked)
+        suite = cli._suite_fuglede(n, seed)
+    return suite, draws, reps
+
+
+def fuglede_margin_reference(rho_hat):
+    """deficit - lower of the Fuglede sandwich for unit-radius (B, N, 2)
+    coefficients, independently of geometry: rho and rho_phi by direct
+    cos/sin sums at the M = 2N nodes in np.longdouble (no FFT), and the
+    naive formulas Delta = L / (2 pi r_eq) - 1 and u = rho / r_eq - 1,
+    whose cancellation costs only about 1e-19 / 1e-5 in extended
+    precision."""
+    ld = np.longdouble
+    N = rho_hat.shape[-2]
+    M = 2 * N
+    pi = 4 * np.arctan(ld(1))
+    k_phi = np.outer(np.arange(N, dtype=ld), 2 * pi * np.arange(M, dtype=ld)
+                     / M)
+    cos, sin = np.cos(k_phi), np.sin(k_phi)
+    a, b = rho_hat[..., 0].astype(ld), rho_hat[..., 1].astype(ld)
+    k = np.arange(N, dtype=ld)
+    rho = a @ cos + b @ sin
+    rho_phi = (k * b) @ cos - (k * a) @ sin
+    length = np.sqrt(rho**2 + rho_phi**2).sum(axis=-1) * (2 * pi / M)
+    r_eq = np.sqrt((rho**2).sum(axis=-1) / M)     # (area / pi)^(1/2)
+    deficit = length / (2 * pi * r_eq) - 1
+    u2 = np.mean((rho / r_eq[:, None] - 1) ** 2, axis=-1)
+    up2 = np.mean((rho_phi / r_eq[:, None]) ** 2, axis=-1)
+    return deficit - ld(analysis.FUGLEDE_LOWER) * (u2 + up2)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_suite_fuglede_margin_matches_extended_precision(monkeypatch, seed):
+    # the first 256 suite curves: every row's deficit - lower to 1e-13
+    # relative, where forming Delta as L / (2 pi r_eq) - 1 in double
+    # precision loses about 1e-11
+    suite, draws, reps = suite_fuglede_rows(monkeypatch, 256, seed)
+    rho_hat = np.concatenate([d.rho_hat for d in draws])
+    got = np.concatenate([r["deficit"] - r["lower"] for r in reps])
+    ref = fuglede_margin_reference(rho_hat)
+    err = np.abs((got - ref) / ref).astype(float)
+    assert np.max(err) <= 1e-13, np.max(err)
+    assert suite["min_lower_margin"] == np.min(got) > 0.0
+
+
+def test_suite_fuglede_synthesizes_each_block_once(monkeypatch):
+    # one draw synthesis, a few projection iterates, then one polar
+    # synthesis shared by the admissibility report and the sandwich
+    orders = []
+    synth = geometry.synth_nodes
+
+    def counted(coef, derivative=0, M=None):
+        orders.append(derivative)
+        return synth(coef, derivative, M)
+
+    monkeypatch.setattr(geometry, "synth_nodes", counted)
+    suite, (draw,), (rep,) = suite_fuglede_rows(monkeypatch, 128, 0)
+    monkeypatch.undo()
+    assert suite["pass"]
+    assert orders[0] == orders[-1] == (0, 1)
+    assert 1 <= len(orders) - 2 <= 4 and set(orders[1:-1]) == {0}
+    # and the shared nodes change nothing: a separate synthesis of the same
+    # coefficients gives the same nodes, report and sandwich bit for bit
+    rho, rho_phi = geometry.polar_nodes(draw.rho_hat)
+    assert np.array_equal(draw.rho, rho)
+    assert np.array_equal(draw.rho_phi, rho_phi)
+    report = geometry.admissibility_report_stack(draw.rho_hat, 1.0, 0.05)
+    assert report.keys() == draw.report.keys()
+    for key, value in report.items():
+        assert np.array_equal(draw.report[key], value), key
+    separate = analysis.check_fuglede_stack(draw.rho_hat)
+    assert separate.keys() == rep.keys()
+    for key, value in separate.items():
+        assert np.array_equal(rep[key], value), key
+
+
 def test_checks_fuglede_reports_hypothesis_failure(capsys, monkeypatch):
     # one curve of the second block breaks sup|u| <= 3/40
     bad = geometry.single_mode_curve(1.0, 2, 0.09)
@@ -335,7 +428,14 @@ def test_checks_fuglede_reports_hypothesis_failure(capsys, monkeypatch):
         stack = draw(rng, B, **kwargs)
         calls.append(B)
         if len(calls) == 2:
-            stack[3] = bad.rho_hat
+            # the sandwich reads the row's nodes and report, not its
+            # coefficients: replace all three
+            rho_hat = stack.rho_hat.copy()
+            rho_hat[3] = bad.rho_hat
+            rho, rho_phi = geometry.polar_nodes(rho_hat)
+            stack = geometry.AdmissibleStack(
+                rho_hat, rho, rho_phi,
+                geometry.admissibility_report_nodes(rho, rho_phi, 1.0))
         return stack
 
     monkeypatch.setattr(cli, "FUGLEDE_BLOCK", 5)

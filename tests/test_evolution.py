@@ -2,7 +2,6 @@
 record grid and error control, runs."""
 
 import decimal
-import functools
 import math
 import warnings
 from dataclasses import replace
@@ -92,12 +91,9 @@ def test_linear_symbol_is_rhs_jacobian_on_circle():
 
 
 def test_step_is_classical_rk4_without_linear_part(monkeypatch):
-    # ETDRK4 reduces to classical RK4 at Lambda = 0; a fresh phi cache
-    # keeps the zero symbol's phis out of the shared one
+    # ETDRK4 reduces to classical RK4 at Lambda = 0
     monkeypatch.setattr(evolution, "linear_symbol",
                         lambda N, R: np.zeros((N, 1)))
-    monkeypatch.setattr(evolution, "_step_phi", functools.lru_cache(
-        maxsize=5)(evolution._step_phi.__wrapped__))
     curve = state_for(5, 0.01)
     dt = 2.0 * evolution.dt_max(32, 1.0)
 
@@ -167,37 +163,51 @@ def test_rhs_checks_a_given_kernel():
 
 
 def test_phi_evaluated_once_per_step_size(monkeypatch):
-    # accepted steps of h (two half steps and the Simpson estimate)
-    # evaluate phi once at each of Lambda h, h/2 and h/4, a record between
-    # step ends once more at its own offset, and the start probe once at
-    # its h0
-    taus, hs = [], []
-    phi, two_half_steps = evolution._phi, evolution._two_half_steps
+    # each attempted step of h evaluates phi once, at h, h/2 and h/4
+    # together (two half steps and the Simpson estimate); an accepted step
+    # with records strictly inside it once more, at h/2 and every record
+    # offset together; and the start probe once at its h0
+    taus, calls = [], []
+    phi = evolution._phi
 
     def counted(lam, tau):
-        taus.append(tau)
+        taus.append(np.ravel(tau).tolist())
         return phi(lam, tau)
 
-    def kept(curve, h, *args):
-        hs.append(h)
-        return two_half_steps(curve, h, *args)
+    def tracked(name):
+        fn = getattr(evolution, name)
+
+        def wrapped(*args):
+            before = len(taus)
+            try:
+                return fn(*args)
+            finally:
+                calls.append((name, args[1], args[-1], taus[before:]))
+        monkeypatch.setattr(evolution, name, wrapped)
 
     monkeypatch.setattr(evolution, "_phi", counted)
-    monkeypatch.setattr(evolution, "_two_half_steps", kept)
+    tracked("_two_half_steps")
+    tracked("dense_output")
     base = {"N": 32, "t_end": 1e-3, "k_out": 2, "k_H": 0}
-    # the second, a single mode, has its error estimate at rounding level,
-    # so dt grows 4x and the grown step's h/4 is the previous step's h
     for cfg in ({"modes": "2,3", "amps": "0.01,0.005", "seed": 7},
                 {"modes": "3", "amps": "1e-3", "phases": "0"}):
         taus.clear()
-        hs.clear()
-        evolution._step_phi.cache_clear()
+        calls.clear()
         fin = evolution.run({**base, **cfg}).events[-1]
-        assert fin["event"] == "finish" and fin["rejects"] == 0
-        assert fin["steps"] == len(hs) > 1 and fin["record_rhs_calls"] > 0
-        sizes = {s for h in hs for s in (h, 0.5 * h, 0.25 * h)}
-        assert len(taus) == len(sizes) + fin["record_rhs_calls"] + 1
-    assert any(b == 4.0 * a for a, b in zip(hs, hs[1:]))
+        assert fin["event"] == "finish"
+        steps = [(h, inner) for name, h, _, inner in calls
+                 if name == "_two_half_steps"]
+        assert len(steps) == fin["steps"] + fin["rejects"] > 1
+        for h, inner in steps:
+            assert inner == [[h, 0.5 * h, 0.25 * h]]
+        dense = [(h, s, inner) for name, h, s, inner in calls
+                 if name == "dense_output"]
+        for h, s, inner in dense:
+            assert inner == [[0.5 * h] + [x - 0.5 * h if x > 0.5 * h else x
+                                          for x in s]]
+        records = sum(len(s) for _, s, _ in dense)
+        assert 0 < len(dense) < records == fin["record_rhs_calls"]
+        assert len(taus) == len(calls) + 1
 
 
 def phi_reference(z):
@@ -305,10 +315,11 @@ def test_dense_output_passes_through_step_points():
     assert stats.rhs_calls == 1 + 8 and cache.curve is new
     assert solve.residual_norm <= potential.REFINE_TOL
     y1 = new.rho_hat
-    path = evolution.dense_output(curve, h, n0, y_mid, n_mid, y1, n1)
-    assert np.array_equal(path(0.0), curve.rho_hat)
-    assert np.max(np.abs(path(0.5 * h) - y_mid)) < 1e-15
-    assert np.max(np.abs(path(h) - y1)) < 1e-15
+    y_0, y_h2, y_h = evolution.dense_output(curve, h, n0, y_mid, n_mid, y1,
+                                            n1, [0.0, 0.5 * h, h])
+    assert np.array_equal(y_0, curve.rho_hat)
+    assert np.max(np.abs(y_h2 - y_mid)) < 1e-15
+    assert np.max(np.abs(y_h - y1)) < 1e-15
 
 
 @pytest.mark.parametrize("degree", [0, 3])
@@ -339,12 +350,13 @@ def test_dense_output_exact_for_polynomial_n(degree):
     y0 = rng.normal(size=(N, 2))
     y0[0, 1] = 0.0   # a curve's unused k = 0 sine entry
     curve = geometry.RadialCurve(1.0, y0, np.zeros(2))
+    offsets = np.linspace(0.0, h, 9)
     path = evolution.dense_output(curve, h, n_at(0.0),
                                   exact(y0, 0.5 * h), n_at(0.5 * h),
-                                  exact(y0, h), n_at(h))
-    for s in np.linspace(0.0, h, 9):
+                                  exact(y0, h), n_at(h), offsets)
+    for s, y in zip(offsets, path):
         ref = exact(y0, s)
-        assert np.max(np.abs(path(s) - ref)) < 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(y - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 def test_run_records_match_tight_tolerance(monkeypatch):

@@ -277,7 +277,7 @@ def test_random_admissible_draw_order(seed, delta, k_max):
     dev = np.max(np.abs(geometry.synth_nodes(rho_hat) - 1.0))
     slope = np.max(np.abs(geometry.synth_nodes(rho_hat, 1)))
     rho_hat[1:] *= 0.5 * delta / max(dev, slope)
-    expected = geometry.shrink_to_admissible(rho_hat[None], delta)[0]
+    expected = geometry.shrink_to_admissible(rho_hat[None], delta).rho_hat[0]
     drawn = np.random.default_rng(seed)
     curve = geometry.random_admissible(drawn, delta=delta, k_max=k_max)
     assert np.array_equal(curve.rho_hat, expected)
@@ -360,10 +360,20 @@ def test_shrink_to_admissible_shrinks_only_failing_rows():
     # 1.125 delta) and passes after m (0.9 delta)
     shrinks = (1, 0, 7)
     rows = np.stack([mode2_row(0.45 * delta / 0.8**m) for m in shrinks])
-    out = geometry.shrink_to_admissible(rows, delta)
+    draw = geometry.shrink_to_admissible(rows, delta)
+    out = draw.rho_hat
     for got, row, m in zip(out, rows, shrinks):
         assert np.array_equal(got, projected_and_shrunk(row, m)), m
-    assert geometry.admissibility_report_stack(out, 1.0, delta)["pass"].all()
+    # the nodes and report returned are those of each row's passing check,
+    # equal to a fresh synthesis of the whole stack
+    rho, rho_phi = geometry.polar_nodes(out)
+    assert np.array_equal(draw.rho, rho) and np.array_equal(draw.rho_phi,
+                                                            rho_phi)
+    report = geometry.admissibility_report_stack(out, 1.0, delta)
+    assert report.keys() == draw.report.keys()
+    for key, value in report.items():
+        assert np.array_equal(draw.report[key], value), key
+    assert report["pass"].all()
     # the input stack is left as it was
     assert np.array_equal(rows[1], mode2_row(0.45 * delta))
 
