@@ -102,24 +102,18 @@ def check_fuglede(curve):
     the admissibility report that supplies sup|u| and sup|u_phi| and the
     sandwich (check_fuglede_nodes), which forms Delta without cancellation.
     """
-    rep = check_fuglede_stack(curve.rho_hat[None], curve.R)
+    rho, rho_phi = geometry.polar_nodes(curve.rho_hat[None])
+    report = geometry.admissibility_report_nodes(rho, rho_phi, curve.R)
+    rep = check_fuglede_nodes(rho, rho_phi, report, curve.R)
     return {k: v[0].item() for k, v in rep.items()}
 
 
-def check_fuglede_stack(rho_hat, R=1.0):
-    """check_fuglede for stacked (B, N, 2) coefficients sharing R: the same
-    keys, each an array over the B rows, from one polar_nodes synthesis.
-    Raises HypothesisFail (naming the first offending row's sup norms) if
-    any row violates the hypotheses."""
-    rho, rho_phi = geometry.polar_nodes(rho_hat)
-    report = geometry.admissibility_report_nodes(rho, rho_phi, R)
-    return check_fuglede_nodes(rho, rho_phi, report, R)
-
-
 def check_fuglede_nodes(rho, rho_phi, report, R=1.0):
-    """check_fuglede_stack from the rows' node values (B, M) of rho and
-    rho_phi and their geometry.admissibility_report_nodes report, whose
-    annulus and slope residuals are sup|u| and sup|u_phi|.
+    """check_fuglede of B rows sharing R, from their node values (B, M) of
+    rho and rho_phi and their geometry.admissibility_report_nodes report,
+    whose annulus and slope residuals are sup|u| and sup|u_phi|: the same
+    keys, each an array over the rows.  Raises HypothesisFail (naming the
+    first offending row's sup norms) if any row violates the hypotheses.
 
     Delta is formed without cancellation, as geometry.isoperimetric_gap
     forms E: with w = rho - R and s = w (2R + w) = rho^2 - R^2,

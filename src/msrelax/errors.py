@@ -22,8 +22,8 @@ class Unresolved(MsrelaxError):
 class OptimFail(MsrelaxError):
     """An iterative construction failed: the annulus-center search of
     bonnesen_monitor diverged, the admissibility projection
-    (make_admissible_stack) did not converge, or shrink_to_admissible could
-    not meet the sup bounds."""
+    (make_admissible_stack) did not converge, or a random_admissible curve
+    left the sup bounds after projection."""
 
 
 # -- sobolev ----------------------------------------------------------------

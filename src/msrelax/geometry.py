@@ -307,23 +307,17 @@ def admissibility_report(curve, delta=0.05):
     booleans; raises only NonPositiveRadius, as build_cache does.  One
     polar synthesis feeds admissibility_report_nodes.
     """
-    rep = admissibility_report_stack(curve.rho_hat[None], curve.R, delta)
+    rep = admissibility_report_nodes(*polar_nodes(curve.rho_hat[None]),
+                                     curve.R, delta)
     return {k: v[0].item() for k, v in rep.items()}
 
 
-def admissibility_report_stack(rho_hat, R, delta=0.05):
-    """admissibility_report for stacked (B, N, 2) coefficients sharing R:
-    the same keys, each an array over the B rows, from one polar_nodes
-    synthesis (see admissibility_report_nodes)."""
-    return admissibility_report_nodes(*polar_nodes(rho_hat), R, delta)
-
-
 def admissibility_report_nodes(rho, rho_phi, R, delta=0.05):
-    """admissibility_report_stack from the rows' node values (B, M) of rho
-    and rho_phi, for callers that already hold them.  The annulus and slope
-    residuals are the sup norms sup|rho - R| / R and sup|rho_phi| / R; the
-    barycentre residual is the offset from the pole, whatever the pole's
-    position."""
+    """admissibility_report of B rows sharing R, from their node values
+    (B, M) of rho and rho_phi: the same keys, each an array over the rows.
+    The annulus and slope residuals are the sup norms sup|rho - R| / R and
+    sup|rho_phi| / R; the barycentre residual is the offset from the pole,
+    whatever the pole's position."""
     area = node_area(rho)
     bary = node_moments(rho) / (3.0 * area[:, None])
     report = {
@@ -451,9 +445,10 @@ def make_admissible_stack(rho_hat, R):
 
 
 class AdmissibleStack(NamedTuple):
-    """Projected unit-radius (B, N, 2) coefficients, with the node values
-    (B, M) of rho and rho_phi and the admissibility_report_nodes report
-    that passed each row."""
+    """random_admissible_stack's projected unit-radius (B, N, 2)
+    coefficients, with their node values (B, M) of rho and rho_phi from one
+    polar synthesis and the admissibility_report_nodes report that passed
+    every row."""
 
     rho_hat: np.ndarray
     rho: np.ndarray
@@ -463,22 +458,30 @@ class AdmissibleStack(NamedTuple):
 
 def random_admissible(rng, N=32, delta=0.05, k_max=8, domain="plane", L=None):
     """Random nearly circular curve of unit equal-area radius satisfying all
-    admissibility conditions.
+    admissibility conditions: row 0 of random_admissible_stack(rng, 1, ...).
 
     Draws modes 2..k_max with random phases, scales the perturbation so both
     sup bounds sit at ``delta / 2``, then Newton-projects the area and
-    barycenter conditions.
+    barycenter conditions.  Raises OptimFail if the projected curve breaks
+    a sup bound.
     """
     rho_hat = random_admissible_stack(rng, 1, N, delta, k_max).rho_hat[0]
     return RadialCurve(1.0, rho_hat, np.zeros(2), domain, L)
 
 
 def random_admissible_stack(rng, B, N=32, delta=0.05, k_max=8):
-    """B random_admissible curves drawn from one generator, as the
-    AdmissibleStack of shrink_to_admissible: row i is the curve the i-th of
-    B successive random_admissible(rng, ...) calls would return, bit for
-    bit, since one uniform call fills the draws in the same stream order
-    (per curve, the k_max - 1 amplitudes, then the k_max - 1 phases)."""
+    """B random_admissible curves drawn from one generator, as an
+    AdmissibleStack: row i is the curve the i-th of B successive
+    random_admissible(rng, ...) calls would return, bit for bit, since one
+    uniform call fills the draws in the same stream order (per curve, the
+    k_max - 1 amplitudes, then the k_max - 1 phases).
+
+    The rows are projected (make_admissible_stack), synthesized once
+    (polar_nodes) and checked (admissibility_report_nodes).  The projection
+    moves only a0, a1 and b1, each by O(delta^2), so a row scaled to the
+    sup bounds delta / 2 stays well inside them; OptimFail if any row does
+    not.
+    """
     rho_hat = np.zeros((B, N, 2))
     rho_hat[:, 0, 0] = 1.0
     ks = np.arange(2, k_max + 1)
@@ -492,33 +495,12 @@ def random_admissible_stack(rng, B, N=32, delta=0.05, k_max=8):
     dev = np.max(np.abs(rho - 1.0), axis=-1)
     slope = np.max(np.abs(rho_phi), axis=-1)
     rho_hat[:, 1:] *= (0.5 * delta / np.maximum(dev, slope))[:, None, None]
-    return shrink_to_admissible(rho_hat, delta)
-
-
-def shrink_to_admissible(rho_hat, delta):
-    """Project each unit-radius row of a (B, N, 2) stack (make_admissible);
-    while a row fails the sup bounds at delta, shrink its modes k >= 1 by 0.8
-    and project it again.  Returns an AdmissibleStack whose nodes and report
-    are those of each row's passing check: one polar synthesis of the stack,
-    and one more of the rows each shrink redoes.  Raises OptimFail if a
-    row fails eight checks."""
     rho_hat = make_admissible_stack(rho_hat, 1.0)
     rho, rho_phi = polar_nodes(rho_hat)
     report = admissibility_report_nodes(rho, rho_phi, 1.0, delta)
-    for _ in range(7):   # checks 2..8
-        rows = np.flatnonzero(~report["pass"])
-        if rows.size == 0:
-            break
-        # projection moved low modes past the sup bounds; shrink and redo
-        shrunk = rho_hat[rows]
-        shrunk[:, 1:] *= 0.8
-        rho_hat[rows] = make_admissible_stack(shrunk, 1.0)
-        rho[rows], rho_phi[rows] = polar_nodes(rho_hat[rows])
-        rep = admissibility_report_nodes(rho[rows], rho_phi[rows], 1.0, delta)
-        for key, value in rep.items():
-            report[key][rows] = value
     if not report["pass"].all():
-        raise OptimFail("random_admissible: could not satisfy sup bounds")
+        raise OptimFail("random_admissible: projected curve outside the "
+                        "sup bounds")
     return AdmissibleStack(rho_hat, rho, rho_phi, report)
 
 
@@ -576,6 +558,9 @@ def write_curve(curve, path):
 
 
 def read_curve(path):
+    """Read a write_curve file; ValueError unless the header is msrc v1, R
+    is finite and positive, and the pole and every coefficient are
+    finite."""
     with open(path) as fh:
         parts = fh.readline().split()
         domain = parts[4] if len(parts) > 4 else None
@@ -589,4 +574,8 @@ def read_curve(path):
         pole = np.array([float(parts[-2]), float(parts[-1])])
         rho_hat = np.array([[float(x) for x in fh.readline().split()]
                             for _ in range(N)])
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"{path}: R = {R} is not finite and positive")
+    if not (np.all(np.isfinite(pole)) and np.all(np.isfinite(rho_hat))):
+        raise ValueError(f"{path}: the pole and coefficients must be finite")
     return RadialCurve(R, rho_hat, pole, domain, L)

@@ -75,12 +75,20 @@ def test_fuglede_random_admissible(seed):
     assert analysis.check_fuglede(curve)["pass"]
 
 
+def fuglede_rows(rho_hat, R=1.0):
+    """The sandwich of stacked (B, N, 2) rows by one polar synthesis and
+    the node forms, as check_fuglede forms it for one curve."""
+    rho, rho_phi = geometry.polar_nodes(rho_hat)
+    report = geometry.admissibility_report_nodes(rho, rho_phi, R)
+    return analysis.check_fuglede_nodes(rho, rho_phi, report, R)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fuglede_stack_rows_match_single_curves(seed):
     # one stream: row i is the i-th of successive single draws
     stack = geometry.random_admissible_stack(np.random.default_rng(seed), 200,
                                              delta=0.05).rho_hat
-    rep = analysis.check_fuglede_stack(stack)
+    rep = fuglede_rows(stack)
     rng = np.random.default_rng(seed)
     for i, row in enumerate(stack):
         curve = geometry.random_admissible(rng, delta=0.05)
@@ -98,7 +106,7 @@ def test_fuglede_stack_hypothesis_guard():
     with pytest.raises(HypothesisFail) as single:
         analysis.check_fuglede(bad)
     with pytest.raises(HypothesisFail) as stacked:
-        analysis.check_fuglede_stack(np.stack([good, bad.rho_hat, good]))
+        fuglede_rows(np.stack([good, bad.rho_hat, good]))
     assert str(stacked.value) == str(single.value)
 
 

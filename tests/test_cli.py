@@ -406,11 +406,11 @@ def test_suite_fuglede_synthesizes_each_block_once(monkeypatch):
     rho, rho_phi = geometry.polar_nodes(draw.rho_hat)
     assert np.array_equal(draw.rho, rho)
     assert np.array_equal(draw.rho_phi, rho_phi)
-    report = geometry.admissibility_report_stack(draw.rho_hat, 1.0, 0.05)
+    report = geometry.admissibility_report_nodes(rho, rho_phi, 1.0, 0.05)
     assert report.keys() == draw.report.keys()
     for key, value in report.items():
         assert np.array_equal(draw.report[key], value), key
-    separate = analysis.check_fuglede_stack(draw.rho_hat)
+    separate = analysis.check_fuglede_nodes(rho, rho_phi, report)
     assert separate.keys() == rep.keys()
     for key, value in separate.items():
         assert np.array_equal(rep[key], value), key
@@ -667,3 +667,40 @@ def test_truncated_torus_header_exits_2(capsys, tmp_path):
     path = tmp_path / "short.msrc"
     path.write_text("msrc v1 16 1.0 torus 8.0 0.0\n" + "0 0\n" * 16)
     assert cli.main(["norms", str(path)]) == 2
+
+
+def msrc_text(R="1", pole="0 0", a0="1", mode2="0 0"):
+    """An N = 16 plane curve file: rho = a0 plus the mode-2 line."""
+    rows = [f"{a0} 0", "0 0", mode2] + ["0 0"] * 13
+    return f"msrc v1 16 {R} plane {pole}\n" + "\n".join(rows) + "\n"
+
+
+BAD_CURVES = {
+    "R-nan": msrc_text(R="nan"),
+    "R-inf": msrc_text(R="inf"),
+    "R-negative": msrc_text(R="-1", a0="-1"),
+    "pole-nan": msrc_text(pole="nan 0"),
+    "coefficient-nan": msrc_text(mode2="nan 0"),
+}
+
+
+def test_msrc_text_is_a_curve(capsys, tmp_path):
+    path = tmp_path / "c.msrc"
+    path.write_text(msrc_text(mode2="0.01 0"))
+    code, msg = run_cli(capsys, "norms", str(path))
+    assert code == 0 and json.loads(msg)["R"] == 1.0
+
+
+@pytest.mark.parametrize("command", ["norms", "hminus"])
+@pytest.mark.parametrize("text", BAD_CURVES.values(), ids=BAD_CURVES)
+def test_nonfinite_or_nonpositive_curve_file_exits_2(capsys, tmp_path,
+                                                     curve_pair, command,
+                                                     text):
+    # R must be finite and positive, the pole and coefficients finite:
+    # a file that breaks this is a usage error, never a report of NaNs
+    path = tmp_path / "bad.msrc"
+    path.write_text(text)
+    curves = [str(path)] + ([curve_pair[1]] if command == "hminus" else [])
+    assert cli.main([command, *curves]) == 2
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err and captured.out == ""

@@ -54,11 +54,11 @@ def test_stacked_integrals_of_shifted_disks(R):
     assert np.max(np.abs(area / (np.pi * R**2) - 1.0)) <= 1e-13
     assert np.max(np.abs(offset - np.stack([a, 0.0 * a], axis=1))) <= 1e-13 * R
     assert np.max(np.abs(length / (2.0 * np.pi * R) - 1.0)) <= 1e-13
-    rep = geometry.admissibility_report_stack(rho_hat, R)
+    rep = geometry.admissibility_report_nodes(rho, rho_phi, R)
     assert np.max(np.abs(rep["barycenter_residual"] - a / R)) <= 1e-13
     # the Newton projection moves every row's barycenter to the pole
     out = geometry.make_admissible_stack(rho_hat, R)
-    rep = geometry.admissibility_report_stack(out, R)
+    rep = geometry.admissibility_report_nodes(*geometry.polar_nodes(out), R)
     assert np.max(rep["barycenter_residual"]) <= 1e-10
     assert np.max(rep["area_residual"]) <= 1e-10
 
@@ -277,7 +277,7 @@ def test_random_admissible_draw_order(seed, delta, k_max):
     dev = np.max(np.abs(geometry.synth_nodes(rho_hat) - 1.0))
     slope = np.max(np.abs(geometry.synth_nodes(rho_hat, 1)))
     rho_hat[1:] *= 0.5 * delta / max(dev, slope)
-    expected = geometry.shrink_to_admissible(rho_hat[None], delta).rho_hat[0]
+    expected = geometry.make_admissible_stack(rho_hat[None], 1.0)[0]
     drawn = np.random.default_rng(seed)
     curve = geometry.random_admissible(drawn, delta=delta, k_max=k_max)
     assert np.array_equal(curve.rho_hat, expected)
@@ -304,16 +304,6 @@ def mode2_row(eps, N=32):
     rho_hat[0, 0] = 1.0
     rho_hat[2, 0] = eps
     return rho_hat
-
-
-def projected_and_shrunk(rho_hat, shrinks):
-    """Row by row reference: project, then shrink by 0.8 and re-project
-    ``shrinks`` times."""
-    out = geometry.make_admissible_stack(rho_hat[None], 1.0)
-    for _ in range(shrinks):
-        out[:, 1:] *= 0.8
-        out = geometry.make_admissible_stack(out, 1.0)
-    return out[0]
 
 
 def test_synth_nodes_batch_rows_match_single_rows():
@@ -354,36 +344,36 @@ def test_build_cache_matches_separate_syntheses(seed, N, domain):
         assert np.array_equal(getattr(cache, name), value), name
 
 
-def test_shrink_to_admissible_shrinks_only_failing_rows():
-    delta = 0.05
-    # row m fails the slope bound after m - 1 shrinks (2 eps 0.8^(m-1) =
-    # 1.125 delta) and passes after m (0.9 delta)
-    shrinks = (1, 0, 7)
-    rows = np.stack([mode2_row(0.45 * delta / 0.8**m) for m in shrinks])
-    draw = geometry.shrink_to_admissible(rows, delta)
-    out = draw.rho_hat
-    for got, row, m in zip(out, rows, shrinks):
-        assert np.array_equal(got, projected_and_shrunk(row, m)), m
-    # the nodes and report returned are those of each row's passing check,
-    # equal to a fresh synthesis of the whole stack
-    rho, rho_phi = geometry.polar_nodes(out)
-    assert np.array_equal(draw.rho, rho) and np.array_equal(draw.rho_phi,
-                                                            rho_phi)
-    report = geometry.admissibility_report_stack(out, 1.0, delta)
-    assert report.keys() == draw.report.keys()
-    for key, value in report.items():
-        assert np.array_equal(draw.report[key], value), key
-    assert report["pass"].all()
-    # the input stack is left as it was
-    assert np.array_equal(rows[1], mode2_row(0.45 * delta))
+@pytest.mark.parametrize("seed, delta, k_max", [([0, 1], 0.05, 8),
+                                                ([0, 7], 0.01, 5)])
+def test_projection_keeps_draws_inside_the_sup_bounds(seed, delta, k_max):
+    # the draw scales each curve to sup bounds delta / 2 and the projection
+    # moves a0, a1 and b1 by O(delta^2): 1000 draws, the first of the
+    # Fuglede suite at seed 0 and the embed suite's gentle draw, stay near
+    # delta / 2, so no projected row needs another try
+    draw = geometry.random_admissible_stack(np.random.default_rng(seed),
+                                            1000, delta=delta, k_max=k_max)
+    for key in ("annulus_residual", "slope_residual"):
+        assert np.max(draw.report[key]) <= 0.51 * delta, key
+    assert draw.report["pass"].all()
 
 
-def test_shrink_to_admissible_raises_after_eight_failures():
+def test_random_admissible_stack_raises_if_a_projected_row_breaks_the_bounds(
+        monkeypatch):
+    # row 2's projection lands on a + eps cos(2 phi) of area pi and slope
+    # 2 eps = 1.125 delta: the block raises rather than retrying the row
     delta = 0.05
-    rows = np.stack([mode2_row(0.45 * delta),
-                     mode2_row(0.45 * delta / 0.8**8)])
+    project = geometry.make_admissible_stack
+
+    def breaks_row_two(rho_hat, R):
+        out = project(rho_hat, R)
+        out[2] = project(mode2_row(0.45 * delta / 0.8)[None], R)[0]
+        return out
+
+    monkeypatch.setattr(geometry, "make_admissible_stack", breaks_row_two)
     with pytest.raises(OptimFail, match="sup bounds"):
-        geometry.shrink_to_admissible(rows, delta)
+        geometry.random_admissible_stack(np.random.default_rng(0), 4,
+                                         delta=delta)
 
 
 def test_make_admissible_stack_raises_if_one_row_does_not_converge():
@@ -428,11 +418,21 @@ def newton_3x3_projection(rho_hat, R):
 
 def fuglede_suite_draws(monkeypatch, n, seed):
     """The n scaled, not yet projected curves that the Fuglede suite
-    (cli._suite_fuglede) draws first at ``seed``."""
+    (cli._suite_fuglede) draws first at ``seed``: the input of their
+    projection."""
+    inputs = []
+    project = geometry.make_admissible_stack
+
+    def captured(rho_hat, R):
+        inputs.append(rho_hat.copy())
+        return project(rho_hat, R)
+
     with monkeypatch.context() as m:
-        m.setattr(geometry, "shrink_to_admissible", lambda rho_hat, _: rho_hat)
-        return geometry.random_admissible_stack(
-            np.random.default_rng([seed, 1]), n, delta=0.05)
+        m.setattr(geometry, "make_admissible_stack", captured)
+        geometry.random_admissible_stack(np.random.default_rng([seed, 1]), n,
+                                         delta=0.05)
+    (rho_hat,) = inputs
+    return rho_hat
 
 
 def perturbed_shifted_disks(R):
@@ -462,7 +462,7 @@ def test_make_admissible_stack_matches_3x3_newton(monkeypatch, case):
     got = geometry.make_admissible_stack(rho_hat, R)
     ref = newton_3x3_projection(rho_hat, R)
     assert np.max(np.abs(got - ref)) <= 1e-14 * R
-    rep = geometry.admissibility_report_stack(got, R)
+    rep = geometry.admissibility_report_nodes(*geometry.polar_nodes(got), R)
     assert np.max(rep["area_residual"]) <= 1e-14
     assert np.max(rep["barycenter_residual"]) <= 1e-14
 
