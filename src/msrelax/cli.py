@@ -5,16 +5,16 @@ Exit codes: 0 success, 1 hard-assertion failure, 2 usage error.
 
 Configs are flat ``key = value`` text (unknown keys rejected); every output
 carries the sha256 hash of the canonicalized config so runs are traceable.
-The Fuglede suite checks its random curves as stacked arrays in the calling
-thread; the Sobolev suite fans out across worker threads, capped by
-MSRELAX_THREADS, and merges results in task order so output stays
-deterministic.
+Every suite runs in the calling thread, so its output is a function of
+its arguments alone: the Fuglede suite checks its random curves as stacked
+arrays, and the Sobolev suite checks its draws one after another.
 """
 
 import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -45,16 +45,12 @@ def config_hash(cfg):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _n_workers():
-    env = os.environ.get("MSRELAX_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def _parallel(tasks):
-    """Run no-argument callables across the worker pool, merged in order."""
-    with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
+    """Run no-argument callables across a thread pool, merged in order.  No
+    command calls it: it stays, with the ThreadPoolExecutor import, because
+    perfbench/worker.py traces cli._parallel and swaps
+    cli.ThreadPoolExecutor by name."""
+    with ThreadPoolExecutor() as pool:
         futures = [pool.submit(t) for t in tasks]
         return [f.result() for f in futures]
 
@@ -222,7 +218,7 @@ def _suite_sobolev(n, seed):
         return sobolev.interpolation_check(coef, np.pi, alpha, sigma,
                                            beta)["ratio"]
 
-    worst = max(_parallel([lambda i=i: one(i) for i in range(n)]))
+    worst = max(one(i) for i in range(n))
     return {"n": n, "max_interpolation_ratio": worst,
             "pass": bool(worst <= 1.0 + 1e-10)}
 
@@ -436,6 +432,14 @@ def _positive_int(text):
     return n
 
 
+def _positive_float(text):
+    x = float(text)
+    if not 0.0 < x < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text}")
+    return x
+
+
 @functools.cache
 def build_parser():
     """The CLI's argument parser, built once per process.  A subcommand
@@ -468,7 +472,7 @@ def build_parser():
 
     s = sub.add_parser("norms", help="geometry/norm report for a curve file")
     s.add_argument("curve")
-    s.add_argument("--delta", type=float, default=0.05)
+    s.add_argument("--delta", type=_positive_float, default=0.05)
 
     s = sub.add_parser("report", help="summarize a trajectory.csv")
     s.add_argument("trajectory")

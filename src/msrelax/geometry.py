@@ -11,8 +11,9 @@ Curvature of the polar graph:
 
 with ell the length element ds = ell dphi.  The cache keeps rho, rho_phi,
 ell and kappa; rho_phiphi enters only kappa.  It synthesizes rho and both
-derivatives by one inverse FFT, with the factors (ik)^d cached per N and the
-node angles' cosines and sines (node_trig) per M.
+derivatives by one inverse FFT, with the real factors +-k^d M/2 of the
+spectrum cached per (N, d, M) and the node angles and their cosines and
+sines (node_trig) per M.
 
 The node integrals reduce over the last axis, so single curves and (B, ...)
 stacks share them: ``polar_nodes`` (rho > 0 guard), ``quad`` (trapezoidal
@@ -83,10 +84,10 @@ class RadialCurve:
 
 @dataclass
 class GeometryCache:
-    """Node-wise geometry of a RadialCurve at M = 2N uniform angles."""
+    """Node-wise geometry of a RadialCurve at the M = 2N uniform angles
+    node_trig(M)[0]."""
 
     curve: RadialCurve
-    phi_nodes: np.ndarray
     rho: np.ndarray
     rho_phi: np.ndarray
     ell: np.ndarray
@@ -94,7 +95,7 @@ class GeometryCache:
 
     @property
     def M(self):
-        return self.phi_nodes.size
+        return self.rho.size
 
     @property
     def dphi(self):
@@ -114,31 +115,41 @@ def synth_nodes(coef, derivative=0, M=None):
     M uniform nodes 2 pi j / M (default M = 2N; an even M >= 2N zero-pads
     the spectrum); leading axes are a batch of curves.  A tuple of orders
     synthesizes each, stacked along a new leading axis, by one inverse FFT;
-    each slice equals its own synthesis bit for bit."""
+    each slice equals its own synthesis bit for bit.  The spectrum's real
+    and imaginary parts are written straight from the coefficient columns
+    (_spectral_factors), with no complex temporary."""
     N = coef.shape[-2]
     if M is None:
         M = 2 * N
     elif M % 2 or M < 2 * N:
         raise ValueError(f"M = {M} must be even and at least 2N = {2 * N}")
     orders = derivative if isinstance(derivative, tuple) else (derivative,)
-    c = coef[..., 0] - 1j * coef[..., 1]
-    X = np.zeros((len(orders),) + c.shape[:-1] + (M // 2 + 1,),
+    X = np.zeros((len(orders),) + coef.shape[:-2] + (M // 2 + 1,),
                  dtype=complex)  # rfft layout
     for d, Xd in zip(orders, X):
-        cd = c * _ik_power(N, d) if d else c
         if d == 0:
-            Xd[..., 0] = cd[..., 0].real * M
-        Xd[..., 1:N] = cd[..., 1:] * (M // 2)
+            Xd.real[..., 0] = coef[..., 0, 0] * M
+        re_col, re_factor, im_col, im_factor = _spectral_factors(N, d, M)
+        np.multiply(coef[..., 1:, re_col], re_factor, out=Xd.real[..., 1:N])
+        np.multiply(coef[..., 1:, im_col], im_factor, out=Xd.imag[..., 1:N])
     nodes = np.fft.irfft(X, M)
     return nodes if isinstance(derivative, tuple) else nodes[0]
 
 
-@functools.lru_cache(maxsize=16)
-def _ik_power(N, d):
-    """The spectral derivative factors (ik)^d, k = 0..N-1, read-only."""
-    p = (1j * np.arange(N)) ** d
-    p.setflags(write=False)
-    return p
+@functools.lru_cache(maxsize=32)
+def _spectral_factors(N, d, M):
+    """How modes k = 1..N-1 of order d enter synth_nodes' M-node spectrum,
+    (a_k - i b_k) (ik)^d M/2: its real part is the column re_col (0 for a,
+    1 for b) times re_factor, its imaginary part im_col times im_factor.
+    i^d (a - ib) is (a, -b), (b, a), (-a, b), (-b, -a) for d % 4 = 0..3,
+    and each factor is +-k^d M/2, exact in floating point.  Returns
+    (re_col, re_factor, im_col, im_factor), the factors read-only."""
+    scale = np.arange(1.0, N) ** d * (M // 2)
+    re_factor = scale if d % 4 < 2 else -scale
+    im_factor = scale if d % 4 in (1, 2) else -scale
+    for f in (re_factor, im_factor):
+        f.setflags(write=False)
+    return d % 2, re_factor, 1 - d % 2, im_factor
 
 
 @functools.lru_cache(maxsize=8)
@@ -221,8 +232,7 @@ def build_cache(curve):
     rho, rho_phi, rho_phiphi = polar_nodes(curve.rho_hat, 2)
     ell = np.hypot(rho, rho_phi)
     kappa = (rho_phi**2 - rho * rho_phiphi) / ell**3 + 1.0 / ell
-    return GeometryCache(curve, node_trig(curve.M)[0], rho, rho_phi, ell,
-                         kappa)
+    return GeometryCache(curve, rho, rho_phi, ell, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +466,17 @@ class AdmissibleStack(NamedTuple):
     report: dict
 
 
-def random_admissible(rng, N=32, delta=0.05, k_max=8, domain="plane", L=None):
+def random_admissible(rng, N=32, delta=0.05, k_max=8):
     """Random nearly circular curve of unit equal-area radius satisfying all
     admissibility conditions: row 0 of random_admissible_stack(rng, 1, ...).
 
     Draws modes 2..k_max with random phases, scales the perturbation so both
     sup bounds sit at ``delta / 2``, then Newton-projects the area and
-    barycenter conditions.  Raises OptimFail if the projected curve breaks
-    a sup bound.
+    barycenter conditions.  The curve lies in the plane, its pole at the
+    origin.  Raises OptimFail if the projected curve breaks a sup bound.
     """
     rho_hat = random_admissible_stack(rng, 1, N, delta, k_max).rho_hat[0]
-    return RadialCurve(1.0, rho_hat, np.zeros(2), domain, L)
+    return RadialCurve(1.0, rho_hat, np.zeros(2))
 
 
 def random_admissible_stack(rng, B, N=32, delta=0.05, k_max=8):

@@ -60,22 +60,25 @@ integrals on the curve's nodes, on the plane or the torus, spectrally
 accurate and free of the cancellation between its O(R^4) terms (see
 there).
 
-The squared distance between two curves (``msrelax hminus``), and the
-oracle of disk_distance: the indicator difference is rasterized with
-subcell area-fraction anti-aliasing and H = ||f||_{H^-1}^2 is summed in
-Fourier space (squared_distance); plane curves embed into a torus of half
-edge length EMBED_FACTOR * R (the larger R of a pair).  A second curve's
-region may replace the ball (``other=``).  The raster smooths the
-interface at its cell size, so it converges to H from below as the grid is
-refined.  Only the cells of the two regions' bounding boxes (periodic, per
-axis) are rasterized: a subcell farther than max rho + hs from a region's
-centre along either axis has radial signed distance below -hs/2, so its
-coverage clips to exactly 0 and every cell outside the boxes is exactly 0
-in the full-grid raster too.  A curve's rho is tabulated at uniform angles
-by one zero-padded inverse real FFT and read by direct-index linear
-interpolation; H sums w |F|^2 over the real FFT F of the raster, with the
-weights w (1/|k|^2, the conjugate pairs counted twice) cached per grid size
-and half edge L.
+The squared distance between the regions of two curves sharing a domain
+(``msrelax hminus``), and the oracle of disk_distance (with a disk curve,
+rho_hat = R e_0 about c, as the second curve): the indicator difference is
+rasterized with subcell area-fraction anti-aliasing and
+H = ||f||_{H^-1}^2 is summed in Fourier space (squared_distance); plane
+curves embed into a torus of half edge length EMBED_FACTOR * R (the larger
+R of the pair).  The raster smooths the interface at its cell size, so it
+converges to H from below as the grid is refined; GridTooCoarse warns when
+a curve's interface band sup|rho - R| is under half a cell, where the
+raster's error in H passes about 2% on mode-2 curves (measured in the
+README's hminus table; it grows with the mode number).  Only the cells of
+the two regions' bounding boxes (periodic, per axis) are rasterized: a
+subcell farther than max rho + hs from a region's centre along either axis
+has radial signed distance below -hs/2, so its coverage clips to exactly 0
+and every cell outside the boxes is exactly 0 in the full-grid raster too.
+A curve's rho is tabulated at uniform angles by one zero-padded inverse
+real FFT and read by direct-index linear interpolation; H sums w |F|^2 over
+the real FFT F of the raster, with the weights w (1/|k|^2, the conjugate
+pairs counted twice) cached per grid size and half edge L.
 """
 
 import functools
@@ -614,17 +617,14 @@ def _uniform_lookup(table, theta):
 
 
 def _coverage(region, xs, ys, L, hs):
-    """Subcell coverage fractions of a star-shaped region on the subcell
-    centres xs x ys, estimated from the radial signed distance rho - r about
-    its centre, clipped to [0, 1].  rho is a uniform table (_curve_region)
-    or, for a disk, its radius."""
-    centre, rho, _ = region
+    """Subcell coverage fractions of a star-shaped region (_curve_region) on
+    the subcell centres xs x ys, estimated from the radial signed distance
+    rho - r about its centre, clipped to [0, 1]."""
+    centre, table, _ = region
     dx = ((xs - centre[0] + L) % (2.0 * L) - L)[:, None]
     dy = ((ys - centre[1] + L) % (2.0 * L) - L)[None, :]
-    r = np.hypot(dx, dy)
-    if isinstance(rho, np.ndarray):
-        rho = _uniform_lookup(rho, np.arctan2(dy, dx) % (2.0 * np.pi))
-    return np.clip(0.5 + (rho - r) / hs, 0.0, 1.0)
+    rho = _uniform_lookup(table, np.arctan2(dy, dx) % (2.0 * np.pi))
+    return np.clip(0.5 + (rho - np.hypot(dx, dy)) / hs, 0.0, 1.0)
 
 
 def _box(x1, sub, axis, regions, L, hs):
@@ -644,40 +644,35 @@ def _box(x1, sub, axis, regions, L, hs):
     return cells, x1[(cells[:, None] * sub + np.arange(sub)).ravel()]
 
 
-def rasterize_difference(curve, center, grid=512, sub=4, other=None):
-    """Cell-averaged samples of chi_Omega_in - chi_B_R(center) (R = curve.R)
-    on the torus grid, with sub x sub subcell area-fraction anti-aliasing.
-    ``other`` replaces the reference ball with a second curve's region;
-    otherwise ``center`` None means the bulk barycenter of ``curve``.
-    Plane curves embed at EMBED_FACTOR times the larger R.  Warns
-    GridTooCoarse when either curve's interface band is under 4 h.
-    Returns (f, L, h) with f zero-mean.  Raises ValueError when ``other``
-    lies in another domain or torus cell."""
-    if other is not None and (other.domain != curve.domain or (
-            curve.domain == "torus" and other.L != curve.L)):
+def rasterize_difference(curve, other, grid=512, sub=4):
+    """Cell-averaged samples of chi_Omega - chi_Omega_other, the regions
+    enclosed by ``curve`` and ``other``, on the torus grid, with sub x sub
+    subcell area-fraction anti-aliasing.  Plane curves embed at
+    EMBED_FACTOR times the larger R.  Warns GridTooCoarse when either
+    curve's interface band sup|rho - R| is under h / 2.  Returns (f, L, h)
+    with f zero-mean.  Raises ValueError when the curves lie in different
+    domains or torus cells."""
+    if other.domain != curve.domain or (
+            curve.domain == "torus" and other.L != curve.L):
         raise ValueError(f"curves in different domains: {curve.domain} "
                          f"(L = {curve.L}) and {other.domain} "
                          f"(L = {other.L})")
-    curves = [curve] if other is None else [curve, other]
+    curves = (curve, other)
     L = curve.L if curve.domain == "torus" else \
         EMBED_FACTOR * max(c.R for c in curves)
     G = grid
     h = 2.0 * L / G
     for c in curves:
         dev = float(np.max(np.abs(geometry.synth_nodes(c.rho_hat) - c.R)))
-        if dev > 0 and dev < 4.0 * h:
+        if dev > 0 and dev < 0.5 * h:
             # constant text, so the once-per-location filter de-duplicates it
-            warnings.warn("interface band under 4 grid cells: H is unreliable",
-                          GridTooCoarse, stacklevel=2)
+            warnings.warn("interface band under half a grid cell: H is "
+                          "unreliable", GridTooCoarse, stacklevel=2)
             break
 
     hs = 2.0 * L / (G * sub)
     x1 = -L + hs * (np.arange(G * sub) + 0.5)
     regions = [_curve_region(c) for c in curves]
-    if other is None:
-        if center is None:
-            center = geometry.barycenter_bulk(geometry.build_cache(curve))
-        regions.append((center, curve.R, curve.R))
     (cx, xs), (cy, ys) = (_box(x1, sub, axis, regions, L, hs)
                           for axis in (0, 1))
     box = _coverage(regions[0], xs, ys, L, hs) - \
@@ -689,18 +684,17 @@ def rasterize_difference(curve, center, grid=512, sub=4, other=None):
     return f, L, h
 
 
-def squared_distance(curve, center=None, grid=512, sub=4, other=None):
-    """H = squared H^{-1}(torus) norm of chi_Omega_in - chi_B_R(center)
-    (R = curve.R), or of chi_Omega_in - chi_Omega_other when a second curve
-    ``other`` (sharing the domain) is given.
+def squared_distance(curve, other, grid=512, sub=4):
+    """H = squared H^{-1}(torus) norm of chi_Omega - chi_Omega_other, the
+    regions enclosed by two curves sharing a domain.
 
     Plane curves are embedded into a torus with L = EMBED_FACTOR * R (the
-    larger R of a pair, so that H is symmetric in the two curves); the
+    larger R of the pair, so that H is symmetric in the two curves); the
     H^{-1} norm of the compactly supported zero-mean difference converges as
     the embedding grows.  The sum runs over the real FFT of the raster, with
     the weights of _h_weights.
     """
-    f, L, _ = rasterize_difference(curve, center, grid, sub, other)
+    f, L, _ = rasterize_difference(curve, other, grid, sub)
     F = np.fft.rfft2(f)
     return float(np.sum(_h_weights(f.shape[0], L)
                         * (F.real ** 2 + F.imag ** 2)))
@@ -750,7 +744,7 @@ def _trig_upsample(f, factor):
     return (E @ F @ E.T).real
 
 
-def squared_distance_oracle(curve, center=None, grid=64, other=None):
+def squared_distance_oracle(curve, other, grid=64):
     """Direct real-space double sum H = h'^4 sum_ij f_i N(x_i - x_j) f_j with
     N = -Lambda/(2 pi) tabulated from lattice sums (no fast Poisson solve).
 
@@ -759,9 +753,9 @@ def squared_distance_oracle(curve, center=None, grid=64, other=None):
     the point-sampled log kernel carries an O((k h)^2) near-singularity
     quadrature error; refining shrinks it below the 1% comparison budget.
     The singular cell uses the cell-averaged log.  Brute force O(G'^4) by
-    construction -- this is the independent check for squared_distance,
-    with the same ``other``."""
-    f, L, h = rasterize_difference(curve, center, grid, 4, other)
+    construction -- this is the independent check for squared_distance
+    of the same two curves."""
+    f, L, h = rasterize_difference(curve, other, grid, 4)
     fp = _trig_upsample(f, ORACLE_REFINE)
     Gp = fp.shape[0]
     hp = h / ORACLE_REFINE

@@ -236,16 +236,16 @@ def fake_solve(values):
 
 def test_improved_embedding_equality_case():
     cache = geometry.build_cache(geometry.single_mode_curve(1.0, 2, 0.0))
-    rep = analysis.check_improved_embedding(
-        cache, fake_solve(np.cos(2 * cache.phi_nodes)))
+    phi = geometry.node_trig(cache.M)[0]
+    rep = analysis.check_improved_embedding(cache, fake_solve(np.cos(2 * phi)))
     assert abs(rep["observed"] - 1.0) < 1e-10   # k = 2 saturates 1/(4 kbar^2)
     assert rep["pass"]
 
 
 def test_improved_embedding_higher_mode():
     cache = geometry.build_cache(geometry.single_mode_curve(1.0, 2, 0.0))
-    rep = analysis.check_improved_embedding(
-        cache, fake_solve(np.cos(5 * cache.phi_nodes)))
+    phi = geometry.node_trig(cache.M)[0]
+    rep = analysis.check_improved_embedding(cache, fake_solve(np.cos(5 * phi)))
     assert abs(rep["observed"] - 4.0 / 25.0) < 1e-10
 
 

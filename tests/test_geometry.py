@@ -142,14 +142,30 @@ def test_synth_nodes_zero_padded_matches_horner(shape):
             assert err <= 1e-14 * np.max(np.abs(c)) * (N - 1) ** d
 
 
-@pytest.mark.parametrize("shape", [(16, 2), (64, 2), (3, 32, 2)])
+@pytest.mark.parametrize("shape", [(16, 2), (64, 2), (3, 32, 2),
+                                   (128, 32, 2)])
 def test_synth_nodes_at_2n_unchanged(shape):
     coef = np.random.default_rng(5).normal(size=shape)
-    for d in (0, 1, 2):
+    for d in (0, 1, 2, 3):
         ref = synth_nodes_2n(coef, d)
         assert np.array_equal(geometry.synth_nodes(coef, d), ref)
         assert np.array_equal(
             geometry.synth_nodes(coef, d, M=2 * shape[-2]), ref)
+
+
+@pytest.mark.parametrize("curve", [
+    geometry.single_mode_curve(1.0, 2, 0.0),
+    geometry.single_mode_curve(1.3, 5, 0.02, N=64, phase=0.7)],
+    ids=["circle", "mode5"])
+def test_synth_nodes_of_sparse_spectra_unchanged(curve):
+    # zero coefficients, whose signs the real and imaginary parts could
+    # flip: the nodes match the complex-spectrum synthesis byte for byte
+    for d in (0, 1, 2, 3):
+        assert geometry.synth_nodes(curve.rho_hat, d).tobytes() == \
+            synth_nodes_2n(curve.rho_hat, d).tobytes()
+    stacked = geometry.synth_nodes(curve.rho_hat, (0, 1, 2))
+    assert stacked.tobytes() == np.stack(
+        [synth_nodes_2n(curve.rho_hat, d) for d in (0, 1, 2)]).tobytes()
 
 
 @pytest.mark.parametrize("M", [63, 65, 62, 0])
@@ -213,7 +229,8 @@ def test_isoperimetric_gap_nonnegative_tiny():
 def barycenter_boundary(cache):
     """Arc-length-weighted mean of the boundary points."""
     length = geometry.perimeter(cache)
-    points = geometry.curve_points(cache.curve, cache.phi_nodes)
+    points = geometry.curve_points(cache.curve,
+                                   geometry.node_trig(cache.M)[0])
     bx = cache.quad(cache.ell * points[:, 0]) / length
     by = cache.quad(cache.ell * points[:, 1]) / length
     return np.array([bx, by])
@@ -329,16 +346,16 @@ def test_build_cache_matches_separate_syntheses(seed, N, domain):
     # the cache's one inverse FFT and cached trig give each field of the
     # three separate syntheses bit for bit
     rng = np.random.default_rng(seed)
-    curve = geometry.random_admissible(rng, N=N, domain=domain,
-                                       L=4.0 if domain == "torus" else None)
-    curve = replace(curve, pole=rng.uniform(-1.0, 1.0, 2))
+    curve = replace(geometry.random_admissible(rng, N=N), domain=domain,
+                    L=4.0 if domain == "torus" else None,
+                    pole=rng.uniform(-1.0, 1.0, 2))
     cache = geometry.build_cache(curve)
     rho, rho_phi, rho_phiphi = (geometry.synth_nodes(curve.rho_hat, d)
                                 for d in (0, 1, 2))
     ell = np.hypot(rho, rho_phi)
-    phi = 2.0 * np.pi * np.arange(2 * N) / (2 * N)
+    assert cache.M == 2 * N
     expected = {
-        "phi_nodes": phi, "rho": rho, "rho_phi": rho_phi, "ell": ell,
+        "rho": rho, "rho_phi": rho_phi, "ell": ell,
         "kappa": (rho_phi**2 - rho * rho_phiphi) / ell**3 + 1.0 / ell}
     for name, value in expected.items():
         assert np.array_equal(getattr(cache, name), value), name

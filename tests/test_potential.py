@@ -51,7 +51,7 @@ def test_disk_mode_density(k):
     # data A cos(k phi) on the circle of radius R -> V = -(2k/R) A cos(k phi)
     R, A = 1.5, 0.7
     cache = circle_cache(R, N=64)
-    data = A * np.cos(k * cache.phi_nodes)
+    data = A * np.cos(k * geometry.node_trig(cache.M)[0])
     solve = potential.solve_ms(cache, data=data)
     expected = -(2.0 * k / R) * data
     assert np.max(np.abs(solve.V - expected)) < 1e-10
@@ -60,7 +60,7 @@ def test_disk_mode_density(k):
 
 def test_disk_mode_density_sin_phase():
     cache = circle_cache(1.0, N=64)
-    data = 0.3 * np.sin(3 * cache.phi_nodes)
+    data = 0.3 * np.sin(3 * geometry.node_trig(cache.M)[0])
     solve = potential.solve_ms(cache, data=data)
     assert np.max(np.abs(solve.V + 6.0 * data)) < 1e-10
 
@@ -132,11 +132,11 @@ def assemble_elementwise(cache, kernel=None):
     """The single-layer matrix with every term formed elementwise over the
     node pairs (the tail by elliptic.lambda_tail): the oracle of assemble."""
     M = cache.M
-    offsets = geometry.curve_points(cache.curve, cache.phi_nodes) - \
-        cache.curve.pole
+    phi = geometry.node_trig(M)[0]
+    offsets = geometry.curve_points(cache.curve, phi) - cache.curve.pole
     z = offsets[:, 0] + 1j * offsets[:, 1]
     dz = z[:, None] - z[None, :]
-    delta = cache.phi_nodes[:, None] - cache.phi_nodes[None, :]
+    delta = phi[:, None] - phi[None, :]
     chord = np.abs(2.0 * np.sin(0.5 * delta))
     np.fill_diagonal(chord, 1.0)
     absdz = np.abs(dz)
@@ -156,12 +156,12 @@ def torus_nodes(seed, N, L, shift):
     ``shift`` moves the curve off its pole, and the pole sits at a random
     point of the cell."""
     rng = np.random.default_rng(seed)
-    curve = geometry.random_admissible(rng, N=N, domain="torus", L=L)
+    curve = geometry.random_admissible(rng, N=N)
     rho_hat = curve.rho_hat.copy()
     angle = rng.uniform(0.0, 2.0 * np.pi)
     rho_hat[1] = shift * np.array([np.cos(angle), np.sin(angle)])
     pole = rng.uniform(-L, L, 2)
-    curve = replace(curve, rho_hat=rho_hat, pole=pole)
+    curve = replace(curve, rho_hat=rho_hat, pole=pole, domain="torus", L=L)
     points = geometry.curve_points(curve, geometry.node_trig(curve.M)[0])
     z = points[:, 0] + 1j * points[:, 1]
     return z - complex(0.5 * (z.real.min() + z.real.max()),
@@ -538,9 +538,22 @@ def shifted(R=1.0, a=0.05):
     return geometry.shifted_disk_curve(R, a)
 
 
+def disk_curve(curve, centre=None):
+    """The disk of radius curve.R about ``centre`` (default: the bulk
+    barycentre of ``curve``) as a curve in curve's domain, rho_hat = R e_0:
+    its rho table is R at every angle, so it rasterizes as the analytic
+    disk does (test_rasterize_matches_full_grid)."""
+    if centre is None:
+        centre = geometry.barycenter_bulk(geometry.build_cache(curve))
+    rho_hat = np.zeros((16, 2))
+    rho_hat[0, 0] = curve.R
+    return geometry.RadialCurve(curve.R, rho_hat, centre, curve.domain,
+                                curve.L)
+
+
 def test_h_zero_for_centered_ball():
     curve = geometry.single_mode_curve(1.0, 2, 0.0)
-    H = potential.squared_distance(curve, grid=128)
+    H = potential.squared_distance(curve, disk_curve(curve), grid=128)
     assert H < 1e-24
 
 
@@ -549,10 +562,9 @@ def test_h_dilation_scaling():
     # at the rasterization level
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridTooCoarse)
-        H1 = potential.squared_distance(shifted(1.0, 0.05),
-                                        center=np.zeros(2), grid=128)
-        H2 = potential.squared_distance(shifted(2.0, 0.10),
-                                        center=np.zeros(2), grid=128)
+        H1, H2 = (potential.squared_distance(c, disk_curve(c, np.zeros(2)),
+                                             grid=128)
+                  for c in (shifted(1.0, 0.05), shifted(2.0, 0.10)))
     assert abs(H2 / H1 - 16.0) < 1e-10
 
 
@@ -563,18 +575,19 @@ def test_h_pair_symmetric_and_matches_ball():
         warnings.simplefilter("ignore", GridTooCoarse)
         Hab = potential.squared_distance(a, grid=128, other=b)
         Hba = potential.squared_distance(b, grid=128, other=a)
-        Hb = potential.squared_distance(b, center=np.zeros(2), grid=128)
+        Hb = potential.squared_distance(b, disk_curve(b, np.zeros(2)),
+                                        grid=128)
     assert abs(Hab - Hba) < 1e-12 * Hab
-    # circle-curve coverage equals disk coverage: same rasterized field
+    # an N = 32 circle and the N = 16 disk curve: same rasterized field
     assert abs(Hab - Hb) < 1e-12 * Hb
 
 
 def test_h_quadratic_in_amplitude():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridTooCoarse)
-        Hs = [potential.squared_distance(
-            geometry.single_mode_curve(1.0, 2, eps), grid=256)
-            for eps in (0.02, 0.04)]
+        Hs = [potential.squared_distance(c, disk_curve(c), grid=256)
+              for c in (geometry.single_mode_curve(1.0, 2, eps)
+                        for eps in (0.02, 0.04))]
     assert abs(Hs[1] / Hs[0] - 4.0) < 0.05
 
 
@@ -582,25 +595,27 @@ def test_h_grid_refinement_stable():
     curve = geometry.single_mode_curve(1.0, 2, 0.05)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridTooCoarse)
-        H1 = potential.squared_distance(curve, grid=256)
-        H2 = potential.squared_distance(curve, grid=512)
+        H1 = potential.squared_distance(curve, disk_curve(curve), grid=256)
+        H2 = potential.squared_distance(curve, disk_curve(curve), grid=512)
     assert abs(H1 / H2 - 1.0) < 2e-2
 
 
 def test_h_warns_when_under_resolved():
     curve = geometry.single_mode_curve(1.0, 2, 1e-4)
+    disk = disk_curve(curve)
     with pytest.warns(GridTooCoarse):
-        potential.squared_distance(curve, grid=32)
+        potential.squared_distance(curve, disk, grid=32)
 
 
 def test_grid_too_coarse_text_is_constant():
     # the once-per-location filter can only de-duplicate a constant text
     texts = set()
     for eps in (1e-4, 2e-4, 3e-4):
+        curve = geometry.single_mode_curve(1.0, 2, eps)
+        disk = disk_curve(curve)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            potential.squared_distance(
-                geometry.single_mode_curve(1.0, 2, eps), grid=32)
+            potential.squared_distance(curve, disk, grid=32)
         assert [w.category for w in caught] == [GridTooCoarse]
         texts |= {str(w.message) for w in caught}
     assert len(texts) == 1
@@ -712,8 +727,8 @@ def test_torus_curve_distance_uses_its_lattice_kernel():
     centre = geometry.barycenter_bulk(cache)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridTooCoarse)
-        gaps = [1.0 - potential.squared_distance(curve, center=centre,
-                                                 grid=G) / H
+        gaps = [1.0 - potential.squared_distance(
+            curve, disk_curve(curve, centre), grid=G) / H
                 for G in (256, 512)]
     assert 0.0 < gaps[1] < gaps[0] < 2e-3, gaps
     assert H - plane > 0.05 * H
@@ -739,8 +754,8 @@ def test_raster_approaches_disk_distance_from_below(name, grids, sub):
     centre = geometry.barycenter_bulk(cache)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridTooCoarse)
-        gaps = [1.0 - potential.squared_distance(curve, center=centre,
-                                                 grid=G, sub=sub) / H
+        gaps = [1.0 - potential.squared_distance(
+            curve, disk_curve(curve, centre), grid=G, sub=sub) / H
                 for G in grids]
     assert 0.0 < gaps[2] < gaps[1] < gaps[0], gaps
     assert gaps[2] < 2e-3, gaps
@@ -752,9 +767,9 @@ def test_oracle_agrees_small_grid():
     curve = shifted(1.0, 0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridTooCoarse)
-        H = potential.squared_distance(curve, center=np.zeros(2), grid=32)
-        Ho = potential.squared_distance_oracle(curve, center=np.zeros(2),
-                                               grid=32)
+        disk = disk_curve(curve, np.zeros(2))
+        H = potential.squared_distance(curve, disk, grid=32)
+        Ho = potential.squared_distance_oracle(curve, disk, grid=32)
     assert abs(H / Ho - 1.0) < 0.02
 
 
@@ -762,12 +777,15 @@ def test_oracle_agrees_small_grid():
 # the box raster against the full-grid raster
 # ---------------------------------------------------------------------------
 
-def rasterize_difference_full(curve, center, grid=512, sub=4, other=None):
+def rasterize_difference_full(curve, other, grid=512, sub=4):
     """rasterize_difference with every coverage evaluated on the whole
-    (grid * sub)^2 subcell meshgrid: the oracle of the box raster."""
-    curves = [curve] if other is None else [curve, other]
-    L = curve.L if curve.domain == "torus" else \
-        potential.EMBED_FACTOR * max(c.R for c in curves)
+    (grid * sub)^2 subcell meshgrid: the oracle of the box raster.
+    ``other`` is a second curve, or a centre: then the analytic disk of
+    radius curve.R there, which a disk curve must rasterize to bit for
+    bit."""
+    ball = not isinstance(other, geometry.RadialCurve)
+    R = curve.R if ball else max(curve.R, other.R)
+    L = curve.L if curve.domain == "torus" else potential.EMBED_FACTOR * R
     n = grid * sub
     hs = 2.0 * L / n
     x1 = -L + hs * (np.arange(n) + 0.5)
@@ -788,10 +806,8 @@ def rasterize_difference_full(curve, center, grid=512, sub=4, other=None):
         return np.clip(0.5 + (rho - r) / hs, 0.0, 1.0)
 
     f = coverage_curve(curve)
-    if other is None:
-        if center is None:
-            center = geometry.barycenter_bulk(geometry.build_cache(curve))
-        f = f - np.clip(0.5 + (curve.R - polar(center)[2]) / hs, 0.0, 1.0)
+    if ball:
+        f = f - np.clip(0.5 + (curve.R - polar(other)[2]) / hs, 0.0, 1.0)
     else:
         f = f - coverage_curve(other)
     f = f.reshape(grid, sub, grid, sub).mean(axis=(1, 3))
@@ -802,10 +818,9 @@ def rasterize_difference_full(curve, center, grid=512, sub=4, other=None):
 def placed_curve(seed, domain, L, R, pole):
     """A random admissible curve of equal-area radius R with its pole at
     ``pole``."""
-    curve = geometry.random_admissible(np.random.default_rng(seed), N=16,
-                                       domain=domain, L=L)
+    curve = geometry.random_admissible(np.random.default_rng(seed), N=16)
     return replace(curve, R=R, rho_hat=R * curve.rho_hat,
-                   pole=np.asarray(pole, dtype=float))
+                   pole=np.asarray(pole, dtype=float), domain=domain, L=L)
 
 
 unit = st.floats(-1.0, 1.0)
@@ -828,19 +843,21 @@ def test_rasterize_matches_full_grid(seed, domain, ratio, grid, sub, ref,
     R_b = 1.0 if torus else R_other
     edge = L if torus else potential.EMBED_FACTOR * (
         max(1.0, R_b) if ref == "other" else 1.0)
+    # "bulk" and "center": a disk curve at the barycentre or a given centre,
+    # against the analytic disk in the full-grid raster
     curve = placed_curve(seed, domain, L, 1.0, np.multiply(pole, edge))
-    other = center = None
     if ref == "other":
-        other = placed_curve(seed + 1, domain, L, R_b,
-                             np.multiply(offset, edge))
-    elif ref == "center":
-        center = np.multiply(offset, edge)
+        other = full = placed_curve(seed + 1, domain, L, R_b,
+                                    np.multiply(offset, edge))
+    else:
+        other = disk_curve(curve, None if ref == "bulk" else
+                           np.multiply(offset, edge))
+        full = other.pole
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridTooCoarse)
-        f, L_f, h = potential.rasterize_difference(curve, center, grid, sub,
-                                                   other)
-    f_full, L_full, h_full = rasterize_difference_full(curve, center, grid,
-                                                       sub, other)
+        f, L_f, h = potential.rasterize_difference(curve, other, grid, sub)
+    f_full, L_full, h_full = rasterize_difference_full(curve, full, grid,
+                                                       sub)
     assert (L_f, h) == (L_full, h_full)
     assert np.array_equal(f, f_full)
 
@@ -855,7 +872,8 @@ def test_rasterize_one_cell_box_matches_full_grid(grid):
     center = np.array([2.2, 1.9])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridTooCoarse)
-        f, _, _ = potential.rasterize_difference(curve, center, grid, 8)
+        f, _, _ = potential.rasterize_difference(
+            curve, disk_curve(curve, center), grid, 8)
     ref, _, _ = rasterize_difference_full(curve, center, grid, 8)
     assert np.array_equal(f, ref)
 
@@ -881,10 +899,10 @@ def test_h_pair_warns_in_either_order(swap):
         potential.squared_distance(a, grid=32, other=b)
 
 
-def squared_distance_fft2(curve, center=None, grid=512, sub=4, other=None):
+def squared_distance_fft2(curve, other, grid=512, sub=4):
     """squared_distance as it was before the real FFT: fft2 of the whole
     grid and a fresh K^2 on every call."""
-    f, L, _ = potential.rasterize_difference(curve, center, grid, sub, other)
+    f, L, _ = potential.rasterize_difference(curve, other, grid, sub)
     G = f.shape[0]
     F = np.fft.fft2(f) / G**2
     m = np.fft.fftfreq(G, d=1.0 / G)
@@ -902,14 +920,15 @@ def test_h_matches_fft2_formula(domain, ref, grid):
     # an odd grid has no Nyquist column; the pair has unequal R
     L = 3.0 if domain == "torus" else None
     curve = placed_curve(grid, domain, L, 1.0, (0.4, -0.3))
-    kwargs = {"center": np.array([0.1, 0.2])} if ref == "center" else {}
     if ref == "other":
-        kwargs = {"other": placed_curve(grid + 1, domain, L, 1.3,
-                                        (-0.2, 0.1))}
+        other = placed_curve(grid + 1, domain, L, 1.3, (-0.2, 0.1))
+    else:
+        other = disk_curve(curve, np.array([0.1, 0.2]) if ref == "center"
+                           else None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridTooCoarse)
-        H = potential.squared_distance(curve, grid=grid, **kwargs)
-        ref_H = squared_distance_fft2(curve, grid=grid, **kwargs)
+        H = potential.squared_distance(curve, other, grid=grid)
+        ref_H = squared_distance_fft2(curve, other, grid=grid)
     assert ref_H > 0
     assert abs(H - ref_H) <= 1e-13 * ref_H
 
@@ -941,11 +960,12 @@ def test_rho_table_size(N, size):
 def test_h_memory_follows_the_box():
     # one full-grid subcell array at grid 512 is 2048^2 doubles = 32 MB
     curve = geometry.single_mode_curve(1.0, 2, 0.05, N=64)
+    disk = disk_curve(curve)
     tracemalloc.start()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarse)
-            potential.squared_distance(curve, grid=512)
+            potential.squared_distance(curve, disk, grid=512)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
