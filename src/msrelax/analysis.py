@@ -4,10 +4,12 @@ Hard assertions (explicit constants or exact identities): the Fuglede
 sandwich, dE/dt = -D, E^2 D monotonicity, E >= 0, area conservation.
 Everything whose universal constant the theory leaves unspecified is a
 monitor: it reports the observed constant and never raises.
+
+DiagnosticsRecord is the schema of trajectory.csv; the trajectory checks
+read its fields as arrays over a run's records (_columns).
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,6 +37,9 @@ EMBEDDING_C = 2.0       # calibrated constant C of check_improved_embedding
 
 @dataclass
 class DiagnosticsRecord:
+    """One record of a run and one row of its trajectory.csv: each scalar
+    field is a column of that name, in field order, then ``mode_amps`` as
+    amp01 .. amp16."""
     t: float
     E: float
     H: float            # nan when not computed at this cadence
@@ -46,18 +51,19 @@ class DiagnosticsRecord:
     sup_slope: float
     mode_amps: np.ndarray = field(default_factory=lambda: np.zeros(N_MODE_AMPS))
 
-    CSV_FIELDS = ("t", "E", "H", "D", "bary", "Vs2", "EED",
-                  "sup_rho_dev", "sup_slope")
+    @classmethod
+    def scalar_fields(cls):
+        return [f.name for f in fields(cls) if f.name != "mode_amps"]
 
     def csv_row(self):
-        vals = [getattr(self, f) for f in self.CSV_FIELDS]
+        vals = [getattr(self, f) for f in self.scalar_fields()]
         vals += list(self.mode_amps)
         return ",".join(f"{v:.17g}" for v in vals)
 
     @classmethod
     def csv_header(cls):
         amps = [f"amp{k:02d}" for k in range(1, N_MODE_AMPS + 1)]
-        return ",".join(list(cls.CSV_FIELDS) + amps)
+        return ",".join(cls.scalar_fields() + amps)
 
 
 def mode_amplitudes(curve):
@@ -160,23 +166,23 @@ def check_fuglede_nodes(rho, rho_phi, report, R=1.0):
 # trajectory checks
 # ---------------------------------------------------------------------------
 
-def _rows(traj):
-    return traj.records if hasattr(traj, "records") else list(traj)
+def _columns(traj, *names):
+    """Each named DiagnosticsRecord field as an array over the records of
+    ``traj``, a TrajectoryLog or a sequence of records."""
+    rows = traj.records if hasattr(traj, "records") else traj
+    return [np.array([getattr(r, name) for r in rows]) for name in names]
 
 
 def check_eed(traj, R=None):
     """E/(R^3 D) and E/sqrt(HD) per row; E^2 D non-increasing (hard)."""
-    rows = _rows(traj)
     if R is None:
         R = getattr(traj, "R", 1.0)
-    ratios, interp_ratios = [], []
-    Hs = _interp_H(rows)
-    for r, H in zip(rows, Hs):
-        if r.D > 0 and r.E > 0:
-            ratios.append(r.E / (R**3 * r.D))
-            if H > 0:
-                interp_ratios.append(r.E / math.sqrt(H * r.D))
-    eed = np.array([r.EED for r in rows])
+    E, D, eed = _columns(traj, "E", "D", "EED")
+    H = _interp_H(traj)
+    pos = (D > 0) & (E > 0)
+    ratios = E[pos] / (R**3 * D[pos])
+    interp = pos & (H > 0)
+    interp_ratios = E[interp] / np.sqrt(H[interp] * D[interp])
     # floor: E^2 D carries ~ eps_mach^3 / R of pure rounding noise (E ~ eps R,
     # D ~ eps / R^3 on an exact circle), far below any real violation
     slack = 1e-9 * eed[0] + 1e-40 / R
@@ -184,17 +190,16 @@ def check_eed(traj, R=None):
     if worst > slack:
         raise MonotoneViolation(f"E^2 D increased by {worst:.3e} > {slack:.3e}")
     return {
-        "max_E_over_R3D": max(ratios) if ratios else 0.0,
-        "max_E_over_sqrtHD": max(interp_ratios) if interp_ratios else 0.0,
+        "max_E_over_R3D": float(max(ratios, default=0.0)),
+        "max_E_over_sqrtHD": float(max(interp_ratios, default=0.0)),
         "eed_monotone": True,
         "worst_increment": worst,
     }
 
 
-def _interp_H(rows):
+def _interp_H(traj):
     """H was computed on a cadence; fill gaps by log-linear interpolation."""
-    t = np.array([r.t for r in rows])
-    H = np.array([r.H for r in rows])
+    t, H = _columns(traj, "t", "H")
     good = np.isfinite(H) & (H > 0)
     if good.sum() < 2:
         return H
@@ -229,12 +234,8 @@ def check_differential(traj, tol=1e-3):
     assertion tests the continuum identity, not the stencil.  Both the raw
     and the truncation-corrected errors are reported.
     """
-    rows = _rows(traj)
-    t = np.array([r.t for r in rows])
-    E = np.array([r.E for r in rows])
-    D = np.array([r.D for r in rows])
-    Vs2 = np.array([r.Vs2 for r in rows])
-    H = _interp_H(rows)
+    t, E, D, Vs2 = _columns(traj, "t", "E", "D", "Vs2")
+    H = _interp_H(traj)
     if t.size < 3:
         return {"n": 0}
     dEdt = _deriv3(t, E)
@@ -322,9 +323,9 @@ def regime_fit(traj, slope_band=(-1.3, -0.7)):
     convention: E decays like the squared mode amplitude, so exp_rate =
     (fitted decay rate of E) / 2.
     """
-    rows = [r for r in _rows(traj) if r.E > 0 and r.t > 0]
-    t = np.array([r.t for r in rows])
-    E = np.array([r.E for r in rows])
+    t, E = _columns(traj, "t", "E")
+    usable = (E > 0) & (t > 0)
+    t, E = t[usable], E[usable]
     n = t.size
     if n < 2 * FIT_WINDOW:
         raise NoExponentialWindow(f"only {n} usable samples")
@@ -362,9 +363,8 @@ def regime_fit(traj, slope_band=(-1.3, -0.7)):
 
 def fit_mode_rate(traj, k):
     """Least-squares decay rate of mode-k amplitude along a trajectory."""
-    rows = _rows(traj)
-    t = np.array([r.t for r in rows])
-    a = np.array([r.mode_amps[k - 1] for r in rows])
+    t, amps = _columns(traj, "t", "mode_amps")
+    a = amps[:, k - 1]
     good = a > 0
     sl, _, r2 = _fit_line(t[good], np.log(a[good]))
     return {"rate": -sl, "r2": r2}
@@ -377,14 +377,10 @@ def fit_mode_rate(traj, k):
 def barycenter_monitor(traj, R=None):
     """max |c(t)| / sqrt(E(0) R) against CONFINEMENT_CAP, and the
     observed constant in |c'|^2 |Omega_in| <= C D (both monitors)."""
-    rows = _rows(traj)
     if R is None:
         R = getattr(traj, "R", 1.0)
-    t = np.array([r.t for r in rows])
-    c = np.array([r.bary for r in rows])
-    D = np.array([r.D for r in rows])
-    E0 = rows[0].E
-    conf = float(np.max(c)) / np.sqrt(E0 * R) if E0 > 0 else 0.0
+    t, c, D, E = _columns(traj, "t", "bary", "D", "E")
+    conf = float(np.max(c)) / np.sqrt(E[0] * R) if E[0] > 0 else 0.0
     out = {"confinement_ratio": conf, "cap": CONFINEMENT_CAP,
            "pass": conf <= CONFINEMENT_CAP}
     if t.size >= 3:

@@ -100,8 +100,9 @@ def _write_run(traj, out, chash):
 # checks suites
 # ---------------------------------------------------------------------------
 
-# Named flow configs shared by the suites below and the tests; each caller
-# adds a seed.
+# Named flow configs shared by the suites below and the tests, the gate's
+# refine pair and N = 128 rate runs included (these set domain and mode);
+# each caller adds a seed.
 RUNS = {
     "mixed23": {"N": 32, "modes": "2,3", "amps": "0.01,0.008",
                 "t_end": 0.004, "k_out": 5, "k_H": 0},
@@ -109,8 +110,13 @@ RUNS = {
                  "t_end": 0.003, "k_out": 4, "k_H": 5},
     "regime32": {"N": 32, "modes": ",".join(str(k) for k in range(8, 17)),
                  "amps": "6.9e-4", "t_end": 0.15, "k_out": 2, "k_H": 0},
+    "refine32": {"N": 32, "modes": "2,3", "amps": "0.02,0.01",
+                 "t_end": 0.002, "k_out": 5, "k_H": 1},
+    "rate128": {"N": 128, "modes": "2", "amps": "1e-3", "phases": "0",
+                "t_end": 1.5e-4, "k_out": 6, "k_H": 0},
 }
 RUNS["regime64"] = {**RUNS["regime32"], "N": 64, "k_out": 16}
+RUNS["refine64"] = {**RUNS["refine32"], "N": 64, "k_out": 40}
 
 
 # curves per stacked block of the Fuglede suite: enough to amortize numpy's
@@ -371,32 +377,32 @@ def cmd_norms(args):
 
 
 def read_trajectory(path):
-    """Load a trajectory.csv back into records + metadata; ValueError if it
-    holds no header or no record."""
-    meta = {}
+    """Load a trajectory.csv back into records (each field from the column
+    of its name, mode_amps from the amp columns) + metadata; ValueError if
+    it holds no header or no record, or a row of another length."""
+    meta, body = {}, []
     with open(path) as fh:
-        lines = fh.readlines()
-    body = []
-    for line in lines:
-        if line.startswith("#"):
-            for tok in line[1:].split():
-                if "=" in tok:
-                    k, v = tok.split("=", 1)
-                    meta[k] = v
-        elif line.strip():
-            body.append(line.strip())
+        for ln, line in enumerate(fh, 1):
+            if line.startswith("#"):
+                for tok in line[1:].split():
+                    if "=" in tok:
+                        k, v = tok.split("=", 1)
+                        meta[k] = v
+            elif line.strip():
+                body.append((ln, line.strip().split(",")))
     if len(body) < 2:
         raise ValueError(f"{path}: no {'records' if body else 'header'}")
-    header = body[0].split(",")
+    header = body[0][1]
+    scalars = analysis.DiagnosticsRecord.scalar_fields()
     records = []
-    for row in body[1:]:
-        vals = [float(x) for x in row.split(",")]
-        d = dict(zip(header, vals))
-        amps = np.array([d[h] for h in header if h.startswith("amp")])
+    for ln, row in body[1:]:
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{ln}: {len(row)} values for "
+                             f"{len(header)} columns")
+        d = dict(zip(header, map(float, row)))
         records.append(analysis.DiagnosticsRecord(
-            t=d["t"], E=d["E"], H=d["H"], D=d["D"], bary=d["bary"],
-            Vs2=d["Vs2"], EED=d["EED"], sup_rho_dev=d["sup_rho_dev"],
-            sup_slope=d["sup_slope"], mode_amps=amps))
+            **{name: d[name] for name in scalars},
+            mode_amps=np.array([d[h] for h in header if h.startswith("amp")])))
     return records, meta
 
 

@@ -126,7 +126,7 @@ top-mode check would catch.
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -162,41 +162,28 @@ DEFAULTS = {
 class StepStats:
     """What one run's stepping did, its ``rhs`` calls, the worst residuals
     of their BIE solves, their refinement sweeps and their direct solves
-    included."""
+    included: the step summary of the finish and fail events, each field a
+    key of its name."""
     rhs_calls: int = 0
     record_rhs_calls: int = 0
-    min_dt: float = math.inf
-    max_dt: float = 0.0
-    max_err: float = 0.0
-    max_drift: float = 0.0
+    dt_accepted_min: float = 0.0    # 0 until a step is accepted
+    dt_accepted_max: float = 0.0
+    max_err_estimate: float = 0.0
+    max_area_drift: float = 0.0
     max_top_mode_ratio: float = 0.0
     max_bie_residual: float = 0.0
     max_mean_constraint_residual: float = 0.0
     refine_sweeps: int = 0
     direct_solves: int = 0
-    rejects: dict = field(default_factory=lambda: dict.fromkeys(
+    rejects_by_reason: dict = field(default_factory=lambda: dict.fromkeys(
         ("error", "positivity", "area"), 0))
 
-    def summary(self):
-        return {"rhs_calls": self.rhs_calls,
-                "record_rhs_calls": self.record_rhs_calls,
-                "dt_accepted_min": self.min_dt if self.max_dt > 0 else 0.0,
-                "dt_accepted_max": self.max_dt,
-                "max_err_estimate": self.max_err,
-                "max_area_drift": self.max_drift,
-                "max_top_mode_ratio": self.max_top_mode_ratio,
-                "max_bie_residual": self.max_bie_residual,
-                "max_mean_constraint_residual":
-                    self.max_mean_constraint_residual,
-                "direct_solves": self.direct_solves,
-                "refine_sweeps": self.refine_sweeps,
-                "rejects_by_reason": dict(self.rejects)}
-
     def accept(self, dt, err, drift, rho_hat):
-        self.min_dt = min(self.min_dt, dt)
-        self.max_dt = max(self.max_dt, dt)
-        self.max_err = max(self.max_err, err)
-        self.max_drift = max(self.max_drift, drift)
+        self.dt_accepted_min = (min(self.dt_accepted_min, dt)
+                                if self.dt_accepted_max > 0 else dt)
+        self.dt_accepted_max = max(self.dt_accepted_max, dt)
+        self.max_err_estimate = max(self.max_err_estimate, err)
+        self.max_area_drift = max(self.max_area_drift, drift)
         self.max_top_mode_ratio = max(self.max_top_mode_ratio,
                                       geometry.top_mode_ratio(rho_hat))
 
@@ -627,6 +614,11 @@ def run(config=None):
     stats = StepStats()
     t, steps, j = 0.0, 0, 1
 
+    def end_event(event, **fields):
+        return {"event": event, "t": t, "steps": steps,
+                "rejects": sum(stats.rejects_by_reason.values()), **fields,
+                **asdict(stats)}
+
     def emit(cache, solve, t_rec):
         H = float("nan")
         if cfg["k_H"] > 0 and len(traj.records) % int(cfg["k_H"]) == 0:
@@ -651,7 +643,7 @@ def run(config=None):
                                        f"dt = {h:.3e}", "error")
             except StepRejected as exc:
                 dt = 0.5 * h if err is None else h * _step_factor(err)
-                stats.rejects[exc.reason] += 1
+                stats.rejects_by_reason[exc.reason] += 1
                 traj.events.append({"event": "reject", "t": t,
                                     "dt": dt, "reason": exc.reason,
                                     "err": err, "detail": str(exc)})
@@ -683,16 +675,12 @@ def run(config=None):
         if traj.records[-1].t != t:   # t_end, or MAX_STEPS between records
             emit(cache, solve, t)
     except MsrelaxError as exc:
-        traj.events.append({"event": "fail", "t": t, "steps": steps,
-                            "rejects": sum(stats.rejects.values()), "dt": dt,
-                            "error": type(exc).__name__, "message": str(exc),
-                            "pole": curve.pole.tolist(),
-                            "rho_hat": curve.rho_hat.tolist(),
-                            **stats.summary()})
+        traj.events.append(end_event(
+            "fail", dt=dt, error=type(exc).__name__, message=str(exc),
+            pole=curve.pole.tolist(), rho_hat=curve.rho_hat.tolist()))
         exc.trajectory = traj
         raise
-    traj.events.append({"event": "finish", "t": t, "steps": steps,
-                        "rejects": sum(stats.rejects.values()),
-                        "stop": "t_end" if t >= t_end else "max_steps",
-                        "E_final": traj.records[-1].E, **stats.summary()})
+    traj.events.append(end_event(
+        "finish", stop="t_end" if t >= t_end else "max_steps",
+        E_final=traj.records[-1].E))
     return traj

@@ -54,10 +54,8 @@ def regime64():
 
 @pytest.fixture(scope="module")
 def refine_pair():
-    base = {"modes": "2,3", "amps": "0.02,0.01", "seed": 9, "t_end": 0.002,
-            "k_H": 1}
-    a, _ = timed_run({**base, "N": 32, "k_out": 5})
-    b, _ = timed_run({**base, "N": 64, "k_out": 40})
+    a, _ = timed_run({**cli.RUNS["refine32"], "seed": 9})
+    b, _ = timed_run({**cli.RUNS["refine64"], "seed": 9})
     return a, b
 
 
@@ -66,9 +64,7 @@ def rate_runs():
     out = {}
     for domain in ("plane", "torus"):
         for k in (2, 3, 4):
-            cfg = {"N": 128, "domain": domain, "modes": str(k),
-                   "amps": "1e-3", "phases": "0", "t_end": 1.5e-4,
-                   "k_out": 6, "k_H": 0}
+            cfg = {**cli.RUNS["rate128"], "domain": domain, "modes": str(k)}
             out[(domain, k)] = timed_run(cfg)
     return out
 

@@ -1,6 +1,7 @@
 """CLI: config handling, subcommands, exit codes, reproducible outputs."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -199,13 +200,21 @@ def test_simulate_failure_leaves_partial_run(capsys, cfg_file, tmp_path,
 
 
 def test_read_trajectory_roundtrip(capsys, cfg_file, tmp_path):
+    # k_H = 2: every other record has H = nan; each field of each record
+    # read back equals that of the same run in process, bit for bit
     out = tmp_path / "o"
-    run_cli(capsys, "simulate", "--config", cfg_file, "--out", str(out))
+    run_cli(capsys, "simulate", "--config", cfg_file, "--out", str(out),
+            "--set", "k_H=2")
     records, meta = cli.read_trajectory(out / "trajectory.csv")
     assert "config_hash" in meta and float(meta["R"]) == 1.0
-    assert len(records) > 3
-    assert records[0].E > records[-1].E
-    assert records[0].mode_amps.size == 16
+    traj = evolution.run({**cli.parse_config(cfg_file), "k_H": 2})
+    assert len(records) == len(traj.records) > 3
+    assert np.isnan(records[1].H) and np.isfinite(records[2].H)
+    for got, want in zip(records, traj.records):
+        for f in dataclasses.fields(want):
+            a, b = (np.asarray(getattr(r, f.name), dtype=float)
+                    for r in (got, want))
+            assert a.tobytes() == b.tobytes(), (want.t, f.name)
 
 
 @pytest.mark.parametrize("text, missing", [
@@ -221,6 +230,30 @@ def test_report_empty_trajectory_exits_2(capsys, tmp_path, text, missing):
         cli.read_trajectory(path)
     assert cli.main(["report", str(path)]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+def test_readme_step_summary_keys_match_finish_event():
+    finish = evolution.run({"N": 16, "t_end": 0.0, "k_H": 0}).events[-1]
+    keys = set(finish) - {"event", "t", "steps", "rejects", "stop",
+                          "E_final"}
+    assert sorted(readme_table_keys("#### Step summary")) == sorted(keys)
+
+
+@pytest.mark.parametrize("edit", ["cut", "padded"])
+def test_report_row_of_another_length_exits_2(capsys, tmp_path, edit):
+    # a row with fewer or more values than the header is a usage error that
+    # names the file and the line
+    row = analysis.DiagnosticsRecord(*[0.5] * 9).csv_row()
+    bad = row.rsplit(",", 1)[0] if edit == "cut" else row + ",0.5"
+    path = tmp_path / "trajectory.csv"
+    path.write_text("# msrelax trajectory v1 config_hash=0 R=1\n"
+                    + analysis.DiagnosticsRecord.csv_header() + "\n"
+                    + row + "\n" + bad + "\n")
+    n = 24 if edit == "cut" else 26
+    with pytest.raises(ValueError, match=f"{n} values for 25 columns"):
+        cli.read_trajectory(path)
+    assert cli.main(["report", str(path)]) == 2
+    assert f"{path}:4:" in capsys.readouterr().err
 
 
 def test_readme_trajectory_columns_match_csv_header():
@@ -381,6 +414,25 @@ def test_suite_fuglede_margin_matches_extended_precision(monkeypatch, seed):
     err = np.abs((got - ref) / ref).astype(float)
     assert np.max(err) <= 1e-13, np.max(err)
     assert suite["min_lower_margin"] == np.min(got) > 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_suite_fuglede_deficit_is_the_flows_E(monkeypatch, seed):
+    # one quantity reached by two routes, each the other's oracle: the
+    # suite forms Delta from the node values rho - R (accurate enough at
+    # delta = 0.05), the flow's E comes from the coefficient deviation
+    # (accurate down to 1e-14, where rho - R is only rounding), and
+    # Delta = E / (2 pi R r_eq) on every curve of the stream to 1e-14
+    # relative (measured at most 4.7e-15 at seeds 0 and 7, 5.2e-15 at 1)
+    suite, draws, reps = suite_fuglede_rows(monkeypatch, 1000, seed)
+    rho_hat = np.concatenate([d.rho_hat for d in draws])
+    deficit = np.concatenate([r["deficit"] for r in reps])
+    assert suite["pass"] and len(rho_hat) == len(deficit) == 1000
+    for coef, got in zip(rho_hat, deficit):
+        r_eq = np.sqrt(coef[0, 0] ** 2 + 0.5 * np.sum(coef[1:] ** 2))
+        E = geometry.isoperimetric_gap(geometry.build_cache(
+            geometry.RadialCurve(1.0, coef, np.zeros(2))))
+        assert abs(got / (E / (2.0 * np.pi * r_eq)) - 1.0) <= 1e-14
 
 
 def test_suite_fuglede_synthesizes_each_block_once(monkeypatch):

@@ -797,6 +797,8 @@ def test_run_dt_collapse_raises_with_partial_trajectory(monkeypatch):
     assert traj.events[0]["dt"] == evolution.dt_max(32, 1.0)
     assert fail["rhs_calls"] == 2 + 8 * len(rejects)
     assert fail["direct_solves"] == 0 and fail["refine_sweeps"] > 0
+    # no step was accepted
+    assert fail["dt_accepted_min"] == fail["dt_accepted_max"] == 0.0
 
 
 def test_run_solves_each_state_once(monkeypatch):
