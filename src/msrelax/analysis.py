@@ -242,21 +242,22 @@ def check_differential(traj, tol=1e-3):
     Dmid = D[1:-1]
     h1 = t[1:-1] - t[:-2]
     h2 = t[2:] - t[1:-1]
-    # skip rows where D is below rounding noise (exact-circle streams)
-    active = (Dmid > 1e-12 * np.max(D)) & (Dmid > 1e-28)
     # truncation error of the stencil: h1 h2 |E'''| / 6 with E''' = -D''
     D2 = 2.0 * (D[:-2] / (h1 * (h1 + h2)) - D[1:-1] / (h1 * h2)
                 + D[2:] / (h2 * (h1 + h2)))
-    allowance = h1 * h2 * np.abs(D2) / (6.0 * Dmid)
-    rel = np.abs(dEdt + Dmid) / Dmid
-    adj = np.maximum(rel - allowance, 0.0)[active]
+    # divide only on rows where D is above rounding noise (a circle's is 0)
+    active = (Dmid > 1e-12 * np.max(D)) & (Dmid > 1e-28)
+    Dact = Dmid[active]
+    allowance = (h1 * h2 * np.abs(D2))[active] / (6.0 * Dact)
+    rel = np.abs(dEdt + Dmid)[active] / Dact
+    adj = np.maximum(rel - allowance, 0.0)
     worst = float(np.max(adj)) if adj.size else 0.0
     if worst > tol:
         raise EnergyBalanceFail(f"max |dE/dt + D| / D = {worst:.3e} "
                                 f"beyond the stencil truncation allowance")
     out = {"n": int(active.sum()), "max_energy_balance_err": worst,
            "max_energy_balance_err_raw":
-               float(np.max(rel[active])) if active.any() else 0.0}
+               float(np.max(rel)) if rel.size else 0.0}
 
     good = np.isfinite(H[1:-1]) & (H[1:-1] > 0) & active
     if good.any():
@@ -380,7 +381,7 @@ def barycenter_monitor(traj, R=None):
     if R is None:
         R = getattr(traj, "R", 1.0)
     t, c, D, E = _columns(traj, "t", "bary", "D", "E")
-    conf = float(np.max(c)) / np.sqrt(E[0] * R) if E[0] > 0 else 0.0
+    conf = float(np.max(c) / np.sqrt(E[0] * R)) if E[0] > 0 else 0.0
     out = {"confinement_ratio": conf, "cap": CONFINEMENT_CAP,
            "pass": conf <= CONFINEMENT_CAP}
     if t.size >= 3:

@@ -62,7 +62,9 @@ def _parallel(tasks):
 def cmd_simulate(args):
     cfg = parse_config(args.config)
     for item in args.set or []:
-        key, val = item.split("=", 1)
+        key, sep, val = item.partition("=")
+        if not sep:
+            raise ValueError(f"--set {item!r}: expected KEY=VALUE")
         cfg[key.strip()] = val.strip()
     chash = config_hash(cfg)
     out = args.out
@@ -185,8 +187,7 @@ def _suite_regime(n, seed):
 
 def _suite_bary(n, seed):
     traj = evolution.run({**RUNS["mixed23"], "seed": seed, "t_end": 0.01})
-    rep = analysis.barycenter_monitor(traj, R=1.0)
-    return {**{k: v for k, v in rep.items()}, "pass": bool(rep["pass"])}
+    return analysis.barycenter_monitor(traj, R=1.0)
 
 
 def _suite_embed(n, seed):
@@ -376,10 +377,25 @@ def cmd_norms(args):
     return 0
 
 
+def _csv_value(path, ln, name, text):
+    """The number ``text`` of the column or meta key ``name``, finite
+    unless the column is H; else a ValueError naming path:line."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise ValueError(f"{path}:{ln}: {name} = {text!r} is not a "
+                         f"number") from None
+    if not (math.isfinite(x) or name == "H"):
+        raise ValueError(f"{path}:{ln}: {name} = {text} is not finite")
+    return x
+
+
 def read_trajectory(path):
     """Load a trajectory.csv back into records (each field from the column
-    of its name, mode_amps from the amp columns) + metadata; ValueError if
-    it holds no header or no record, or a row of another length."""
+    of its name, mode_amps from the amp columns) + metadata.  ValueError if
+    it holds no header or no record, or, naming path:line, for a row of
+    another length, a value _csv_value rejects (a written run is finite in
+    every column but H) or a header R that is not positive."""
     meta, body = {}, []
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
@@ -388,6 +404,9 @@ def read_trajectory(path):
                     if "=" in tok:
                         k, v = tok.split("=", 1)
                         meta[k] = v
+                        if k == "R" and _csv_value(path, ln, k, v) <= 0.0:
+                            raise ValueError(f"{path}:{ln}: R = {v} is not "
+                                             f"positive")
             elif line.strip():
                 body.append((ln, line.strip().split(",")))
     if len(body) < 2:
@@ -399,7 +418,7 @@ def read_trajectory(path):
         if len(row) != len(header):
             raise ValueError(f"{path}:{ln}: {len(row)} values for "
                              f"{len(header)} columns")
-        d = dict(zip(header, map(float, row)))
+        d = {h: _csv_value(path, ln, h, x) for h, x in zip(header, row)}
         records.append(analysis.DiagnosticsRecord(
             **{name: d[name] for name in scalars},
             mode_amps=np.array([d[h] for h in header if h.startswith("amp")])))

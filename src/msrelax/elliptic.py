@@ -76,9 +76,10 @@ G4_EXACT = (np.pi**4 / 45.0) * _E4I
 G8_EXACT = (np.pi**8 / 4725.0) * _E4I**2
 
 
-@dataclass
+@dataclass(eq=False)
 class LatticeKernel:
-    """Square lattice of half edge length L, truncated at SHELLS shells."""
+    """Square lattice of half edge length L, truncated at SHELLS shells;
+    hashed by identity, so the caches below key on the one kernel per L."""
 
     L: float
     eta1: complex = field(init=False)
@@ -114,7 +115,6 @@ class LatticeKernel:
         self._g4_tail = G4_EXACT - g4_partial.real
         self._g8_tail = G8_EXACT - g8_partial.real
         self._eis_cache = {4: G4_EXACT, 8: G8_EXACT}
-        self._pair_cache = {}   # K -> _pair_coefficients
         self._pts = pts
 
     def eisenstein(self, k):
@@ -178,14 +178,15 @@ def lam(kernel, z):
 
 
 def _tail_degree(r):
-    """Highest power k kept by the lattice-tail series at reach r, a bound
-    on every |w|: r^k falls below 1e-17, at least 8; below TAIL_RADIUS it
-    is at most 1938.  Raises OutOfRadius at r >= TAIL_RADIUS."""
+    """Highest power K kept by the lattice-tail series at reach r, a bound
+    on every |w|: the least k >= 8 with r^k below 1e-17, down to a multiple
+    of 4 (the series' powers); below TAIL_RADIUS it is at most 1936.
+    Raises OutOfRadius at r >= TAIL_RADIUS."""
     if r >= TAIL_RADIUS:
         raise OutOfRadius(f"lattice-tail reach {r:.4f} (a bound on |z|/2L) "
                           f"is at or above TAIL_RADIUS = {TAIL_RADIUS}")
-    k_max = int(np.ceil(np.log(1e-17) / np.log(max(r, 1e-12))))
-    return max(k_max, 8)
+    k = max(int(np.ceil(np.log(1e-17) / np.log(max(r, 1e-12)))), 8)
+    return k - k % 4
 
 
 def lambda_tail(kernel, z):
@@ -198,13 +199,13 @@ def lambda_tail(kernel, z):
     z = np.asarray(z, dtype=complex)
     w = z / (2.0 * kernel.L)
     r = float(np.max(np.abs(w)))
-    k_max = _tail_degree(r)
+    K = _tail_degree(r)
     out = -kernel.beta_bg * np.abs(z) ** 2
     if r > 0.0:
         w4 = w**4
         wk = w4.copy()
         k = 4
-        while k <= k_max:
+        while k <= K:
             out = out - (1.0 / k) * (kernel.eisenstein(k) * wk).real
             wk = wk * w4
             k += 4
@@ -224,7 +225,7 @@ def _scaled_binomials(k):
     return row
 
 
-PAIR_CACHE = 4   # _pair_coefficients matrices kept per kernel
+PAIR_CACHE = 4   # _pair_coefficients matrices kept per process
 
 
 def _powers(v, K):
@@ -236,25 +237,21 @@ def _powers(v, K):
     return np.multiply.accumulate(powers, axis=0, out=powers)
 
 
+@functools.lru_cache(maxsize=PAIR_CACHE)
 def _pair_coefficients(kernel, K):
     """C[a, b] = -(-1)^b binom(a+b, a) 2^-(a+b) g_{a+b} / (a+b) for 4 | a+b
-    in 4..K, else 0: the series of lambda_tail regrouped by the powers of
-    2u_i and 2u_j, since (u_i - u_j)^k = 2^-k sum_a binom(k, a) (2u_i)^a
-    (-2u_j)^(k-a).  Symmetric, as a and b share their parity.  The last
-    PAIR_CACHE degrees asked for are kept on the kernel (a degree of 1936
-    takes 30 MB)."""
-    cache = kernel._pair_cache
-    if K not in cache:
-        C = np.zeros((K + 1, K + 1))
-        for k in range(4, K + 1, 4):
-            a = np.arange(k + 1)
-            C[a, k - a] = _scaled_binomials(k) * (
-                (-kernel.eisenstein(k) / k) * (1.0 - 2.0 * (a % 2)))
-        C.setflags(write=False)
-        if len(cache) >= PAIR_CACHE:
-            del cache[next(iter(cache))]
-        cache[K] = C
-    return cache[K]
+    in 4..K, else 0, read-only: the series of lambda_tail regrouped by the
+    powers of 2u_i and 2u_j, since (u_i - u_j)^k = 2^-k sum_a binom(k, a)
+    (2u_i)^a (-2u_j)^(k-a).  Symmetric, as a and b share their parity.
+    The PAIR_CACHE (kernel, K) pairs used last are kept per process, over
+    all kernels (a degree of 1936 takes 30 MB)."""
+    C = np.zeros((K + 1, K + 1))
+    for k in range(4, K + 1, 4):
+        a = np.arange(k + 1)
+        C[a, k - a] = _scaled_binomials(k) * (
+            (-kernel.eisenstein(k) / k) * (1.0 - 2.0 * (a % 2)))
+    C.setflags(write=False)
+    return C
 
 
 def lambda_tail_factors(kernel, z):
@@ -279,8 +276,7 @@ def lambda_tail_factors(kernel, z):
     z = np.asarray(z, dtype=complex)
     M = z.size
     v = z / kernel.L
-    k_max = _tail_degree(float(np.max(np.abs(v))))
-    K = k_max - k_max % 4
+    K = _tail_degree(float(np.max(np.abs(v))))
     if K > 3 * M:
         return None
     powers = _powers(v, K)

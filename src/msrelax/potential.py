@@ -41,15 +41,15 @@ x <- x + P (b - B x) (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 12), O(M^2) per sweep where a direct solve costs O(M^3),
 against the inverse P of the bordered matrix of the circle of the curve's
 R, in closed form (circle_inverse: K is circulant on the circle), cached
-per (M, R, L) and read-only.  Refinement stops when the relative residual
-reaches rounding level (REFINE_FLOOR, about 2 eps), where a further sweep
-could not halve it, or when a sweep no longer halves it, or, from the
-third sweep on, when the sweeps left could not reach REFINE_TOL even at
-the best contraction seen; a residual left above REFINE_TOL (a large
-deficit, or a small torus cell, whose lattice tail is far from circulant)
-falls back to a direct solve of that one system.  No solve keeps anything
-for the next, so each is a function of its curve and data.  Since K w = A V, the residual and |int V ds| are
-those of the system in V.
+per (M, R, kernel) and read-only.  Refinement stops when the relative
+residual reaches rounding level (REFINE_FLOOR, about 2 eps), where a
+further sweep could not halve it, or when a sweep no longer halves it, or,
+from the third sweep on, when the sweeps left could not reach REFINE_TOL
+even at the best contraction seen; a residual left above REFINE_TOL (a
+large deficit, or a small torus cell, whose lattice tail is far from
+circulant) falls back to a direct solve of that one system.  No solve
+keeps anything for the next, so each is a function of its curve and data.
+Since K w = A V, the residual and |int V ds| are those of the system in V.
 
 Dissipation: D = int |grad u|^2 = -int_Gamma kappa V ds (boundary
 reduction; normals cancel between the two sides).
@@ -154,8 +154,8 @@ class BieSolve:
 
 
 def _refine(inverse, big, rhs, tail):
-    """Solve (big with ``tail``, the lattice tail's factors of _tail_factors
-    or None) x = rhs by iterative refinement against P = ``inverse``:
+    """Solve (big with ``tail``, the lattice tail's factors (left / M,
+    right) or None) x = rhs by iterative refinement against P = ``inverse``:
     x = P rhs, then x <- x + P (rhs - big x) while the relative residual is
     above REFINE_FLOOR and each sweep at least halves it, at most
     REFINE_SWEEPS sweeps.  From the third sweep on it also stops when the
@@ -194,9 +194,10 @@ def _product(big, tail, x):
     return y
 
 
+@functools.lru_cache(maxsize=8)
 def circle_inverse(M, R, kernel=None):
     """The inverse of the bordered matrix of solve_ms for the circle of
-    radius R about its centre at M nodes, in closed form; with a
+    radius R about its centre at M nodes, in closed form, read-only; with a
     LatticeKernel, of the circle's matrix with the -beta_bg |z|^2 part of
     the lattice tail (the rest of the tail is not circulant).
 
@@ -225,16 +226,6 @@ def circle_inverse(M, R, kernel=None):
     inverse[:M, M] = 1.0 / (2.0 * np.pi)
     inverse[M, :M] = 1.0 / M
     inverse[M, M] = -kappa[0] / (2.0 * np.pi)
-    return inverse
-
-
-@functools.lru_cache(maxsize=8)
-def _reference(M, R, L):
-    """circle_inverse(M, R, kernel), read-only, with the LatticeKernel of half
-    edge L (None: the plane): the P that solve_ms refines against.  Keyed
-    by L because a LatticeKernel is unhashable."""
-    inverse = circle_inverse(M, R, None if L is None else
-                             elliptic.lattice_kernel(L))
     inverse.setflags(write=False)
     return inverse
 
@@ -258,7 +249,7 @@ def assemble(cache, kernel=None):
     the smooth tail of Lambda/2pi, evaluated on the offsets rho e(phi) from
     the pole (elliptic.lambda_tail_nodes): OutOfRadius when
     2 max rho >= elliptic.TAIL_RADIUS * 2L.  solve_ms takes the tail by its
-    factors instead (_tail_factors), where they cost less.
+    factors instead (elliptic.lambda_tail_factors), where they cost less.
 
     Unlike solve_ms, assemble takes the kernel as an argument rather than
     from cache.curve: solve_ms assembles only the free-space part of a torus
@@ -310,17 +301,6 @@ def _chord_difference(w, s):
     return d
 
 
-def _tail_factors(cache, kernel):
-    """The lattice tail's share of assemble's K as the factors (left / M,
-    right) of elliptic.lambda_tail_factors, so that it is left.T @ right;
-    None where the factors cost more than the elementwise tail."""
-    factors = elliptic.lambda_tail_factors(kernel, _offsets(cache))
-    if factors is not None:
-        left, _ = factors
-        left *= 1.0 / cache.M
-    return factors
-
-
 def _bordered(mat, weights):
     M = mat.shape[0]
     big = np.zeros((M + 1, M + 1))
@@ -342,26 +322,30 @@ def solve_ms(cache, data=None):
     system solved is the one for the rest, whose size is that of V: on a
     near-circle the residual is then small relative to V, not only to the
     curvature.  The system is solved by iterative refinement against the
-    circle's inverse (_reference), and directly (np.linalg.solve) when the
-    refined relative residual stays above REFINE_TOL.  On the torus the
-    lattice tail enters the refinement by its factors (_tail_factors); the
-    dense K is formed only where the factors cost more, or for the direct
-    solve.  Raises SolverSingular when the direct solve finds the matrix
-    singular, or the residual is not finite or above 1e-8.
+    circle's inverse (circle_inverse of the curve's M, R and kernel), and
+    directly (np.linalg.solve) when the refined relative residual stays
+    above REFINE_TOL.  On the torus the lattice tail's share of K enters
+    the refinement as the factors (left / M, right) of
+    elliptic.lambda_tail_factors; the dense K is formed only where they
+    cost more, or for the direct solve.  Raises SolverSingular when the
+    direct solve finds the matrix singular, or the residual is not finite
+    or above 1e-8.
     """
     M = cache.M
     if data is None:
         data = cache.kappa
     kernel = cache.curve.kernel
-    tail = None if kernel is None else _tail_factors(cache, kernel)
+    tail = None if kernel is None else \
+        elliptic.lambda_tail_factors(kernel, _offsets(cache))
+    if tail is not None:   # the tail's share of K is left.T @ right / M
+        np.multiply(tail[0], 1.0 / M, out=tail[0])
     # the plane part, and the tail too where it has no factors
     big = _bordered(assemble(cache, kernel if tail is None else None),
                     cache.dphi)
     shift = float(np.mean(data))
     rhs = np.concatenate([data - shift, [0.0]])
-    reference = _reference(M, cache.curve.R,
-                           None if kernel is None else kernel.L)
-    sol, resid, sweeps = _refine(reference, big, rhs, tail)
+    sol, resid, sweeps = _refine(circle_inverse(M, cache.curve.R, kernel),
+                                 big, rhs, tail)
     direct = not resid <= REFINE_TOL
     if direct:
         if tail is not None:
@@ -577,9 +561,7 @@ def _lattice_distance(kernel, rho, d, R):
     """The lattice tail's share of disk_distance on the torus (see there),
     from the curve's radii ``rho`` at uniform angles."""
     M, L = rho.size, kernel.L
-    k_max = elliptic._tail_degree(max(float(rho.max()),
-                                      math.hypot(*d) + R) / L)
-    K = k_max - k_max % 4
+    K = elliptic._tail_degree(max(float(rho.max()), math.hypot(*d) + R) / L)
     _, cphi, sphi = geometry.node_trig(M)
     a = np.arange(K + 1)
     powers = elliptic._powers(rho * (cphi + 1j * sphi) / L, K)

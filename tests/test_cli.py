@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,14 @@ def test_simulate_set_override(capsys, cfg_file, tmp_path):
                         "--out", str(out), "--set", "t_end=1e-4")
     assert code == 0
     assert abs(json.loads(msg)["t_final"] - 1e-4) < 1e-15
+
+
+def test_simulate_set_without_equals_exits_2(capsys, cfg_file, tmp_path):
+    code = cli.main(["simulate", "--config", cfg_file, "--out",
+                     str(tmp_path / "o"), "--set", "seed"])
+    assert code == 2
+    assert "--set 'seed': expected KEY=VALUE" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_unknown_key_exits_2(capsys, tmp_path):
@@ -254,6 +263,68 @@ def test_report_row_of_another_length_exits_2(capsys, tmp_path, edit):
         cli.read_trajectory(path)
     assert cli.main(["report", str(path)]) == 2
     assert f"{path}:4:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def mixed23_csv(tmp_path_factory):
+    """The trajectory.csv of a short mixed23 run; k_H = 0, so H is nan on
+    every row."""
+    out = tmp_path_factory.mktemp("mixed23")
+    cli._write_run(evolution.run({**cli.RUNS["mixed23"], "seed": 7,
+                                  "t_end": 3e-4}), str(out), "0")
+    return out / "trajectory.csv"
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("t", "x", "'x' is not a number"),
+    ("E", "nan", "E = nan is not finite"),
+    ("D", "nan", "D = nan is not finite"),
+    ("t", "inf", "t = inf is not finite"),
+    ("R", "nan", "R = nan is not finite"),
+    ("R", "0", "R = 0 is not positive"),
+])
+def test_report_bad_value_exits_2(capsys, tmp_path, mixed23_csv, column,
+                                  value, message):
+    # a written run is finite in every column but H, and its header R is
+    # finite and positive: anything else is a usage error naming the file
+    # and the line, where a nan in E or D would pass every hard check
+    lines = mixed23_csv.read_text().splitlines()
+    assert lines[0].endswith(" R=1") and lines[1].startswith("t,")
+    if column == "R":
+        ln, lines[0] = 1, lines[0][:-1] + value
+    else:
+        ln, row = 4, lines[3].split(",")
+        row[lines[1].split(",").index(column)] = value
+        lines[3] = ",".join(row)
+    path = tmp_path / "trajectory.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        cli.read_trajectory(path)
+    assert cli.main(["report", str(path)]) == 2
+    assert f"{path}:{ln}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    {**cli.RUNS["mixed23"], "seed": 7},
+    {"N": 32, "modes": "2", "amps": "0", "t_end": 5e-5, "k_out": 2,
+     "k_H": 0}], ids=["mixed23", "circle"])
+def test_report_runs_warning_free_with_a_boolean_barycenter_pass(
+        capsys, tmp_path, cfg):
+    # the unperturbed circle has D = 0 on every record, which
+    # check_differential must not divide by; barycenter_monitor's pass is
+    # a bool, so the report writes true, not 1.0
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", "--config", str(path), "--out",
+                         str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        code = cli.main(["report", str(tmp_path / "o" / "trajectory.csv")])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert '"pass": true' in out
+    assert json.loads(out)["barycenter"]["pass"] is True
 
 
 def test_readme_trajectory_columns_match_csv_header():

@@ -128,14 +128,39 @@ def test_eisenstein_sums_match_all_shells():
     # keeps the bits of the full 64-shell sum
     kern = elliptic.LatticeKernel(1.0)
     top = elliptic._tail_degree(np.nextafter(elliptic.TAIL_RADIUS, 0.0))
-    assert top == 1938
+    assert top == 1936
     for k in range(12, top + 1, 4):
         full = float(np.sum(kern._pts ** (-float(k))).real)
         assert kern.eisenstein(k) == full, k
 
 
+def test_tail_degree_is_a_multiple_of_four():
+    # only the powers k = 0 mod 4 enter the series, so every degree is one
+    # of them, at least 8 and at most 1936, and the first power the series
+    # drops, K + 4, is below 1e-17 at the reach
+    reach = np.append(np.linspace(0.0, elliptic.TAIL_RADIUS, 4001)[:-1],
+                      np.nextafter(elliptic.TAIL_RADIUS, 0.0))
+    for r in reach:
+        K = elliptic._tail_degree(r)
+        assert K % 4 == 0 and 8 <= K <= 1936, (r, K)
+        assert r ** (K + 4) < 1e-17, (r, K)
+
+
+def test_pair_coefficients_cache_stays_bounded():
+    # the tables are kept per process, at most PAIR_CACHE (kernel, K) pairs
+    # over all kernels, each read-only and served again while it is kept
+    kernels = [elliptic.lattice_kernel(L) for L in (1.0, 2.0)]
+    for K in range(8, 64, 4):
+        for kern in kernels:
+            C = elliptic._pair_coefficients(kern, K)
+            assert C.shape == (K + 1, K + 1) and not C.flags.writeable
+            assert C is elliptic._pair_coefficients(kern, K)
+            assert elliptic._pair_coefficients.cache_info().currsize <= \
+                elliptic.PAIR_CACHE
+
+
 def test_lambda_tail_just_under_the_reach_bound(kern):
-    # the reach rule's bound leaves the series' degree (at most 1938) enough
+    # the reach rule's bound leaves the series' degree (at most 1936) enough
     # terms: lambda_tail matches Lambda - log|z| on a circle of reach just
     # under TAIL_RADIUS
     r = 0.9999 * elliptic.TAIL_RADIUS

@@ -892,7 +892,7 @@ def test_run_records_h_near_the_tail_reach(tmp_path, L, amps):
     # 1360, is admitted: every record has a finite H, and N = 32 and
     # N = 64 agree on the initial curve to the H's own accuracy and at
     # t_end to the flow's.  The second lies past TAIL_RADIUS = 0.98, where
-    # the series degree would pass 1938: the run and simulate refuse it
+    # the series degree would pass 1936: the run and simulate refuse it
     cfgs = [{"N": N, "domain": "torus", "L": L, "modes": "2", "amps": amps,
              "phases": "0", "t_end": 1e-4, "k_H": 1} for N in (32, 64)]
     if L < 1.07:

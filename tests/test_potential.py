@@ -268,14 +268,15 @@ def test_circle_inverse_matches_linalg_inv(M, R, L):
 
 @pytest.mark.parametrize("N, L", [(32, 2.0), (64, 1.2), (128, 8.0)])
 def test_tail_factors_match_elementwise(N, L):
-    # the factors solve_ms refines with give the elementwise tail / M, and
-    # the bordered product the dense assembly's
+    # the factors of the tail on the offsets from the pole give the
+    # elementwise tail, and with left / M, as solve_ms refines with them,
+    # the bordered product is the dense assembly's
     cache = geometry.build_cache(
         geometry.random_admissible(np.random.default_rng(N), N=N))
     kern = elliptic.LatticeKernel(L)
     z = potential._offsets(cache)
-    left, right = potential._tail_factors(cache, kern)
-    ref = elliptic.lambda_tail(kern, z[:, None] - z[None, :]) / cache.M
+    left, right = elliptic.lambda_tail_factors(kern, z)
+    ref = elliptic.lambda_tail(kern, z[:, None] - z[None, :])
     assert left.shape == right.shape and left.shape[1] == cache.M
     assert np.max(np.abs(left.T @ right - ref)) <= \
         1e-14 * max(1.0, np.max(np.abs(ref)))
@@ -283,7 +284,7 @@ def test_tail_factors_match_elementwise(N, L):
     dense = potential._bordered(potential.assemble(cache, kern), cache.dphi)
     plane = potential._bordered(potential.assemble(cache), cache.dphi)
     ref = dense @ x
-    fast = potential._product(plane, (left, right), x)
+    fast = potential._product(plane, (left / cache.M, right), x)
     assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -341,8 +342,7 @@ def test_solve_ms_matches_direct_solve(amp, direct):
 def test_solve_is_a_function_of_its_curve():
     # no solve leaves anything behind for the next: a small curve solves
     # bit for bit alike before and after a curve that falls back to a
-    # direct solve and a torus curve at L = 2 that does too, and the
-    # references are shared read-only arrays, one per (M, R, L)
+    # direct solve and a torus curve at L = 2 that does too
     small = geometry.build_cache(stale_curve(1e-3))
     first = potential.solve_ms(small)
     assert potential.solve_ms(geometry.build_cache(stale_curve(0.2))).direct
@@ -354,12 +354,21 @@ def test_solve_is_a_function_of_its_curve():
     assert np.array_equal(first.V, again.V)
     assert (first.additive_constant, first.residual_norm, first.sweeps) == \
         (again.additive_constant, again.residual_norm, again.sweeps)
-    for M, R, L in [(64, 1.0, None), (64, 1.0, 2.0)]:
-        P = potential._reference(M, R, L)
-        assert P is potential._reference(M, R, L)
-        assert not P.flags.writeable
-        kernel = None if L is None else elliptic.LatticeKernel(L)
-        assert np.array_equal(P, potential.circle_inverse(M, R, kernel))
+
+
+@pytest.mark.parametrize("L", [None, 2.0])
+def test_circle_inverse_is_one_read_only_array_per_key(L):
+    # the P that solve_ms refines against: one shared read-only array per
+    # (M, R, kernel), for the plane and for the one kernel of each L that
+    # a torus curve carries, equal to a fresh evaluation of the closed form
+    kernel = None if L is None else elliptic.lattice_kernel(L)
+    P = potential.circle_inverse(64, 1.0, kernel)
+    assert P is potential.circle_inverse(64, 1.0, kernel)
+    assert not P.flags.writeable
+    with pytest.raises(ValueError):
+        P[0, 0] = 0.0
+    assert np.array_equal(
+        P, potential.circle_inverse.__wrapped__(64, 1.0, kernel))
 
 
 @pytest.mark.parametrize("amp", [1e-4, 1e-3, 1e-2, 3e-2])
