@@ -231,7 +231,7 @@ def _suite_sobolev(n, seed):
 
 
 def _suite_elliptic(n, seed):
-    kern = elliptic.lattice_kernel(1.0)
+    kern = elliptic.LatticeKernel(1.0)
     rng = np.random.default_rng([seed, 5])
     z = (rng.uniform(-0.9, 0.9, n // 10 + 20)
          + 1j * rng.uniform(-0.9, 0.9, n // 10 + 20))
@@ -329,7 +329,7 @@ def cmd_hminus(args):
 
 
 def cmd_potential_table(args):
-    kern = elliptic.lattice_kernel(args.L)
+    kern = elliptic.LatticeKernel(args.L)
     n = args.n
     x = -args.L + 2.0 * args.L * (np.arange(n) + 0.5) / n
     X, Y = np.meshgrid(x, x, indexing="ij")
@@ -491,7 +491,7 @@ def build_parser():
 
     s = sub.add_parser("potential-table",
                        help="dump the periodic kernel on a grid")
-    s.add_argument("--L", type=float, default=1.0)
+    s.add_argument("--L", type=_positive_float, default=1.0)
     s.add_argument("--n", type=_positive_int, default=64)
     s.add_argument("--out", default=None)
 

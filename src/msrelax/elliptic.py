@@ -45,12 +45,12 @@ lambda_tail_nodes falls back to lambda_tail.
 
 The kernel is a primitive: every function here takes it explicitly.  A
 curve's solves take theirs from geometry.RadialCurve.kernel, which is
-lattice_kernel(L), one LatticeKernel per L and process.
+LatticeKernel(L), a value of L; the lattice tables are shared by every L.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,71 +76,70 @@ G4_EXACT = (np.pi**4 / 45.0) * _E4I
 G8_EXACT = (np.pi**8 / 4725.0) * _E4I**2
 
 
-@dataclass(eq=False)
+def _shell(s):
+    """The 8s lattice points of square shell s, in units of 2L."""
+    m, side = np.arange(-s, s + 1), np.arange(-s + 1, s)
+    return np.concatenate([m + 1j * s, m - 1j * s, -s + 1j * side,
+                           s + 1j * side])
+
+
+# the lattice points in units of 2L, all together and, as views, shell by
+# shell (shell s ends at 4 s (s + 1)), and the exact tails of g4 and g8
+# past them: the same for every L
+_POINTS = np.concatenate([_shell(s) for s in range(1, SHELLS + 1)])
+_SHELL_POINTS = np.split(_POINTS, [4 * s * (s + 1) for s in range(1, SHELLS)])
+_G4_TAIL = G4_EXACT - complex(np.sum(_POINTS**-4.0)).real
+_G8_TAIL = G8_EXACT - complex(np.sum(_POINTS**-8.0)).real
+
+
+@functools.cache
+def eisenstein(k):
+    """Normalized sum over (m,n) != 0 of (m+in)^{-k} (real; 0 unless 4|k),
+    over the shells s whose tail bound 8 s^(2-k) / (k - 2) exceeds 1e-18
+    (see the module docstring)."""
+    if k % 4 != 0 or k <= 0:
+        return 0.0
+    if k <= 8:
+        return G4_EXACT if k == 4 else G8_EXACT
+    s = np.arange(1, SHELLS + 1)
+    shells = np.count_nonzero(8.0 * s ** (2.0 - k) / (k - 2) > 1e-18)
+    n = 4 * shells * (shells + 1)   # shell s holds 8s points
+    # zeros in place of the dropped terms keep numpy's pairwise grouping of
+    # the full sum, and with it the full sum's bits
+    terms = np.zeros_like(_POINTS)
+    terms[:n] = _POINTS[:n] ** (-float(k))
+    return float(np.sum(terms).real)
+
+
+@dataclass(frozen=True)
 class LatticeKernel:
-    """Square lattice of half edge length L, truncated at SHELLS shells;
-    hashed by identity, so the caches below key on the one kernel per L."""
+    """The square lattice of half edge length L, a value of L (equal and
+    hashed by it): its points and Eisenstein sums, in units of 2L, are the
+    module's tables, the same for every L."""
 
     L: float
-    eta1: complex = field(init=False)
-    eta3: complex = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.L < math.inf:
-            raise ValueError(f"L must be finite and positive, got {self.L}")
-        L = self.L
-        self.omega1 = complex(L, 0.0)
-        self.omega3 = complex(0.0, L)
-        # eta_j omega_j = pi/4 on the square lattice; with omega3 = iL this
-        # forces eta3 = -i pi/(4L), the value that satisfies the Legendre
-        # relation eta1 omega3 - eta3 omega1 = i pi / 2.
-        self.eta1 = complex(np.pi / (4.0 * L), 0.0)
-        self.eta3 = complex(0.0, -np.pi / (4.0 * L))
-        self.beta_bg = np.pi / (8.0 * L**2)
+        try:   # L^2 overflows, or 8 L^2 underflows to 0, at some finite L
+            ok = self.L > 0.0 and 0.0 < self.beta_bg < math.inf
+        except ArithmeticError:
+            ok = False
+        if not ok:
+            raise ValueError(f"L = {self.L}: L and pi/(8 L^2) must be finite "
+                             f"and positive")
 
-        # lattice points in units of 2L, grouped by square shell
-        self._shells = []
-        for s in range(1, SHELLS + 1):
-            m = np.arange(-s, s + 1)
-            top = m + 1j * s
-            bot = m - 1j * s
-            side_n = np.arange(-s + 1, s)
-            left = -s + 1j * side_n
-            right = s + 1j * side_n
-            self._shells.append(np.concatenate([top, bot, left, right]))
-        pts = np.concatenate(self._shells)
-        # partial normalized Eisenstein sums over the kept shells
-        g4_partial = complex(np.sum(pts**-4.0))
-        g8_partial = complex(np.sum(pts**-8.0))
-        self._g4_tail = G4_EXACT - g4_partial.real
-        self._g8_tail = G8_EXACT - g8_partial.real
-        self._eis_cache = {4: G4_EXACT, 8: G8_EXACT}
-        self._pts = pts
+    @property
+    def beta_bg(self):
+        return np.pi / (8.0 * self.L**2)
 
-    def eisenstein(self, k):
-        """Normalized sum over (m,n) != 0 of (m+in)^{-k} (real; 0 unless 4|k),
-        over the shells s whose tail bound 8 s^(2-k) / (k - 2) exceeds 1e-18
-        (see the module docstring)."""
-        if k % 4 != 0 or k <= 0:
-            return 0.0
-        if k not in self._eis_cache:
-            s = np.arange(1, SHELLS + 1)
-            shells = np.count_nonzero(8.0 * s ** (2.0 - k) / (k - 2) > 1e-18)
-            n = 4 * shells * (shells + 1)   # shell s holds 8s points
-            # zeros in place of the dropped terms keep numpy's pairwise
-            # grouping of the full sum, and with it the full sum's bits
-            terms = np.zeros_like(self._pts)
-            terms[:n] = self._pts[:n] ** (-float(k))
-            self._eis_cache[k] = float(np.sum(terms).real)
-        return self._eis_cache[k]
-
-
-@functools.lru_cache(maxsize=8)
-def lattice_kernel(L):
-    """The LatticeKernel of half edge L, built once per process: its lattice
-    shells and Eisenstein sums are fixed by L, and its caches only grow, so
-    every caller can share it."""
-    return LatticeKernel(L)
+    @property
+    def periods(self):
+        """(omega1, omega3, eta1, eta3): half periods L, iL and quasi-periods
+        with eta_j omega_j = pi/4, so eta3 = -i pi/(4L), the value that
+        satisfies the Legendre relation eta1 omega3 - eta3 omega1 = i pi/2."""
+        eta = np.pi / (4.0 * self.L)
+        return (complex(self.L, 0.0), complex(0.0, self.L),
+                complex(eta, 0.0), complex(0.0, -eta))
 
 
 def _check_pole(kernel, z):
@@ -156,7 +155,7 @@ def log_sigma(kernel, z):
     _check_pole(kernel, z)
     acc = np.log(z)
     comp = np.zeros_like(acc)  # Kahan compensation across shells
-    for shell in kernel._shells:
+    for shell in _SHELL_POINTS:
         w = z[..., None] / (2.0 * kernel.L * shell)
         term = np.sum(np.log(1.0 - w) + w + 0.5 * w**2, axis=-1)
         y = term - comp
@@ -165,7 +164,7 @@ def log_sigma(kernel, z):
         acc = t
     # exact Eisenstein tail of the omitted shells (only k = 4, 8 matter)
     u = z / (2.0 * kernel.L)
-    acc = acc - u**4 * (kernel._g4_tail / 4.0) - u**8 * (kernel._g8_tail / 8.0)
+    acc = acc - u**4 * (_G4_TAIL / 4.0) - u**8 * (_G8_TAIL / 8.0)
     return acc if acc.shape else complex(acc)
 
 
@@ -206,7 +205,7 @@ def lambda_tail(kernel, z):
         wk = w4.copy()
         k = 4
         while k <= K:
-            out = out - (1.0 / k) * (kernel.eisenstein(k) * wk).real
+            out = out - (1.0 / k) * (eisenstein(k) * wk).real
             wk = wk * w4
             k += 4
     return out if np.ndim(out) else float(out)
@@ -238,18 +237,18 @@ def _powers(v, K):
 
 
 @functools.lru_cache(maxsize=PAIR_CACHE)
-def _pair_coefficients(kernel, K):
+def _pair_coefficients(K):
     """C[a, b] = -(-1)^b binom(a+b, a) 2^-(a+b) g_{a+b} / (a+b) for 4 | a+b
     in 4..K, else 0, read-only: the series of lambda_tail regrouped by the
     powers of 2u_i and 2u_j, since (u_i - u_j)^k = 2^-k sum_a binom(k, a)
     (2u_i)^a (-2u_j)^(k-a).  Symmetric, as a and b share their parity.
-    The PAIR_CACHE (kernel, K) pairs used last are kept per process, over
-    all kernels (a degree of 1936 takes 30 MB)."""
+    Like g_k, C is the same for every L: the PAIR_CACHE degrees used last
+    are kept per process (a degree of 1936 takes 30 MB)."""
     C = np.zeros((K + 1, K + 1))
     for k in range(4, K + 1, 4):
         a = np.arange(k + 1)
         C[a, k - a] = _scaled_binomials(k) * (
-            (-kernel.eisenstein(k) / k) * (1.0 - 2.0 * (a % 2)))
+            (-eisenstein(k) / k) * (1.0 - 2.0 * (a % 2)))
     C.setflags(write=False)
     return C
 
@@ -280,7 +279,7 @@ def lambda_tail_factors(kernel, z):
     if K > 3 * M:
         return None
     powers = _powers(v, K)
-    C = _pair_coefficients(kernel, K)
+    C = _pair_coefficients(K)
     v2 = v.real**2 + v.imag**2
     c = kernel.beta_bg * kernel.L**2
     left, right = np.empty((2, 2 * K + 6, M))
@@ -310,5 +309,5 @@ def lambda_tail_nodes(kernel, z):
 
 def legendre_residual(kernel):
     """|eta1 omega3 - eta3 omega1 - i pi/2|; zero for a consistent lattice."""
-    return abs(kernel.eta1 * kernel.omega3 - kernel.eta3 * kernel.omega1
-               - 1j * np.pi / 2.0)
+    omega1, omega3, eta1, eta3 = kernel.periods
+    return abs(eta1 * omega3 - eta3 * omega1 - 1j * np.pi / 2.0)

@@ -333,12 +333,10 @@ def dense_output(curve, h, n0, y_mid, n_mid, y1, n1, s):
 def rhs(curve, kernel=None):
     """Coefficient-space time derivative, plus the cache and solve used; the
     BIE solve takes the curve's own kernel (see potential.solve_ms), and
-    ``kernel`` is only checked: a LatticeKernel of another L than a torus
-    curve's, or any kernel with a plane curve, is a ValueError.  Raises
-    NonPositiveRadius unless rho > 0, then Unresolved if the curve's
-    top_mode_ratio exceeds TOP_MODE_ABORT."""
-    if kernel is not None and (curve.domain != "torus"
-                               or kernel.L != curve.L):
+    ``kernel`` is only checked: any kernel but curve.kernel (a plane curve
+    has none) is a ValueError.  Raises NonPositiveRadius unless rho > 0,
+    then Unresolved if the curve's top_mode_ratio exceeds TOP_MODE_ABORT."""
+    if kernel is not None and kernel != curve.kernel:
         raise ValueError(f"a kernel of L = {kernel.L} for a {curve.domain} "
                          f"curve (L = {curve.L})")
     cache = geometry.build_cache(curve)

@@ -76,9 +76,9 @@ class RadialCurve:
 
     @property
     def kernel(self):
-        """The torus's LatticeKernel (elliptic.lattice_kernel, one per L and
-        process); None on the plane, whose kernel is the free-space log."""
-        return elliptic.lattice_kernel(self.L) if self.domain == "torus" \
+        """The torus's elliptic.LatticeKernel, a value of L; None on the
+        plane, whose kernel is the free-space log."""
+        return elliptic.LatticeKernel(self.L) if self.domain == "torus" \
             else None
 
 

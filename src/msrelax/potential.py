@@ -568,7 +568,7 @@ def _lattice_distance(kernel, rho, d, R):
     nu = geometry.quad(rho**2 * powers) / (a + 2.0)
     nu -= np.pi * R * R * (complex(*d) / L) ** a
     nu[0] = 0.0   # the zero mean of f
-    C = elliptic._pair_coefficients(kernel, K)
+    C = elliptic._pair_coefficients(K)
     series = nu.real @ (C @ nu.real) - nu.imag @ (C @ nu.imag)
     return -(series + 2.0 * kernel.beta_bg * abs(L * nu[1]) ** 2) / (
         2.0 * np.pi)
@@ -741,7 +741,7 @@ def squared_distance_oracle(curve, other, grid=64):
     fp = _trig_upsample(f, ORACLE_REFINE)
     Gp = fp.shape[0]
     hp = h / ORACLE_REFINE
-    kern = elliptic.lattice_kernel(L)
+    kern = elliptic.LatticeKernel(L)
     off = _signed_modes(Gp) * hp
     ZX, ZY = np.meshgrid(off, off, indexing="ij")
     Z = ZX + 1j * ZY

@@ -701,7 +701,7 @@ def test_potential_table_matches_kernel(capsys, tmp_path):
         assert abs(elliptic.lam(kern, complex(x, y)) - val) < 1e-14
 
 
-@pytest.mark.parametrize("L", ["nan", "inf"])
+@pytest.mark.parametrize("L", ["nan", "inf", "1e-300", "1e200"])
 def test_potential_table_rejects_non_finite_L(capsys, tmp_path, L):
     out = tmp_path / "tab.csv"
     assert cli.main(["potential-table", "--L", L, "--n", "4",

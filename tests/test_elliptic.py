@@ -1,10 +1,12 @@
 """Weierstrass sigma / periodic kernel Lambda: periodicity, series, residuals."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msrelax import elliptic
+from msrelax import elliptic, geometry
 from msrelax.errors import NearPole, OutOfRadius
 
 
@@ -24,8 +26,9 @@ def test_legendre_residual(kern):
 
 def test_quasi_period_constants(kern):
     # eta_j omega_j = pi/4 on the square lattice
-    assert abs(kern.eta1 * kern.omega1 - np.pi / 4.0) < 1e-15
-    assert abs(kern.eta3 * kern.omega3 - np.pi / 4.0) < 1e-15
+    omega1, omega3, eta1, eta3 = kern.periods
+    assert abs(eta1 * omega1 - np.pi / 4.0) < 1e-15
+    assert abs(eta3 * omega3 - np.pi / 4.0) < 1e-15
     assert abs(kern.beta_bg - np.pi / 8.0) < 1e-15
 
 
@@ -82,12 +85,12 @@ def test_scale_invariance():
     assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
-def test_eisenstein_selection_rule(kern):
-    assert kern.eisenstein(2) == 0.0
-    assert kern.eisenstein(6) == 0.0
-    assert kern.eisenstein(4) > 0.0
+def test_eisenstein_selection_rule():
+    assert elliptic.eisenstein(2) == 0.0
+    assert elliptic.eisenstein(6) == 0.0
+    assert elliptic.eisenstein(4) > 0.0
     # E8 = E4^2 in the weight-8 modular space at tau = i
-    g4, g8 = kern.eisenstein(4), kern.eisenstein(8)
+    g4, g8 = elliptic.eisenstein(4), elliptic.eisenstein(8)
     zeta4, zeta8 = np.pi**4 / 90.0, np.pi**8 / 9450.0
     e4, e8 = g4 / (2 * zeta4), g8 / (2 * zeta8)
     assert abs(e8 - e4**2) < 1e-10
@@ -106,8 +109,10 @@ def test_out_of_radius_raises(kern):
 
 
 def test_bad_lattice():
-    for L in (-1.0, 0.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
+    # pi/(8 L^2) must be finite and positive too: 8 L^2 underflows to 0 at
+    # L = 1e-300, and L^2 overflows at L = 1e200
+    for L in (-1.0, 0.0, np.nan, np.inf, 1e-300, 1e200):
+        with pytest.raises(ValueError, match=re.escape(f"L = {L}:")):
             elliptic.LatticeKernel(L)
 
 
@@ -126,12 +131,12 @@ def test_eisenstein_sums_match_all_shells():
     # g_k sums only the shells whose tail bound 8 s^(2-k) / (k - 2) is above
     # 1e-18, with zeros for the rest: every degree that TAIL_RADIUS admits
     # keeps the bits of the full 64-shell sum
-    kern = elliptic.LatticeKernel(1.0)
     top = elliptic._tail_degree(np.nextafter(elliptic.TAIL_RADIUS, 0.0))
     assert top == 1936
+    assert elliptic._POINTS.size == 4 * elliptic.SHELLS * (elliptic.SHELLS + 1)
     for k in range(12, top + 1, 4):
-        full = float(np.sum(kern._pts ** (-float(k))).real)
-        assert kern.eisenstein(k) == full, k
+        full = float(np.sum(elliptic._POINTS ** (-float(k))).real)
+        assert elliptic.eisenstein(k) == full, k
 
 
 def test_tail_degree_is_a_multiple_of_four():
@@ -147,16 +152,53 @@ def test_tail_degree_is_a_multiple_of_four():
 
 
 def test_pair_coefficients_cache_stays_bounded():
-    # the tables are kept per process, at most PAIR_CACHE (kernel, K) pairs
-    # over all kernels, each read-only and served again while it is kept
-    kernels = [elliptic.lattice_kernel(L) for L in (1.0, 2.0)]
+    # one table per degree, the same for every L: the tables are kept per
+    # process, at most PAIR_CACHE of them, each read-only and served again
+    # while it is kept
+    assert elliptic._pair_coefficients.cache_info().maxsize == \
+        elliptic.PAIR_CACHE
     for K in range(8, 64, 4):
-        for kern in kernels:
-            C = elliptic._pair_coefficients(kern, K)
-            assert C.shape == (K + 1, K + 1) and not C.flags.writeable
-            assert C is elliptic._pair_coefficients(kern, K)
-            assert elliptic._pair_coefficients.cache_info().currsize <= \
-                elliptic.PAIR_CACHE
+        C = elliptic._pair_coefficients(K)
+        assert C.shape == (K + 1, K + 1) and not C.flags.writeable
+        assert C is elliptic._pair_coefficients(K)
+        assert elliptic._pair_coefficients.cache_info().currsize <= \
+            elliptic.PAIR_CACHE
+
+
+def unit_nodes(rng, N):
+    """The offsets rho e(phi) of a random admissible curve from its pole,
+    scaled to a reach max|z| of 0.1 to 0.9 on the lattice of half edge 1."""
+    curve = geometry.random_admissible(rng, N=N)
+    _, cphi, sphi = geometry.node_trig(curve.M)
+    z = geometry.synth_nodes(curve.rho_hat) * (cphi + 1j * sphi)
+    return z * (rng.uniform(0.1, 0.9) / np.max(np.abs(z)))
+
+
+@pytest.mark.parametrize("N", [32, 64, 128])
+def test_node_tail_is_scale_invariant(N):
+    # Lambda_L(z) = Lambda_1(z/L) + log L, so the tail the solver uses at
+    # the nodes L z, and its factors, are the L = 1 ones at z, and each
+    # degree's one pair table serves every L
+    rng = np.random.default_rng(N)
+    elliptic._pair_coefficients.cache_clear()
+    unit, degrees = elliptic.LatticeKernel(1.0), set()
+    for _ in range(4):
+        z = unit_nodes(rng, N)
+        ref = elliptic.lambda_tail_nodes(unit, z)
+        ref_factors = elliptic.lambda_tail_factors(unit, z)
+        if ref_factors is not None:
+            degrees.add(elliptic._tail_degree(np.max(np.abs(z))))
+        for L in (0.5, 1.0, 2.0, 8.0):
+            kern = elliptic.LatticeKernel(L)
+            tail = elliptic.lambda_tail_nodes(kern, L * z)
+            assert np.max(np.abs(tail - ref)) <= \
+                1e-15 * np.max(np.abs(ref)), L
+            factors = elliptic.lambda_tail_factors(kern, L * z)
+            assert (factors is None) == (ref_factors is None)
+            for got, want in zip(factors or (), ref_factors or ()):
+                assert np.max(np.abs(got - want)) <= \
+                    1e-15 * np.max(np.abs(want)), L
+    assert elliptic._pair_coefficients.cache_info().misses == len(degrees)
 
 
 def test_lambda_tail_just_under_the_reach_bound(kern):

@@ -156,10 +156,10 @@ def test_rhs_checks_a_given_kernel():
     assert np.array_equal(
         evolution.rhs(curve, elliptic.LatticeKernel(curve.L))[0], own)
     with pytest.raises(ValueError, match="kernel of L = 2.0"):
-        evolution.rhs(curve, elliptic.lattice_kernel(2.0))
+        evolution.rhs(curve, elliptic.LatticeKernel(2.0))
     with pytest.raises(ValueError, match="plane curve"):
         evolution.rhs(replace(curve, domain="plane", L=None),
-                      elliptic.lattice_kernel(curve.L))
+                      elliptic.LatticeKernel(curve.L))
 
 
 def test_phi_evaluated_once_per_step_size(monkeypatch):
@@ -747,23 +747,21 @@ def test_run_start_falls_back_to_dt_max(monkeypatch):
     assert fin["direct_solves"] == 0
 
 
-def test_torus_runs_share_one_lattice_kernel(monkeypatch):
-    # the lattice shells and Eisenstein sums are built once per L and
-    # process, and a shared kernel changes no record
-    built, kernel = [], elliptic.LatticeKernel
-
-    def counted(L):
-        built.append(L)
-        return kernel(L)
-
-    monkeypatch.setattr(elliptic, "LatticeKernel", counted)
-    elliptic.lattice_kernel.cache_clear()
+def test_torus_runs_share_the_lattice_tables():
+    # the Eisenstein sums and pair tables are keyed by degree alone: a run
+    # in a cell twice as large, its curve scaled with it, builds no table
+    # the first run did not, and shared tables change no record
+    tables = (elliptic.eisenstein, elliptic._pair_coefficients)
+    for table in tables:
+        table.cache_clear()
     cfg = {"N": 32, "domain": "torus", "modes": "3", "amps": "1e-3",
            "phases": "0", "t_end": 5e-5, "k_out": 2, "k_H": 0}
     a = evolution.run(cfg)
+    built = [table.cache_info().currsize for table in tables]
+    assert built[0] >= 4 and built[1] >= 1
+    evolution.run({**cfg, "R": 2.0, "amps": "2e-3", "t_end": 4e-4})  # L = 16
+    assert [table.cache_info().currsize for table in tables] == built
     b = evolution.run(cfg)
-    assert built == [8.0]
-    assert elliptic.lattice_kernel(8.0) is elliptic.lattice_kernel(8.0)
     assert [r.csv_row() for r in a.records] == [r.csv_row() for r in b.records]
 
 

@@ -114,7 +114,7 @@ def test_torus_curve_solves_with_its_lattice_kernel():
     # V of an explicit assemble(cache, LatticeKernel(L)) solve, not the
     # plane's
     curve = lattice_curve()
-    assert curve.kernel is elliptic.lattice_kernel(1.5)
+    assert curve.kernel == elliptic.LatticeKernel(1.5)
     assert replace(curve, domain="plane", L=None).kernel is None
     cache = geometry.build_cache(curve)
     V = potential.solve_ms(cache).V
@@ -359,9 +359,9 @@ def test_solve_is_a_function_of_its_curve():
 @pytest.mark.parametrize("L", [None, 2.0])
 def test_circle_inverse_is_one_read_only_array_per_key(L):
     # the P that solve_ms refines against: one shared read-only array per
-    # (M, R, kernel), for the plane and for the one kernel of each L that
-    # a torus curve carries, equal to a fresh evaluation of the closed form
-    kernel = None if L is None else elliptic.lattice_kernel(L)
+    # (M, R, kernel), for the plane and for the lattice of each L, equal to
+    # a fresh evaluation of the closed form
+    kernel = None if L is None else elliptic.LatticeKernel(L)
     P = potential.circle_inverse(64, 1.0, kernel)
     assert P is potential.circle_inverse(64, 1.0, kernel)
     assert not P.flags.writeable
@@ -369,6 +369,32 @@ def test_circle_inverse_is_one_read_only_array_per_key(L):
         P[0, 0] = 0.0
     assert np.array_equal(
         P, potential.circle_inverse.__wrapped__(64, 1.0, kernel))
+
+
+def test_one_lattice_for_every_L(monkeypatch):
+    # a kernel is a value of L: a fresh LatticeKernel(L) is the curve's
+    # own, equal and hashed alike, so it finds the curve's circle inverse
+    # after the curves of ten other L have been solved; and the solves of a
+    # curve scaled with its cell all read one read-only pair table
+    curve = lattice_curve()
+    kern = elliptic.LatticeKernel(curve.L)
+    assert kern == curve.kernel and hash(kern) == hash(curve.kernel)
+    for L in np.linspace(2.0, 8.0, 10):
+        potential.solve_ms(geometry.build_cache(replace(curve, L=float(L))))
+    assert potential.circle_inverse(curve.M, curve.R, kern) is \
+        potential.circle_inverse(curve.M, curve.R, curve.kernel)
+    tables, pair = [], elliptic._pair_coefficients
+
+    def recorded(K):
+        tables.append(pair(K))
+        return tables[-1]
+
+    monkeypatch.setattr(elliptic, "_pair_coefficients", recorded)
+    for s in (1.0, 2.0, 4.0):
+        potential.solve_ms(geometry.build_cache(replace(
+            curve, R=s * curve.R, rho_hat=s * curve.rho_hat, L=s * curve.L)))
+    assert len(tables) == 3 and not tables[0].flags.writeable
+    assert all(table is tables[0] for table in tables)
 
 
 @pytest.mark.parametrize("amp", [1e-4, 1e-3, 1e-2, 3e-2])
